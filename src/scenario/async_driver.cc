@@ -1,5 +1,6 @@
 #include "scenario/async_driver.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -101,6 +102,15 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   // even when the recording window is empty.
   if (want_rms) rec.MutableSeries("round", "rms");
   RunningStat tail;
+  // The sampler evaluates only the samples a series point or the tail
+  // reads, by the rounds driver's rule. Clamping the window to the tick
+  // count leaves it unchanged (no sample reaches it) and fits an int.
+  MetricFlags sampled;
+  sampled.rms = want_rms;
+  sampled.tail_mean = want_tail;
+  RecordConfig window;
+  window.from = static_cast<int>(std::min<int64_t>(record_from, ticks));
+  window.every = static_cast<int>(std::min<int64_t>(record_every, ticks));
 
   const auto rms_now = [&]() {
     return RmsDeviationOverAlive(pop, swarm.truth(pop), swarm.estimate);
@@ -141,7 +151,7 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
         // Zero-delay messages sent by this instant's tick still land before
         // the sampler observes (deliveries outrank samplers at a tie).
         drain_due(sim.Now());
-        if (want_rms || want_tail) {
+        if (RoundIsRead(sampled, window, ticks, sample)) {
           obs::ScopedPhase record_span(obs::Phase::kRecord);
           const double rms = rms_now();
           if (want_rms && sample >= record_from &&

@@ -243,6 +243,26 @@ Status CheckRecordWindows(const ScenarioSpec& spec, const MetricFlags& metrics,
   return Status::OK();
 }
 
+bool RoundIsRead(const MetricFlags& metrics, const RecordConfig& cfg,
+                 int rounds, int round) {
+  if (!metrics.NeedsRoundEvaluation()) return false;
+  if (cfg.relative || metrics.convergence || !metrics.rounds_below.empty()) {
+    return true;
+  }
+  if (metrics.rms && round >= cfg.from &&
+      (round - cfg.from) % cfg.every == 0) {
+    return true;
+  }
+  if (metrics.tail_mean && round >= cfg.from) return true;
+  // Early stop only happens under OnlyConvergence(), so with final_rms the
+  // last executed round is always rounds - 1.
+  if (metrics.final_rms && round == rounds - 1) return true;
+  for (const double r : metrics.rms_at) {
+    if (r == round + 1) return true;
+  }
+  return metrics.recovery && round >= cfg.recovery_from;
+}
+
 Result<FailureConfig> ParseFailureConfig(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "failure.", {"kind", "round", "fraction", "start", "end", "death_prob",

@@ -117,6 +117,16 @@ Result<RecordConfig> ParseRecordConfig(
 Status CheckRecordWindows(const ScenarioSpec& spec, const MetricFlags& metrics,
                           const RecordConfig& cfg);
 
+/// Whether some requested metric consumes round `round`'s RMS evaluation
+/// (0-based, of `rounds`): the rms series window (record.from/every), the
+/// rms_tail_mean window, the last round for final_rms, round R - 1 for
+/// rms_at(R), the recovery window, and every round for rounds_to_converge,
+/// rounds_below and record.relative (whose "truth is 0" check must fire on
+/// the round it happens). The rounds driver skips truth and estimate on
+/// every other round, so record.from/every also bound the evaluation cost.
+bool RoundIsRead(const MetricFlags& metrics, const RecordConfig& cfg,
+                 int rounds, int round);
+
 /// The failure.* plan declaration.
 struct FailureConfig {
   enum class Kind { kNone, kKillRandomFraction, kKillTopFraction, kChurn };

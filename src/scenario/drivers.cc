@@ -3,7 +3,8 @@
 //   rounds  The paper's synchronous round loop (sim/round_driver.h) with
 //           the spec-declared failure plan, multi-metric recording and
 //           early convergence stop. All requested metrics are recorded in
-//           ONE pass over the rounds:
+//           ONE pass over the rounds, evaluating only the rounds some
+//           metric reads (RoundIsRead in scenario/config.h):
 //             - rms                 per-round RMS-deviation series
 //                                   (record.from/every)
 //             - rms_tail_mean       scalar mean RMS over rounds >= from
@@ -201,7 +202,8 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   // series so batches stay structurally identical across units.
   if (metrics.rms) rec.MutableSeries("round", "rms");
   const auto on_round_end = [&](int round) {
-    if (!metrics.NeedsRoundEvaluation()) return true;
+    // Rounds no requested metric reads cost neither truth nor estimate.
+    if (!RoundIsRead(metrics, cfg, spec.rounds, round)) return true;
     // Telemetry: per-round metric evaluation is the record phase.
     obs::ScopedPhase record_span(obs::Phase::kRecord);
     const double tr = swarm.truth(pop);

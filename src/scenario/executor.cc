@@ -648,17 +648,68 @@ Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
   return Status::OK();
 }
 
+/// record.relative divides every evaluated rms by the live truth, which is
+/// 0 once no host is alive, so DriveRounds fails at that round. Two plans
+/// leave nobody alive by construction (only failure.pin_alive revives):
+/// a kill_* plan whose kill count rounds to every host, from failure.round
+/// on, and churn with failure.death_prob = 1, after failure.start. Reject
+/// them up front. With `hosts_known` false (a swept or environment-derived
+/// size) only fraction = 1 is certain to kill every host.
+Status CheckRelativeSurvivors(const ScenarioSpec& spec,
+                              const MetricFlags& metrics,
+                              const RecordConfig& cfg,
+                              const FailureConfig& fail, bool hosts_known) {
+  if (!cfg.relative || !metrics.NeedsRoundEvaluation() ||
+      fail.pin_alive != kInvalidHost) {
+    return Status::OK();
+  }
+  int empty_round = -1;  // the first round after which no host is alive
+  std::string knob;
+  switch (fail.kind) {
+    case FailureConfig::Kind::kKillRandomFraction:
+    case FailureConfig::Kind::kKillTopFraction: {
+      // The kill count of FailurePlan::KillRandomFraction / KillTopFraction.
+      const bool kills_all =
+          hosts_known && spec.hosts > 0
+              ? static_cast<size_t>(fail.fraction * spec.hosts + 0.5) >=
+                    static_cast<size_t>(spec.hosts)
+              : fail.fraction >= 1.0;
+      if (kills_all) empty_round = fail.round;
+      knob = "failure.fraction";
+      break;
+    }
+    case FailureConfig::Kind::kChurn: {
+      const int end = fail.end >= 0 ? fail.end : spec.rounds;
+      if (fail.death_prob >= 1.0 && fail.start < end) {
+        empty_round = fail.start;
+      }
+      knob = "failure.death_prob";
+      break;
+    }
+    case FailureConfig::Kind::kNone:
+      break;
+  }
+  if (empty_round < 0 || empty_round >= spec.rounds) return Status::OK();
+  return Status::InvalidArgument(
+      "experiment '" + spec.name + "': record.relative: " + knob +
+      " leaves no host alive after round " + std::to_string(empty_round) +
+      ", where the truth is 0 and the relative error is undefined (set "
+      "failure.pin_alive to keep one host alive, lower " +
+      knob + ", or drop record.relative)");
+}
+
 /// Spec-only preflight of the plain rounds driver, mirroring DriveRounds'
 /// own setup checks so an unknown seeds.* stream or an empty metric window
 /// fails --dry-run, not mid-run. Applied to the base spec and to each
 /// swept variant — a rounds sweep can empty a window the base spec
-/// satisfies. `rounds_known` is false when another sweep axis writes
-/// rounds, making this spec's own value a placeholder that never executes
-/// — the window checks against it are skipped (that axis's per-variant
-/// pass and DriveRounds itself still run them with the real value).
+/// satisfies. `rounds_known` / `hosts_known` are false when another sweep
+/// axis writes rounds / hosts, making this spec's own value a placeholder
+/// that never executes — the checks against it are skipped or weakened
+/// (that axis's per-variant pass and DriveRounds itself still run them
+/// with the real value).
 Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
                                 const ProtocolDef& protocol,
-                                bool rounds_known) {
+                                bool rounds_known, bool hosts_known) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "seeds.",
       {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
@@ -674,9 +725,10 @@ Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
       ParseRecordConfig(spec, protocol.extra_record_keys));
   // The failure.* plan is parsed from the spec alone; an unknown knob or a
   // bad kind/range should not wait for the trial loop to reject it.
-  DYNAGG_RETURN_IF_ERROR(ParseFailureConfig(spec).status());
+  DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
   if (!rounds_known) return Status::OK();
-  return CheckRecordWindows(spec, metrics, cfg);
+  DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
+  return CheckRelativeSurvivors(spec, metrics, cfg, fail, hosts_known);
 }
 
 }  // namespace
@@ -828,7 +880,8 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
     // malformed rounds_below/recovery/quantile arguments, unknown record
     // or seed-stream keys and empty windows fail --dry-run, not mid-run.
     DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-        spec, protocol, /*rounds_known=*/!sweep1_rounds && !sweep2_rounds));
+        spec, protocol, /*rounds_known=*/!sweep1_rounds && !sweep2_rounds,
+        /*hosts_known=*/!sweep1_hosts && !sweep2_hosts));
   }
   DYNAGG_RETURN_IF_ERROR(ValidateMetricList(spec.metrics));
   DYNAGG_RETURN_IF_ERROR(ValidateAggregateList(spec.aggregates));
@@ -879,7 +932,8 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
                                              /*hosts_known=*/!sweep2_hosts));
     if (plain_rounds) {
       DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-          swept, protocol, /*rounds_known=*/!sweep2_rounds));
+          swept, protocol, /*rounds_known=*/!sweep2_rounds,
+          /*hosts_known=*/!sweep2_hosts));
     }
     if (driver.message_level) {
       DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
@@ -896,7 +950,8 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
                                              /*hosts_known=*/!sweep1_hosts));
     if (plain_rounds) {
       DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-          swept, protocol, /*rounds_known=*/!sweep1_rounds));
+          swept, protocol, /*rounds_known=*/!sweep1_rounds,
+          /*hosts_known=*/!sweep1_hosts));
     }
     if (driver.message_level) {
       DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));

@@ -278,7 +278,8 @@ struct SwarmHandle {
   /// Per-host estimate of the aggregate (required).
   std::function<double(HostId)> estimate;
   /// Network-wide truth over the alive population (required; the rounds
-  /// driver evaluates it every round for the error metrics).
+  /// driver evaluates it, with `estimate`, after every round some requested
+  /// error metric reads — see RoundIsRead in scenario/config.h).
   std::function<double(const Population&)> truth;
   /// Per-group truth for group-relative (trace) error: given the current
   /// component labelling and per-group member counts, the truth of each

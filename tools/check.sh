@@ -15,44 +15,20 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # Every checked-in scenario spec must at least validate (registry lookups,
 # record/aggregate/sweep grammar, driver compatibility) without executing.
 "$BUILD_DIR"/dynagg_run --dry-run bench/scenarios/*.scenario
-# Smoke execution: run the tiny checked-in smoke scenario end-to-end (both
-# trial drivers, 2 trials each) and demand byte-identical output to the
-# checked-in golden. Catches regressions that change numbers, not just
-# structure; see smoke.scenario for how to regenerate after an intentional
-# change.
-"$BUILD_DIR"/dynagg_run --threads=2 --output="$BUILD_DIR/smoke_out.csv" \
-  bench/scenarios/smoke.scenario
-diff -u bench/scenarios/golden/smoke.csv "$BUILD_DIR/smoke_out.csv"
-echo "check.sh: smoke scenario output matches golden"
-# Streaming smoke: the heavy-hitter grid (keyed Zipf stream -> count-min
-# swarms on the round kernel) must execute and reproduce its golden
-# byte-for-byte; see heavy_hitters.scenario for regeneration.
-"$BUILD_DIR"/dynagg_run --threads=2 \
-  --output="$BUILD_DIR/heavy_hitters_out.csv" \
-  bench/scenarios/heavy_hitters.scenario
-diff -u bench/scenarios/golden/heavy_hitters.csv \
-  "$BUILD_DIR/heavy_hitters_out.csv"
-echo "check.sh: heavy_hitters scenario output matches golden"
-# Async smoke: the loss-rate x protocol grid on the async driver (network
-# models, message-level scheduling, push-sum vs push-flow under drops)
-# must execute and reproduce its golden byte-for-byte; see
-# loss_sweep.scenario for regeneration.
-"$BUILD_DIR"/dynagg_run --threads=2 \
-  --output="$BUILD_DIR/loss_sweep_out.csv" \
-  bench/scenarios/loss_sweep.scenario
-diff -u bench/scenarios/golden/loss_sweep.csv "$BUILD_DIR/loss_sweep_out.csv"
-echo "check.sh: loss_sweep scenario output matches golden"
-# Churn smoke: the arrival-rate x protocol grid under two-sided membership
-# churn (deaths, rebirths with ID reuse, Poisson arrivals) must execute
-# and reproduce its golden byte-for-byte — this is the determinism
-# contract's membership clause under test; see churn_sweep.scenario for
-# regeneration.
-"$BUILD_DIR"/dynagg_run --threads=2 \
-  --output="$BUILD_DIR/churn_sweep_out.csv" \
-  bench/scenarios/churn_sweep.scenario
-diff -u bench/scenarios/golden/churn_sweep.csv \
-  "$BUILD_DIR/churn_sweep_out.csv"
-echo "check.sh: churn_sweep scenario output matches golden"
+# Goldens: every bench/scenarios/golden/<name>.csv is the byte-exact
+# output of bench/scenarios/<name>.scenario at --threads=2, so a change
+# that moves numbers (not just structure) fails here. A new golden is one
+# new file; each spec's header says how to regenerate it after an
+# intentional change. smoke covers both trial drivers, heavy_hitters the
+# keyed streams, loss_sweep the async driver, churn_sweep two-sided
+# membership churn under record.every (the skipped-round record path).
+for golden in bench/scenarios/golden/*.csv; do
+  name="$(basename "$golden" .csv)"
+  "$BUILD_DIR"/dynagg_run --threads=2 --output="$BUILD_DIR/${name}_out.csv" \
+    "bench/scenarios/$name.scenario"
+  diff -u "$golden" "$BUILD_DIR/${name}_out.csv"
+  echo "check.sh: $name scenario output matches golden"
+done
 # Spec-grammar fuzzer, fixed corpus: 500 generated/mutated specs, each of
 # which must either fail --dry-run with an actionable diagnostic or
 # execute clean — any runtime-only rejection is a validation gap and dumps
