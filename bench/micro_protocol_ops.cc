@@ -289,8 +289,15 @@ void BM_CsrExchangeMerge(benchmark::State& state) {
 BENCHMARK(BM_CsrExchangeMerge);
 
 void BM_CsrEstimate(benchmark::State& state) {
-  CountSketchResetNode node;
-  node.Init(CsrParams{}, 1, 1000);
+  // A converged node (2,000 hosts, 30 rounds): runs are ~log2(n/m) levels
+  // long, the scan a metric evaluation pays every round.
+  const int n = 2000;
+  CsrSwarm swarm(std::vector<int64_t>(n, 1), CsrParams{});
+  UniformEnvironment env(n);
+  Population pop(n);
+  Rng rng(1);
+  for (int round = 0; round < 30; ++round) swarm.RunRound(env, pop, rng);
+  const CountSketchResetNode& node = swarm.node(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(node.EstimateCount());
   }
@@ -309,7 +316,7 @@ void BM_CsrSwarmRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_CsrSwarmRound)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_CsrSwarmRound)->Arg(1000)->Arg(10000)->Arg(40000);
 
 void BM_FmSketchInsert(benchmark::State& state) {
   FmSketch sketch(64, 32);

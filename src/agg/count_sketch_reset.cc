@@ -2,10 +2,138 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <type_traits>
 
 #include "common/hash.h"
+#include "obs/telemetry.h"
 
 namespace dynagg {
+
+namespace {
+
+// Kernel block width. Full blocks pass it as a compile-time constant, so
+// each inner loop has a fixed trip count that GCC's -O2 cost model (which
+// refuses epilogues and runtime alias checks) vectorizes; the one partial
+// block at the end passes a runtime width and stays scalar.
+constexpr size_t kLanes = 64;
+using FullBlock = std::integral_constant<size_t, kLanes>;
+
+// Calls block(offset, width) over [0, n) in kLanes-wide blocks.
+template <typename BlockFn>
+inline void ForEachBlock(size_t n, BlockFn&& block) {
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) block(i, FullBlock{});
+  if (i < n) block(i, n - i);
+}
+
+template <typename Width>
+inline void AgeBlock(uint8_t* __restrict c, Width width) {
+  for (size_t j = 0; j < width; ++j) c[j] += c[j] < kCsrCounterCap ? 1 : 0;
+}
+
+template <typename Width>
+inline void MinBlock(uint8_t* __restrict dst, const uint8_t* __restrict src,
+                     Width width) {
+  for (size_t j = 0; j < width; ++j) dst[j] = std::min(dst[j], src[j]);
+}
+
+template <typename Width>
+inline void ExchangeMinBlock(uint8_t* __restrict a, uint8_t* __restrict b,
+                             Width width) {
+  for (size_t j = 0; j < width; ++j) {
+    const uint8_t m = std::min(a[j], b[j]);
+    a[j] = m;
+    b[j] = m;
+  }
+}
+
+// Run total over `width` adjacent bins (columns) of a level-major array
+// with row stride `bins`: alive[j] stays 1 while bin j's run reaches the
+// current level, run[j] counts the levels it reached.
+template <typename Width>
+inline int64_t RunTotalBlock(const uint8_t* __restrict column, size_t bins,
+                             std::span<const uint8_t> bit_limit,
+                             Width width) {
+  uint8_t alive[kLanes];
+  uint8_t run[kLanes];
+  for (size_t j = 0; j < width; ++j) {
+    alive[j] = 1;
+    run[j] = 0;
+  }
+  for (size_t k = 0; k < bit_limit.size(); ++k) {
+    const uint8_t* __restrict row = column + k * bins;
+    const uint8_t limit = bit_limit[k];
+    uint8_t any = 0;
+    for (size_t j = 0; j < width; ++j) {
+      alive[j] &= row[j] <= limit ? 1 : 0;
+      run[j] += alive[j];
+      any |= alive[j];
+    }
+    if (any == 0) break;
+  }
+  int64_t total = 0;
+  for (size_t j = 0; j < width; ++j) total += run[j];
+  return total;
+}
+
+// dst (cols x rows) = src (rows x cols) transposed, both row-major: moves
+// counters between the level-major node layout and the bin-major wire.
+void Transpose(const uint8_t* __restrict src, size_t rows, size_t cols,
+               uint8_t* __restrict dst) {
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  }
+}
+
+int VarintLength(uint64_t v) {
+  int len = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++len;
+  }
+  return len;
+}
+
+}  // namespace
+
+void CsrAge(std::span<uint8_t> counters, std::span<const int32_t> owned) {
+  // Saturating increment first, then restore the owned slots: cheaper than
+  // testing membership per byte.
+  uint8_t* c = counters.data();
+  ForEachBlock(counters.size(),
+               [c](size_t i, auto width) { AgeBlock(c + i, width); });
+  for (const int32_t offset : owned) c[offset] = 0;
+}
+
+void CsrMergeMin(std::span<uint8_t> dst, std::span<const uint8_t> src) {
+  DYNAGG_DCHECK(dst.size() == src.size());
+  uint8_t* d = dst.data();
+  const uint8_t* s = src.data();
+  ForEachBlock(dst.size(),
+               [d, s](size_t i, auto width) { MinBlock(d + i, s + i, width); });
+}
+
+void CsrExchangeMin(std::span<uint8_t> a, std::span<uint8_t> b) {
+  DYNAGG_DCHECK(a.size() == b.size());
+  uint8_t* pa = a.data();
+  uint8_t* pb = b.data();
+  ForEachBlock(a.size(), [pa, pb](size_t i, auto width) {
+    ExchangeMinBlock(pa + i, pb + i, width);
+  });
+}
+
+int64_t CsrRunTotal(std::span<const uint8_t> counters, int bins,
+                    std::span<const uint8_t> bit_limit) {
+  DYNAGG_DCHECK(counters.size() ==
+                static_cast<size_t>(bins) * bit_limit.size());
+  const auto stride = static_cast<size_t>(bins);
+  int64_t total = 0;
+  ForEachBlock(stride, [&](size_t i, auto width) {
+    total += RunTotalBlock(counters.data() + i, stride, bit_limit, width);
+  });
+  return total;
+}
 
 void CountSketchResetNode::Init(const CsrParams& params, uint64_t host_key,
                                 int64_t multiplicity) {
@@ -15,11 +143,11 @@ void CountSketchResetNode::Init(const CsrParams& params, uint64_t host_key,
   DYNAGG_CHECK_GE(multiplicity, 0);
   bins_ = params.bins;
   levels_ = params.levels;
-  cutoff_enabled_ = params.cutoff_enabled;
   for (int k = 0; k < levels_; ++k) {
     const double f = params.cutoff_base + params.cutoff_slope * k;
     const double clamped = std::clamp(f, 0.0, double{kCsrCounterCap});
-    cutoff_[k] = static_cast<uint8_t>(clamped);
+    bit_limit_[k] = params.cutoff_enabled ? static_cast<uint8_t>(clamped)
+                                          : kCsrCounterCap;
   }
   counters_.assign(static_cast<size_t>(bins_) * levels_, kCsrInfinity);
   owned_.clear();
@@ -31,46 +159,28 @@ void CountSketchResetNode::Init(const CsrParams& params, uint64_t host_key,
         HashCombine(host_key, static_cast<uint64_t>(idx));
     const SketchSlot slot =
         SketchPlace(object_id, params.hash_seed, bins_, levels_ - 1);
-    owned_.push_back(slot.bin * levels_ + slot.level);
+    owned_.push_back(OffsetOf(slot.bin, slot.level));
   }
   std::sort(owned_.begin(), owned_.end());
   owned_.erase(std::unique(owned_.begin(), owned_.end()), owned_.end());
   for (const int32_t offset : owned_) counters_[offset] = 0;
 }
 
-void CountSketchResetNode::AgeCounters() {
-  // Branch-free saturating increment: values below the cap advance, the cap
-  // and the infinity sentinel stay. Owned slots are restored afterwards
-  // (cheaper than testing membership per byte; the loop vectorizes).
-  for (auto& c : counters_) c += (c < kCsrCounterCap) ? 1 : 0;
-  for (const int32_t offset : owned_) counters_[offset] = 0;
-}
+void CountSketchResetNode::AgeCounters() { CsrAge(counters_, owned_); }
 
 void CountSketchResetNode::MergeFrom(const CountSketchResetNode& other) {
   DYNAGG_CHECK_EQ(bins_, other.bins_);
   DYNAGG_CHECK_EQ(levels_, other.levels_);
-  const size_t n = counters_.size();
-  for (size_t i = 0; i < n; ++i) {
-    counters_[i] = std::min(counters_[i], other.counters_[i]);
-  }
+  if (this == &other) return;
+  CsrMergeMin(counters_, other.counters_);
 }
 
 void CountSketchResetNode::ExchangeMerge(CountSketchResetNode& a,
                                          CountSketchResetNode& b) {
   DYNAGG_CHECK_EQ(a.bins_, b.bins_);
   DYNAGG_CHECK_EQ(a.levels_, b.levels_);
-  const size_t n = a.counters_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t m = std::min(a.counters_[i], b.counters_[i]);
-    a.counters_[i] = m;
-    b.counters_[i] = m;
-  }
-}
-
-bool CountSketchResetNode::BitSet(int bin, int level) const {
-  const uint8_t c = counter(bin, level);
-  if (cutoff_enabled_) return c <= cutoff_[level];
-  return c != kCsrInfinity;
+  if (&a == &b) return;
+  CsrExchangeMin(a.counters_, b.counters_);
 }
 
 int CountSketchResetNode::RunLength(int bin) const {
@@ -80,9 +190,9 @@ int CountSketchResetNode::RunLength(int bin) const {
 }
 
 double CountSketchResetNode::EstimateCount() const {
-  double total_run = 0.0;
-  for (int b = 0; b < bins_; ++b) total_run += RunLength(b);
-  const double mean_run = total_run / bins_;
+  const int64_t total_run = CsrRunTotal(
+      counters_, bins_, std::span<const uint8_t>(bit_limit_.data(), levels_));
+  const double mean_run = static_cast<double>(total_run) / bins_;
   return static_cast<double>(bins_) / kFmPhi * std::exp2(mean_run);
 }
 
@@ -96,17 +206,6 @@ FmSketch CountSketchResetNode::DeriveBits() const {
   return bits;
 }
 
-namespace {
-int VarintLength(uint64_t v) {
-  int len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
-}
-}  // namespace
-
 int64_t CountSketchResetNode::SerializedBytes() const {
   const auto payload = static_cast<uint64_t>(counters_.size());
   return VarintLength(static_cast<uint64_t>(bins_)) +
@@ -117,8 +216,10 @@ int64_t CountSketchResetNode::SerializedBytes() const {
 void CountSketchResetNode::Serialize(BufWriter* out) const {
   out->PutVarint(static_cast<uint64_t>(bins_));
   out->PutVarint(static_cast<uint64_t>(levels_));
-  out->PutBytes(std::string_view(
-      reinterpret_cast<const char*>(counters_.data()), counters_.size()));
+  std::vector<uint8_t> wire(counters_.size());
+  Transpose(counters_.data(), levels_, bins_, wire.data());
+  out->PutBytes(std::string_view(reinterpret_cast<const char*>(wire.data()),
+                                 wire.size()));
 }
 
 Status CountSketchResetNode::MergeSerialized(BufReader* in) {
@@ -130,14 +231,14 @@ Status CountSketchResetNode::MergeSerialized(BufReader* in) {
       static_cast<int>(levels) != levels_) {
     return Status::InvalidArgument("CSR: geometry mismatch");
   }
-  std::vector<uint8_t> incoming;
-  DYNAGG_RETURN_IF_ERROR(in->ReadBytes(&incoming));
-  if (incoming.size() != counters_.size()) {
+  std::vector<uint8_t> wire;
+  DYNAGG_RETURN_IF_ERROR(in->ReadBytes(&wire));
+  if (wire.size() != counters_.size()) {
     return Status::Corruption("CSR: counter payload size mismatch");
   }
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] = std::min(counters_[i], incoming[i]);
-  }
+  std::vector<uint8_t> incoming(wire.size());
+  Transpose(wire.data(), bins_, levels_, incoming.data());
+  CsrMergeMin(counters_, incoming);
   return Status::OK();
 }
 
@@ -158,8 +259,13 @@ void CsrSwarm::OnJoin(HostId id) {
 
 void CsrSwarm::RunRound(const Environment& env, const Population& pop,
                         Rng& rng) {
-  // Fig 5 phase 1: all hosts age their counters.
-  for (const HostId i : pop.alive_ids()) nodes_[i].AgeCounters();
+  {
+    // Fig 5 phase 1: all hosts age their counters. Protocol work on host
+    // state, timed under the apply phase in its own span (the exchange
+    // walk below opens the next one).
+    obs::ScopedPhase span(obs::Phase::kApply);
+    for (const HostId i : pop.alive_ids()) nodes_[i].AgeCounters();
+  }
   // Phase 2: exchanges, applied sequentially in shuffled plan order
   // (min-merge is idempotent and monotone, so in-round ordering only
   // affects the speed of information spread, not the converged state).

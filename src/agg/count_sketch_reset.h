@@ -18,16 +18,35 @@
 // network-size-agnostic (Section IV). When every owner of a slot departs,
 // its counters age past f(k) everywhere and the slot decays out within
 // ~f(k) rounds (Fig 9).
+//
+// Layout. A node stores its counters level-major: the byte at offset
+// k * bins + b is N[b][k], so each level is one contiguous row of `bins`
+// counters. Aging and both min-merges are elementwise, so they run as the
+// flat kernels below (CsrAge, CsrMergeMin, CsrExchangeMin) over the whole
+// array. The wire format stays bin-major (byte b * levels + k is N[b][k]):
+// Serialize and MergeSerialized transpose, so payloads are independent of
+// the in-memory layout.
+//
+// Run total. The FM estimate needs Σ_b R(b), where R(b) is the run of set
+// bits from level 0 in bin b. Counting the same pairs (b, k) with k < R(b)
+// level by level gives
+//   Σ_b R(b) = Σ_k #{b : bits 0..k of bin b are all set},
+// which CsrRunTotal evaluates one level-k row at a time with a branch-free
+// compare against the row's bit limit, stopping at the first level that no
+// bin's run reaches. The total is an exact integer, so the estimate equals
+// the per-bin scan bit for bit.
 
 #ifndef DYNAGG_AGG_COUNT_SKETCH_RESET_H_
 #define DYNAGG_AGG_COUNT_SKETCH_RESET_H_
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "agg/aggregate.h"
 #include "agg/fm_sketch.h"
+#include "common/hash.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -66,6 +85,30 @@ struct CsrParams {
   uint64_t hash_seed = 0x5eedc0de5eedc0deull;
 };
 
+// Per-step kernels over one contiguous counter array. Every Count-Sketch-
+// Reset code path (node, swarm, Invert-Average, the serialized facade)
+// runs its per-round work through these; each compiles to vector code at
+// -O2 on any target (fixed-width inner blocks over __restrict pointers).
+
+/// Fig 5 step 2: every counter below kCsrCounterCap advances by one (the
+/// cap and the infinity sentinel stay), then the `owned` offsets are
+/// re-pinned to 0.
+void CsrAge(std::span<uint8_t> counters, std::span<const int32_t> owned);
+
+/// Fig 5 step 5: dst[i] = min(dst[i], src[i]). Sizes must match and the
+/// spans must not overlap.
+void CsrMergeMin(std::span<uint8_t> dst, std::span<const uint8_t> src);
+
+/// Push/pull: a[i] = b[i] = min(a[i], b[i]). Sizes must match and the
+/// spans must not overlap.
+void CsrExchangeMin(std::span<uint8_t> a, std::span<uint8_t> b);
+
+/// Σ over bins of the run of set bits from level 0, for a level-major
+/// (bit_limit.size() x bins) counter array where bit (b, k) is set iff
+/// counters[k * bins + b] <= bit_limit[k].
+int64_t CsrRunTotal(std::span<const uint8_t> counters, int bins,
+                    std::span<const uint8_t> bit_limit);
+
 /// Per-host Count-Sketch-Reset state machine. Self-contained (carries its
 /// geometry and cutoff table) so applications can embed it directly.
 class CountSketchResetNode {
@@ -97,13 +140,28 @@ class CountSketchResetNode {
 
   int bins() const { return bins_; }
   int levels() const { return levels_; }
-  uint8_t counter(int bin, int level) const {
-    return counters_[static_cast<size_t>(bin) * levels_ + level];
+  /// Offset of (bin, level) in counters(): level-major.
+  int32_t OffsetOf(int bin, int level) const { return level * bins_ + bin; }
+  /// Inverse of OffsetOf.
+  SketchSlot SlotAt(int32_t offset) const {
+    return SketchSlot{offset % bins_, offset / bins_};
   }
+  uint8_t counter(int bin, int level) const {
+    return counters_[OffsetOf(bin, level)];
+  }
+  /// The `bins` counters of one level, contiguous.
+  std::span<const uint8_t> level_row(int level) const {
+    return std::span<const uint8_t>(counters_).subspan(
+        static_cast<size_t>(level) * bins_, bins_);
+  }
+  /// The whole array, level-major (see the file comment).
   const std::vector<uint8_t>& counters() const { return counters_; }
+  /// Sorted offsets (into counters()) of the slots this host pins to 0.
   const std::vector<int32_t>& owned_slots() const { return owned_; }
   /// Whether (bin, level)'s bit is set under the cutoff rule.
-  bool BitSet(int bin, int level) const;
+  bool BitSet(int bin, int level) const {
+    return counter(bin, level) <= bit_limit_[level];
+  }
 
   /// Derives the equivalent bit sketch (diagnostics / tests).
   FmSketch DeriveBits() const;
@@ -111,20 +169,21 @@ class CountSketchResetNode {
   /// Size in bytes of the Serialize output (over-the-air payload size).
   int64_t SerializedBytes() const;
 
-  /// Serializes the counter array (geometry + raw bytes). Owned slots are
-  /// host-local and not part of the wire format.
+  /// Serializes the counter array (geometry + raw bytes, bin-major). Owned
+  /// slots are host-local and not part of the wire format.
   void Serialize(BufWriter* out) const;
-  /// Merges a serialized counter array into this node (geometry must
-  /// match). This is the receive path of the facade API.
+  /// Merges a serialized (bin-major) counter array into this node
+  /// (geometry must match). This is the receive path of the facade API.
   Status MergeSerialized(BufReader* in);
 
  private:
   int bins_ = 0;
   int levels_ = 0;
-  bool cutoff_enabled_ = true;
-  std::array<uint8_t, kCsrMaxLevels> cutoff_{};  // f(k), clamped to cap
-  std::vector<uint8_t> counters_;                // bins_ x levels_
-  std::vector<int32_t> owned_;                   // sorted flat offsets
+  // Bit (b, k) is set iff N[b][k] <= bit_limit_[k]: f(k) clamped to the
+  // cap, or the cap itself (any finite counter) with the cutoff disabled.
+  std::array<uint8_t, kCsrMaxLevels> bit_limit_{};
+  std::vector<uint8_t> counters_;  // levels_ x bins_, level-major
+  std::vector<int32_t> owned_;     // sorted offsets into counters_
 };
 
 /// A population of Count-Sketch-Reset nodes.
@@ -136,6 +195,7 @@ class CsrSwarm {
 
   /// One gossip iteration: all alive hosts age their counters, then each
   /// initiates one exchange (min-merge; bidirectional under push/pull).
+  /// Aging and the exchange walk are timed as two separate apply spans.
   void RunRound(const Environment& env, const Population& pop, Rng& rng);
 
   /// Estimated number of registered objects visible to host id.

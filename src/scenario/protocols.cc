@@ -665,9 +665,8 @@ Result<SwarmHandle> MakeCountSketchReset(const TrialContext& ctx,
           params.levels, std::vector<int64_t>(max_c + 1, 0));
       for (HostId id = 0; id < n; ++id) {
         const CountSketchResetNode& node = swarm->node(id);
-        for (int b = 0; b < params.bins; ++b) {
-          for (int k = 0; k < params.levels; ++k) {
-            const uint8_t c = node.counter(b, k);
+        for (int k = 0; k < params.levels; ++k) {
+          for (const uint8_t c : node.level_row(k)) {
             if (c == kCsrInfinity) continue;
             ++histograms[k][c <= max_c ? c : max_c];
           }
@@ -702,9 +701,7 @@ Result<SwarmHandle> MakeCountSketchReset(const TrialContext& ctx,
         Histogram hist(0, hist_max, static_cast<int>(hist_buckets));
         int64_t finite = 0;
         for (HostId id = 0; id < n; ++id) {
-          const CountSketchResetNode& node = swarm->node(id);
-          for (int b = 0; b < params.bins; ++b) {
-            const uint8_t c = node.counter(b, k);
+          for (const uint8_t c : swarm->node(id).level_row(k)) {
             if (c == kCsrInfinity) continue;
             hist.Add(c);
             ++finite;

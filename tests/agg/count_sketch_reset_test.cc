@@ -1,10 +1,14 @@
 #include "agg/count_sketch_reset.h"
 
+#include <algorithm>
+#include <cmath>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "agg/count_sketch.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/wire.h"
 #include "env/uniform_env.h"
@@ -124,8 +128,7 @@ TEST(CsrNodeTest, BitSetFollowsCutoff) {
   b.MergeFrom(a);
   const int32_t slot = a.owned_slots()[0];
   if (slot == b.owned_slots()[0]) GTEST_SKIP() << "slot collision";
-  const int bin = slot / p.levels;
-  const int level = slot % p.levels;
+  const auto [bin, level] = b.SlotAt(slot);
   EXPECT_TRUE(b.BitSet(bin, level));  // counter 0 <= 2
   b.AgeCounters();
   b.AgeCounters();
@@ -142,9 +145,7 @@ TEST(CsrNodeTest, DisabledCutoffNeverDecays) {
   a.Init(p, 1, 1);
   b.Init(p, 2, 1);
   b.MergeFrom(a);
-  const int32_t slot = a.owned_slots()[0];
-  const int bin = slot / p.levels;
-  const int level = slot % p.levels;
+  const auto [bin, level] = b.SlotAt(a.owned_slots()[0]);
   for (int i = 0; i < 500; ++i) b.AgeCounters();
   EXPECT_TRUE(b.BitSet(bin, level));
 }
@@ -199,6 +200,172 @@ TEST(CsrNodeTest, MergeSerializedRejectsTruncation) {
   bytes.resize(bytes.size() / 2);
   BufReader r(bytes.data(), bytes.size());
   EXPECT_FALSE(b.MergeSerialized(&r).ok());
+}
+
+// Random counters biased toward the values the kernels treat specially:
+// 0 (pinned), the cap and the infinity sentinel.
+std::vector<uint8_t> RandomCounters(Rng& rng, size_t n) {
+  std::vector<uint8_t> c(n);
+  for (uint8_t& v : c) {
+    switch (rng.UniformInt(4)) {
+      case 0: v = 0; break;
+      case 1: v = kCsrCounterCap; break;
+      case 2: v = kCsrInfinity; break;
+      default: v = static_cast<uint8_t>(rng.UniformInt(256)); break;
+    }
+  }
+  return c;
+}
+
+// Serializes `wire` (bin-major counters) in the CSR wire format.
+std::vector<uint8_t> WirePayload(int bins, int levels,
+                                 const std::vector<uint8_t>& wire) {
+  BufWriter w;
+  w.PutVarint(static_cast<uint64_t>(bins));
+  w.PutVarint(static_cast<uint64_t>(levels));
+  w.PutBytes(std::string_view(reinterpret_cast<const char*>(wire.data()),
+                              wire.size()));
+  return w.Release();
+}
+
+TEST(CsrKernelTest, KernelsMatchScalarReference) {
+  Rng rng(13);
+  for (const int bins : {1, 5, 64, 300}) {
+    for (const int levels : {1, 7, 24, 32}) {
+      SCOPED_TRACE(testing::Message() << bins << " x " << levels);
+      const size_t n = static_cast<size_t>(bins) * levels;
+
+      // Age: saturating increment below the cap, then re-pin owned slots.
+      std::vector<uint8_t> aged = RandomCounters(rng, n);
+      std::vector<int32_t> owned;
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.1)) owned.push_back(static_cast<int32_t>(i));
+      }
+      std::vector<uint8_t> expected = aged;
+      for (uint8_t& c : expected) {
+        if (c < kCsrCounterCap) ++c;
+      }
+      for (const int32_t offset : owned) expected[offset] = 0;
+      CsrAge(aged, owned);
+      EXPECT_EQ(aged, expected);
+
+      // One-way and two-way min-merge.
+      const std::vector<uint8_t> a = RandomCounters(rng, n);
+      const std::vector<uint8_t> b = RandomCounters(rng, n);
+      std::vector<uint8_t> min_ab(n);
+      for (size_t i = 0; i < n; ++i) min_ab[i] = std::min(a[i], b[i]);
+      std::vector<uint8_t> dst = a;
+      CsrMergeMin(dst, b);
+      EXPECT_EQ(dst, min_ab);
+      std::vector<uint8_t> x = a;
+      std::vector<uint8_t> y = b;
+      CsrExchangeMin(x, y);
+      EXPECT_EQ(x, min_ab);
+      EXPECT_EQ(y, min_ab);
+    }
+  }
+}
+
+TEST(CsrKernelTest, EstimateMatchesPerBinScan) {
+  Rng rng(17);
+  for (const bool cutoff : {true, false}) {
+    for (const int bins : {1, 5, 64, 300}) {
+      for (const int levels : {1, 7, 24, 32}) {
+        SCOPED_TRACE(testing::Message() << bins << " x " << levels
+                                        << " cutoff " << cutoff);
+        CsrParams p;
+        p.bins = bins;
+        p.levels = levels;
+        p.cutoff_enabled = cutoff;
+        // Multiplicity 0: every counter starts at infinity, so merging a
+        // payload installs it verbatim.
+        CountSketchResetNode node;
+        node.Init(p, /*host_key=*/1, /*multiplicity=*/0);
+        const std::vector<uint8_t> wire =
+            RandomCounters(rng, static_cast<size_t>(bins) * levels);
+        const std::vector<uint8_t> payload = WirePayload(bins, levels, wire);
+        BufReader r(payload);
+        ASSERT_TRUE(node.MergeSerialized(&r).ok());
+
+        int64_t total_run = 0;
+        for (int b = 0; b < bins; ++b) {
+          int run = 0;
+          while (run < levels) {
+            const uint8_t c = wire[static_cast<size_t>(b) * levels + run];
+            const double f = std::clamp(p.cutoff_base + p.cutoff_slope * run,
+                                        0.0, double{kCsrCounterCap});
+            const bool set = cutoff ? c <= static_cast<uint8_t>(f)
+                                    : c != kCsrInfinity;
+            if (!set) break;
+            ++run;
+          }
+          EXPECT_EQ(node.RunLength(b), run);
+          total_run += run;
+        }
+        const double expected =
+            bins / kFmPhi * std::exp2(static_cast<double>(total_run) / bins);
+        EXPECT_EQ(node.EstimateCount(), expected);
+      }
+    }
+  }
+}
+
+TEST(CsrNodeTest, WireFormatIsBinMajor) {
+  CsrParams p;
+  p.bins = 5;
+  p.levels = 7;
+  const int n = 50;
+  CsrSwarm swarm(std::vector<int64_t>(n, 3), p);
+  UniformEnvironment env(n);
+  Population pop(n);
+  Rng rng(8);
+  for (int round = 0; round < 4; ++round) swarm.RunRound(env, pop, rng);
+  const CountSketchResetNode& node = swarm.node(0);
+
+  // The logical accessor agrees with the hash placement of owned objects.
+  for (int64_t idx = 0; idx < 3; ++idx) {
+    const SketchSlot slot =
+        SketchPlace(HashCombine(0, static_cast<uint64_t>(idx)), p.hash_seed,
+                    p.bins, p.levels - 1);
+    EXPECT_EQ(node.counter(slot.bin, slot.level), 0);
+  }
+
+  BufWriter w;
+  node.Serialize(&w);
+  BufReader r(w.buffer());
+  uint64_t bins = 0;
+  uint64_t levels = 0;
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(r.ReadVarint(&bins).ok());
+  ASSERT_TRUE(r.ReadVarint(&levels).ok());
+  ASSERT_TRUE(r.ReadBytes(&bytes).ok());
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(bins, 5u);
+  ASSERT_EQ(levels, 7u);
+  ASSERT_EQ(bytes.size(), 35u);
+  EXPECT_EQ(static_cast<int64_t>(w.size()), node.SerializedBytes());
+  for (int b = 0; b < p.bins; ++b) {
+    for (int k = 0; k < p.levels; ++k) {
+      EXPECT_EQ(bytes[static_cast<size_t>(b) * p.levels + k],
+                node.counter(b, k))
+          << "bin " << b << " level " << k;
+    }
+  }
+}
+
+TEST(CsrNodeTest, SlotAtInvertsOffsetOf) {
+  CountSketchResetNode node;
+  CsrParams p;
+  p.bins = 5;
+  p.levels = 7;
+  node.Init(p, 1, 1);
+  for (int b = 0; b < p.bins; ++b) {
+    for (int k = 0; k < p.levels; ++k) {
+      const SketchSlot slot = node.SlotAt(node.OffsetOf(b, k));
+      EXPECT_EQ(slot.bin, b);
+      EXPECT_EQ(slot.level, k);
+    }
+  }
 }
 
 TEST(CsrSwarmTest, ConvergedEstimateNearHostCount) {

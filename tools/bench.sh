@@ -23,7 +23,11 @@
 #                                         Snapshot keys the local build
 #                                         cannot produce are warned about
 #                                         and skipped — never silently
-#                                         dropped. The scale scenario specs
+#                                         dropped; so are thread rows
+#                                         (/<threads> > 1) when the
+#                                         snapshot's visible-CPU count
+#                                         differs from this host's. The
+#                                         scale scenario specs
 #                                         (100k/1M/10M) are --dry-run
 #                                         validated.
 #   tools/bench.sh --scale10m [build-dir] times the ten-million-host rung
@@ -137,14 +141,17 @@ a["benchmarks"] = (a.get("benchmarks", []) +
 json.dump(a, open(sys.argv[1], "w"))
 PY
     HARD_PCT="${DYNAGG_BENCH_GATE_HARD_PCT:-100}"
+    AFF_CPUS=$(sed -n 's/^affinity_cpus=//p' <<<"$("$RUNNER" --hostinfo)")
     echo "bench.sh --smoke: round-kernel microbenchmarks ran"
-    python3 - "$SMOKE_JSON" "$GATE_PCT" "$AVAIL_LIST" "$HARD_PCT" <<'PY'
+    python3 - "$SMOKE_JSON" "$GATE_PCT" "$AVAIL_LIST" "$HARD_PCT" \
+      "$AFF_CPUS" <<'PY'
 import json, math, sys
 
 raw = json.load(open(sys.argv[1]))
 gate_pct = float(sys.argv[2])
 available = set(open(sys.argv[3]).read().split())
 hard_pct = float(sys.argv[4])
+host_cpus = int(sys.argv[5])
 
 # Best-of-repetitions per benchmark, real ns.
 best = {}
@@ -170,6 +177,18 @@ if not round_ns:
 # benchmark, stale snapshot) is warned about and skipped — visible in the CI
 # log, never a silent drop; a full tools/bench.sh run resyncs.
 #
+# Thread rows (BM_<name>/<hosts>/<threads> with threads > 1) are skipped the
+# same way when the snapshot saw a different number of CPUs than this host:
+# the worker pool clamps to the visible CPUs, so a row recorded clamped to
+# one CPU and a row where the pool really runs threads time different code.
+snapshot_cpus = snapshot.get("cpus", {}).get("affinity_visible")
+
+
+def is_thread_row(key):
+    parts = key.split("/")
+    return len(parts) >= 3 and parts[-1].isdigit() and int(parts[-1]) > 1
+
+#
 # Two-level gate. The shared VM's memory bandwidth drifts by tens of
 # percent minute to minute, so a single memory-bound 1M-host key can read
 # +85% against a snapshot minted in a faster window on unchanged code —
@@ -189,6 +208,12 @@ for key in sorted(round_ns):
         print(f"bench.sh --smoke: WARNING: snapshot key {key} is no longer "
               "produced by micro_protocol_ops — skipping its gate (stale "
               "entry; resync with tools/bench.sh)")
+        continue
+    if is_thread_row(key) and snapshot_cpus != host_cpus:
+        print(f"bench.sh --smoke: WARNING: snapshot row {key} was recorded "
+              f"with {snapshot_cpus} visible CPU(s), this host has "
+              f"{host_cpus} — skipping its gate (resync with tools/bench.sh "
+              "on this host class)")
         continue
     measured = best.get(key)
     if measured is None:
