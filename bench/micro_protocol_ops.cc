@@ -214,7 +214,10 @@ void BM_AsyncDriverStep(benchmark::State& state) {
   // production driver: drain the in-flight messages due by this tick, plan
   // a push-flow tick, decide every message's fate through the
   // per-message-seeded network model, park the survivors in the batched
-  // InFlightQueue (the driver's POD heap — no per-message events).
+  // InFlightQueue (the driver's sort-on-drain buffer — no per-message
+  // events). The uniform environment pairs hosts at random, so each
+  // host's push-flow peer list grows by about two entries per iteration:
+  // a rung's time per step depends on how many iterations it ran.
   const int n = static_cast<int>(state.range(0));
   std::vector<double> values(n, 1.0);
   PushFlowSwarm swarm(values);

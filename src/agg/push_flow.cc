@@ -1,17 +1,28 @@
 #include "agg/push_flow.h"
 
+#include <algorithm>
+#include <cstddef>
+
 namespace dynagg {
 
 PushFlowSwarm::PushFlowSwarm(const std::vector<double>& values)
     : values_(values),
-      flows_(values.size()),
+      edges_(values.size()),
       sent_num_(values.size(), 0.0),
       sent_denom_(values.size(), 0.0),
       recv_num_(values.size(), 0.0),
       recv_denom_(values.size(), 0.0) {}
 
+PushFlowSwarm::EdgeFlow& PushFlowSwarm::EdgeTo(HostId self, HostId peer) {
+  HostEdges& h = edges_[self];
+  const auto it = std::find(h.peers.begin(), h.peers.end(), peer);
+  if (it != h.peers.end()) return h.flows[it - h.peers.begin()];
+  h.peers.push_back(peer);
+  return h.flows.emplace_back();
+}
+
 net::Message PushFlowSwarm::PlanPush(HostId src, HostId dst) {
-  EdgeFlow& f = flows_[src][dst];
+  EdgeFlow& f = EdgeTo(src, dst);
   const double half_m = effective_mass(src) * 0.5;
   const double half_w = effective_weight(src) * 0.5;
   f.out_num += half_m;
@@ -22,7 +33,7 @@ net::Message PushFlowSwarm::PlanPush(HostId src, HostId dst) {
 }
 
 void PushFlowSwarm::DeliverFlow(const net::Message& m) {
-  EdgeFlow& g = flows_[m.dst][m.src];
+  EdgeFlow& g = EdgeTo(m.dst, m.src);
   // A stale cumulative flow (overtaken in flight) carries strictly less
   // information than what this host already adopted: drop it.
   if (m.tag <= g.seen_seq) return;
@@ -38,18 +49,24 @@ void PushFlowSwarm::OnJoin(HostId id) {
   // incarnation of `id`, reclaiming its own outgoing flow and dropping the
   // adopted inflow. Only then is `id`'s side cleared, so conservation over
   // live hosts holds before and after.
-  for (const auto& [peer, edge] : flows_[id]) {
-    (void)edge;
-    auto it = flows_[peer].find(id);
-    if (it == flows_[peer].end()) continue;
-    const EdgeFlow& back = it->second;
+  HostEdges& mine = edges_[id];
+  for (const HostId peer : mine.peers) {
+    HostEdges& theirs = edges_[peer];
+    const auto it = std::find(theirs.peers.begin(), theirs.peers.end(), id);
+    if (it == theirs.peers.end()) continue;
+    const size_t k = static_cast<size_t>(it - theirs.peers.begin());
+    const EdgeFlow& back = theirs.flows[k];
     sent_num_[peer] -= back.out_num;
     sent_denom_[peer] -= back.out_denom;
     recv_num_[peer] -= back.in_num;
     recv_denom_[peer] -= back.in_denom;
-    flows_[peer].erase(it);
+    theirs.peers[k] = theirs.peers.back();
+    theirs.peers.pop_back();
+    theirs.flows[k] = theirs.flows.back();
+    theirs.flows.pop_back();
   }
-  flows_[id].clear();
+  mine.peers.clear();
+  mine.flows.clear();
   sent_num_[id] = 0.0;
   sent_denom_[id] = 0.0;
   recv_num_[id] = 0.0;

@@ -32,8 +32,8 @@
 #ifndef DYNAGG_AGG_PUSH_FLOW_H_
 #define DYNAGG_AGG_PUSH_FLOW_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,6 +96,16 @@ class PushFlowSwarm {
     return 1.0 - sent_denom_[id] + recv_denom_[id];
   }
 
+  /// Whether `self` tracks an edge toward `peer`, and how many edges it
+  /// tracks (diagnostics and churn tests).
+  bool tracks_edge(HostId self, HostId peer) const {
+    const std::vector<HostId>& peers = edges_[self].peers;
+    return std::find(peers.begin(), peers.end(), peer) != peers.end();
+  }
+  int num_edges(HostId id) const {
+    return static_cast<int>(edges_[id].peers.size());
+  }
+
   /// Optionally records over-the-air traffic under the synchronous
   /// drivers (the async driver meters at send time itself). Pass nullptr
   /// to disable. The meter must outlive the swarm.
@@ -125,15 +135,29 @@ class PushFlowSwarm {
     uint64_t seen_seq = 0;
   };
 
+  /// The edges one host has actually exchanged over, stored contiguously:
+  /// flows[k] is the edge toward peers[k]. Lookup is a linear scan of the
+  /// packed peer ids — a handful under a bounded-degree graph, a few
+  /// hundred under uniform pairing — which beats a per-host hash map's
+  /// node chasing at both ends. Order is insertion order, except that
+  /// OnJoin fills a removed edge's slot with the last one.
+  struct HostEdges {
+    std::vector<HostId> peers;
+    std::vector<EdgeFlow> flows;
+  };
+
+  /// Host `self`'s state for edge self<->peer, created zeroed on first use.
+  EdgeFlow& EdgeTo(HostId self, HostId peer);
+
   /// Moves half of `src`'s effective state into its outgoing flow toward
   /// `dst` and returns the message restating that cumulative flow.
   net::Message PlanPush(HostId src, HostId dst);
 
   std::vector<double> values_;  // immutable initial values
-  /// flows_[i][j]: host i's state for edge i<->j. Sparse: a host only
-  /// ever tracks neighbors it has actually exchanged with.
-  std::vector<std::unordered_map<HostId, EdgeFlow>> flows_;
-  // Running sums of flows_[i]'s out_* resp. in_* so Estimate() is O(1).
+  /// edges_[i]: host i's edges. Sparse: a host only ever tracks neighbors
+  /// it has actually exchanged with.
+  std::vector<HostEdges> edges_;
+  // Running sums of edges_[i]'s out_* resp. in_* so Estimate() is O(1).
   std::vector<double> sent_num_;
   std::vector<double> sent_denom_;
   std::vector<double> recv_num_;

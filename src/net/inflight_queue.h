@@ -4,18 +4,29 @@
 // message — a heap entry plus a std::function per delivery, hundreds of
 // thousands per trial. But deliveries are the only priority-0 events and
 // nothing observes simulation state *between* them: ticks (priority 1) and
-// samplers (priority 2) are the only readers. So the driver can park
-// messages in this POD min-heap instead and drain everything due at or
-// before the current instant right when a tick or sampler fires — the
-// observable state at every observation point is identical, message for
-// message, to the per-event schedule (same (due time, send order) delivery
-// order), with no per-message allocation or event-queue churn.
+// samplers (priority 2) are the only readers. So the driver parks messages
+// here instead and drains everything due at or before the current instant
+// right when a tick or sampler fires — the observable state at every
+// observation point is identical, message for message, to the per-event
+// schedule (same (due time, send order) delivery order), with no
+// per-message allocation or event-queue churn.
+//
+// Sort on drain: drains only happen at tick and sampler instants, so Push
+// just appends to one flat vector. The first HasDueBy(t)/Top() that needs
+// entries partitions the ones due by t to the front and sorts that run
+// once by (due, seq); Pop then only advances a cursor. Entries not yet due
+// stay unsorted behind the run. When the run is used up its consumed
+// prefix is erased, so the vector holds about one send wave, like a heap
+// would, and a drain costs one partition pass plus one sort instead of a
+// log-depth sift over the whole wave per message.
 //
 // Ordering contract: Pop order is (due, seq) where seq is Push order.
 // Under the per-event scheme a delivery event's tie-break was its
 // insertion sequence, and messages are only ever scheduled from ticks in
 // send-wave order — so Push order IS the old insertion order and the
-// drain replays the exact legacy timeline.
+// drain replays the exact legacy timeline. The contract holds for any
+// interleaving of calls, including a Push that lands inside a run already
+// being drained (the next drain re-sorts).
 
 #ifndef DYNAGG_NET_INFLIGHT_QUEUE_H_
 #define DYNAGG_NET_INFLIGHT_QUEUE_H_
@@ -23,6 +34,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/types.h"
@@ -33,30 +45,33 @@ namespace net {
 
 class InFlightQueue {
  public:
-  /// Pre-sizes the heap (e.g. to one tick's expected wave) so steady-state
-  /// pushes never reallocate.
-  void Reserve(size_t n) { heap_.reserve(n); }
+  /// Pre-sizes the buffer (e.g. to one tick's expected wave) so
+  /// steady-state pushes never reallocate.
+  void Reserve(size_t n) { entries_.reserve(n); }
 
   void Push(SimTime due, const Message& m) {
-    heap_.push_back(Entry{due, seq_++, m});
-    std::push_heap(heap_.begin(), heap_.end(), After);
+    // An entry due inside the range the current run was built for belongs
+    // in that run: the next drain rebuilds it.
+    if (due <= run_bound_) stale_ = true;
+    entries_.push_back(Entry{due, seq_++, m});
   }
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  bool empty() const { return size() == 0; }
+  size_t size() const { return entries_.size() - head_; }
 
   /// True when the earliest in-flight message is due at or before `t`.
-  bool HasDueBy(SimTime t) const {
-    return !heap_.empty() && heap_.front().due <= t;
-  }
+  bool HasDueBy(SimTime t) { return Ready(t); }
 
   /// The earliest message (min (due, seq)); only valid when !empty().
-  const Message& Top() const { return heap_.front().msg; }
-  SimTime TopDue() const { return heap_.front().due; }
+  const Message& Top() {
+    Ready(kSimTimeMax);
+    return entries_[head_].msg;
+  }
 
+  /// Removes the earliest message; only valid when !empty().
   void Pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), After);
-    heap_.pop_back();
+    Ready(kSimTimeMax);
+    if (++head_ == run_end_) DropConsumed();
   }
 
  private:
@@ -66,13 +81,48 @@ class InFlightQueue {
     Message msg;
   };
 
-  /// Max-heap comparator inverted into the (due, seq) min-heap order.
-  static bool After(const Entry& a, const Entry& b) {
-    if (a.due != b.due) return a.due > b.due;
-    return a.seq > b.seq;
+  /// Makes entries_[head_] the earliest pending entry if one is due by
+  /// `t`; false when none is. While the run is current, every entry behind
+  /// it is due after run_bound_, so the run's front is the global minimum.
+  bool Ready(SimTime t) {
+    if (!stale_) {
+      if (head_ < run_end_) return entries_[head_].due <= t;
+      if (t <= run_bound_) return false;  // the run held all due by t
+    }
+    BuildRun(t);
+    return run_end_ > 0;
   }
 
-  std::vector<Entry> heap_;
+  /// Partitions the pending entries due by `t` to the front and sorts
+  /// them by (due, seq).
+  void BuildRun(SimTime t) {
+    DropConsumed();
+    const auto run_end =
+        std::partition(entries_.begin(), entries_.end(),
+                       [t](const Entry& e) { return e.due <= t; });
+    std::sort(entries_.begin(), run_end, [](const Entry& a, const Entry& b) {
+      return a.due != b.due ? a.due < b.due : a.seq < b.seq;
+    });
+    run_end_ = static_cast<size_t>(run_end - entries_.begin());
+    run_bound_ = t;
+    stale_ = false;
+  }
+
+  /// Erases the consumed prefix [0, head_) and ends the run.
+  void DropConsumed() {
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+    run_end_ = 0;
+  }
+
+  // [0, head_) consumed, [head_, run_end_) the sorted run, [run_end_, end)
+  // pending entries due after run_bound_ (unless stale_), in no order.
+  std::vector<Entry> entries_;
+  size_t head_ = 0;
+  size_t run_end_ = 0;
+  SimTime run_bound_ = std::numeric_limits<SimTime>::min();
+  bool stale_ = false;
   uint64_t seq_ = 0;
 };
 

@@ -25,10 +25,11 @@ namespace {
 // Same-instant ordering: messages in flight land before the gossip tick
 // they coincide with, and the metric sampler always observes the
 // post-tick, post-delivery state. Deliveries used to be priority-0
-// Simulator events; they now live in a batched InFlightQueue (one POD heap
-// entry per message instead of a std::function event) that the tick and
-// sampler callbacks drain up to their own instant — ticks and samplers are
-// the only state observers, so the observable timeline is identical.
+// Simulator events; they now live in a batched InFlightQueue (one flat
+// appended entry per message instead of a std::function event, sorted
+// once per drain) that the tick and sampler callbacks drain up to their
+// own instant — ticks and samplers are the only state observers, so the
+// observable timeline is identical.
 constexpr int kGossipTickPriority = 1;
 constexpr int kSamplerPriority = 2;
 

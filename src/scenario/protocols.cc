@@ -322,7 +322,7 @@ Result<SwarmHandle> MakePushFlow(const TrialContext& ctx, EnvHandle& env) {
   auto box = std::make_shared<ValueSwarmBox<PushFlowSwarm>>(
       UniformWorkloadValues(n, ctx.trial_seed));
   PushFlowSwarm* swarm = &box->swarm;
-  // State: the initial value, the two flow sums, plus the sparse per-edge
+  // State: the initial value, the two flow sums, plus the packed per-edge
   // flow entries (amortized ~one long-lived neighbor under uniform push).
   SwarmHandle h = AveragingHandle(std::move(box), 6.0 * sizeof(double));
   h.async_tick = [swarm](const Environment& e, const Population& p, Rng& r,

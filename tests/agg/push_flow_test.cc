@@ -2,7 +2,8 @@
 // sum to the initial total once every view is consistent), convergence of
 // the synchronous rounds, self-healing after dropped messages (the next
 // cumulative flow on the same directed edge restores the receiver's
-// view), and the sequence-number guard against reordered deliveries.
+// view), the sequence-number guard against reordered deliveries, the
+// churn-join edge teardown, and hosts tracking hundreds of edges.
 
 #include "agg/push_flow.h"
 
@@ -156,6 +157,119 @@ TEST(PushFlowSwarmTest, DuplicateDeliveryIsIdempotent) {
   const double mass = swarm.effective_mass(1);
   swarm.DeliverFlow(m);  // retransmission of the same cumulative flow
   EXPECT_DOUBLE_EQ(swarm.effective_mass(1), mass);
+}
+
+TEST(PushFlowSwarmTest, OnJoinTearsDownBothEndsAndConserves) {
+  const int n = 32;
+  const std::vector<double> values = UniformValues(n, 6);
+  const double total = std::accumulate(values.begin(), values.end(), 0.0);
+  PushFlowSwarm swarm(values);
+  UniformEnvironment env(n);
+  Population pop(n);
+  Rng rng(7);
+  for (int round = 0; round < 20; ++round) swarm.RunRound(env, pop, rng);
+
+  const HostId id = 5;
+  int neighbors = 0;
+  for (HostId p = 0; p < n; ++p) {
+    if (swarm.tracks_edge(p, id)) ++neighbors;
+  }
+  ASSERT_GT(neighbors, 0);
+  swarm.OnJoin(id);
+
+  // Every view was consistent before the join, so dropping both halves of
+  // each of id's edges and resetting id keeps the network total exact.
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
+  EXPECT_EQ(swarm.num_edges(id), 0);
+  EXPECT_DOUBLE_EQ(swarm.Estimate(id), values[id]);
+  EXPECT_DOUBLE_EQ(swarm.effective_weight(id), 1.0);
+  for (HostId p = 0; p < n; ++p) EXPECT_FALSE(swarm.tracks_edge(p, id)) << p;
+
+  // The swarm keeps converging on the unchanged average afterwards.
+  for (int round = 0; round < 60; ++round) swarm.RunRound(env, pop, rng);
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_LT(MaxEstimateError(swarm, total / n), 1e-6);
+}
+
+TEST(PushFlowSwarmTest, RebornHostsFirstPushIsAccepted) {
+  // Two hosts push at each other for a few ticks, so each has adopted the
+  // other's flow up to sequence number 5. Host 0 is then reborn: its next
+  // push restarts at sequence number 1 and must land, not be dropped as
+  // stale by host 1's old view.
+  PushFlowSwarm swarm({0.0, 100.0});
+  UniformEnvironment env(2);
+  Population pop(2);
+  Rng rng(8);
+  std::vector<net::Message> wave;
+  for (int tick = 0; tick < 5; ++tick) {
+    wave.clear();
+    swarm.PlanAsyncTick(env, pop, rng, &wave);
+    for (const net::Message& m : wave) swarm.DeliverFlow(m);
+  }
+  swarm.OnJoin(0);
+  EXPECT_NEAR(TotalEffectiveMass(swarm), 100.0, 1e-9);
+
+  wave.clear();
+  swarm.PlanAsyncTick(env, pop, rng, &wave);
+  ASSERT_EQ(wave.size(), 2u);
+  for (const net::Message& m : wave) {
+    EXPECT_EQ(m.tag, 1u) << "sender " << m.src;  // both halves restarted
+    const double mass_before = swarm.effective_mass(m.dst);
+    const double weight_before = swarm.effective_weight(m.dst);
+    swarm.DeliverFlow(m);
+    EXPECT_DOUBLE_EQ(swarm.effective_mass(m.dst), mass_before + m.a);
+    EXPECT_DOUBLE_EQ(swarm.effective_weight(m.dst), weight_before + m.b);
+  }
+  EXPECT_NEAR(TotalEffectiveMass(swarm), 100.0, 1e-9);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), 2.0, 1e-9);
+}
+
+TEST(PushFlowSwarmTest, HostTracksHundredsOfPeers) {
+  // Hand-crafted flows into host 0 from 500 distinct senders: every edge
+  // is found again for the stale and the newer restatement. Integer
+  // payloads keep every sum exact.
+  const int peers = 500;
+  PushFlowSwarm hub(std::vector<double>(peers + 1, 0.0));
+  for (HostId p = 1; p <= peers; ++p) {
+    hub.DeliverFlow(net::Message{p, 0, static_cast<double>(p), 1.0, 2});
+  }
+  EXPECT_EQ(hub.num_edges(0), peers);
+  const double first = peers * (peers + 1) / 2.0;
+  EXPECT_EQ(hub.effective_mass(0), first);
+  EXPECT_EQ(hub.effective_weight(0), 1.0 + peers);
+  for (HostId p = peers; p >= 1; --p) {
+    hub.DeliverFlow(net::Message{p, 0, 1e6, 1e6, 1});  // stale: dropped
+    hub.DeliverFlow(net::Message{p, 0, p + 1.0, 2.0, 3});
+  }
+  EXPECT_EQ(hub.num_edges(0), peers);
+  EXPECT_EQ(hub.effective_mass(0), first + peers);
+  EXPECT_EQ(hub.effective_weight(0), 1.0 + 2.0 * peers);
+
+  // Uniform pairing: after 300 ticks every host has exchanged with
+  // hundreds of distinct peers. Conservation, convergence and the join
+  // teardown still hold.
+  const int n = 600;
+  const std::vector<double> values = UniformValues(n, 9);
+  const double total = std::accumulate(values.begin(), values.end(), 0.0);
+  PushFlowSwarm swarm(values);
+  UniformEnvironment env(n);
+  Population pop(n);
+  Rng rng(10);
+  std::vector<net::Message> wave;
+  for (int tick = 0; tick < 300; ++tick) {
+    wave.clear();
+    swarm.PlanAsyncTick(env, pop, rng, &wave);
+    for (const net::Message& m : wave) swarm.DeliverFlow(m);
+  }
+  EXPECT_GT(swarm.num_edges(0), 200);
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
+  EXPECT_LT(MaxEstimateError(swarm, total / n), 1e-6);
+  swarm.OnJoin(0);
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
+  for (HostId p = 1; p < n; ++p) EXPECT_FALSE(swarm.tracks_edge(p, 0)) << p;
 }
 
 }  // namespace

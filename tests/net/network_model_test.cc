@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,14 +183,16 @@ TEST(NetworkModelTest, BernoulliDropRateIsCalibrated) {
 TEST(NetworkModelTest, CatalogsNameEveryModelAndKey) {
   const auto models = NetworkModelCatalog();
   ASSERT_EQ(models.size(), 3u);
-  EXPECT_EQ(models[0].name, "fixed");
-  EXPECT_EQ(models[1].name, "uniform");
-  EXPECT_EQ(models[2].name, "exponential");
+  EXPECT_STREQ(models[0].name, "fixed");
+  EXPECT_STREQ(models[1].name, "uniform");
+  EXPECT_STREQ(models[2].name, "exponential");
   bool saw_loss = false;
   bool saw_stream = false;
   for (const auto& key : AsyncSpecKeyCatalog()) {
-    if (key.name == "net.loss") saw_loss = true;
-    if (key.name == "seeds.message_stream") saw_stream = true;
+    if (std::string_view(key.name) == "net.loss") saw_loss = true;
+    if (std::string_view(key.name) == "seeds.message_stream") {
+      saw_stream = true;
+    }
   }
   EXPECT_TRUE(saw_loss);
   EXPECT_TRUE(saw_stream);
