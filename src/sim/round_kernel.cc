@@ -45,4 +45,27 @@ const PartnerPlan& RoundKernel::PlanExchangeRound(const Environment& env,
   return plan_;
 }
 
+void RoundKernel::TransposePushPlan(int num_hosts) {
+  const std::vector<HostId>& initiators = plan_.initiators();
+  const size_t slots = initiators.size();
+  DYNAGG_CHECK_LE(2 * slots, size_t{UINT32_MAX});
+  // Count into source_begin_[d + 2] so that, after the prefix sum,
+  // source_begin_[d + 1] is d's first position; the fill pass then bumps
+  // it to d's end, which is where d + 1 starts. No shift pass needed.
+  source_begin_.assign(static_cast<size_t>(num_hosts) + 2, 0);
+  for (size_t k = 0; k < slots; ++k) {
+    ++source_begin_[initiators[k] + 2];
+    ++source_begin_[plan_.EffectivePartner(k) + 2];
+  }
+  for (size_t d = 1; d < source_begin_.size(); ++d) {
+    source_begin_[d] += source_begin_[d - 1];
+  }
+  sources_.resize(2 * slots);
+  for (size_t k = 0; k < slots; ++k) {
+    const HostId init = initiators[k];
+    sources_[source_begin_[init + 1]++] = init;  // self echo first
+    sources_[source_begin_[plan_.EffectivePartner(k) + 1]++] = init;
+  }
+}
+
 }  // namespace dynagg

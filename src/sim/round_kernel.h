@@ -9,9 +9,12 @@
 //             (Environment::BuildPlan — batched, cache-reusing, and
 //             bit-identical in Rng consumption to per-host SamplePeer).
 //   2. APPLY  The protocol walks the plan's flat arrays: sequential
-//             pairwise exchanges for push/pull protocols, or an
-//             emit-then-scatter deposit pass for push-mode protocols. The
-//             scatter can run data-parallel over destination shards
+//             pairwise exchanges for push/pull protocols, an
+//             emit-then-scatter deposit pass for push-mode protocols, or,
+//             for push-mode protocols whose payload is a large per-host
+//             stride, a pull-mode gather over the transposed plan (one
+//             call per destination with its ordered source list). Scatter
+//             and gather can run data-parallel over destination shards
 //             (set_intra_round_threads) while preserving the exact
 //             per-destination deposit order, so N-thread rounds are
 //             bit-identical to 1-thread rounds.
@@ -27,6 +30,7 @@
 #define DYNAGG_SIM_ROUND_KERNEL_H_
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -256,6 +260,44 @@ class RoundKernel {
     WorkerPool::ForCallingThread(threads - 1).Run(threads, walk);
   }
 
+  /// Pull-mode apply for push rounds whose payload is the initiator's whole
+  /// state: transposes the plan into per-destination source lists, then
+  /// calls `gather(dst, sources)` once for every host that receives at
+  /// least one deposit. `sources` (a std::span<const HostId>) lists the
+  /// initiators depositing into `dst` in exactly ScatterDeposits' order
+  /// with self echo: slot order, a slot's self echo before its partner
+  /// deposit, and an unmatched slot's initiator twice. `gather` must only
+  /// write state owned by `dst`; with T > 1 intra-round threads the
+  /// destinations are split into T contiguous id ranges over the worker
+  /// pool, so results are bit-identical at any thread count. Requires
+  /// every planned host id in [0, num_hosts).
+  template <typename GatherFn>
+  void ForEachPushDestination(int num_hosts, GatherFn&& gather) {
+    obs::ScopedPhase span(obs::Phase::kApply);
+    // One source id per slot: the same payload accounting as the fused
+    // push loop, whose payload is the initiator id.
+    obs::Count(obs::Counter::kDepositBytes,
+               static_cast<int64_t>(plan_.size() * sizeof(HostId)));
+    TransposePushPlan(num_hosts);
+    const auto walk = [&](HostId begin, HostId end) {
+      for (HostId dst = begin; dst < end; ++dst) {
+        const uint32_t lo = source_begin_[dst];
+        const uint32_t hi = source_begin_[dst + 1];
+        if (lo == hi) continue;
+        gather(dst, std::span<const HostId>(&sources_[lo], hi - lo));
+      }
+    };
+    const int threads = EffectiveThreads(num_hosts);
+    if (threads <= 1) {
+      walk(0, num_hosts);
+      return;
+    }
+    WorkerPool::ForCallingThread(threads - 1).Run(threads, [&](int w) {
+      walk(static_cast<HostId>(int64_t{num_hosts} * w / threads),
+           static_cast<HostId>(int64_t{num_hosts} * (w + 1) / threads));
+    });
+  }
+
   /// The data-parallel counterpart of ForEachPushSlot: fills `*outbox`
   /// (caller-owned scratch, reused across rounds) with `take(initiator)`
   /// per slot in plan order — `take` must NOT deposit anything — then
@@ -297,6 +339,10 @@ class RoundKernel {
 
   static constexpr size_t kMinParallelSlots = 4096;
 
+  /// Counting sort of the plan's deposits by destination, stable in slot
+  /// order: fills sources_ and source_begin_ (ForEachPushDestination).
+  void TransposePushPlan(int num_hosts);
+
   /// One deposit of ScatterDeposits' bucket pass: payloads[slot] -> dst.
   struct DepositEvent {
     HostId dst;
@@ -308,6 +354,11 @@ class RoundKernel {
   // Scratch for ScatterDeposits' per-shard event buckets, reused across
   // rounds (mutable: scattering is logically const on the kernel).
   mutable std::vector<std::vector<DepositEvent>> shard_events_;
+  // Scratch for ForEachPushDestination's transposed plan, reused across
+  // rounds: host d's sources are sources_[source_begin_[d],
+  // source_begin_[d + 1]).
+  std::vector<HostId> sources_;
+  std::vector<uint32_t> source_begin_;
   int threads_ = 1;
 };
 

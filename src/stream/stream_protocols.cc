@@ -148,6 +148,27 @@ Result<std::vector<HhSelector>> ParseHhSelectors(const ScenarioSpec& spec) {
   return out;
 }
 
+/// The hh_* records average over every host id, so they only score the
+/// population when no host ever dies or is unborn.
+Status CheckStaticMembership(const ScenarioSpec& spec) {
+  std::string key;
+  for (const auto& [name, value] : spec.params) {
+    if (name.rfind("churn.", 0) == 0) {
+      key = name;
+      break;
+    }
+  }
+  DYNAGG_ASSIGN_OR_RETURN(const std::string failure,
+                          spec.ParamString("failure.kind", "none"));
+  if (failure != "none") key = "failure.kind = " + failure;
+  if (key.empty()) return Status::OK();
+  return Status::InvalidArgument(
+      "hh_precision / hh_recall / hh_weighted_err / hh_frontier average "
+      "over every host id, dead and unborn hosts included, so they cannot "
+      "be combined with membership changes (" + key +
+      "); drop the churn.* / failure.* keys or record rms instead");
+}
+
 struct FreqSketchSpecParams {
   int depth = 0;
   int width = 0;
@@ -208,7 +229,11 @@ Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
         "set protocol.width / protocol.depth explicitly");
   }
   DYNAGG_ASSIGN_OR_RETURN(out.workload, ParseStreamWorkloadSpec(spec));
-  DYNAGG_RETURN_IF_ERROR(ParseHhSelectors(spec).status());
+  DYNAGG_ASSIGN_OR_RETURN(const std::vector<HhSelector> selectors,
+                          ParseHhSelectors(spec));
+  if (!selectors.empty() || MetricRequested(spec, "hh_frontier")) {
+    DYNAGG_RETURN_IF_ERROR(CheckStaticMembership(spec));
+  }
   return out;
 }
 
@@ -263,6 +288,15 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
     }
   }
 
+  // Precision and recall read only the estimated top-k, so each host ranks
+  // just the largest k any of them asks for (weighted error reads none).
+  int ranked = 0;
+  for (const HhSelector& sel : selectors) {
+    if (sel.name != "hh_weighted_err") {
+      ranked = std::max(ranked, std::min(sel.k, m));
+    }
+  }
+
   const int n = swarm.size();
   std::vector<double> est(m);
   std::vector<int> order(m);
@@ -296,11 +330,15 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
       frontier_sum += err / total;
     }
     if (!selectors.empty()) {
+      // (estimate desc, key asc) is a strict total order, so the ranked
+      // prefix equals a full sort's for every k <= ranked.
       std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return est[a] != est[b] ? est[a] > est[b]
-                                : truth[a].first < truth[b].first;
-      });
+      std::partial_sort(order.begin(), order.begin() + ranked, order.end(),
+                        [&](int a, int b) {
+                          return est[a] != est[b]
+                                     ? est[a] > est[b]
+                                     : truth[a].first < truth[b].first;
+                        });
       for (size_t s = 0; s < selectors.size(); ++s) {
         const int k = std::min(selectors[s].k, m);
         if (selectors[s].name == "hh_weighted_err") {

@@ -1,12 +1,44 @@
 #include "stream/stream_swarm.h"
 
 #include <algorithm>
+#include <span>
+#include <type_traits>
 
 #include "common/macros.h"
 #include "obs/telemetry.h"
 
 namespace dynagg {
 namespace stream {
+
+namespace {
+
+// Gather block width. Full blocks pass it as a compile-time constant, so
+// the inner loops have a fixed trip count that GCC's -O2 cost model
+// vectorizes; the one partial block at the end of a stride stays scalar.
+constexpr size_t kLanes = 16;
+using FullBlock = std::integral_constant<size_t, kLanes>;
+
+// out[0, width) = +0.0 + 0.5*src_1 + 0.5*src_2 + ..., where src_i is the
+// i-th source's row in `state` (row stride `stride`). The leading +0.0
+// keeps the result bit-identical to summing the halves into a zeroed
+// buffer: it maps a -0.0 half to +0.0 as that sum does.
+template <typename Width>
+inline void GatherBlock(double* __restrict out, const double* state,
+                        size_t stride, std::span<const HostId> sources,
+                        Width width) {
+  double acc[kLanes];
+  const double* __restrict first =
+      state + static_cast<size_t>(sources[0]) * stride;
+  for (size_t j = 0; j < width; ++j) acc[j] = 0.0 + 0.5 * first[j];
+  for (size_t i = 1; i < sources.size(); ++i) {
+    const double* __restrict src =
+        state + static_cast<size_t>(sources[i]) * stride;
+    for (size_t j = 0; j < width; ++j) acc[j] += 0.5 * src[j];
+  }
+  for (size_t j = 0; j < width; ++j) out[j] = acc[j];
+}
+
+}  // namespace
 
 StreamSketchSwarm::StreamSketchSwarm(int num_hosts,
                                      const StreamSwarmParams& params,
@@ -17,7 +49,7 @@ StreamSketchSwarm::StreamSketchSwarm(int num_hosts,
       hash_(params.depth, params.width, params.hash_seed),
       stride_(hash_.cells() + 2),
       state_(static_cast<size_t>(num_hosts) * stride_, 0.0),
-      inbox_(static_cast<size_t>(num_hosts) * stride_, 0.0) {
+      next_(static_cast<size_t>(num_hosts) * stride_, 0.0) {
   DYNAGG_CHECK_GE(n_, 1);
   // Push-sum init: weight 1, no mass, empty sketch.
   for (int i = 0; i < n_; ++i) {
@@ -29,8 +61,6 @@ void StreamSketchSwarm::OnJoin(HostId id) {
   double* host = &state_[static_cast<size_t>(id) * stride_];
   std::fill(host, host + stride_, 0.0);
   host[hash_.cells()] = 1.0;  // push-sum weight
-  double* in = &inbox_[static_cast<size_t>(id) * stride_];
-  std::fill(in, in + stride_, 0.0);
 }
 
 void StreamSketchSwarm::AbsorbArrivals(const Population& pop) {
@@ -62,56 +92,34 @@ void StreamSketchSwarm::RunRound(const Environment& env, const Population& pop,
       (params_.arrival_rounds < 0 || round_ < params_.arrival_rounds)) {
     AbsorbArrivals(pop);
   }
-  // Mass-splitting push round over the whole stride, exactly the push-sum
-  // shape: halve the sender's stride in place, deposit it into the own
-  // inbox and the partner's inbox (both to the sender when unmatched),
-  // then adopt the summed inboxes. The in-place halving is safe because
-  // every deposit of slot k reads only slot k's initiator, whose stride
-  // was finalized when the slot emitted, and end-of-round adoption
-  // overwrites the halved state anyway.
+  // Mass-splitting push round, pulled per destination (see the header):
+  // each destination's next stride is written block-major, so every source
+  // row is read and the output row written in one pass, whatever the
+  // in-degree.
   const PartnerPlan& plan = kernel_.PlanPushRound(env, pop, rng);
   if (meter_ != nullptr) {
     meter_->RecordMessages(plan.CountMatched(), message_bytes());
   }
-  const auto deposit_from = [this](HostId dst, HostId src) {
-    const double* from = &state_[static_cast<size_t>(src) * stride_];
-    double* to = &inbox_[static_cast<size_t>(dst) * stride_];
-    for (size_t c = 0; c < stride_; ++c) to[c] += from[c];
-  };
-  if (!kernel_.parallel_deposits()) {
-    kernel_.ForEachPushSlot(
-        [this](HostId src) {
-          double* s = &state_[static_cast<size_t>(src) * stride_];
-          double* in = &inbox_[static_cast<size_t>(src) * stride_];
-          for (size_t c = 0; c < stride_; ++c) {
-            s[c] *= 0.5;
-            in[c] += s[c];  // the self-kept half
-          }
-          return src;
-        },
-        deposit_from,
-        [this](HostId dst) {
-          __builtin_prefetch(&inbox_[static_cast<size_t>(dst) * stride_], 1);
-        });
-  } else {
-    kernel_.EmitAndScatter(
-        &outbox_, /*self_echo=*/true, n_,
-        [this](HostId src) {
-          double* s = &state_[static_cast<size_t>(src) * stride_];
-          for (size_t c = 0; c < stride_; ++c) s[c] *= 0.5;
-          return src;
-        },
-        deposit_from);
-  }
+  kernel_.ForEachPushDestination(
+      n_, [this](HostId dst, std::span<const HostId> sources) {
+        double* out = &next_[static_cast<size_t>(dst) * stride_];
+        size_t c = 0;
+        for (; c + kLanes <= stride_; c += kLanes) {
+          GatherBlock(out + c, &state_[c], stride_, sources, FullBlock{});
+        }
+        if (c < stride_) {
+          GatherBlock(out + c, &state_[c], stride_, sources, stride_ - c);
+        }
+      });
   if (pop.version() == 0) {
-    state_.swap(inbox_);
-    std::fill(inbox_.begin(), inbox_.end(), 0.0);
+    // Every host is alive, so every row of next_ was just written.
+    state_.swap(next_);
   } else {
+    // Dead hosts receive nothing and keep their stride untouched.
+    obs::ScopedPhase span(obs::Phase::kApply);
     for (const HostId i : pop.alive_ids()) {
-      double* s = &state_[static_cast<size_t>(i) * stride_];
-      double* in = &inbox_[static_cast<size_t>(i) * stride_];
-      std::copy(in, in + stride_, s);
-      std::fill(in, in + stride_, 0.0);
+      const double* in = &next_[static_cast<size_t>(i) * stride_];
+      std::copy(in, in + stride_, &state_[static_cast<size_t>(i) * stride_]);
     }
   }
   ++round_;

@@ -8,19 +8,27 @@
 //
 // Each round, the host first absorbs its keyed stream arrivals (the
 // deterministic per-(host, round) batch from KeyedStreamGen: +1 into the
-// sketch and the mass scalar per key), then gossips by mass splitting on
-// the shared two-phase round kernel: the whole stride is halved in place
-// and deposited into the own inbox and the partner's inbox — exactly
-// PushSumSwarm's push round, but with the sketch counters riding along as
-// extra mass components. Because sketches are linear, each host's sketch
-// converges to (global stream sketch) * (weight / n), so
-// n * counter / weight estimates the *global* frequency of a key from any
-// single host.
+// sketch and the mass scalar per key), then gossips by mass splitting:
+// every host keeps half its stride and pushes the other half to its
+// planned partner — exactly PushSumSwarm's push round, but with the
+// sketch counters riding along as extra mass components. Because
+// sketches are linear, each host's sketch converges to
+// (global stream sketch) * (weight / n), so n * counter / weight
+// estimates the *global* frequency of a key from any single host.
+//
+// The round is applied pull-mode: the round kernel transposes the plan
+// into per-destination source lists, and each destination writes its next
+// stride in one pass as +0.0 + 0.5*src_1 + 0.5*src_2 + ... into a second
+// buffer, which then becomes the state (whole-buffer swap while every host
+// is alive, alive rows copied back otherwise). A round thus reads each
+// host's own row plus its incoming partners' rows and writes one row per
+// host, with no in-place halving and no buffer clearing.
 //
 // Determinism: arrivals are applied in alive order from per-(host, round)
-// RNG streams, and the kernel's scatter preserves exact per-destination
-// deposit order, so rounds are bit-identical at any intra_round_threads
-// count. Halving doubles is exact; sums are fixed-order.
+// RNG streams, and the source lists keep the push loop's exact
+// per-destination deposit order, so rounds are bit-identical to summing
+// pushed halves into a zeroed inbox, at any intra_round_threads count.
+// Sums are fixed-order.
 
 #ifndef DYNAGG_STREAM_STREAM_SWARM_H_
 #define DYNAGG_STREAM_STREAM_SWARM_H_
@@ -60,7 +68,7 @@ class StreamSketchSwarm {
                     const KeyedStreamGen& gen);
 
   /// One gossip round: absorb this round's arrivals, then mass-split the
-  /// strides over the planned partners and adopt the summed inboxes.
+  /// strides over the planned partners (gathered per destination).
   void RunRound(const Environment& env, const Population& pop, Rng& rng);
 
   /// Host `id`'s estimate of the TOTAL global stream mass (arrivals so
@@ -88,10 +96,10 @@ class StreamSketchSwarm {
   }
 
   /// Churn-join reset: host `id` restarts with an empty sketch, weight 1
-  /// and zero mass (the push-sum init state), and a cleared inbox. The
-  /// stream truth is global, so a rebirth does not rewind truth_ — the
-  /// old incarnation's absorbed arrivals leave the gossiped mass, which
-  /// is exactly the mass-loss churn exposes in mass-conserving gossip.
+  /// and zero mass (the push-sum init state). The stream truth is global,
+  /// so a rebirth does not rewind truth_ — the old incarnation's absorbed
+  /// arrivals leave the gossiped mass, which is exactly the mass-loss
+  /// churn exposes in mass-conserving gossip.
   void OnJoin(HostId id);
 
   int size() const { return n_; }
@@ -121,9 +129,8 @@ class StreamSketchSwarm {
   SketchHash hash_;
   size_t stride_;  // cells + 2 (weight, mass)
   std::vector<double> state_;
-  std::vector<double> inbox_;
-  std::vector<HostId> outbox_;         // EmitAndScatter payloads: source ids
-  std::vector<uint64_t> batch_keys_;   // FillBatch scratch
+  std::vector<double> next_;          // the round's gathered strides
+  std::vector<uint64_t> batch_keys_;  // FillBatch scratch
   std::unordered_map<uint64_t, double> truth_;
   double truth_total_ = 0.0;
   bool track_truth_ = true;

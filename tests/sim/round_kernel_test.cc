@@ -7,6 +7,7 @@
 // rounds), and with the data-parallel deposit scatter enabled.
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -314,6 +315,77 @@ TEST(RoundKernelTest, ScatterThreadsOnFullTransferBitIdentical) {
     for (HostId id = 0; id < n; ++id) {
       ASSERT_EQ(sequential.Estimate(id), parallel.Estimate(id))
           << "round " << round << " host " << id;
+    }
+  }
+}
+
+// ------------------------------------------------ transposed plan ---
+
+/// Draws a uniformly random alive peer other than `i`, or no peer at all
+/// for about a fifth of the draws, so plans carry unmatched slots.
+class SpottyEnvironment : public Environment {
+ public:
+  explicit SpottyEnvironment(int n) : n_(n) {}
+  int num_hosts() const override { return n_; }
+  HostId SamplePeer(HostId i, const Population& pop,
+                    Rng& rng) const override {
+    if (rng.UniformInt(5) == 0) return kInvalidHost;
+    const auto& alive = pop.alive_ids();
+    const HostId peer = alive[rng.UniformInt(alive.size())];
+    return peer == i ? kInvalidHost : peer;
+  }
+  void AppendNeighbors(HostId, const Population&,
+                       std::vector<HostId>*) const override {}
+
+ private:
+  int n_;
+};
+
+TEST(RoundKernelTest, PushDestinationsFollowPushLoopDepositOrder) {
+  // Above the minimum-parallel-slots gate, so T > 1 really shards.
+  const int n = 7000;
+  SpottyEnvironment env(n);
+  for (int threads = 1; threads <= 4; ++threads) {
+    const ScopedVisibleCpus forced(threads);
+    for (const int slots_per_initiator : {1, 2}) {
+      Population pop(n);
+      // Non-identity initiators: a dead prefix and scattered dead hosts.
+      // (Round 0 of the one-slot plan keeps a full population instead.)
+      if (slots_per_initiator == 2) {
+        for (HostId id = 0; id < n / 5; ++id) pop.Kill(id);
+        for (HostId id = n / 2; id < n; id += 7) pop.Kill(id);
+      }
+      RoundKernel kernel;
+      kernel.set_intra_round_threads(threads);
+      Rng rng(900 + threads);
+      for (int round = 0; round < 3; ++round) {
+        const PartnerPlan& plan =
+            kernel.PlanPushRound(env, pop, rng, slots_per_initiator);
+        // The push loop's deposits: per slot, the self echo, then the
+        // partner deposit (the initiator again when unmatched).
+        std::vector<std::vector<HostId>> expected(n);
+        for (size_t k = 0; k < plan.size(); ++k) {
+          const HostId init = plan.initiator(k);
+          expected[init].push_back(init);
+          expected[plan.EffectivePartner(k)].push_back(init);
+        }
+        std::vector<int> visits(n, 0);
+        std::vector<std::vector<HostId>> got(n);
+        kernel.ForEachPushDestination(
+            n, [&](HostId dst, std::span<const HostId> sources) {
+              ++visits[dst];  // each dst is owned by one worker
+              got[dst].assign(sources.begin(), sources.end());
+            });
+        for (HostId id = 0; id < n; ++id) {
+          ASSERT_EQ(visits[id], expected[id].empty() ? 0 : 1)
+              << "threads " << threads << " host " << id;
+          ASSERT_EQ(got[id], expected[id])
+              << "threads " << threads << " host " << id;
+        }
+        // Mutate between rounds: kill a block, revive part of it.
+        for (HostId id = n / 3; id < n / 3 + 500; ++id) pop.Kill(id);
+        for (HostId id = n / 3; id < n / 3 + 500; id += 3) pop.Revive(id);
+      }
     }
   }
 }

@@ -105,11 +105,12 @@ TEST(StreamScenarioTest, OutputIsByteIdenticalAcrossThreadsAndTelemetry) {
 }
 
 TEST(StreamScenarioTest, IntraRoundScatterThreadsDoNotChangeOutput) {
-  // The parallel deposit scatter only engages above the kernel's
-  // sequential cutoff (4096 slots), so this one needs a big population;
-  // the sketch and key universe are kept tiny to compensate. The kernel
-  // also clamps the thread count to the visible CPUs, so force 4 for the
-  // test's lifetime to keep the sharded path under test on 1-CPU hosts.
+  // The destination-sharded gather (each worker pulls the strides of one
+  // contiguous host-id range) only engages above the kernel's sequential
+  // cutoff (4096 slots), so this one needs a big population; the sketch
+  // and key universe are kept tiny to compensate. The kernel also clamps
+  // the thread count to the visible CPUs, so force 4 for the test's
+  // lifetime to keep the sharded path under test on 1-CPU hosts.
   struct ScopedVisibleCpus {
     explicit ScopedVisibleCpus(int n) {
       WorkerPool::OverrideVisibleCpusForTest(n);
@@ -137,7 +138,59 @@ record = hh_frontier, hh_precision(4)
   EXPECT_EQ(a, b);
 }
 
+TEST(StreamScenarioTest, TopKRecordsDoNotDependOnOtherSelectors) {
+  // Each host ranks only up to the largest requested k; a smaller k in the
+  // same spec must score exactly as it does alone.
+  const std::string base = R"(name = topk
+protocol = count-sketch-freq
+hosts = 40
+rounds = 8
+seed = 21
+workload.kind = zipf
+workload.keys = 2048
+workload.batch = 8
+protocol.width = 64
+protocol.depth = 3
+)";
+  const auto run = [&](const std::string& records) {
+    const ScenarioSpec spec = MustParse(base + "record = " + records + "\n");
+    Result<std::vector<ResultTable>> tables =
+        RunExperiment(spec, RunOptions{1, "off", nullptr}, nullptr);
+    EXPECT_TRUE(tables.ok()) << tables.status().ToString();
+    return tables.ok() ? (*tables)[0].table : CsvTable({});
+  };
+  const CsvTable both =
+      run("hh_precision(3), hh_recall(40), hh_precision(40)");
+  const CsvTable small = run("hh_precision(3)");
+  const CsvTable large = run("hh_recall(40)");
+  EXPECT_EQ(Column(both, "hh_precision_3"), Column(small, "hh_precision_3"));
+  EXPECT_EQ(Column(both, "hh_recall_40"), Column(large, "hh_recall_40"));
+}
+
 // -------------------------------------------------------- validation ---
+
+TEST(StreamScenarioTest, RejectsHeavyHitterRecordsUnderMembershipChanges) {
+  // hh_* records average over every host id, so dead and unborn hosts
+  // would be scored too; the diagnostic names the offending key.
+  const std::string base =
+      "protocol = count-min\nhosts = 400\nworkload.kind = zipf\n";
+  const std::string kill =
+      "failure.kind = kill_random_fraction\nfailure.fraction = 0.5\n";
+  ExpectDryRunError(base + kill + "record = hh_precision(8)\n",
+                    "failure.kind");
+  ExpectDryRunError(base + kill + "record = hh_frontier\n", "hh_frontier");
+  ExpectDryRunError(
+      base + "churn.initial = 300\nrecord = hh_weighted_err(4)\n",
+      "churn.initial");
+  ExpectDryRunError(
+      base + "sweep = churn.arrival_rate: 0, 2\nrecord = hh_recall(4)\n",
+      "churn.arrival_rate");
+  // Host-independent and alive-only records stay valid under churn.
+  EXPECT_TRUE(DryRun(base + kill + "record = rms, sketch_bytes\n").ok());
+  EXPECT_TRUE(
+      DryRun(base + "churn.initial = 300\nrecord = rms, sketch_bytes\n")
+          .ok());
+}
 
 TEST(StreamScenarioTest, RejectsWorkloadKeysOnNonConsumingProtocol) {
   ExpectDryRunError(
