@@ -238,7 +238,7 @@ void BM_AsyncDriverStep(benchmark::State& state) {
   for (auto _ : state) {
     now += period;
     while (inflight.HasDueBy(now)) {
-      swarm.DeliverFlow(inflight.Top());
+      swarm.Deliver(inflight.Top());
       inflight.Pop();
     }
     wave.clear();

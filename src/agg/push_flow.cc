@@ -32,7 +32,7 @@ net::Message PushFlowSwarm::PlanPush(HostId src, HostId dst) {
   return net::Message{src, dst, f.out_num, f.out_denom, ++f.sent_seq};
 }
 
-void PushFlowSwarm::DeliverFlow(const net::Message& m) {
+void PushFlowSwarm::Deliver(const net::Message& m) {
   EdgeFlow& g = EdgeTo(m.dst, m.src);
   // A stale cumulative flow (overtaken in flight) carries strictly less
   // information than what this host already adopted: drop it.
@@ -84,7 +84,7 @@ void PushFlowSwarm::RunRound(const Environment& env, const Population& pop,
     if (partner == kInvalidHost) return;  // no reachable peer this round
     const net::Message msg = PlanPush(src, partner);
     if (meter_ != nullptr) meter_->RecordMessage(kFlowMessageBytes);
-    DeliverFlow(msg);
+    Deliver(msg);
   });
 }
 

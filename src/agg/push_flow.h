@@ -66,14 +66,16 @@ class PushFlowSwarm {
   /// Message-level gossip tick (`driver = async`): records each matched
   /// initiator's push in its own outgoing edge flow and plans the
   /// message, without delivering anything. Delivery (possibly late,
-  /// reordered, or never) goes through DeliverFlow.
+  /// reordered, or never) goes through Deliver.
   void PlanAsyncTick(const Environment& env, const Population& pop, Rng& rng,
                      std::vector<net::Message>* out);
 
   /// Applies one delivered flow message to the receiver: overwrites its
   /// view of the sender's cumulative outgoing flow, ignoring stale
   /// sequence numbers from reordered deliveries.
-  void DeliverFlow(const net::Message& m);
+  void Deliver(const net::Message& m);
+  /// Over-the-air bytes of one message planned by PlanAsyncTick.
+  static constexpr int64_t kMessageBytes = kFlowMessageBytes;
 
   /// Current estimate of the network-wide average at `id`. Falls back to
   /// the initial value should the effective weight ever be non-positive
@@ -124,7 +126,7 @@ class PushFlowSwarm {
   /// One gossiped edge as its owner sees it: the cumulative flow pushed
   /// toward the neighbor (out_*, only this host writes it, sent_seq
   /// counts the pushes) and the adopted view of the neighbor's cumulative
-  /// flow back (in_*, only DeliverFlow writes it, seen_seq guards against
+  /// flow back (in_*, only Deliver writes it, seen_seq guards against
   /// reordering). Both accumulations are monotone.
   struct EdgeFlow {
     double out_num = 0.0;

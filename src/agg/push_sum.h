@@ -138,14 +138,16 @@ class PushSumSwarm {
   /// matched host halves its mass in place and plans one message carrying
   /// the other half to its partner; unmatched hosts keep everything. No
   /// state moves between hosts here — delivery happens whenever (and if)
-  /// the network model hands each message to DeliverMass. A half lost in
+  /// the network model hands each message to Deliver. A half lost in
   /// flight is mass destroyed, which is exactly the loss sensitivity the
   /// loss-rate sweeps measure.
   void PlanAsyncTick(const Environment& env, const Population& pop, Rng& rng,
                      std::vector<net::Message>* out);
 
   /// Applies one delivered mass message (async driver).
-  void DeliverMass(const net::Message& m) { mass_[m.dst] += Mass{m.a, m.b}; }
+  void Deliver(const net::Message& m) { mass_[m.dst] += Mass{m.a, m.b}; }
+  /// Over-the-air bytes of one message planned by PlanAsyncTick.
+  static constexpr int64_t kMessageBytes = kMassMessageBytes;
 
   /// Churn-join reset: (re)initializes host `id` to its pristine
   /// <1, v0> mass — first arrivals and ID-reuse rebirths both start

@@ -261,7 +261,7 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
                    "' owns its whole trial loop and cannot run "
                    "message-level");
   }
-  if (!def.async_capable) {
+  if (!def.capabilities.Has(Capability::kAsync)) {
     return invalid("protocol '" + spec.protocol +
                    "' does not support message-level gossip (async-capable "
                    "protocols declare send/deliver hooks — see `dynagg_run "

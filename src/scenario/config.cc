@@ -521,10 +521,25 @@ Result<ChurnPlan> BuildChurnPlan(const ChurnConfig& cfg, int n, int rounds,
   return ChurnPlan::Build(params, churn_rng);
 }
 
+Status CheckValueBacked(const FailureConfig& cfg, bool value_backed) {
+  if (cfg.kind != FailureConfig::Kind::kKillTopFraction || value_backed) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "failure.kind = kill_top_fraction requires a value-based protocol");
+}
+
+Status CheckMetered(const ScenarioSpec& spec, bool metered) {
+  if (metered || !MetricRequested(spec, "bandwidth")) return Status::OK();
+  return Status::InvalidArgument("protocol '" + spec.protocol +
+                                 "' does not support the bandwidth metric");
+}
+
 Result<FailurePlan> BuildFailurePlan(const FailureConfig& cfg, int n,
                                      int rounds,
                                      const std::vector<double>* values,
                                      Rng& fail_rng) {
+  DYNAGG_RETURN_IF_ERROR(CheckValueBacked(cfg, values != nullptr));
   switch (cfg.kind) {
     case FailureConfig::Kind::kNone:
       return FailurePlan();
@@ -532,11 +547,6 @@ Result<FailurePlan> BuildFailurePlan(const FailureConfig& cfg, int n,
       return FailurePlan::KillRandomFraction(n, cfg.round, cfg.fraction,
                                              fail_rng);
     case FailureConfig::Kind::kKillTopFraction:
-      if (values == nullptr) {
-        return Status::InvalidArgument(
-            "failure.kind = kill_top_fraction requires a value-based "
-            "protocol");
-      }
       return FailurePlan::KillTopFraction(*values, cfg.round, cfg.fraction);
     case FailureConfig::Kind::kChurn: {
       const int end = cfg.end >= 0 ? cfg.end : rounds;

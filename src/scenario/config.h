@@ -174,6 +174,16 @@ Result<uint64_t> WorkloadStream(const ScenarioSpec& spec,
 Result<uint64_t> MessageStream(const ScenarioSpec& spec,
                                const TrialContext& ctx, int n);
 
+/// Rejects failure.kind = kill_top_fraction on protocols without per-host
+/// scalar values (Capability::kValueBacked). Shared by --dry-run and
+/// BuildFailurePlan so both reject with one message.
+Status CheckValueBacked(const FailureConfig& cfg, bool value_backed);
+
+/// Rejects `record = bandwidth` on protocols that cannot meter their
+/// traffic (Capability::kMetered): the rounds and trace drivers measure it
+/// through the swarm's traffic meter. Shared by --dry-run and the drivers.
+Status CheckMetered(const ScenarioSpec& spec, bool metered);
+
 /// Builds the scripted plan. `values` backs kill_top_fraction and may be
 /// null for protocols without per-host scalar values.
 Result<FailurePlan> BuildFailurePlan(const FailureConfig& cfg, int n,

@@ -143,15 +143,9 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
 
   DYNAGG_RETURN_IF_ERROR(ApplyIntraRoundThreads(spec, swarm));
+  DYNAGG_RETURN_IF_ERROR(CheckMetered(spec, swarm.set_meter != nullptr));
   TrafficMeter meter;
-  if (metrics.bandwidth) {
-    if (!swarm.set_meter) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' does not support the bandwidth metric");
-    }
-    swarm.set_meter(&meter);
-  }
+  if (metrics.bandwidth) swarm.set_meter(&meter);
 
   Rng fail_rng(DeriveSeed(ctx.trial_seed, fail_stream));
   DYNAGG_ASSIGN_OR_RETURN(
@@ -446,15 +440,9 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
         "protocol '" + spec.protocol +
         "' does not model the gossip_bytes metric");
   }
+  DYNAGG_RETURN_IF_ERROR(CheckMetered(spec, swarm.set_meter != nullptr));
   TrafficMeter meter;
-  if (want_bandwidth) {
-    if (!swarm.set_meter) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' does not support the bandwidth metric");
-    }
-    swarm.set_meter(&meter);
-  }
+  if (want_bandwidth) swarm.set_meter(&meter);
   const std::function<double(HostId)>& estimate =
       swarm.group_estimate ? swarm.group_estimate : swarm.estimate;
 

@@ -617,7 +617,7 @@ Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
                    "' owns its whole trial loop and does not execute "
                    "churn.* plans");
   }
-  if (!protocol.join_capable) {
+  if (!protocol.capabilities.Has(Capability::kJoin)) {
     return invalid("protocol '" + spec.protocol +
                    "' cannot admit hosts (no on_join reset hook); churn.* "
                    "keys require a join-capable protocol — see `dynagg_run "
@@ -715,17 +715,22 @@ Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
       {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
   DYNAGG_ASSIGN_OR_RETURN(const MetricFlags metrics,
                           ClassifyDriverMetrics(spec, protocol.extra_metrics));
-  if (metrics.gossip_bytes && !protocol.models_gossip_bytes) {
+  if (metrics.gossip_bytes &&
+      !protocol.capabilities.Has(Capability::kGossipBytes)) {
     return Status::InvalidArgument(
         "experiment '" + spec.name + "': protocol '" + spec.protocol +
         "' does not model the gossip_bytes metric");
   }
+  DYNAGG_RETURN_IF_ERROR(
+      CheckMetered(spec, protocol.capabilities.Has(Capability::kMetered)));
   DYNAGG_ASSIGN_OR_RETURN(
       const RecordConfig cfg,
       ParseRecordConfig(spec, protocol.extra_record_keys));
   // The failure.* plan is parsed from the spec alone; an unknown knob or a
   // bad kind/range should not wait for the trial loop to reject it.
   DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
+  DYNAGG_RETURN_IF_ERROR(CheckValueBacked(
+      fail, protocol.capabilities.Has(Capability::kValueBacked)));
   if (!rounds_known) return Status::OK();
   DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
   return CheckRelativeSurvivors(spec, metrics, cfg, fail, hosts_known);
@@ -764,13 +769,15 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
   if (spec.intra_round_threads < 1) {
     return invalid("intra_round_threads must be >= 1");
   }
-  if (spec.intra_round_threads > 1 && !protocol.threads_capable) {
+  const bool threads_capable =
+      protocol.capabilities.Has(Capability::kThreads);
+  if (spec.intra_round_threads > 1 && !threads_capable) {
     return invalid("protocol '" + spec.protocol +
                    "' does not support intra_round_threads (no "
                    "data-parallel apply phase)");
   }
   // A swept thread count must be usable at every value, not just the base.
-  if (!protocol.threads_capable) {
+  if (!threads_capable) {
     for (const std::string& key : {spec.sweep_key, spec.sweep2_key}) {
       if (key == "intra_round_threads") {
         return invalid("protocol '" + spec.protocol +
@@ -845,7 +852,7 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
                      "' does not provide one (use haggle or another trace "
                      "environment)");
     }
-    if (!protocol.trace_capable) {
+    if (!protocol.capabilities.Has(Capability::kTrace)) {
       return invalid("protocol '" + spec.protocol +
                      "' does not support driver = " + spec.driver +
                      " (no group-truth hooks)");
@@ -867,6 +874,8 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
                        "timeline has no rounds)");
       }
     }
+    DYNAGG_RETURN_IF_ERROR(
+        CheckMetered(spec, protocol.capabilities.Has(Capability::kMetered)));
     DYNAGG_RETURN_IF_ERROR(
         CheckMetricsSupported(spec, {"rms", "avg_group_size"}));
   } else if (spec.gossip_period > 0 || spec.sample_period > 0) {

@@ -1,12 +1,13 @@
 // Builtin protocol catalog: SwarmFactories for the Driver API.
 //
-// A registered protocol builds its swarm for one trial and declares the
-// measurement hooks as a type-erased SwarmHandle (scenario/trial.h); which
-// time loop runs it — the synchronous round loop or event-driven trace
-// playback — is the driver's business (scenario/drivers.cc), selected by
-// `driver = rounds | trace` in the spec. Factories validate their
-// protocol.* parameters, draw the paper's U[0,100) value workload from the
-// trial seed, and bundle swarm + storage into the handle's keepalive.
+// A registered protocol builds one trial's *box* — the swarm plus the
+// workload it is measured against — and MakeSwarmHandle
+// (scenario/swarm_handle.h) derives the type-erased SwarmHandle's hooks and
+// the protocol's capabilities from the box type. Which time loop runs it —
+// the synchronous round loop or event-driven trace playback — is the
+// driver's business (scenario/drivers.cc), selected by `driver = rounds |
+// trace` in the spec. Factories validate their protocol.* parameters and
+// draw the paper's U[0,100) value workload from the trial seed.
 //
 // Protocols whose trial structure fits no shared driver register a custom
 // whole-trial runner instead: the TAG overlay baseline (tag-tree) owns its
@@ -39,8 +40,8 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "env/connectivity.h"
 #include "scenario/config.h"
+#include "scenario/swarm_handle.h"
 #include "scenario/trial.h"
 #include "sim/bandwidth.h"
 #include "sim/metrics.h"
@@ -181,170 +182,48 @@ Result<FullTransferParams> ParseFullTransferSpec(const ScenarioSpec& spec) {
   return params;
 }
 
-// ----------------------------------------------------- handle assembly ---
-
-/// Wires the traffic-meter hook when the swarm type has one.
-template <typename Swarm>
-void MaybeSetMeter(SwarmHandle& h, Swarm* swarm) {
-  if constexpr (requires(Swarm& s, TrafficMeter* m) {
-                  s.set_traffic_meter(m);
-                }) {
-    h.set_meter = [swarm](TrafficMeter* m) { swarm->set_traffic_meter(m); };
-  }
-}
-
-/// Wires the round kernel's intra-round thread hook when the swarm type has
-/// one (push-scatter protocols; see sim/round_kernel.h).
-template <typename Swarm>
-void MaybeSetThreads(SwarmHandle& h, Swarm* swarm) {
-  if constexpr (requires(Swarm& s, int t) { s.set_intra_round_threads(t); }) {
-    h.set_threads = [swarm](int t) { swarm->set_intra_round_threads(t); };
-  }
-}
-
-/// Wires the churn-join reset hook when the swarm type has one. Protocols
-/// whose swarm exposes OnJoin must also register join_capable = true so
-/// `--dry-run` can vet churn.* specs without building swarms.
-template <typename Swarm>
-void MaybeSetOnJoin(SwarmHandle& h, Swarm* swarm) {
-  if constexpr (requires(Swarm& s, HostId id) { s.OnJoin(id); }) {
-    h.on_join = [swarm](HostId id) { swarm->OnJoin(id); };
-  }
-}
-
-/// Owns a value workload plus the swarm built over it (swarm constructors
-/// take the values by reference, so member order matters).
-template <typename Swarm>
-struct ValueSwarmBox {
-  std::vector<double> values;
-  Swarm swarm;
-  template <typename... Args>
-  explicit ValueSwarmBox(std::vector<double> v, Args&&... args)
-      : values(std::move(v)), swarm(values, std::forward<Args>(args)...) {}
-};
-
-/// Handle for averaging swarms: Estimate() per host, live-average truth,
-/// per-group mean truth for trace playback, values backing
-/// kill_top_fraction.
-template <typename Box>
-SwarmHandle AveragingHandle(std::shared_ptr<Box> box, double state_bytes) {
-  SwarmHandle h;
-  auto* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  h.estimate = [swarm](HostId id) { return swarm->Estimate(id); };
-  h.truth = [values](const Population& pop) {
-    return TrueAverage(*values, pop);
-  };
-  h.group_truths = [values](const std::vector<int>& labels,
-                            const std::vector<int>& sizes) {
-    return GroupMeans(labels, sizes, *values);
-  };
-  h.failure_values = values;
-  h.state_bytes = state_bytes;
-  MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
-}
-
-/// Owns a multiplicity workload plus a counting-sketch swarm over it.
-template <typename Swarm, typename Params>
-struct CountSwarmBox {
-  std::vector<int64_t> mult;
-  Swarm swarm;
-  CountSwarmBox(std::vector<int64_t> m, const Params& params)
-      : mult(std::move(m)), swarm(mult, params) {}
-};
-
-/// Handle for counting swarms: EstimateCount() per host, live total-count
-/// truth; trace playback compares the per-identifier estimate scaled back
-/// to devices against the host's group size (Fig 11's dynamic size).
-template <typename Box>
-SwarmHandle CountingHandle(std::shared_ptr<Box> box, double state_bytes) {
-  SwarmHandle h;
-  auto* swarm = &box->swarm;
-  const std::vector<int64_t>* mult = &box->mult;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  h.estimate = [swarm](HostId id) { return swarm->EstimateCount(id); };
-  h.truth = [mult](const Population& pop) {
-    int64_t total = 0;
-    for (const HostId id : pop.alive_ids()) total += (*mult)[id];
-    return static_cast<double>(total);
-  };
-  h.group_estimate = [swarm, mult](HostId id) {
-    return swarm->EstimateCount(id) / static_cast<double>((*mult)[id]);
-  };
-  h.group_truths = [](const std::vector<int>&, const std::vector<int>& sizes) {
-    return std::vector<double>(sizes.begin(), sizes.end());
-  };
-  h.state_bytes = state_bytes;
-  MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
-}
-
 // --------------------------------------------------- averaging protocols ---
 
-Result<SwarmHandle> MakePushSum(const TrialContext& ctx, EnvHandle& env) {
+/// An averaging box over the paper's U[0,100) value workload.
+template <typename Swarm, typename... Args>
+std::shared_ptr<AverageBox<Swarm>> MakeAverageBox(const TrialContext& ctx,
+                                                  int n, double state_bytes,
+                                                  Args&&... args) {
+  auto box = std::make_shared<AverageBox<Swarm>>(
+      UniformWorkloadValues(n, ctx.trial_seed), std::forward<Args>(args)...);
+  box->state_bytes = state_bytes;
+  return box;
+}
+
+BoxResult<AverageBox<PushSumSwarm>> MakePushSum(const TrialContext& ctx,
+                                                EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const GossipMode mode, ParsePushSumSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<PushSumSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), mode);
-  PushSumSwarm* swarm = &box->swarm;
-  SwarmHandle h = AveragingHandle(std::move(box), 2.0 * sizeof(double));
-  if (mode == GossipMode::kPush) {
-    // Message-level hooks (`driver = async`): a tick halves each sender's
-    // mass and ships the other half; the pairwise push/pull exchange has
-    // no message decomposition (rejected by ParsePushSumSpec).
-    h.async_tick = [swarm](const Environment& e, const Population& p, Rng& r,
-                           std::vector<net::Message>* out) {
-      swarm->PlanAsyncTick(e, p, r, out);
-    };
-    h.async_deliver = [swarm](const net::Message& m) {
-      swarm->DeliverMass(m);
-    };
-    h.message_bytes = static_cast<double>(kMassMessageBytes);
-  }
-  return h;
+  // Under `driver = async` a tick halves each sender's mass and ships the
+  // other half; ParsePushSumSpec rejects the pairwise push/pull exchange,
+  // which has no message decomposition.
+  return MakeAverageBox<PushSumSwarm>(ctx, n, 2.0 * sizeof(double), mode);
 }
 
-Result<SwarmHandle> MakePushFlow(const TrialContext& ctx, EnvHandle& env) {
+BoxResult<AverageBox<PushFlowSwarm>> MakePushFlow(const TrialContext& ctx,
+                                                  EnvHandle& env) {
   DYNAGG_RETURN_IF_ERROR(ParsePushFlowSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<PushFlowSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed));
-  PushFlowSwarm* swarm = &box->swarm;
   // State: the initial value, the two flow sums, plus the packed per-edge
   // flow entries (amortized ~one long-lived neighbor under uniform push).
-  SwarmHandle h = AveragingHandle(std::move(box), 6.0 * sizeof(double));
-  h.async_tick = [swarm](const Environment& e, const Population& p, Rng& r,
-                         std::vector<net::Message>* out) {
-    swarm->PlanAsyncTick(e, p, r, out);
-  };
-  h.async_deliver = [swarm](const net::Message& m) { swarm->DeliverFlow(m); };
-  h.message_bytes = static_cast<double>(kFlowMessageBytes);
-  return h;
+  return MakeAverageBox<PushFlowSwarm>(ctx, n, 6.0 * sizeof(double));
 }
 
-Result<SwarmHandle> MakePushSumRevert(const TrialContext& ctx,
-                                      EnvHandle& env) {
+BoxResult<AverageBox<PushSumRevertSwarm>> MakePushSumRevert(
+    const TrialContext& ctx, EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const PsrParams params, ParsePsrSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<PushSumRevertSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), params);
-  return AveragingHandle(std::move(box), 3.0 * sizeof(double));
+  return MakeAverageBox<PushSumRevertSwarm>(ctx, n, 3.0 * sizeof(double),
+                                            params);
 }
 
-Result<SwarmHandle> MakeEpochPushSum(const TrialContext& ctx,
-                                     EnvHandle& env) {
+BoxResult<AverageBox<EpochPushSumSwarm>> MakeEpochPushSum(
+    const TrialContext& ctx, EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const EpochSpecParams cfg,
                           ParseEpochSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
@@ -364,33 +243,49 @@ Result<SwarmHandle> MakeEpochPushSum(const TrialContext& ctx,
           prng.UniformInt(static_cast<uint64_t>(cfg.params.epoch_length)));
     }
   }
-  auto box = std::make_shared<ValueSwarmBox<EpochPushSumSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), cfg.params, phases);
-  return AveragingHandle(std::move(box), /*state_bytes=*/0.0);
+  return MakeAverageBox<EpochPushSumSwarm>(ctx, n, /*state_bytes=*/0.0,
+                                           cfg.params, phases);
 }
 
-Result<SwarmHandle> MakeFullTransfer(const TrialContext& ctx,
-                                     EnvHandle& env) {
+BoxResult<AverageBox<FullTransferSwarm>> MakeFullTransfer(
+    const TrialContext& ctx, EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const FullTransferParams params,
                           ParseFullTransferSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<FullTransferSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), params);
   // State: the mass plus the estimate window of <weight, value> pairs.
   const double state_bytes =
       (2.0 + 2.0 * static_cast<double>(params.window)) * sizeof(double);
-  return AveragingHandle(std::move(box), state_bytes);
+  return MakeAverageBox<FullTransferSwarm>(ctx, n, state_bytes, params);
 }
 
 // ------------------------------------------------------------- extremes ---
 
+/// The extreme measure: the truth is the live max (or min) of the values,
+/// which also back kill_top_fraction. Trace groups have no extreme truth.
 struct ExtremesBox {
   std::vector<double> values;
   std::vector<uint64_t> keys;
   DynamicExtremeSwarm swarm;
+  double state_bytes = 0.0;
+
   ExtremesBox(std::vector<double> v, std::vector<uint64_t> k,
               const ExtremeParams& params)
       : values(std::move(v)), keys(std::move(k)), swarm(values, keys, params) {}
+
+  double Estimate(HostId id) const { return swarm.Estimate(id); }
+  double Truth(const Population& pop) const {
+    const bool max = swarm.params().kind == ExtremeKind::kMaximum;
+    bool first = true;
+    double best = 0.0;
+    for (const HostId id : pop.alive_ids()) {
+      const double v = values[id];
+      if (first || (max ? v > best : v < best)) {
+        best = v;
+        first = false;
+      }
+    }
+    return best;
+  }
 };
 
 Result<ExtremeParams> ParseExtremesSpec(const ScenarioSpec& spec) {
@@ -417,41 +312,14 @@ Result<ExtremeParams> ParseExtremesSpec(const ScenarioSpec& spec) {
   return params;
 }
 
-Result<SwarmHandle> MakeExtremes(const TrialContext& ctx, EnvHandle& env) {
+BoxResult<ExtremesBox> MakeExtremes(const TrialContext& ctx, EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const ExtremeParams params,
                           ParseExtremesSpec(*ctx.spec));
-  const ExtremeKind kind = params.kind;
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
   std::vector<uint64_t> keys(n);
   std::iota(keys.begin(), keys.end(), uint64_t{0});
-  auto box = std::make_shared<ExtremesBox>(
+  return std::make_shared<ExtremesBox>(
       UniformWorkloadValues(n, ctx.trial_seed), std::move(keys), params);
-  SwarmHandle h;
-  DynamicExtremeSwarm* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  h.estimate = [swarm](HostId id) { return swarm->Estimate(id); };
-  h.truth = [values, kind](const Population& pop) {
-    bool first = true;
-    double best = 0.0;
-    for (const HostId id : pop.alive_ids()) {
-      const double v = (*values)[id];
-      if (first || (kind == ExtremeKind::kMaximum ? v > best : v < best)) {
-        best = v;
-        first = false;
-      }
-    }
-    return best;
-  };
-  h.failure_values = values;
-  h.state_bytes = 0.0;
-  MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
 }
 
 // ---------------------------------------------------- counting protocols ---
@@ -541,18 +409,18 @@ Result<CountSketchParams> ParseCountSketchSpec(const ScenarioSpec& spec) {
   return params;
 }
 
-Result<SwarmHandle> MakeCountSketch(const TrialContext& ctx, EnvHandle& env) {
+BoxResult<CountBox<CountSketchSwarm>> MakeCountSketch(const TrialContext& ctx,
+                                                      EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const CountSketchParams params,
                           ParseCountSketchSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
   DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
                           Multiplicities(ctx, n));
   auto box =
-      std::make_shared<CountSwarmBox<CountSketchSwarm, CountSketchParams>>(
-          std::move(mult), params);
+      std::make_shared<CountBox<CountSketchSwarm>>(std::move(mult), params);
   // One uint64 bit string per bin.
-  return CountingHandle(std::move(box),
-                        static_cast<double>(params.bins) * sizeof(uint64_t));
+  box->state_bytes = static_cast<double>(params.bins) * sizeof(uint64_t);
+  return box;
 }
 
 /// Parses the q list of a `counter_quantiles(q1, q2, ...)` selector (the
@@ -621,106 +489,117 @@ Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
   return out;
 }
 
-Result<SwarmHandle> MakeCountSketchReset(const TrialContext& ctx,
-                                         EnvHandle& env) {
+/// Count-Sketch-Reset's box: the counting measure, plus the modelled
+/// gossip payload (amortized over protocol.attributes simultaneous sums)
+/// and the counter-age records of Fig 6 and the spatial ablation.
+struct CsrBox : CountBox<CsrSwarm> {
+  using CountBox<CsrSwarm>::CountBox;
+  int64_t attributes = 1;
+
+  double GossipBytes() const {
+    return SketchGossipBytes(swarm.params().bins, swarm.params().levels,
+                             attributes);
+  }
+  Status Finish(const TrialContext& ctx, Recorder& rec) const;
+};
+
+/// Fig 6's bit-counter distribution: pool the N[n][k] age counters over
+/// all hosts and bins after the last round and report the per-bit CDF of
+/// the finite counters (infinity = the level was never sourced), clamping
+/// the deep tail into the last bucket. Every level is emitted so the
+/// bucket structure is seed-independent (trials must align for pooling);
+/// levels that effectively never appear (< n/100 + 1 finite counters, as
+/// in the legacy harness) are suppressed at assembly via min_key_total —
+/// after cross-trial pooling when aggregating.
+///
+/// The second extra selector, counter_quantiles(q1, q2, ...), reports the
+/// spatial ablation's per-bit counter-age quantiles instead: one series
+/// point per sufficiently-sourced bit (>= n/50 + 1 finite counters, the
+/// legacy convention), quantiles over a bucketed histogram spanning
+/// [0, record.counter_hist_max) with record.counter_hist_buckets buckets.
+Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
+  const CsrParams& params = swarm.params();
+  const int n = swarm.size();
+  if (MetricRequested(*ctx.spec, "cdf(counter)")) {
+    DYNAGG_ASSIGN_OR_RETURN(const int64_t max_counter,
+                            ctx.spec->ParamInt("record.max_counter", 12));
+    if (max_counter < 1 || max_counter >= kCsrInfinity) {
+      return Status::InvalidArgument(
+          "record.max_counter must be in [1, 254]");
+    }
+    const int max_c = static_cast<int>(max_counter);
+    std::vector<std::vector<int64_t>> histograms(
+        params.levels, std::vector<int64_t>(max_c + 1, 0));
+    for (HostId id = 0; id < n; ++id) {
+      const CountSketchResetNode& node = swarm.node(id);
+      for (int k = 0; k < params.levels; ++k) {
+        for (const uint8_t c : node.level_row(k)) {
+          if (c == kCsrInfinity) continue;
+          ++histograms[k][c <= max_c ? c : max_c];
+        }
+      }
+    }
+    HistogramRecord* record = rec.MutableHistogram(
+        "counter_cdf", /*key_name=*/"bit", "counter_value", "cdf",
+        /*cumulative=*/true, /*min_key_total=*/n / 100 + 1);
+    for (int k = 0; k < params.levels; ++k) {
+      for (int c = 0; c <= max_c; ++c) {
+        record->buckets.push_back({static_cast<double>(k),
+                                   static_cast<double>(c),
+                                   histograms[k][c]});
+      }
+    }
+  }
+  DYNAGG_ASSIGN_OR_RETURN(const std::vector<double> quantiles,
+                          ParseCounterQuantilesSpec(*ctx.spec));
+  if (!quantiles.empty()) {
+    DYNAGG_ASSIGN_OR_RETURN(
+        const double hist_max,
+        ctx.spec->ParamDouble("record.counter_hist_max", 64.0));
+    DYNAGG_ASSIGN_OR_RETURN(
+        const int64_t hist_buckets,
+        ctx.spec->ParamInt("record.counter_hist_buckets", 64));
+    if (hist_max <= 0 || hist_buckets < 1) {
+      return Status::InvalidArgument(
+          "record.counter_hist_max must be > 0 and "
+          "record.counter_hist_buckets >= 1");
+    }
+    for (int k = 0; k < params.levels; ++k) {
+      Histogram hist(0, hist_max, static_cast<int>(hist_buckets));
+      int64_t finite = 0;
+      for (HostId id = 0; id < n; ++id) {
+        for (const uint8_t c : swarm.node(id).level_row(k)) {
+          if (c == kCsrInfinity) continue;
+          hist.Add(c);
+          ++finite;
+        }
+      }
+      // Skip bits that effectively never appear, as the legacy spatial
+      // ablation did (quantiles of a near-empty histogram are noise).
+      if (finite < n / 50 + 1) continue;
+      for (const double q : quantiles) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", q * 100.0);
+        rec.AddSeriesPoint("bit", "counter_p" + std::string(buf),
+                           static_cast<double>(k), hist.Quantile(q));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+BoxResult<CsrBox> MakeCountSketchReset(const TrialContext& ctx,
+                                       EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const CsrSpecParams cfg, ParseCsrSpec(*ctx.spec));
-  const CsrParams params = cfg.params;
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
   DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
                           Multiplicities(ctx, n));
-  auto box = std::make_shared<CountSwarmBox<CsrSwarm, CsrParams>>(
-      std::move(mult), params);
-  CsrSwarm* swarm = &box->swarm;
+  auto box = std::make_shared<CsrBox>(std::move(mult), cfg.params);
+  box->attributes = cfg.attributes;
   // One byte-sized age counter per (bin, level) slot.
-  SwarmHandle h = CountingHandle(
-      std::move(box), static_cast<double>(params.bins) * params.levels);
-  h.gossip_bytes = SketchGossipBytes(params.bins, params.levels,
-                                     cfg.attributes);
-
-  // Fig 6's bit-counter distribution: pool the N[n][k] age counters over
-  // all hosts and bins after the last round and report the per-bit CDF of
-  // the finite counters (infinity = the level was never sourced), clamping
-  // the deep tail into the last bucket. Every level is emitted so the
-  // bucket structure is seed-independent (trials must align for pooling);
-  // levels that effectively never appear (< n/100 + 1 finite counters, as
-  // in the legacy harness) are suppressed at assembly via min_key_total —
-  // after cross-trial pooling when aggregating.
-  //
-  // The second extra selector, counter_quantiles(q1, q2, ...), reports the
-  // spatial ablation's per-bit counter-age quantiles instead: one series
-  // point per sufficiently-sourced bit (>= n/50 + 1 finite counters, the
-  // legacy convention), quantiles over a bucketed histogram spanning
-  // [0, record.counter_hist_max) with record.counter_hist_buckets buckets.
-  h.finish = [swarm, params, n](const TrialContext& ctx,
-                                Recorder& rec) -> Status {
-    if (MetricRequested(*ctx.spec, "cdf(counter)")) {
-      DYNAGG_ASSIGN_OR_RETURN(const int64_t max_counter,
-                              ctx.spec->ParamInt("record.max_counter", 12));
-      if (max_counter < 1 || max_counter >= kCsrInfinity) {
-        return Status::InvalidArgument(
-            "record.max_counter must be in [1, 254]");
-      }
-      const int max_c = static_cast<int>(max_counter);
-      std::vector<std::vector<int64_t>> histograms(
-          params.levels, std::vector<int64_t>(max_c + 1, 0));
-      for (HostId id = 0; id < n; ++id) {
-        const CountSketchResetNode& node = swarm->node(id);
-        for (int k = 0; k < params.levels; ++k) {
-          for (const uint8_t c : node.level_row(k)) {
-            if (c == kCsrInfinity) continue;
-            ++histograms[k][c <= max_c ? c : max_c];
-          }
-        }
-      }
-      HistogramRecord* record = rec.MutableHistogram(
-          "counter_cdf", /*key_name=*/"bit", "counter_value", "cdf",
-          /*cumulative=*/true, /*min_key_total=*/n / 100 + 1);
-      for (int k = 0; k < params.levels; ++k) {
-        for (int c = 0; c <= max_c; ++c) {
-          record->buckets.push_back({static_cast<double>(k),
-                                     static_cast<double>(c),
-                                     histograms[k][c]});
-        }
-      }
-    }
-    DYNAGG_ASSIGN_OR_RETURN(const std::vector<double> quantiles,
-                            ParseCounterQuantilesSpec(*ctx.spec));
-    if (!quantiles.empty()) {
-      DYNAGG_ASSIGN_OR_RETURN(
-          const double hist_max,
-          ctx.spec->ParamDouble("record.counter_hist_max", 64.0));
-      DYNAGG_ASSIGN_OR_RETURN(
-          const int64_t hist_buckets,
-          ctx.spec->ParamInt("record.counter_hist_buckets", 64));
-      if (hist_max <= 0 || hist_buckets < 1) {
-        return Status::InvalidArgument(
-            "record.counter_hist_max must be > 0 and "
-            "record.counter_hist_buckets >= 1");
-      }
-      for (int k = 0; k < params.levels; ++k) {
-        Histogram hist(0, hist_max, static_cast<int>(hist_buckets));
-        int64_t finite = 0;
-        for (HostId id = 0; id < n; ++id) {
-          for (const uint8_t c : swarm->node(id).level_row(k)) {
-            if (c == kCsrInfinity) continue;
-            hist.Add(c);
-            ++finite;
-          }
-        }
-        // Skip bits that effectively never appear, as the legacy spatial
-        // ablation did (quantiles of a near-empty histogram are noise).
-        if (finite < n / 50 + 1) continue;
-        for (const double q : quantiles) {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%g", q * 100.0);
-          rec.AddSeriesPoint("bit", "counter_p" + std::string(buf),
-                             static_cast<double>(k), hist.Quantile(q));
-        }
-      }
-    }
-    return Status::OK();
-  };
-  return h;
+  box->state_bytes =
+      static_cast<double>(cfg.params.bins) * cfg.params.levels;
+  return box;
 }
 
 // ------------------------------------------------------- invert-average ---
@@ -763,44 +642,44 @@ Result<InvertAverageSpecParams> ParseInvertAverageSpec(
 }
 
 /// Invert-Average (agg/invert_average.h): dynamic summation as
-/// Count-Sketch-Reset network size x Push-Sum-Revert average. The sketch
-/// cost is amortized across protocol.attributes simultaneous sums while
-/// each sum only adds two doubles of Push-Sum traffic — the bandwidth
-/// argument of Section IV.B, modelled by the gossip_bytes record.
-Result<SwarmHandle> MakeInvertAverage(const TrialContext& ctx,
-                                      EnvHandle& env) {
+/// Count-Sketch-Reset network size x Push-Sum-Revert average, measured
+/// against the live sum. The sketch cost is amortized across
+/// protocol.attributes simultaneous sums while each sum only adds two
+/// doubles of Push-Sum traffic — the bandwidth argument of Section IV.B,
+/// modelled by the gossip_bytes record.
+struct InvertAverageBox {
+  std::vector<double> values;
+  InvertAverageSwarm swarm;
+  int64_t attributes = 1;
+  double state_bytes = 0.0;
+
+  InvertAverageBox(std::vector<double> v, const InvertAverageParams& params)
+      : values(std::move(v)), swarm(values, params) {}
+
+  double Estimate(HostId id) const { return swarm.EstimateSum(id); }
+  double Truth(const Population& pop) const { return TrueSum(values, pop); }
+  /// One shared size sketch plus two doubles of Push-Sum state per summed
+  /// attribute, both directions per initiated exchange.
+  double GossipBytes() const {
+    const CsrParams& csr = swarm.csr().params();
+    return SketchGossipBytes(csr.bins, csr.levels, 1) +
+           static_cast<double>(attributes) * 2.0 * (2.0 * sizeof(double));
+  }
+};
+
+BoxResult<InvertAverageBox> MakeInvertAverage(const TrialContext& ctx,
+                                              EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const InvertAverageSpecParams cfg,
                           ParseInvertAverageSpec(*ctx.spec));
-  const InvertAverageParams& params = cfg.params;
-  const int64_t attributes = cfg.attributes;
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<InvertAverageSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), params);
-  InvertAverageSwarm* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-  SwarmHandle h;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  h.estimate = [swarm](HostId id) { return swarm->EstimateSum(id); };
-  h.truth = [values](const Population& pop) {
-    return TrueSum(*values, pop);
-  };
-  h.failure_values = values;
+  auto box = std::make_shared<InvertAverageBox>(
+      UniformWorkloadValues(n, ctx.trial_seed), cfg.params);
+  box->attributes = cfg.attributes;
   // Push-Sum-Revert mass (3 doubles) plus the CSR counter array.
-  h.state_bytes =
+  box->state_bytes =
       3.0 * sizeof(double) +
-      static_cast<double>(params.csr.bins) * params.csr.levels;
-  // One shared size sketch plus two doubles of Push-Sum state per summed
-  // attribute, both directions per initiated exchange.
-  h.gossip_bytes =
-      SketchGossipBytes(params.csr.bins, params.csr.levels, 1) +
-      static_cast<double>(attributes) * 2.0 * (2.0 * sizeof(double));
-  MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
+      static_cast<double>(cfg.params.csr.bins) * cfg.params.csr.levels;
+  return box;
 }
 
 // ---------------------------------------------------- serialized facade ---
@@ -850,9 +729,12 @@ class NodeAggregatorSwarm {
   RoundKernel kernel_;
 };
 
+/// Which aggregate the facade population reports (protocol.metric).
+enum class FacadeMetric { kAverage, kCount, kSum };
+
 struct NodeAggregatorSpecParams {
   AggregatorConfig config;
-  std::string metric;
+  FacadeMetric metric = FacadeMetric::kAverage;
 };
 
 Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
@@ -872,7 +754,7 @@ Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
   DYNAGG_ASSIGN_OR_RETURN(
       config.count_multiplicity,
       spec.ParamInt("protocol.multiplicity", config.count_multiplicity));
-  DYNAGG_ASSIGN_OR_RETURN(out.metric,
+  DYNAGG_ASSIGN_OR_RETURN(const std::string metric,
                           spec.ParamString("protocol.metric", "average"));
   if (config.lambda < 0.0 || config.lambda > 1.0) {
     return Status::InvalidArgument("protocol.lambda must be in [0, 1]");
@@ -881,10 +763,15 @@ Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
   if (config.count_multiplicity < 1) {
     return Status::InvalidArgument("protocol.multiplicity must be >= 1");
   }
-  if (out.metric != "average" && out.metric != "count" &&
-      out.metric != "sum") {
+  if (metric == "average") {
+    out.metric = FacadeMetric::kAverage;
+  } else if (metric == "count") {
+    out.metric = FacadeMetric::kCount;
+  } else if (metric == "sum") {
+    out.metric = FacadeMetric::kSum;
+  } else {
     return Status::InvalidArgument(
-        "protocol.metric must be average, count or sum, got '" + out.metric +
+        "protocol.metric must be average, count or sum, got '" + metric +
         "'");
   }
   config.csr.bins = static_cast<int>(bins);
@@ -892,57 +779,55 @@ Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
   return out;
 }
 
-Result<SwarmHandle> MakeNodeAggregator(const TrialContext& ctx,
-                                       EnvHandle& env) {
+/// The facade population measured by protocol.metric; the values back
+/// kill_top_fraction.
+struct NodeAggregatorBox {
+  std::vector<double> values;
+  NodeAggregatorSwarm swarm;
+  FacadeMetric metric = FacadeMetric::kAverage;
+  double state_bytes = 0.0;
+
+  NodeAggregatorBox(std::vector<double> v, const AggregatorConfig& config)
+      : values(std::move(v)), swarm(values, config) {}
+
+  double Estimate(HostId id) const {
+    const NodeAggregator& device = swarm.device(id);
+    switch (metric) {
+      case FacadeMetric::kAverage:
+        return device.AverageEstimate();
+      case FacadeMetric::kCount:
+        return device.CountEstimate();
+      case FacadeMetric::kSum:
+        return device.SumEstimate();
+    }
+    return 0.0;
+  }
+  double Truth(const Population& pop) const {
+    switch (metric) {
+      case FacadeMetric::kAverage:
+        return TrueAverage(values, pop);
+      case FacadeMetric::kCount:
+        return static_cast<double>(pop.num_alive());
+      case FacadeMetric::kSum:
+        return TrueSum(values, pop);
+    }
+    return 0.0;
+  }
+};
+
+BoxResult<NodeAggregatorBox> MakeNodeAggregator(const TrialContext& ctx,
+                                                EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const NodeAggregatorSpecParams parsed,
                           ParseNodeAggregatorSpec(*ctx.spec));
   const AggregatorConfig& config = parsed.config;
-  const std::string& metric = parsed.metric;
-
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<NodeAggregatorSwarm>>(
+  auto box = std::make_shared<NodeAggregatorBox>(
       UniformWorkloadValues(n, ctx.trial_seed), config);
-  NodeAggregatorSwarm* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-
-  SwarmHandle h;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  if (metric == "average") {
-    h.estimate = [swarm](HostId id) {
-      return swarm->device(id).AverageEstimate();
-    };
-    h.truth = [values](const Population& pop) {
-      return TrueAverage(*values, pop);
-    };
-  } else if (metric == "count") {
-    h.estimate = [swarm](HostId id) {
-      return swarm->device(id).CountEstimate();
-    };
-    h.truth = [](const Population& pop) {
-      return static_cast<double>(pop.num_alive());
-    };
-  } else if (metric == "sum") {
-    h.estimate = [swarm](HostId id) {
-      return swarm->device(id).SumEstimate();
-    };
-    h.truth = [values](const Population& pop) {
-      return TrueSum(*values, pop);
-    };
-  } else {
-    return Status::InvalidArgument(
-        "protocol.metric must be average, count or sum, got '" + metric +
-        "'");
-  }
-  h.failure_values = values;
+  box->metric = parsed.metric;
   // Push-Sum-Revert mass (3 doubles) plus the CSR counter array.
-  h.state_bytes = 3.0 * sizeof(double) +
-                  static_cast<double>(config.csr.bins) * config.csr.levels;
-  MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
+  box->state_bytes = 3.0 * sizeof(double) +
+                     static_cast<double>(config.csr.bins) * config.csr.levels;
+  return box;
 }
 
 // ------------------------------------------------- sketch accuracy table ---
@@ -1254,97 +1139,45 @@ Status RunExtremeRecovery(const TrialContext& ctx, Recorder& rec) {
 namespace internal {
 
 void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
-  // threads_capable marks the push-scatter protocols whose swarms expose
-  // set_intra_round_threads; exchange-only rounds are inherently
-  // sequential. Every entry carries a spec-only validate hook so
-  // `--dry-run` rejects knob/protocol mismatches without building swarms.
-  const auto swarm = [&registry](const std::string& name, SwarmFactory make,
-                                 bool trace_capable, bool threads_capable,
-                                 bool join_capable,
-                                 std::function<Status(const ScenarioSpec&)>
-                                     validate) {
-    ProtocolDef def;
-    def.make_swarm = std::move(make);
-    def.trace_capable = trace_capable;
-    def.threads_capable = threads_capable;
-    def.join_capable = join_capable;
-    def.validate = std::move(validate);
+  // Every entry carries a spec-only validate hook so `--dry-run` rejects
+  // knob/protocol mismatches without building swarms; swarm protocols get
+  // their capabilities from their box type (scenario/swarm_handle.h).
+  const auto add = [&registry](const std::string& name, ProtocolDef def) {
     DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
   };
-  const auto custom = [&registry](const std::string& name,
-                                  ProtocolRunner run,
-                                  std::function<Status(const ScenarioSpec&)>
-                                      validate,
-                                  bool uses_environment = true) {
+  const auto custom = [&add](const std::string& name, ProtocolRunner run,
+                             std::function<Status(const ScenarioSpec&)>
+                                 validate,
+                             bool uses_environment = true) {
     ProtocolDef def;
     def.run_custom = std::move(run);
     def.validate = std::move(validate);
     def.uses_environment = uses_environment;
-    DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
+    add(name, std::move(def));
   };
-  {
-    ProtocolDef def;
-    def.make_swarm = MakePushSum;
-    def.trace_capable = true;
-    def.threads_capable = true;
-    def.async_capable = true;  // push mode only; the parse enforces it
-    def.join_capable = true;
-    def.validate = SpecValidator(ParsePushSumSpec);
-    DYNAGG_CHECK(registry.Register("push-sum", std::move(def)).ok());
-  }
-  {
-    ProtocolDef def;
-    def.make_swarm = MakePushFlow;
-    def.trace_capable = true;
-    def.threads_capable = false;
-    def.async_capable = true;
-    def.join_capable = true;
-    def.validate = ParsePushFlowSpec;
-    DYNAGG_CHECK(registry.Register("push-flow", std::move(def)).ok());
-  }
-  swarm("push-sum-revert", MakePushSumRevert, /*trace_capable=*/true,
-        /*threads_capable=*/true, /*join_capable=*/true,
-        SpecValidator(ParsePsrSpec));
-  swarm("epoch-push-sum", MakeEpochPushSum, /*trace_capable=*/true,
-        /*threads_capable=*/false, /*join_capable=*/true,
-        SpecValidator(ParseEpochSpec));
-  swarm("full-transfer", MakeFullTransfer, /*trace_capable=*/true,
-        /*threads_capable=*/true, /*join_capable=*/true,
-        SpecValidator(ParseFullTransferSpec));
-  swarm("extremes", MakeExtremes, /*trace_capable=*/false,
-        /*threads_capable=*/false, /*join_capable=*/true,
-        SpecValidator(ParseExtremesSpec));
-  swarm("count-sketch", MakeCountSketch, /*trace_capable=*/true,
-        /*threads_capable=*/false, /*join_capable=*/true,
-        SpecValidator(ParseCountSketchSpec));
-  {
-    ProtocolDef def;
-    def.make_swarm = MakeCountSketchReset;
-    def.trace_capable = true;
-    def.threads_capable = false;
-    def.join_capable = true;
-    def.validate = SpecValidator(ParseCsrSpec);
-    def.models_gossip_bytes = true;
-    def.extra_metrics = {"cdf(counter)", "counter_quantiles(*)"};
-    def.extra_record_keys = {"max_counter", "counter_hist_max",
-                             "counter_hist_buckets"};
-    DYNAGG_CHECK(
-        registry.Register("count-sketch-reset", std::move(def)).ok());
-  }
-  {
-    ProtocolDef def;
-    def.make_swarm = MakeInvertAverage;
-    def.threads_capable = true;
-    def.join_capable = true;
-    def.models_gossip_bytes = true;
-    def.validate = SpecValidator(ParseInvertAverageSpec);
-    DYNAGG_CHECK(registry.Register("invert-average", std::move(def)).ok());
-  }
-  // The serialized facade has no state-reset wire message yet, so it stays
-  // join-incapable (churn.* specs are rejected at --dry-run).
-  swarm("node-aggregator", MakeNodeAggregator, /*trace_capable=*/false,
-        /*threads_capable=*/false, /*join_capable=*/false,
-        SpecValidator(ParseNodeAggregatorSpec));
+  add("push-sum", SwarmProtocol(MakePushSum, SpecValidator(ParsePushSumSpec)));
+  add("push-flow", SwarmProtocol(MakePushFlow, ParsePushFlowSpec));
+  add("push-sum-revert",
+      SwarmProtocol(MakePushSumRevert, SpecValidator(ParsePsrSpec)));
+  add("epoch-push-sum",
+      SwarmProtocol(MakeEpochPushSum, SpecValidator(ParseEpochSpec)));
+  add("full-transfer",
+      SwarmProtocol(MakeFullTransfer, SpecValidator(ParseFullTransferSpec)));
+  add("extremes", SwarmProtocol(MakeExtremes, SpecValidator(ParseExtremesSpec)));
+  add("count-sketch",
+      SwarmProtocol(MakeCountSketch, SpecValidator(ParseCountSketchSpec)));
+  ProtocolDef csr =
+      SwarmProtocol(MakeCountSketchReset, SpecValidator(ParseCsrSpec));
+  csr.extra_metrics = {"cdf(counter)", "counter_quantiles(*)"};
+  csr.extra_record_keys = {"max_counter", "counter_hist_max",
+                           "counter_hist_buckets"};
+  add("count-sketch-reset", std::move(csr));
+  add("invert-average",
+      SwarmProtocol(MakeInvertAverage, SpecValidator(ParseInvertAverageSpec)));
+  // The serialized facade has no state-reset wire message yet, so its swarm
+  // has no OnJoin and churn.* specs are rejected at --dry-run.
+  add("node-aggregator", SwarmProtocol(MakeNodeAggregator,
+                                       SpecValidator(ParseNodeAggregatorSpec)));
   custom("tag-tree", RunTagTree, SpecValidator(ParseTagTreeSpec));
   // Sweeps sketch parameters over synthetic multisets: no gossip topology,
   // so the spec's environment is never built (or validated).

@@ -1,5 +1,6 @@
 #include "scenario/trial.h"
 
+#include <iterator>
 #include <utility>
 
 #include "common/macros.h"
@@ -157,6 +158,22 @@ const std::vector<RecordTypeInfo>& RecordTypeCatalog() {
                     "(bandwidth)"},
   };
   return types;
+}
+
+std::string DescribeCapabilities(Capabilities caps) {
+  // Indexed by Capability.
+  static constexpr const char* kNames[] = {
+      "trace", "threads", "async", "join", "gossip_bytes", "metered",
+      "value-backed"};
+  static_assert(std::size(kNames) ==
+                static_cast<size_t>(Capability::kValueBacked) + 1);
+  std::string out;
+  for (size_t i = 0; i < std::size(kNames); ++i) {
+    if (!caps.Has(static_cast<Capability>(i))) continue;
+    if (!out.empty()) out += ", ";
+    out += kNames[i];
+  }
+  return out.empty() ? "—" : out;
 }
 
 namespace internal {

@@ -268,10 +268,47 @@ using EnvironmentFactory =
 
 // ------------------------------------------------------- Driver API v1 ---
 
+/// A swarm protocol's optional abilities, one per optional SwarmHandle
+/// hook. Each is derived once from the swarm type (scenario/swarm_handle.h),
+/// so the handle's hooks and the registered ProtocolDef::capabilities
+/// cannot disagree.
+enum class Capability : uint8_t {
+  kTrace,        // group_truths: `driver = trace`
+  kThreads,      // set_threads: `intra_round_threads > 1`
+  kAsync,        // async_tick / async_deliver: `driver = async`
+  kJoin,         // on_join: `churn.*` keys
+  kGossipBytes,  // gossip_bytes >= 0: `record = gossip_bytes`
+  kMetered,      // set_meter: `record = bandwidth` (rounds, trace drivers)
+  kValueBacked,  // failure_values: `failure.kind = kill_top_fraction`
+};
+
+/// A set of Capability values.
+class Capabilities {
+ public:
+  constexpr Capabilities& Add(Capability c) {
+    bits_ |= Bit(c);
+    return *this;
+  }
+  constexpr bool Has(Capability c) const { return (bits_ & Bit(c)) != 0; }
+
+ private:
+  static constexpr uint32_t Bit(Capability c) {
+    return uint32_t{1} << static_cast<int>(c);
+  }
+  uint32_t bits_ = 0;
+};
+
+/// `caps` as a ", "-joined list of names in declaration order (trace,
+/// threads, async, join, gossip_bytes, metered, value-backed), or "—" when
+/// empty: `dynagg_run --list` and the docs' protocol catalog.
+std::string DescribeCapabilities(Capabilities caps);
+
 /// One trial's constructed protocol instance, type-erased: how the swarm
 /// exchanges state each round plus the hooks a driver needs to measure it.
-/// Factories bundle the swarm and its backing storage into `keepalive` and
-/// capture raw pointers into it from the callbacks.
+/// MakeSwarmHandle (scenario/swarm_handle.h) derives every hook from the
+/// swarm type, bundles the swarm and its backing storage into `keepalive`
+/// and captures raw pointers into it from the callbacks. Each optional
+/// hook backs one Capability.
 struct SwarmHandle {
   /// Executes one gossip round (required).
   std::function<void(const Environment&, const Population&, Rng&)> run_round;
@@ -283,7 +320,8 @@ struct SwarmHandle {
   std::function<double(const Population&)> truth;
   /// Per-group truth for group-relative (trace) error: given the current
   /// component labelling and per-group member counts, the truth of each
-  /// group (index = group id). Null = no `driver = trace` support.
+  /// group (index = group id). Null = no `driver = trace` support
+  /// (Capability::kTrace).
   std::function<std::vector<double>(const std::vector<int>& labels,
                                     const std::vector<int>& sizes)>
       group_truths;
@@ -292,34 +330,35 @@ struct SwarmHandle {
   /// comparable to group sizes.
   std::function<double(HostId)> group_estimate;
   /// Per-host scalar values backing failure.kind = kill_top_fraction; null
-  /// for protocols without per-host scalar inputs.
+  /// for protocols without per-host scalar inputs (Capability::kValueBacked).
   const std::vector<double>* failure_values = nullptr;
   /// Per-host state footprint reported by the bandwidth record.
   double state_bytes = 0.0;
   /// Modelled per-host per-round gossip payload in bytes (the analytic
   /// bandwidth model behind `record = gossip_bytes`, e.g. the
   /// Invert-Average attribute-scaling argument); < 0 = not modelled, and
-  /// the drivers reject the selector.
+  /// the drivers reject the selector (Capability::kGossipBytes).
   double gossip_bytes = -1.0;
   /// Attaches a traffic meter for the bandwidth metric; null = the
-  /// protocol cannot measure traffic.
+  /// protocol cannot measure traffic (Capability::kMetered).
   std::function<void(TrafficMeter*)> set_meter;
   /// Sets the round kernel's intra-round scatter thread count (the
   /// top-level `intra_round_threads` key); null = the protocol has no
-  /// data-parallel apply phase, and the drivers reject values > 1.
+  /// data-parallel apply phase, and the drivers reject values > 1
+  /// (Capability::kThreads).
   std::function<void(int)> set_threads;
   /// Initializes the state of host `id` when a churn plan activates it —
   /// first arrivals and rebirths with ID reuse both land here, and the
   /// reset must touch only the joining host's own slots (no RNG, no
   /// shared state) so existing hosts' streams and the byte-identity
   /// contract are untouched. Null = the protocol cannot admit hosts, and
-  /// `--dry-run` rejects churn.* keys (see ProtocolDef::join_capable).
+  /// `--dry-run` rejects churn.* keys (Capability::kJoin).
   std::function<void(HostId)> on_join;
   /// Message-level gossip (`driver = async`): plans one gossip tick,
   /// appending the messages each alive initiator would send to `out`
   /// without delivering anything. The async driver runs them through the
   /// network model and calls `async_deliver` when (and if) each arrives.
-  /// Null = the protocol cannot run message-level.
+  /// Null = the protocol cannot run message-level (Capability::kAsync).
   std::function<void(const Environment&, const Population&, Rng&,
                      std::vector<net::Message>*)>
       async_tick;
@@ -350,26 +389,12 @@ struct ProtocolDef {
   /// Whole-trial protocols that own their own time loop; executed by the
   /// rounds driver, rejected by event-driven drivers.
   ProtocolRunner run_custom;
-  /// Whether the factory provides the group hooks `driver = trace` needs.
-  /// Static so `--dry-run` can reject trace specs without building swarms.
-  bool trace_capable = false;
-  /// Whether the built swarm exposes the round kernel's data-parallel
-  /// apply hook (SwarmHandle::set_threads). Static so `--dry-run` can
-  /// reject `intra_round_threads > 1` on exchange-only and custom
-  /// protocols without building swarms.
-  bool threads_capable = false;
-  /// Whether the built swarm sets SwarmHandle::gossip_bytes (the analytic
-  /// payload model). Static so `--dry-run` can reject `record =
-  /// gossip_bytes` on protocols without a model.
-  bool models_gossip_bytes = false;
-  /// Whether the factory provides the message-level hooks `driver = async`
-  /// needs (SwarmHandle::async_tick / async_deliver). Static so `--dry-run`
-  /// can reject async specs without building swarms.
-  bool async_capable = false;
-  /// Whether the built swarm exposes the churn-join reset hook
-  /// (SwarmHandle::on_join). Static so `--dry-run` can reject churn.*
-  /// keys on protocols that cannot admit hosts without building swarms.
-  bool join_capable = false;
+  /// What the built swarm can do beyond the rounds driver's basics, derived
+  /// from the swarm type by the registration helper (SwarmProtocol in
+  /// scenario/swarm_handle.h) from the same traits that set the handle's
+  /// hooks. Static so `--dry-run` can reject capability mismatches without
+  /// building swarms. Empty for custom runners.
+  Capabilities capabilities;
   /// Whether the protocol instantiates the spec's environment. False only
   /// for whole-trial runners with no gossip topology (fm-accuracy), whose
   /// specs skip the environment's spec-only validation — they never build

@@ -36,6 +36,7 @@
 #include "common/status.h"
 #include "scenario/config.h"
 #include "scenario/spec.h"
+#include "scenario/swarm_handle.h"
 #include "sim/workload.h"
 #include "stream/freq_sketch.h"
 #include "stream/stream_swarm.h"
@@ -393,10 +394,30 @@ Result<int> CheckedStreamHosts(const EnvHandle& env) {
   return n;
 }
 
-Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
-                                   SketchKind kind) {
+/// A stream sketch swarm measured against the global stream mass; the
+/// heavy-hitter records read its final state.
+struct StreamBox {
+  StreamSketchSwarm swarm;
+  double state_bytes;
+
+  StreamBox(int n, const StreamSwarmParams& params, const KeyedStreamGen& gen)
+      : swarm(n, params, gen),
+        state_bytes(static_cast<double>(swarm.message_bytes())) {}
+
+  double Estimate(HostId id) const { return swarm.Estimate(id); }
+  double Truth(const Population&) const { return swarm.TruthTotal(); }
+  double GossipBytes() const {
+    return static_cast<double>(swarm.message_bytes());
+  }
+  Status Finish(const TrialContext& ctx, Recorder& rec) const {
+    return FinishHeavyHitters(swarm, ctx, rec);
+  }
+};
+
+template <SketchKind kKind>
+BoxResult<StreamBox> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const FreqSketchSpecParams cfg,
-                          ParseFreqSketchSpec(*ctx.spec, kind));
+                          ParseFreqSketchSpec(*ctx.spec, kKind));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedStreamHosts(env));
   const int64_t total_bytes = int64_t{2} * n *
                               (int64_t{cfg.depth} * cfg.width + 2) *
@@ -410,7 +431,7 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t workload_stream,
                           WorkloadStream(*ctx.spec, ctx, n));
   StreamSwarmParams params;
-  params.kind = kind;
+  params.kind = kKind;
   params.depth = cfg.depth;
   params.width = cfg.width;
   params.hash_seed = DeriveSeed(ctx.trial_seed, kSketchHashStream);
@@ -419,24 +440,19 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
   const KeyedStreamGen gen(cfg.workload.kind, cfg.workload.keys,
                            cfg.workload.skew,
                            DeriveSeed(ctx.trial_seed, workload_stream));
-  auto swarm = std::make_shared<StreamSketchSwarm>(n, params, gen);
-  StreamSketchSwarm* raw = swarm.get();
-  SwarmHandle h;
-  h.run_round = [raw](const Environment& e, const Population& p, Rng& r) {
-    raw->RunRound(e, p, r);
-  };
-  h.estimate = [raw](HostId id) { return raw->Estimate(id); };
-  h.truth = [raw](const Population&) { return raw->TruthTotal(); };
-  h.state_bytes = static_cast<double>(raw->message_bytes());
-  h.gossip_bytes = static_cast<double>(raw->message_bytes());
-  h.set_meter = [raw](TrafficMeter* m) { raw->set_traffic_meter(m); };
-  h.set_threads = [raw](int t) { raw->set_intra_round_threads(t); };
-  h.on_join = [raw](HostId id) { raw->OnJoin(id); };
-  h.finish = [raw](const TrialContext& c, Recorder& rec) {
-    return FinishHeavyHitters(*raw, c, rec);
-  };
-  h.keepalive = std::move(swarm);
-  return h;
+  return std::make_shared<StreamBox>(n, params, gen);
+}
+
+template <SketchKind kKind>
+ProtocolDef FreqSketchProtocol() {
+  ProtocolDef def = SwarmProtocol(
+      MakeFreqSketch<kKind>, [](const ScenarioSpec& spec) {
+        return ParseFreqSketchSpec(spec, kKind).status();
+      });
+  def.consumes_workload = true;
+  def.extra_metrics = {"hh_precision(*)", "hh_recall(*)",
+                       "hh_weighted_err(*)", "sketch_bytes", "hh_frontier"};
+  return def;
 }
 
 }  // namespace
@@ -444,24 +460,14 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
 namespace internal {
 
 void RegisterStreamProtocols(Registry<ProtocolDef>& registry) {
-  const auto sketch = [&registry](const std::string& name, SketchKind kind) {
-    ProtocolDef def;
-    def.make_swarm = [kind](const TrialContext& ctx, EnvHandle& env) {
-      return MakeFreqSketch(ctx, env, kind);
-    };
-    def.threads_capable = true;
-    def.join_capable = true;
-    def.models_gossip_bytes = true;
-    def.consumes_workload = true;
-    def.validate = [kind](const ScenarioSpec& spec) {
-      return ParseFreqSketchSpec(spec, kind).status();
-    };
-    def.extra_metrics = {"hh_precision(*)", "hh_recall(*)",
-                         "hh_weighted_err(*)", "sketch_bytes", "hh_frontier"};
-    DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
-  };
-  sketch("count-min", SketchKind::kCountMin);
-  sketch("count-sketch-freq", SketchKind::kCountSketch);
+  DYNAGG_CHECK(registry
+                   .Register("count-min",
+                             FreqSketchProtocol<SketchKind::kCountMin>())
+                   .ok());
+  DYNAGG_CHECK(registry
+                   .Register("count-sketch-freq",
+                             FreqSketchProtocol<SketchKind::kCountSketch>())
+                   .ok());
 }
 
 }  // namespace internal

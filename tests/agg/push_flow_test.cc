@@ -94,7 +94,7 @@ TEST(PushFlowSwarmTest, AsyncTickPlansOneMessagePerMatchedHost) {
   // network total is short by exactly the undelivered flow...
   EXPECT_LT(TotalEffectiveWeight(swarm), n);
   // ...and delivering the wave restores conservation exactly.
-  for (const net::Message& m : wave) swarm.DeliverFlow(m);
+  for (const net::Message& m : wave) swarm.Deliver(m);
   EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
 }
 
@@ -112,14 +112,14 @@ TEST(PushFlowSwarmTest, LostMessageSelfHealsOnNextPushOverSameEdge) {
   swarm.PlanAsyncTick(env, pop, rng, &wave);
   ASSERT_EQ(wave.size(), 2u);
   for (const net::Message& m : wave) {
-    if (m.src != 0) swarm.DeliverFlow(m);  // drop host 0's first push
+    if (m.src != 0) swarm.Deliver(m);  // drop host 0's first push
   }
   EXPECT_LT(TotalEffectiveWeight(swarm), 2.0);
 
   for (int tick = 0; tick < 4; ++tick) {
     wave.clear();
     swarm.PlanAsyncTick(env, pop, rng, &wave);
-    for (const net::Message& m : wave) swarm.DeliverFlow(m);
+    for (const net::Message& m : wave) swarm.Deliver(m);
   }
   EXPECT_NEAR(TotalEffectiveMass(swarm), 100.0, 1e-9);
   EXPECT_NEAR(TotalEffectiveWeight(swarm), 2.0, 1e-9);
@@ -134,18 +134,18 @@ TEST(PushFlowSwarmTest, StaleSequenceNumbersAreIgnored) {
   // (seq 1) must be dropped instead of rolling the view backwards.
   const net::Message newer{0, 1, 8.0, 0.75, 2};
   const net::Message older{0, 1, 5.0, 0.5, 1};
-  swarm.DeliverFlow(newer);
+  swarm.Deliver(newer);
   const double mass_after_newer = swarm.effective_mass(1);
   const double weight_after_newer = swarm.effective_weight(1);
   EXPECT_DOUBLE_EQ(mass_after_newer, 28.0);
   EXPECT_DOUBLE_EQ(weight_after_newer, 1.75);
 
-  swarm.DeliverFlow(older);
+  swarm.Deliver(older);
   EXPECT_DOUBLE_EQ(swarm.effective_mass(1), mass_after_newer);
   EXPECT_DOUBLE_EQ(swarm.effective_weight(1), weight_after_newer);
 
   // A genuinely newer restatement still applies, as a delta on the view.
-  swarm.DeliverFlow(net::Message{0, 1, 9.0, 1.0, 3});
+  swarm.Deliver(net::Message{0, 1, 9.0, 1.0, 3});
   EXPECT_DOUBLE_EQ(swarm.effective_mass(1), 29.0);
   EXPECT_DOUBLE_EQ(swarm.effective_weight(1), 2.0);
 }
@@ -153,9 +153,9 @@ TEST(PushFlowSwarmTest, StaleSequenceNumbersAreIgnored) {
 TEST(PushFlowSwarmTest, DuplicateDeliveryIsIdempotent) {
   PushFlowSwarm swarm({10.0, 20.0});
   const net::Message m{0, 1, 5.0, 0.5, 1};
-  swarm.DeliverFlow(m);
+  swarm.Deliver(m);
   const double mass = swarm.effective_mass(1);
-  swarm.DeliverFlow(m);  // retransmission of the same cumulative flow
+  swarm.Deliver(m);  // retransmission of the same cumulative flow
   EXPECT_DOUBLE_EQ(swarm.effective_mass(1), mass);
 }
 
@@ -205,7 +205,7 @@ TEST(PushFlowSwarmTest, RebornHostsFirstPushIsAccepted) {
   for (int tick = 0; tick < 5; ++tick) {
     wave.clear();
     swarm.PlanAsyncTick(env, pop, rng, &wave);
-    for (const net::Message& m : wave) swarm.DeliverFlow(m);
+    for (const net::Message& m : wave) swarm.Deliver(m);
   }
   swarm.OnJoin(0);
   EXPECT_NEAR(TotalEffectiveMass(swarm), 100.0, 1e-9);
@@ -217,7 +217,7 @@ TEST(PushFlowSwarmTest, RebornHostsFirstPushIsAccepted) {
     EXPECT_EQ(m.tag, 1u) << "sender " << m.src;  // both halves restarted
     const double mass_before = swarm.effective_mass(m.dst);
     const double weight_before = swarm.effective_weight(m.dst);
-    swarm.DeliverFlow(m);
+    swarm.Deliver(m);
     EXPECT_DOUBLE_EQ(swarm.effective_mass(m.dst), mass_before + m.a);
     EXPECT_DOUBLE_EQ(swarm.effective_weight(m.dst), weight_before + m.b);
   }
@@ -232,15 +232,15 @@ TEST(PushFlowSwarmTest, HostTracksHundredsOfPeers) {
   const int peers = 500;
   PushFlowSwarm hub(std::vector<double>(peers + 1, 0.0));
   for (HostId p = 1; p <= peers; ++p) {
-    hub.DeliverFlow(net::Message{p, 0, static_cast<double>(p), 1.0, 2});
+    hub.Deliver(net::Message{p, 0, static_cast<double>(p), 1.0, 2});
   }
   EXPECT_EQ(hub.num_edges(0), peers);
   const double first = peers * (peers + 1) / 2.0;
   EXPECT_EQ(hub.effective_mass(0), first);
   EXPECT_EQ(hub.effective_weight(0), 1.0 + peers);
   for (HostId p = peers; p >= 1; --p) {
-    hub.DeliverFlow(net::Message{p, 0, 1e6, 1e6, 1});  // stale: dropped
-    hub.DeliverFlow(net::Message{p, 0, p + 1.0, 2.0, 3});
+    hub.Deliver(net::Message{p, 0, 1e6, 1e6, 1});  // stale: dropped
+    hub.Deliver(net::Message{p, 0, p + 1.0, 2.0, 3});
   }
   EXPECT_EQ(hub.num_edges(0), peers);
   EXPECT_EQ(hub.effective_mass(0), first + peers);
@@ -260,7 +260,7 @@ TEST(PushFlowSwarmTest, HostTracksHundredsOfPeers) {
   for (int tick = 0; tick < 300; ++tick) {
     wave.clear();
     swarm.PlanAsyncTick(env, pop, rng, &wave);
-    for (const net::Message& m : wave) swarm.DeliverFlow(m);
+    for (const net::Message& m : wave) swarm.Deliver(m);
   }
   EXPECT_GT(swarm.num_edges(0), 200);
   EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);

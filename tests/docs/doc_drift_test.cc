@@ -4,7 +4,8 @@
 // catalogs. The test reads the manual straight from the source tree
 // (DYNAGG_SOURCE_DIR) and requires each name to appear backticked, so
 // registering a new protocol or spec key without documenting it fails CI
-// with the missing name in the message.
+// with the missing name in the message. The protocol catalog must also
+// list each protocol's derived capabilities exactly.
 
 #include <fstream>
 #include <sstream>
@@ -57,6 +58,28 @@ std::string* DocDriftTest::doc_ = nullptr;
 TEST_F(DocDriftTest, EveryProtocolIsDocumented) {
   for (const std::string& name : scenario::ProtocolRegistry().Names()) {
     ExpectDocumented(name, "protocol");
+  }
+}
+
+// The protocol catalog's capabilities column must list exactly what the
+// registry derives from each swarm type ("—" for none), in canonical
+// order — the same string `dynagg_run --list` prints.
+TEST_F(DocDriftTest, ProtocolCapabilitiesMatchTheRegistry) {
+  const size_t catalog = doc_->find("## Protocol catalog");
+  ASSERT_NE(catalog, std::string::npos);
+  for (const std::string& name : scenario::ProtocolRegistry().Names()) {
+    const std::string row_start = "\n| `" + name + "` | ";
+    const size_t row = doc_->find(row_start, catalog);
+    ASSERT_NE(row, std::string::npos)
+        << "protocol '" << name << "' has no catalog row";
+    const size_t begin = row + row_start.size();
+    const std::string documented =
+        doc_->substr(begin, doc_->find(" |", begin) - begin);
+    const scenario::ProtocolDef def =
+        scenario::ProtocolRegistry().Find(name).value();
+    EXPECT_EQ(documented, scenario::DescribeCapabilities(def.capabilities))
+        << "docs/spec_reference.md lists the wrong capabilities for '"
+        << name << "'";
   }
 }
 

@@ -222,7 +222,7 @@ TEST(IntraRoundThreadsTest, CustomProtocolRejectedAtValidation) {
 TEST(IntraRoundThreadsTest, ExchangeOnlyProtocolRejectedAtValidation) {
   // count-sketch rounds are sequential pairwise merges with no
   // data-parallel apply phase; --dry-run must reject the knob statically
-  // (ProtocolDef::threads_capable), not first at execution.
+  // (Capability::kThreads), not first at execution.
   const auto specs = ParseScenarioFile("protocol = count-sketch\n"
                                        "hosts = 20\n"
                                        "intra_round_threads = 2\n");

@@ -80,6 +80,52 @@ TEST(BuiltinRegistryTest, UnknownEnvironmentFailsExperimentCleanly) {
             std::string::npos);
 }
 
+// Every swarm protocol's registered capability set must equal what its
+// built handle actually provides: a capability without its hook (or the
+// reverse) would make --dry-run and execution disagree.
+TEST(BuiltinRegistryTest, CapabilitiesMatchBuiltHooks) {
+  for (const std::string& name : ProtocolRegistry().Names()) {
+    const ProtocolDef def = ProtocolRegistry().Find(name).value();
+    if (!def.make_swarm) {
+      EXPECT_EQ(DescribeCapabilities(def.capabilities), "—") << name;
+      continue;
+    }
+    ScenarioSpec spec;
+    spec.name = "capabilities";
+    spec.protocol = name;
+    spec.hosts = 16;
+    spec.rounds = 2;
+    if (def.consumes_workload) spec.params["workload.kind"] = "zipf";
+    // push-sum plans async messages in push mode only.
+    if (name == "push-sum") spec.params["protocol.mode"] = "push";
+    TrialContext ctx;
+    ctx.spec = &spec;
+    ctx.trial_seed = 1;
+    Result<EnvHandle> env = MakeEnvironment(ctx);
+    ASSERT_TRUE(env.ok()) << name << ": " << env.status().ToString();
+    Result<SwarmHandle> swarm = def.make_swarm(ctx, *env);
+    ASSERT_TRUE(swarm.ok()) << name << ": " << swarm.status().ToString();
+    const SwarmHandle& h = *swarm;
+    const Capabilities& caps = def.capabilities;
+    ASSERT_TRUE(h.run_round && h.estimate && h.truth) << name;
+    EXPECT_EQ(caps.Has(Capability::kTrace), h.group_truths != nullptr)
+        << name;
+    EXPECT_EQ(caps.Has(Capability::kThreads), h.set_threads != nullptr)
+        << name;
+    EXPECT_EQ(caps.Has(Capability::kAsync),
+              h.async_tick && h.async_deliver && h.message_bytes > 0)
+        << name;
+    EXPECT_EQ(caps.Has(Capability::kJoin), h.on_join != nullptr) << name;
+    EXPECT_EQ(caps.Has(Capability::kGossipBytes), h.gossip_bytes >= 0)
+        << name;
+    EXPECT_EQ(caps.Has(Capability::kMetered), h.set_meter != nullptr)
+        << name;
+    EXPECT_EQ(caps.Has(Capability::kValueBacked),
+              h.failure_values != nullptr)
+        << name;
+  }
+}
+
 // A workload registered from outside the engine becomes runnable from a
 // spec without touching the runner: the whole point of the registries.
 TEST(BuiltinRegistryTest, CustomProtocolPlugsIntoExecutor) {

@@ -165,6 +165,69 @@ TEST(DryRunValidationTest, RejectsGossipBytesOnProtocolWithoutModel) {
                   .ok());
 }
 
+// The rounds and trace drivers measure `record = bandwidth` through the
+// swarm's traffic meter. Protocols whose swarm has none (no `metered`
+// capability) fail --dry-run with the message execution would give.
+constexpr char kNoBandwidth[] = "does not support the bandwidth metric";
+
+TEST(DryRunValidationTest, RejectsBandwidthOnExtremes) {
+  ExpectDryRunError("protocol = extremes\nhosts = 16\nrecord = bandwidth\n",
+                    kNoBandwidth);
+}
+
+TEST(DryRunValidationTest, RejectsBandwidthOnEpochPushSum) {
+  ExpectDryRunError(
+      "protocol = epoch-push-sum\nhosts = 16\nrecord = bandwidth\n",
+      kNoBandwidth);
+}
+
+TEST(DryRunValidationTest, RejectsBandwidthOnInvertAverage) {
+  ExpectDryRunError(
+      "protocol = invert-average\nhosts = 16\nrecord = bandwidth\n",
+      kNoBandwidth);
+  // The metered protocols keep accepting it.
+  EXPECT_TRUE(
+      DryRun("protocol = push-sum\nhosts = 16\nrecord = bandwidth\n").ok());
+}
+
+// failure.kind = kill_top_fraction kills the hosts with the largest
+// values; protocols without per-host values (no `value-backed`
+// capability) fail --dry-run with the message execution would give.
+constexpr char kNoValues[] =
+    "failure.kind = kill_top_fraction requires a value-based protocol";
+
+TEST(DryRunValidationTest, RejectsKillTopFractionOnCountSketch) {
+  ExpectDryRunError(
+      "protocol = count-sketch\nhosts = 16\n"
+      "failure.kind = kill_top_fraction\n",
+      kNoValues);
+}
+
+TEST(DryRunValidationTest, RejectsKillTopFractionOnCountSketchReset) {
+  ExpectDryRunError(
+      "protocol = count-sketch-reset\nhosts = 16\n"
+      "failure.kind = kill_top_fraction\n",
+      kNoValues);
+}
+
+TEST(DryRunValidationTest, RejectsKillTopFractionOnCountMin) {
+  ExpectDryRunError(
+      "protocol = count-min\nhosts = 16\nworkload.kind = zipf\n"
+      "failure.kind = kill_top_fraction\n",
+      kNoValues);
+}
+
+TEST(DryRunValidationTest, RejectsKillTopFractionOnCountSketchFreq) {
+  ExpectDryRunError(
+      "protocol = count-sketch-freq\nhosts = 16\nworkload.kind = zipf\n"
+      "failure.kind = kill_top_fraction\n",
+      kNoValues);
+  // The value-backed protocols keep accepting it.
+  EXPECT_TRUE(DryRun("protocol = push-sum-revert\nhosts = 16\n"
+                     "failure.kind = kill_top_fraction\n")
+                  .ok());
+}
+
 TEST(DryRunValidationTest, RejectsFailurePlanKeysOnTraceDriver) {
   ExpectDryRunError(
       "protocol = push-sum-revert\ndriver = trace\nenvironment = haggle\n"

@@ -7,8 +7,9 @@
 // harvested live from the registries, key types and value ranges mirrored
 // from the per-protocol validators — and generates seeded VALID specs plus
 // near-valid mutants (typoed keys, junk values, dropped lines, forbidden
-// key combinations, unknown namespaced knobs). Every generated spec must
-// uphold the dry-run contract:
+// key combinations, unknown namespaced knobs, capability probes that ask
+// any protocol for bandwidth, gossip_bytes, kill_top_fraction, threads or
+// churn). Every generated spec must uphold the dry-run contract:
 //
 //   it either fails `--dry-run` (parse or ValidateExperiment) with an
 //   actionable message, or it executes clean.
@@ -177,7 +178,8 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
   AppendProtocolKnobs(protocol, rng, &lines);
 
   bool used_churn = false;
-  if (def.join_capable && !custom && rng.Bernoulli(0.4)) {
+  if (def.capabilities.Has(scenario::Capability::kJoin) && !custom &&
+      rng.Bernoulli(0.4)) {
     used_churn = true;
     if (rng.Bernoulli(0.7)) {
       lines.push_back(
@@ -232,7 +234,7 @@ void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
     if (lines->empty()) return nullptr;
     return &(*lines)[rng.UniformInt(lines->size())];
   };
-  switch (rng.UniformInt(12)) {
+  switch (rng.UniformInt(13)) {
     case 0: {  // typo a key: drop one character
       SpecLine* line = pick_line();
       if (line != nullptr && !line->key.empty()) {
@@ -295,6 +297,16 @@ void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
       lines->push_back(
           {"record", rng.Bernoulli(0.5) ? "frobnicate" : "rms, rms"});
       break;
+    case 12: {  // capability probe: a key only some protocols support
+      static const SpecLine kProbes[] = {
+          {"record", "bandwidth"},
+          {"record", "gossip_bytes"},
+          {"failure.kind", "kill_top_fraction"},
+          {"intra_round_threads", "2"},
+          {"churn.death_prob", "0.05"}};
+      lines->push_back(kProbes[rng.UniformInt(std::size(kProbes))]);
+      break;
+    }
   }
 }
 

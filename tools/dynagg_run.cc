@@ -22,8 +22,8 @@
 //       Enumerate the experiments in each file (name, protocol,
 //       environment, axes, metrics) without executing anything.
 //   dynagg_run --list
-//       Print the registered protocols, environments, drivers, keyed
-//       workload kinds and record types.
+//       Print the registered protocols with their capabilities,
+//       environments, drivers, keyed workload kinds and record types.
 //   dynagg_run --dry-run file.scenario [...]
 //       Parse and structurally validate every experiment (registry
 //       lookups, metric/aggregate grammar, sweep axes) without executing.
@@ -109,9 +109,14 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
 }
 
 int ListRegistries() {
-  std::printf("protocols:\n");
+  std::printf("protocols (capabilities):\n");
   for (const auto& name : scenario::ProtocolRegistry().Names()) {
-    std::printf("  %s\n", name.c_str());
+    const scenario::ProtocolDef def =
+        scenario::ProtocolRegistry().Find(name).value();
+    std::printf("  %-19s %s\n", name.c_str(),
+                def.make_swarm
+                    ? scenario::DescribeCapabilities(def.capabilities).c_str()
+                    : "custom runner");
   }
   std::printf("environments:\n");
   for (const auto& name : scenario::EnvironmentRegistry().Names()) {
