@@ -51,8 +51,6 @@ FullTransferSwarm::FullTransferSwarm(const std::vector<double>& values,
                                      const FullTransferParams& params)
     : mass_(values.size()),
       inbox_(values.size()),
-      reverted_(values.size()),
-      emitting_(values.size(), 0),
       initial_(values),
       history_(values.size() * static_cast<size_t>(params.window)),
       hist_next_(values.size(), 0),
@@ -68,25 +66,19 @@ FullTransferSwarm::FullTransferSwarm(const std::vector<double>& values,
 void FullTransferSwarm::RunRound(const Environment& env,
                                  const Population& pop, Rng& rng) {
   // Plan `parcels` independent partner draws per alive host (consecutive
-  // slots, the legacy per-parcel draw order), emit every parcel, then
-  // scatter. With no reachable peer a parcel returns to the sender rather
-  // than leaving the system (PartnerPlan::EffectivePartner).
+  // slots, the legacy per-parcel draw order), then deposit every parcel.
+  // With no reachable peer a parcel returns to the sender rather than
+  // leaving the system (PartnerPlan::EffectivePartner).
   const PartnerPlan& plan =
       kernel_.PlanPushRound(env, pop, rng, params_.parcels);
   if (meter_ != nullptr) {
     meter_->RecordMessages(plan.CountMatched(), kMassMessageBytes);
   }
-  if (!kernel_.parallel_deposits()) {
-    kernel_.ForEachPushSlot(
-        [this](HostId src) { return EmitParcelAt(src); },
-        [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
-        [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-  } else {
-    kernel_.EmitAndScatter(
-        &outbox_, /*self_echo=*/false, size(),
-        [this](HostId src) { return EmitParcelAt(src); },
-        [this](HostId dst, const Mass& m) { inbox_[dst] += m; });
-  }
+  kernel_.ForEachPushDeposit(
+      size(), /*self_echo=*/false,
+      [this](HostId src) { return ParcelAt(src); },
+      [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
+      [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
   // On a never-mutated population alive_ids is every host: fold over the
   // index range directly (no id indirection in the hot loop).
   if (pop.version() == 0) {

@@ -82,10 +82,10 @@ class FullTransferNode {
 ///
 /// Structure-of-arrays layout (PushSumSwarm is the template): the node
 /// class above stays as the semantic reference, but the swarm stores flat
-/// parallel arrays — mass, inbox, the cached per-round reverted total, and
-/// one shared history arena of `n * window` Masses (host i's ring lives at
-/// [i * window, (i+1) * window)) — so rounds touch contiguous memory and
-/// no per-host heap vectors. Element operations replicate the node
+/// parallel arrays — mass, inbox, and one shared history arena of
+/// `n * window` Masses (host i's ring lives at [i * window,
+/// (i+1) * window)) — so rounds touch contiguous memory and no per-host
+/// heap vectors. Element operations replicate the node
 /// arithmetic expression-for-expression; bit-identity against a
 /// FullTransferNode vector is pinned by tests/sim/round_kernel_test.cc.
 class FullTransferSwarm {
@@ -120,8 +120,6 @@ class FullTransferSwarm {
   void OnJoin(HostId id) {
     mass_[id] = Mass{1.0, initial_[id]};
     inbox_[id] = Mass{};
-    reverted_[id] = Mass{};
-    emitting_[id] = 0;
     hist_next_[id] = 0;
     hist_count_[id] = 0;
   }
@@ -129,7 +127,7 @@ class FullTransferSwarm {
   /// Optionally records over-the-air traffic.
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
 
-  /// Worker threads for the parcel deposit scatter (bit-identical at any
+  /// Worker threads for the parcel deposit loop (bit-identical at any
   /// count).
   void set_intra_round_threads(int threads) {
     kernel_.set_intra_round_threads(threads);
@@ -137,22 +135,18 @@ class FullTransferSwarm {
 
  private:
   // Element-wise replicas of the FullTransferNode round steps.
-  Mass EmitParcelAt(HostId i) {
-    if (!emitting_[i]) {
-      // First parcel of the round: apply the reversion to the outgoing
-      // total and zero the local mass (full transfer keeps nothing back).
-      reverted_[i].weight =
-          (1.0 - params_.lambda) * mass_[i].weight + params_.lambda;
-      reverted_[i].value = (1.0 - params_.lambda) * mass_[i].value +
-                           params_.lambda * initial_[i];
-      mass_[i] = Mass{};
-      emitting_[i] = 1;
-    }
+  // One parcel: 1/N of the reverted pre-round mass. Full transfer keeps
+  // nothing back; the end-of-round fold overwrites every alive sender's
+  // mass, so the mass is not zeroed here.
+  Mass ParcelAt(HostId i) const {
+    const double weight =
+        (1.0 - params_.lambda) * mass_[i].weight + params_.lambda;
+    const double value = (1.0 - params_.lambda) * mass_[i].value +
+                         params_.lambda * initial_[i];
     const double inv = 1.0 / params_.parcels;
-    return Mass{reverted_[i].weight * inv, reverted_[i].value * inv};
+    return Mass{weight * inv, value * inv};
   }
   void EndRoundAt(HostId i) {
-    emitting_[i] = 0;
     mass_[i] = inbox_[i];
     if (inbox_[i].weight > 0.0) {
       Mass* row = &history_[static_cast<size_t>(i) * params_.window];
@@ -165,8 +159,6 @@ class FullTransferSwarm {
 
   std::vector<Mass> mass_;
   std::vector<Mass> inbox_;
-  std::vector<Mass> reverted_;     // cached reverted totals for the round
-  std::vector<uint8_t> emitting_;  // reverted_ computed this round?
   std::vector<double> initial_;
   // One flat arena of per-host rings over the last `window` mass-bearing
   // rounds (stride = params_.window).
@@ -176,7 +168,6 @@ class FullTransferSwarm {
   FullTransferParams params_;
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;
-  std::vector<Mass> outbox_;  // scratch: per-slot parcels
 };
 
 }  // namespace dynagg

@@ -60,7 +60,7 @@ class InvertAverageSwarm {
   const PushSumRevertSwarm& psr() const { return psr_; }
   const CsrSwarm& csr() const { return csr_; }
 
-  /// Forwards the round kernel's scatter thread count to the PSR instance
+  /// Forwards the round kernel's push-loop thread count to the PSR instance
   /// (CSR exchanges are sequential merges and ignore it).
   void set_intra_round_threads(int threads) {
     psr_.set_intra_round_threads(threads);

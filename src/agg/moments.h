@@ -44,7 +44,7 @@ class DynamicMomentsSwarm {
   const PushSumRevertSwarm& mean_swarm() const { return mean_; }
   const PushSumRevertSwarm& square_swarm() const { return square_; }
 
-  /// Forwards the round kernel's scatter thread count to both instances.
+  /// Forwards the round kernel's push-loop thread count to both instances.
   void set_intra_round_threads(int threads) {
     mean_.set_intra_round_threads(threads);
     square_.set_intra_round_threads(threads);

@@ -15,41 +15,24 @@ PushSumSwarm::PushSumSwarm(const std::vector<double>& values, GossipMode mode)
 void PushSumSwarm::RunRound(const Environment& env, const Population& pop,
                             Rng& rng) {
   if (mode_ == GossipMode::kPush) {
-    // All emissions are simultaneous: plan the partners, then emit and
-    // deposit the halves (self inbox + partner inbox, or both to the
+    // All emissions are simultaneous: plan the partners, then deposit
+    // every host's half twice (self inbox + partner inbox, or both to the
     // sender when it has no reachable peer), then every host adopts its
-    // inbox. Sequentially the emit/deposit pass is fused with destination
-    // prefetch; with intra-round threads the halves are taken first and
-    // scattered data-parallel — bit-identical either way.
+    // inbox. The half is read from the pre-round mass, which the adoption
+    // overwrites for every alive initiator, so nothing is taken in place.
     const PartnerPlan& plan = kernel_.PlanPushRound(env, pop, rng);
     if (meter_ != nullptr) {
       meter_->RecordMessages(plan.CountMatched(), kMassMessageBytes);
     }
-    if (!kernel_.parallel_deposits()) {
-      kernel_.ForEachPushSlot(
-          [this](HostId src) {
-            // PushSumNode::EmitPushHalf on the SoA state: take the mass,
-            // deposit one half into the own inbox, hand the other half to
-            // the kernel for the partner deposit.
-            Mass& m = mass_[src];
-            const Mass half{m.weight * 0.5, m.value * 0.5};
-            m = Mass{};
-            inbox_[src] += half;
-            return half;
-          },
-          [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
-          [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-    } else {
-      kernel_.EmitAndScatter(
-          &outbox_, /*self_echo=*/true, size(),
-          [this](HostId src) {
-            Mass& m = mass_[src];
-            const Mass half{m.weight * 0.5, m.value * 0.5};
-            m = Mass{};
-            return half;
-          },
-          [this](HostId dst, const Mass& m) { inbox_[dst] += m; });
-    }
+    kernel_.ForEachPushDeposit(
+        size(), /*self_echo=*/true,
+        [this](HostId src) {
+          // PushSumNode::TakePushHalf on the SoA state.
+          const Mass& m = mass_[src];
+          return Mass{m.weight * 0.5, m.value * 0.5};
+        },
+        [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
+        [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
     // PushSumNode::EndRound: adopt the summed inbox. On a never-mutated
     // population alive_ids is every host, so the adoption collapses to an
     // array swap plus a clear — no copy pass at all.

@@ -52,8 +52,8 @@ class PushSumNode {
   /// Push-mode round, step 2 (Fig 1), emission only: removes the full mass
   /// and returns one half of it. The caller owes TWO deposits of the
   /// returned half — one to this host's own inbox, one to the peer — which
-  /// is how the round kernel's scatter phase applies them in the exact
-  /// sequential order (see RoundKernel::ScatterDeposits).
+  /// is how the round kernel's push loop applies them, self echo first
+  /// (see RoundKernel::ForEachPushDeposit).
   Mass TakePushHalf() {
     const Mass half{mass_.weight * 0.5, mass_.value * 0.5};
     mass_ = Mass{};
@@ -109,7 +109,7 @@ class PushSumNode {
 /// contiguous arrays): a round's random accesses only touch the 16-byte
 /// mass or inbox entry of a host, not a 40-byte node, so at the paper's
 /// 100k-host scale the hot array stays cache-resident and the kernel's
-/// prefetched scatter hits instead of thrashing. Arithmetic is exactly
+/// prefetched deposits hit instead of thrashing. Arithmetic is exactly
 /// PushSumNode's, element by element — estimates and mass totals are
 /// bit-identical to the node-per-host layout.
 class PushSumSwarm {
@@ -162,8 +162,8 @@ class PushSumSwarm {
   /// Pass nullptr to disable. The meter must outlive the swarm.
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
 
-  /// Worker threads for the push-mode deposit scatter (bit-identical at
-  /// any count; push/pull rounds are inherently sequential and ignore it).
+  /// Worker threads for the push-mode deposit loop (bit-identical at any
+  /// count; push/pull rounds are inherently sequential and ignore it).
   void set_intra_round_threads(int threads) {
     kernel_.set_intra_round_threads(threads);
   }
@@ -176,7 +176,6 @@ class PushSumSwarm {
   GossipMode mode_;
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;
-  std::vector<Mass> outbox_;  // scratch: per-slot push payloads
 };
 
 }  // namespace dynagg

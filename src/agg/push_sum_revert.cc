@@ -21,23 +21,13 @@ void PushSumRevertSwarm::RunRound(const Environment& env,
     if (meter_ != nullptr) {
       meter_->RecordMessages(plan.CountMatched(), kMassMessageBytes);
     }
-    if (!kernel_.parallel_deposits()) {
-      kernel_.ForEachPushSlot(
-          [this](HostId src) {
-            // EmitPushHalf: the self half lands in the own inbox here, the
-            // kernel deposits the returned half at the partner.
-            const Mass half = TakePushHalfAt(src);
-            DepositAt(src, half);
-            return half;
-          },
-          [this](HostId dst, const Mass& m) { DepositAt(dst, m); },
-          [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-    } else {
-      kernel_.EmitAndScatter(
-          &outbox_, /*self_echo=*/true, size(),
-          [this](HostId src) { return TakePushHalfAt(src); },
-          [this](HostId dst, const Mass& m) { DepositAt(dst, m); });
-    }
+    // EmitPushHalf: the kernel deposits the half at the sender's own
+    // inbox, then at the partner's.
+    kernel_.ForEachPushDeposit(
+        size(), /*self_echo=*/true,
+        [this](HostId src) { return PushHalfAt(src); },
+        [this](HostId dst, const Mass& m) { DepositAt(dst, m); },
+        [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
     // On a never-mutated population alive_ids is every host: iterate the
     // index range directly so the end-of-round fold has no id indirection.
     if (pop.version() == 0) {

@@ -58,8 +58,8 @@ class PushSumRevertNode {
   /// reversion to the outgoing total, removes the mass, and returns one
   /// half of it. The caller owes TWO deposits of the returned half — one
   /// to this host's own inbox (the self-message, which counts towards
-  /// adaptive indegree) and one to the peer — applied in sequential order
-  /// by the round kernel's scatter phase.
+  /// adaptive indegree) and one to the peer — applied in that order by the
+  /// round kernel's push loop (RoundKernel::ForEachPushDeposit).
   Mass TakePushHalf(double lambda, RevertMode revert) {
     Mass out = mass_;
     if (revert == RevertMode::kFixed) {
@@ -191,24 +191,24 @@ class PushSumRevertSwarm {
   /// Optionally records over-the-air traffic (self-messages excluded).
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
 
-  /// Worker threads for the push-mode deposit scatter (bit-identical at
-  /// any count; push/pull rounds are inherently sequential and ignore it).
+  /// Worker threads for the push-mode deposit loop (bit-identical at any
+  /// count; push/pull rounds are inherently sequential and ignore it).
   void set_intra_round_threads(int threads) {
     kernel_.set_intra_round_threads(threads);
   }
 
  private:
   // Element-wise replicas of the PushSumRevertNode round steps.
-  Mass TakePushHalfAt(HostId i) {
+  // The pushed half, read from the pre-round mass (the end-of-round fold
+  // overwrites every alive initiator's mass, so it is not taken in place).
+  Mass PushHalfAt(HostId i) const {
     Mass out = mass_[i];
     if (params_.revert == RevertMode::kFixed) {
       out.weight = (1.0 - params_.lambda) * out.weight + params_.lambda;
       out.value =
           (1.0 - params_.lambda) * out.value + params_.lambda * initial_[i];
     }
-    const Mass half{out.weight * 0.5, out.value * 0.5};
-    mass_[i] = Mass{};
-    return half;
+    return Mass{out.weight * 0.5, out.value * 0.5};
   }
   void DepositAt(HostId i, const Mass& m) {
     inbox_[i] += m;
@@ -244,7 +244,6 @@ class PushSumRevertSwarm {
   PsrParams params_;
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;
-  std::vector<Mass> outbox_;  // scratch: per-slot push payloads
 };
 
 }  // namespace dynagg

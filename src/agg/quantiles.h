@@ -62,7 +62,7 @@ class DynamicCdfSwarm {
   double threshold(int t) const { return params_.thresholds[t]; }
   int size() const { return instances_.front()->size(); }
 
-  /// Forwards the round kernel's scatter thread count to every instance.
+  /// Forwards the round kernel's push-loop thread count to every instance.
   void set_intra_round_threads(int threads) {
     for (auto& instance : instances_) {
       instance->set_intra_round_threads(threads);

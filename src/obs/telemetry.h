@@ -9,8 +9,9 @@
 //   ScopedRound              one gossip round (nests the phases below)
 //   ScopedPhase(kSetup)      environment + swarm construction, pre-loop work
 //   ScopedPhase(kPlan)       Environment::BuildPlan partner planning
-//   ScopedPhase(kApply)      protocol apply walk (exchange / emit)
-//   ScopedPhase(kScatter)    RoundKernel::ScatterDeposits
+//   ScopedPhase(kApply)      protocol apply walk (exchanges, push deposits
+//                            or gathers, at any intra-round thread count)
+//   ScopedPhase(kScatter)    reserved: no engine path records it any more
 //   ScopedPhase(kRecord)     metric evaluation (round ends, trace samples)
 //   Count(counter, n)        cheap engine counters (cache hits, RNG draws,
 //                            planned exchanges, deposited bytes, ...)
@@ -25,9 +26,9 @@
 //
 // Threading: the sink pointer is thread-local and each unit runs on one
 // executor worker, so TrialTelemetry needs no synchronization. Threads the
-// engine spawns *inside* a round (ScatterDeposits workers) carry a null
-// sink and record nothing — the scatter phase is timed around the whole
-// fork/join by the spawning thread.
+// engine wakes *inside* a round (the round kernel's intra-round workers)
+// carry a null sink and record nothing — the apply phase is timed around
+// the whole fork/join by the calling thread.
 
 #ifndef DYNAGG_OBS_TELEMETRY_H_
 #define DYNAGG_OBS_TELEMETRY_H_
@@ -42,8 +43,9 @@ namespace obs {
 enum class Phase : int {
   kSetup = 0,  // environment + swarm construction, pre-round-loop work
   kPlan,       // Environment::BuildPlan (partner planning)
-  kApply,      // protocol apply walk (pairwise exchanges / payload emit)
-  kScatter,    // RoundKernel::ScatterDeposits (destination-sharded deposits)
+  kApply,      // protocol apply walk (exchanges, push deposits, gathers)
+  kScatter,    // unused by the engine; kept so phase-indexed readers of
+               // the summary columns keep their layout
   kRecord,     // metric evaluation (on_round_end, trace samples, finish)
 };
 constexpr int kNumPhases = 5;
@@ -61,7 +63,7 @@ enum class Counter : int {
   kAliveBitmapRebuilds,   // environment alive-bitmap rebuilds
   kRngDraws,              // xoshiro outputs consumed by the trial's streams
   kGossipExchanges,       // partner slots planned across all rounds
-  kDepositBytes,          // payload bytes scattered by push-mode rounds
+  kDepositBytes,          // push-mode payload bytes, one payload per slot
   kEarlyStopRounds,       // budgeted rounds skipped by early convergence
   kPoolDispatchNs,        // worker-pool fork/join wall ns (whole dispatch)
   kPoolWaitNs,            // ns the dispatcher idled waiting on pool workers

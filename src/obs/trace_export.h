@@ -10,7 +10,7 @@
 //   complete event  one "ph": "X" event per closed span — trial, round,
 //                   and kernel-phase spans nest by time containment, so a
 //                   unit renders as a trial bar over round bars over
-//                   plan/apply/scatter/record bars (a flamegraph)
+//                   plan/apply/record bars (a flamegraph)
 //
 // Timestamps are microseconds relative to the earliest span across all
 // experiments, so profiles start at t = 0 regardless of process uptime.

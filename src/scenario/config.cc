@@ -473,8 +473,12 @@ Result<ChurnConfig> ParseChurnConfig(const ScenarioSpec& spec) {
     return Status::InvalidArgument(
         "churn.max_alive must be >= 1 (or omitted for no cap below hosts)");
   }
-  if (cfg.arrival_rate < 0.0) {
-    return Status::InvalidArgument("churn.arrival_rate must be >= 0");
+  // The per-round Poisson draw takes O(rate) uniforms: an infinite or NaN
+  // rate would never finish. The bound by hosts needs the variant's real
+  // size, so ValidateChurnSpec checks it.
+  if (!std::isfinite(cfg.arrival_rate) || cfg.arrival_rate < 0.0) {
+    return Status::InvalidArgument(
+        "churn.arrival_rate must be finite and >= 0");
   }
   if (cfg.death_prob < 0.0 || cfg.death_prob > 1.0) {
     return Status::InvalidArgument("churn.death_prob must be in [0, 1]");

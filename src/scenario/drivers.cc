@@ -56,7 +56,7 @@ namespace scenario {
 namespace {
 
 /// Wires the top-level intra_round_threads knob into the swarm's round
-/// kernel. The scatter is bit-identical at any thread count, so this only
+/// kernel. The push apply is bit-identical at any thread count, so this only
 /// changes wall-clock; protocols without a data-parallel apply phase reject
 /// values > 1 rather than silently ignoring the key.
 Status ApplyIntraRoundThreads(const ScenarioSpec& spec,

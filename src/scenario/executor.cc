@@ -638,6 +638,14 @@ Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
       return invalid("churn.initial = " + std::to_string(churn.initial) +
                      " exceeds hosts = " + std::to_string(spec.hosts));
     }
+    // Arrivals beyond the universe are clamped anyway, but each one costs
+    // a Poisson uniform: an unbounded rate never finishes its draw.
+    if (spec.hosts > 0 && churn.arrival_rate > spec.hosts) {
+      return invalid("churn.arrival_rate exceeds hosts = " +
+                     std::to_string(spec.hosts) +
+                     " (arrivals per round beyond the universe only cost "
+                     "draws)");
+    }
     if (churn.max_alive > spec.hosts) {
       return invalid(
           "churn.max_alive = " + std::to_string(churn.max_alive) +

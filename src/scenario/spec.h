@@ -89,8 +89,8 @@ struct ScenarioSpec {
   /// Trace driver: seconds between metric samples (default 3600, the
   /// paper's hourly reporting). 0 = unset; same validation rule.
   double sample_period = 0.0;
-  /// Worker threads for the round kernel's intra-round deposit scatter
-  /// (push-mode protocols; see sim/round_kernel.h). Output is bit-identical
+  /// Worker threads for the round kernel's push-mode apply (push deposit
+  /// loop or gather; see sim/round_kernel.h). Output is bit-identical
   /// at any value — this is purely a wall-clock knob for big single trials.
   /// Protocols that cannot use it reject values > 1.
   int intra_round_threads = 1;

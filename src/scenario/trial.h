@@ -342,7 +342,7 @@ struct SwarmHandle {
   /// Attaches a traffic meter for the bandwidth metric; null = the
   /// protocol cannot measure traffic (Capability::kMetered).
   std::function<void(TrafficMeter*)> set_meter;
-  /// Sets the round kernel's intra-round scatter thread count (the
+  /// Sets the round kernel's intra-round thread count (the
   /// top-level `intra_round_threads` key); null = the protocol has no
   /// data-parallel apply phase, and the drivers reject values > 1
   /// (Capability::kThreads).

@@ -38,7 +38,7 @@ int RunRoundsUntil(Swarm& swarm, const Environment& env, Population& pop,
                    const std::function<bool(int)>& on_round_end) {
   for (int round = 0; round < max_rounds; ++round) {
     // Telemetry: the round span covers failure application, the swarm's
-    // plan/apply/scatter phases and the observer's metric evaluation.
+    // plan/apply phases and the observer's metric evaluation.
     obs::ScopedRound span(round);
     failures.Apply(round, &pop);
     swarm.RunRound(env, pop, rng);

@@ -1,13 +1,13 @@
 // WorkerPool: persistent parked threads for intra-round data parallelism.
 //
-// The round kernel's destination-sharded deposit scatter used to spawn
+// The round kernel's destination-sharded push apply once spawned
 // fresh std::threads every round, which put ~10-20us of create/join cost
 // (plus allocator traffic) on a path whose useful work is a few hundred
 // microseconds — the checked-in bench showed 2 threads *losing* to 1 at
 // 100k hosts. A WorkerPool creates its threads once, parks them on a
 // condition variable, and hands them a (function pointer, context, task
 // index) triple per dispatch: waking the pool costs single-digit
-// microseconds and allocates nothing, so the parallel scatter's overhead
+// microseconds and allocates nothing, so the parallel apply's overhead
 // is bounded by the wake/join handshake instead of thread creation.
 //
 // Sharing model: one pool per calling thread (ForCallingThread), created
@@ -20,8 +20,8 @@
 // CPU budget: VisibleCpus() is the parallelism actually available —
 // min(std::thread::hardware_concurrency(), the sched_getaffinity mask) —
 // because a container is routinely pinned to fewer CPUs than the machine
-// advertises, and oversubscribing the scatter (T workers time-slicing one
-// core) is measurably *slower* than the fused sequential path. Callers
+// advertises, and oversubscribing the apply (T workers time-slicing one
+// core) is measurably *slower* than the one-thread walk. Callers
 // (RoundKernel) clamp their configured thread count to this budget.
 // Determinism tests force the sharded code path on any host via
 // OverrideVisibleCpusForTest.

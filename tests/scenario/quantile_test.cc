@@ -228,7 +228,7 @@ TEST(IntraRoundThreadsTest, ExchangeOnlyProtocolRejectedAtValidation) {
                                        "intra_round_threads = 2\n");
   ASSERT_TRUE(specs.ok());
   EXPECT_FALSE(ValidateExperiment((*specs)[0]).ok());
-  // ...while a push-scatter protocol passes.
+  // ...while a push-mode protocol passes.
   const auto ok_specs = ParseScenarioFile("protocol = push-sum\n"
                                           "hosts = 20\n"
                                           "intra_round_threads = 2\n");
@@ -236,7 +236,7 @@ TEST(IntraRoundThreadsTest, ExchangeOnlyProtocolRejectedAtValidation) {
   EXPECT_TRUE(ValidateExperiment((*ok_specs)[0]).ok());
 }
 
-/// Forces the sharded scatter on single-CPU CI hosts (the kernel clamps
+/// Forces the sharded push loop on single-CPU CI hosts (the kernel clamps
 /// intra_round_threads to the visible CPUs otherwise); restored on scope
 /// exit even when an ASSERT bails out of the test early.
 class ScopedVisibleCpus {

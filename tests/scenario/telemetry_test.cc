@@ -14,6 +14,7 @@
 #include "scenario/executor.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
+#include "sim/worker_pool.h"
 
 namespace dynagg {
 namespace scenario {
@@ -175,18 +176,32 @@ TEST(TelemetryValidationTest, SweptThreadsNeedThreadsCapableProtocol) {
 }
 
 TEST(TelemetryValidationTest, SweptThreadsDoNotChangeMetrics) {
+  // The kernel clamps intra_round_threads to the visible CPUs; force them
+  // so the 2-thread point really splits the push loop on any host.
+  WorkerPool::OverrideVisibleCpusForTest(4);
+  // 5000 hosts: above the kernel's 4096-slot gate for a threaded round.
   const ScenarioSpec spec = MustParse(
-      "name = t\nprotocol = push-sum\nprotocol.mode = push\nhosts = 64\n"
+      "name = t\nprotocol = push-sum\nprotocol.mode = push\nhosts = 5000\n"
       "rounds = 6\nseed = 7\nsweep = intra_round_threads: 1, 2\n"
       "record = rms_tail_mean\nrecord.from = 3\n");
-  Result<std::vector<ResultTable>> tables = RunExperiment(spec, 1);
+  ExperimentTelemetry telemetry;
+  Result<std::vector<ResultTable>> tables =
+      RunExperiment(spec, RunOptions{1, "summary", nullptr}, &telemetry);
+  WorkerPool::OverrideVisibleCpusForTest(0);
   ASSERT_TRUE(tables.ok()) << tables.status().ToString();
   ASSERT_EQ(tables->size(), 1u);
   const CsvTable& table = (*tables)[0].table;
   ASSERT_EQ(table.num_rows(), 2);
-  // Scatter parallelism must be invisible in the recorded metric.
+  // Push-loop parallelism must be invisible in the recorded metric...
   EXPECT_EQ(Column(table, "rms_tail_mean")[0],
             Column(table, "rms_tail_mean")[1]);
+  // ...and in the work counters: one payload per slot at any thread count.
+  ASSERT_EQ(telemetry.summary.size(), 1u);
+  const std::vector<double> deposit_bytes =
+      Column(telemetry.summary[0].table, "deposit_bytes");
+  ASSERT_EQ(deposit_bytes.size(), 2u);
+  EXPECT_GT(deposit_bytes[0], 0);
+  EXPECT_EQ(deposit_bytes[0], deposit_bytes[1]);
 }
 
 }  // namespace

@@ -251,6 +251,32 @@ TEST(DryRunValidationTest, RoundStreamGrammarResolvesAtRunTimeOnly) {
                   .ok());
 }
 
+TEST(DryRunValidationTest, BoundsChurnArrivalRate) {
+  // The per-round Poisson arrival draw takes O(rate) uniforms, so an
+  // unbounded rate passed --dry-run and then never finished its draw.
+  const std::string base = "protocol = push-sum-revert\nhosts = 64\n";
+  for (const char* rate : {"1e99", "65", "inf", "nan"}) {
+    SCOPED_TRACE(rate);
+    EXPECT_FALSE(
+        DryRun(base + "churn.arrival_rate = " + std::string(rate) + "\n")
+            .ok());
+  }
+  ExpectDryRunError(base + "churn.arrival_rate = 1e99\n",
+                    "churn.arrival_rate exceeds hosts = 64");
+  EXPECT_TRUE(DryRun(base + "churn.arrival_rate = 64\n").ok());
+  // A swept rate is bounded per variant...
+  ExpectDryRunError(base + "sweep = churn.arrival_rate: 2, 100\n",
+                    "churn.arrival_rate exceeds hosts = 64");
+  // ...and against each swept size, not the base placeholder.
+  EXPECT_TRUE(DryRun("protocol = push-sum-revert\nhosts = 16\n"
+                     "churn.arrival_rate = 50\nsweep = hosts: 100, 200\n")
+                  .ok());
+  ExpectDryRunError(
+      "protocol = push-sum-revert\nhosts = 16\n"
+      "churn.arrival_rate = 150\nsweep = hosts: 100, 200\n",
+      "churn.arrival_rate exceeds hosts = 100");
+}
+
 }  // namespace
 }  // namespace scenario
 }  // namespace dynagg

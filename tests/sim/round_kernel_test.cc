@@ -4,7 +4,7 @@
 // the shared plan -> apply kernel; these tests pin that the rewrite is
 // bit-identical to the pre-refactor loops (replicated verbatim below) —
 // including under mid-trial deaths, trace playback (AdvanceTo between
-// rounds), and with the data-parallel deposit scatter enabled.
+// rounds), and with the push loop split over intra-round threads.
 
 #include <cmath>
 #include <span>
@@ -28,9 +28,9 @@ namespace {
 
 /// The kernel clamps intra_round_threads to WorkerPool::VisibleCpus(), so
 /// on a single-CPU CI host the "parallel" swarm would silently take the
-/// fused sequential path and these determinism tests would compare it to
-/// itself. Forcing the visible count keeps the destination-sharded scatter
-/// under test on any host; the override is restored on scope exit.
+/// one-thread walk and these determinism tests would compare it to itself.
+/// Forcing the visible count keeps the destination-sharded walk under test
+/// on any host; the override is restored on scope exit.
 class ScopedVisibleCpus {
  public:
   explicit ScopedVisibleCpus(int n) { WorkerPool::OverrideVisibleCpusForTest(n); }
@@ -262,24 +262,23 @@ TEST(RoundKernelParityTest, TraceEnvironmentAdvanceToRebuildsMidTrial) {
   EXPECT_EQ(rng_a.Next(), rng_b.Next());
 }
 
-// ------------------------------------------------ parallel scatter ---
+// ----------------------------------------- threaded push deposit loop ---
 
-TEST(RoundKernelTest, ScatterDepositsBitIdenticalAtAnyThreadCount) {
-  // Big enough to clear the kernel's minimum-parallel-slots gate.
-  const ScopedVisibleCpus forced(4);
-  const int n = 6000;
-  const std::vector<double> values = TestValues(n, 404);
-
-  PushSumSwarm sequential(values, GossipMode::kPush);
-  PushSumSwarm parallel(values, GossipMode::kPush);
-  parallel.set_intra_round_threads(3);
-
+/// Runs `sequential` and `parallel` (the same swarm type and inputs, the
+/// second at `threads` intra-round threads) side by side through scripted
+/// deaths and revivals, both planned from `seed`; estimates must match bit
+/// for bit every round.
+template <typename Swarm>
+void CheckThreadedRoundsBitIdentical(Swarm& sequential, Swarm& parallel,
+                                     int threads, int rounds, uint64_t seed) {
+  parallel.set_intra_round_threads(threads);
+  const int n = sequential.size();
   UniformEnvironment env(n);
   Population pop_a(n);
   Population pop_b(n);
-  Rng rng_a(606);
-  Rng rng_b(606);
-  for (int round = 0; round < 6; ++round) {
+  Rng rng_a(seed);
+  Rng rng_b(seed);
+  for (int round = 0; round < rounds; ++round) {
     Mutate(pop_a, round);
     Mutate(pop_b, round);
     sequential.RunRound(env, pop_a, rng_a);
@@ -294,29 +293,37 @@ TEST(RoundKernelTest, ScatterDepositsBitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(rng_a.Next(), rng_b.Next());
 }
 
-TEST(RoundKernelTest, ScatterThreadsOnFullTransferBitIdentical) {
+TEST(RoundKernelTest, PushDepositsBitIdenticalAtAnyThreadCount) {
+  // Big enough to clear the kernel's minimum-parallel-slots gate.
+  const ScopedVisibleCpus forced(4);
+  const int n = 6000;
+  const std::vector<double> values = TestValues(n, 404);
+  {
+    SCOPED_TRACE("push-sum");
+    PushSumSwarm sequential(values, GossipMode::kPush);
+    PushSumSwarm parallel(values, GossipMode::kPush);
+    CheckThreadedRoundsBitIdentical(sequential, parallel, 3, 6, 606);
+  }
+  // Adaptive reversion also reads the per-destination message counter,
+  // which the self echo and every partner deposit bump.
+  for (const RevertMode revert : {RevertMode::kFixed, RevertMode::kAdaptive}) {
+    SCOPED_TRACE(revert == RevertMode::kFixed ? "psr fixed" : "psr adaptive");
+    const PsrParams params{
+        .lambda = 0.05, .mode = GossipMode::kPush, .revert = revert};
+    PushSumRevertSwarm sequential(values, params);
+    PushSumRevertSwarm parallel(values, params);
+    CheckThreadedRoundsBitIdentical(sequential, parallel, 3, 6, 606);
+  }
+}
+
+TEST(RoundKernelTest, PushDepositThreadsOnFullTransferBitIdentical) {
   const ScopedVisibleCpus forced(4);
   const int n = 2000;  // 4 parcels/host -> 8000 slots, above the gate
   const std::vector<double> values = TestValues(n, 505);
   const FullTransferParams params{.lambda = 0.1, .parcels = 4, .window = 3};
   FullTransferSwarm sequential(values, params);
   FullTransferSwarm parallel(values, params);
-  parallel.set_intra_round_threads(4);
-  UniformEnvironment env(n);
-  Population pop_a(n);
-  Population pop_b(n);
-  Rng rng_a(707);
-  Rng rng_b(707);
-  for (int round = 0; round < 5; ++round) {
-    Mutate(pop_a, round);
-    Mutate(pop_b, round);
-    sequential.RunRound(env, pop_a, rng_a);
-    parallel.RunRound(env, pop_b, rng_b);
-    for (HostId id = 0; id < n; ++id) {
-      ASSERT_EQ(sequential.Estimate(id), parallel.Estimate(id))
-          << "round " << round << " host " << id;
-    }
-  }
+  CheckThreadedRoundsBitIdentical(sequential, parallel, 4, 5, 707);
 }
 
 // ------------------------------------------------ transposed plan ---
@@ -342,6 +349,8 @@ class SpottyEnvironment : public Environment {
 };
 
 TEST(RoundKernelTest, PushDestinationsFollowPushLoopDepositOrder) {
+  // ForEachPushDestination's source lists and ForEachPushDeposit's
+  // deposits must both follow the sequential push loop's order.
   // Above the minimum-parallel-slots gate, so T > 1 really shards.
   const int n = 7000;
   SpottyEnvironment env(n);
@@ -381,6 +390,27 @@ TEST(RoundKernelTest, PushDestinationsFollowPushLoopDepositOrder) {
               << "threads " << threads << " host " << id;
           ASSERT_EQ(got[id], expected[id])
               << "threads " << threads << " host " << id;
+        }
+        // The push deposit loop lands the same lists, one deposit per
+        // entry; without the self echo only the partner deposits remain.
+        for (const bool self_echo : {true, false}) {
+          std::vector<std::vector<HostId>> want(n);
+          for (size_t k = 0; k < plan.size(); ++k) {
+            const HostId init = plan.initiator(k);
+            if (self_echo) want[init].push_back(init);
+            want[plan.EffectivePartner(k)].push_back(init);
+          }
+          std::vector<std::vector<HostId>> deposits(n);
+          kernel.ForEachPushDeposit(
+              n, self_echo, [](HostId src) { return src; },
+              // Each dst is owned by one worker, so its list is unshared.
+              [&](HostId dst, HostId src) { deposits[dst].push_back(src); },
+              [n](HostId dst) { ASSERT_TRUE(dst >= 0 && dst < n); });
+          for (HostId id = 0; id < n; ++id) {
+            ASSERT_EQ(deposits[id], want[id])
+                << "threads " << threads << " self_echo " << self_echo
+                << " host " << id;
+          }
         }
         // Mutate between rounds: kill a block, revive part of it.
         for (HostId id = n / 3; id < n / 3 + 500; ++id) pop.Kill(id);

@@ -195,7 +195,7 @@ def is_thread_row(key):
 # and across 22 keys, a per-key 35% gate fails some key on almost every
 # clean run. Per key, only a >= hard_pct (default 100%, i.e. 2x) blowup
 # fails — that still catches a catastrophic single-key regression (a
-# broken parallel scatter, an accidental O(n^2)). The tighter gate_pct
+# broken parallel push loop, an accidental O(n^2)). The tighter gate_pct
 # threshold applies to the geometric mean of measured/snapshot across all
 # gated keys: uncorrelated bandwidth swings cancel there, while a genuine
 # broad regression moves every key and the mean with it. Per-key drifts
