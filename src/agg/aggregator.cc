@@ -1,5 +1,7 @@
 #include "agg/aggregator.h"
 
+#include <cmath>
+
 #include "common/wire.h"
 
 namespace dynagg {
@@ -58,8 +60,10 @@ Status NodeAggregator::MergeIncoming(const std::vector<uint8_t>& payload,
   }
   DYNAGG_RETURN_IF_ERROR(in.ReadDouble(&incoming_mass->weight));
   DYNAGG_RETURN_IF_ERROR(in.ReadDouble(&incoming_mass->value));
-  if (!(incoming_mass->weight >= 0.0) ||
-      !(incoming_mass->value == incoming_mass->value)) {  // NaN guard
+  // One non-finite or negative-weight payload would corrupt this device's
+  // mass for good and spread to every peer it gossips with.
+  if (!std::isfinite(incoming_mass->weight) || incoming_mass->weight < 0.0 ||
+      !std::isfinite(incoming_mass->value)) {
     return Status::Corruption("aggregator: invalid mass");
   }
   DYNAGG_RETURN_IF_ERROR(csr_.MergeSerialized(&in));
@@ -73,9 +77,7 @@ Result<std::vector<uint8_t>> NodeAggregator::HandleMessage(
       MergeIncoming(payload, MsgType::kRequest, &incoming));
   // Push/pull equalization: adopt the pairwise average and reply with it so
   // the initiator holds the identical mass (zero net mass change).
-  const Mass own = psr_.mass();
-  const Mass equalized{(own.weight + incoming.weight) * 0.5,
-                       (own.value + incoming.value) * 0.5};
+  const Mass equalized = MassMidpoint(psr_.mass(), incoming);
   psr_.SetMass(equalized);
   return SerializeState(MsgType::kReply, equalized);
 }

@@ -6,7 +6,7 @@ void FullTransferNode::Init(double v0, int window) {
   DYNAGG_CHECK_GT(window, 0);
   mass_ = Mass{1.0, v0};
   inbox_ = Mass{};
-  reverted_ = Mass{};
+  outgoing_ = Mass{};
   emitting_ = false;
   initial_value_ = v0;
   history_.assign(window, Mass{});
@@ -17,34 +17,13 @@ void FullTransferNode::Init(double v0, int window) {
 Mass FullTransferNode::EmitParcel(double lambda, int parcels) {
   DYNAGG_CHECK_GT(parcels, 0);
   if (!emitting_) {
-    // First parcel of the round: apply the reversion to the outgoing total
-    // and zero the local mass (full transfer keeps nothing back).
-    reverted_.weight = (1.0 - lambda) * mass_.weight + lambda;
-    reverted_.value =
-        (1.0 - lambda) * mass_.value + lambda * initial_value_;
+    // First parcel of the round: take the whole mass out (full transfer
+    // keeps nothing back).
+    outgoing_ = mass_;
     mass_ = Mass{};
     emitting_ = true;
   }
-  const double inv = 1.0 / parcels;
-  return Mass{reverted_.weight * inv, reverted_.value * inv};
-}
-
-void FullTransferNode::EndRound() {
-  emitting_ = false;
-  mass_ = inbox_;
-  if (inbox_.weight > 0.0) {
-    history_[history_next_] = inbox_;
-    history_next_ = (history_next_ + 1) % static_cast<int>(history_.size());
-    if (history_count_ < static_cast<int>(history_.size())) ++history_count_;
-  }
-  inbox_ = Mass{};
-}
-
-double FullTransferNode::Estimate() const {
-  Mass total;
-  for (int i = 0; i < history_count_; ++i) total += history_[i];
-  if (total.weight <= 0.0) return initial_value_;
-  return total.value / total.weight;
+  return FtParcel(outgoing_, initial_value_, lambda, parcels);
 }
 
 FullTransferSwarm::FullTransferSwarm(const std::vector<double>& values,
@@ -76,17 +55,17 @@ void FullTransferSwarm::RunRound(const Environment& env,
   }
   kernel_.ForEachPushDeposit(
       size(), /*self_echo=*/false,
-      [this](HostId src) { return ParcelAt(src); },
+      [this](HostId src) {
+        // Read from the pre-round mass, which the end-of-round fold
+        // overwrites for every alive sender, so it is not zeroed here.
+        return FtParcel(mass_[src], initial_[src], params_.lambda,
+                        params_.parcels);
+      },
       [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
       [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-  // On a never-mutated population alive_ids is every host: fold over the
-  // index range directly (no id indirection in the hot loop).
-  if (pop.version() == 0) {
-    const int n = size();
-    for (HostId i = 0; i < n; ++i) EndRoundAt(i);
-  } else {
-    for (const HostId i : pop.alive_ids()) EndRoundAt(i);
-  }
+  ForEachAliveHost(pop, size(), [this](HostId i) {
+    FtEndRound(mass_[i], inbox_[i], Ring(i), hist_next_[i], hist_count_[i]);
+  });
 }
 
 Mass FullTransferSwarm::TotalAliveMass(const Population& pop) const {

@@ -15,10 +15,12 @@
 #define DYNAGG_AGG_FULL_TRANSFER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "agg/aggregate.h"
 #include "agg/push_sum.h"
+#include "agg/push_sum_revert.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -39,7 +41,43 @@ struct FullTransferParams {
   int window = 3;
 };
 
-/// Per-host Full-Transfer state machine.
+// ---------------------------------------------------------------------------
+// The Full-Transfer steps over one host's scalars: its mass, its inbox, its
+// reversion anchor v0 and its ring of the last T mass-bearing rounds (next
+// write slot and fill count). FullTransferNode and FullTransferSwarm both
+// call these.
+
+/// One parcel (Fig 4, step 2): 1/N of the reverted outgoing mass. Full
+/// transfer keeps nothing back: the N parcels together carry all of it.
+inline Mass FtParcel(const Mass& mass, double v0, double lambda, int parcels) {
+  return MassScaled(Revert(mass, v0, lambda), 1.0 / parcels);
+}
+
+/// End of round: adopt the inbox as the next mass and, iff any mass
+/// arrived, push it into the ring. Clears the inbox.
+inline void FtEndRound(Mass& mass, Mass& inbox, std::span<Mass> ring,
+                       int32_t& next, int32_t& count) {
+  mass = inbox;
+  if (inbox.weight > 0.0) {
+    const int32_t window = static_cast<int32_t>(ring.size());
+    ring[next] = inbox;
+    next = (next + 1) % window;
+    if (count < window) ++count;
+  }
+  inbox = Mass{};
+}
+
+/// Windowed estimate: sum(v) / sum(w) over the `count` filled ring slots;
+/// v0 before any mass is received.
+inline double FtEstimate(std::span<const Mass> ring, int32_t count,
+                         double v0) {
+  Mass total;
+  for (int32_t i = 0; i < count; ++i) total += ring[i];
+  return MassEstimate(total, v0);
+}
+
+/// Per-host Full-Transfer state machine: the reference the swarm is tested
+/// against.
 class FullTransferNode {
  public:
   /// (Re)initializes with local value `v0` and an empty estimate window.
@@ -47,21 +85,24 @@ class FullTransferNode {
 
   void SetLocalValue(double v0) { initial_value_ = v0; }
 
-  /// Emits the whole reverted mass as one parcel of 1/N of it; call exactly
-  /// `parcels` times per round. The reverted total is computed on the first
-  /// emission of the round.
+  /// Emits one parcel (FtParcel) of the round's outgoing mass; call
+  /// exactly `parcels` times per round. The first emission of the round
+  /// takes the whole mass out of the host.
   Mass EmitParcel(double lambda, int parcels);
 
   /// Accumulates a received parcel.
   void Deposit(const Mass& m) { inbox_ += m; }
 
-  /// Adopts the inbox as next state; pushes it into the estimate window iff
-  /// any mass arrived this round.
-  void EndRound();
+  /// Adopts the inbox as next state (FtEndRound).
+  void EndRound() {
+    emitting_ = false;
+    FtEndRound(mass_, inbox_, history_, history_next_, history_count_);
+  }
 
-  /// Windowed estimate: sum(v) / sum(w) over the last T mass-bearing
-  /// rounds. Falls back to the initial value before any mass is received.
-  double Estimate() const;
+  /// Windowed estimate (FtEstimate).
+  double Estimate() const {
+    return FtEstimate(history_, history_count_, initial_value_);
+  }
 
   const Mass& mass() const { return mass_; }
   double initial_value() const { return initial_value_; }
@@ -69,25 +110,25 @@ class FullTransferNode {
  private:
   Mass mass_;
   Mass inbox_;
-  Mass reverted_;        // cached reverted total for the current round
+  Mass outgoing_;  // the mass taken out by the round's first emission
   bool emitting_ = false;
   double initial_value_ = 0.0;
   // Ring buffer of the last `window` mass-bearing rounds.
   std::vector<Mass> history_;
-  int history_next_ = 0;
-  int history_count_ = 0;
+  int32_t history_next_ = 0;
+  int32_t history_count_ = 0;
 };
 
 /// A population of Full-Transfer hosts driven one round at a time.
 ///
-/// Structure-of-arrays layout (PushSumSwarm is the template): the node
-/// class above stays as the semantic reference, but the swarm stores flat
-/// parallel arrays — mass, inbox, and one shared history arena of
-/// `n * window` Masses (host i's ring lives at [i * window,
+/// Structure-of-arrays layout (PushSumSwarm is the template): the swarm
+/// stores flat parallel arrays — mass, inbox, and one shared history arena
+/// of `n * window` Masses (host i's ring lives at [i * window,
 /// (i+1) * window)) — so rounds touch contiguous memory and no per-host
-/// heap vectors. Element operations replicate the node
-/// arithmetic expression-for-expression; bit-identity against a
-/// FullTransferNode vector is pinned by tests/sim/round_kernel_test.cc.
+/// heap vectors. Each host's arithmetic is the step functions above, the
+/// same calls FullTransferNode makes; tests/sim/round_kernel_test.cc pins
+/// the rest against a node vector — plan order, RNG draws and deposit
+/// order.
 class FullTransferSwarm {
  public:
   FullTransferSwarm(const std::vector<double>& values,
@@ -97,14 +138,9 @@ class FullTransferSwarm {
   /// independently sampled peers, then all hosts fold their inboxes.
   void RunRound(const Environment& env, const Population& pop, Rng& rng);
 
-  /// Windowed estimate: sum(v) / sum(w) over the last T mass-bearing
-  /// rounds; the initial value before any mass is received.
+  /// Windowed estimate (FtEstimate).
   double Estimate(HostId id) const {
-    Mass total;
-    const Mass* row = &history_[static_cast<size_t>(id) * params_.window];
-    for (int i = 0; i < hist_count_[id]; ++i) total += row[i];
-    if (total.weight <= 0.0) return initial_[id];
-    return total.value / total.weight;
+    return FtEstimate(Ring(id), hist_count_[id], initial_[id]);
   }
   int size() const { return static_cast<int>(mass_.size()); }
   const FullTransferParams& params() const { return params_; }
@@ -134,27 +170,14 @@ class FullTransferSwarm {
   }
 
  private:
-  // Element-wise replicas of the FullTransferNode round steps.
-  // One parcel: 1/N of the reverted pre-round mass. Full transfer keeps
-  // nothing back; the end-of-round fold overwrites every alive sender's
-  // mass, so the mass is not zeroed here.
-  Mass ParcelAt(HostId i) const {
-    const double weight =
-        (1.0 - params_.lambda) * mass_[i].weight + params_.lambda;
-    const double value = (1.0 - params_.lambda) * mass_[i].value +
-                         params_.lambda * initial_[i];
-    const double inv = 1.0 / params_.parcels;
-    return Mass{weight * inv, value * inv};
+  // Host `id`'s ring in the history arena.
+  std::span<Mass> Ring(HostId id) {
+    return {&history_[static_cast<size_t>(id) * params_.window],
+            static_cast<size_t>(params_.window)};
   }
-  void EndRoundAt(HostId i) {
-    mass_[i] = inbox_[i];
-    if (inbox_[i].weight > 0.0) {
-      Mass* row = &history_[static_cast<size_t>(i) * params_.window];
-      row[hist_next_[i]] = inbox_[i];
-      hist_next_[i] = (hist_next_[i] + 1) % params_.window;
-      if (hist_count_[i] < params_.window) ++hist_count_[i];
-    }
-    inbox_[i] = Mass{};
+  std::span<const Mass> Ring(HostId id) const {
+    return {&history_[static_cast<size_t>(id) * params_.window],
+            static_cast<size_t>(params_.window)};
   }
 
   std::vector<Mass> mass_;

@@ -26,11 +26,7 @@ void PushSumSwarm::RunRound(const Environment& env, const Population& pop,
     }
     kernel_.ForEachPushDeposit(
         size(), /*self_echo=*/true,
-        [this](HostId src) {
-          // PushSumNode::TakePushHalf on the SoA state.
-          const Mass& m = mass_[src];
-          return Mass{m.weight * 0.5, m.value * 0.5};
-        },
+        [this](HostId src) { return MassScaled(mass_[src], 0.5); },
         [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
         [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
     // PushSumNode::EndRound: adopt the summed inbox. On a never-mutated
@@ -53,13 +49,7 @@ void PushSumSwarm::RunRound(const Environment& env, const Population& pop,
   kernel_.PlanExchangeRound(env, pop, rng);
   kernel_.ForEachExchangePrefetched(
       [this](HostId i, HostId peer) {
-        // PushSumNode::Exchange on the SoA state.
-        Mass& a = mass_[i];
-        Mass& b = mass_[peer];
-        const Mass avg{(a.weight + b.weight) * 0.5,
-                       (a.value + b.value) * 0.5};
-        a = avg;
-        b = avg;
+        mass_[i] = mass_[peer] = MassMidpoint(mass_[i], mass_[peer]);
         if (meter_ != nullptr) {
           // Request plus response, one mass payload each.
           meter_->RecordMessage(kMassMessageBytes);
@@ -74,9 +64,8 @@ void PushSumSwarm::PlanAsyncTick(const Environment& env, const Population& pop,
   kernel_.PlanPushRound(env, pop, rng);
   kernel_.ForEachSlot([this, out](HostId src, HostId partner) {
     if (partner == kInvalidHost) return;  // no reachable peer: keep all mass
-    Mass& m = mass_[src];
-    const Mass half{m.weight * 0.5, m.value * 0.5};
-    m = half;
+    const Mass half = MassScaled(mass_[src], 0.5);
+    mass_[src] = half;
     out->push_back(net::Message{src, partner, half.weight, half.value, 0});
   });
 }

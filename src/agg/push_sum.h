@@ -38,8 +38,46 @@ struct Mass {
   }
 };
 
-/// Per-host Push-Sum state machine. Value-semantic; swarms keep nodes in a
-/// contiguous vector.
+// ---------------------------------------------------------------------------
+// The averaging steps over one host's mass. The node classes, the SoA
+// swarms and the NodeAggregator facade all call these, so each step's
+// floating-point expression is written once and every caller evaluates it
+// identically.
+
+/// The mass scaled by `f`: the pushed half (f = 0.5) or one of N parcels
+/// (f = 1/N).
+inline Mass MassScaled(const Mass& m, double f) {
+  return Mass{m.weight * f, m.value * f};
+}
+
+/// Pairwise midpoint: the mass both sides adopt in a push/pull exchange
+/// (each transfers half the difference, Section III.A).
+inline Mass MassMidpoint(const Mass& a, const Mass& b) {
+  return Mass{(a.weight + b.weight) * 0.5, (a.value + b.value) * 0.5};
+}
+
+/// The estimate value/weight, or `fallback` while the mass holds no weight
+/// (possible transiently in push mode).
+inline double MassEstimate(const Mass& m, double fallback) {
+  return m.weight > 0.0 ? m.value / m.weight : fallback;
+}
+
+/// Calls fold(i) for every alive host of an `n`-host swarm: the
+/// end-of-round pass of the push-sum family. On a never-mutated population
+/// alive_ids is every host, so the pass walks the index range directly,
+/// with no id indirection.
+template <typename Fold>
+void ForEachAliveHost(const Population& pop, int n, Fold fold) {
+  if (pop.version() == 0) {
+    for (HostId i = 0; i < n; ++i) fold(i);
+  } else {
+    for (const HostId i : pop.alive_ids()) fold(i);
+  }
+}
+
+/// Per-host Push-Sum state machine: the averaging state inside each
+/// EpochPushSumNode, and the reference PushSumSwarm is tested against
+/// (tests/sim/round_kernel_test.cc).
 class PushSumNode {
  public:
   /// (Re)initializes with local value `v0` and weight 1.
@@ -49,21 +87,11 @@ class PushSumNode {
     initial_value_ = v0;
   }
 
-  /// Push-mode round, step 2 (Fig 1), emission only: removes the full mass
-  /// and returns one half of it. The caller owes TWO deposits of the
-  /// returned half — one to this host's own inbox, one to the peer — which
-  /// is how the round kernel's push loop applies them, self echo first
-  /// (see RoundKernel::ForEachPushDeposit).
-  Mass TakePushHalf() {
-    const Mass half{mass_.weight * 0.5, mass_.value * 0.5};
-    mass_ = Mass{};
-    return half;
-  }
-
   /// Push-mode round, step 2 (Fig 1): removes the full mass, deposits half
   /// into the host's own inbox, and returns the half destined for the peer.
   Mass EmitPushHalf() {
-    const Mass half = TakePushHalf();
+    const Mass half = MassScaled(mass_, 0.5);
+    mass_ = Mass{};
     inbox_ += half;
     return half;
   }
@@ -80,18 +108,12 @@ class PushSumNode {
   /// Push/pull exchange: equalizes the two hosts' masses (each transfers
   /// half the difference, Section III.A).
   static void Exchange(PushSumNode& a, PushSumNode& b) {
-    const Mass avg{(a.mass_.weight + b.mass_.weight) * 0.5,
-                   (a.mass_.value + b.mass_.value) * 0.5};
-    a.mass_ = avg;
-    b.mass_ = avg;
+    a.mass_ = b.mass_ = MassMidpoint(a.mass_, b.mass_);
   }
 
   /// Current estimate of the network-wide average. Falls back to the
-  /// initial value while the host holds no weight (possible transiently in
-  /// push mode).
-  double Estimate() const {
-    return mass_.weight > 0.0 ? mass_.value / mass_.weight : initial_value_;
-  }
+  /// initial value while the host holds no weight.
+  double Estimate() const { return MassEstimate(mass_, initial_value_); }
 
   const Mass& mass() const { return mass_; }
   double initial_value() const { return initial_value_; }
@@ -109,9 +131,10 @@ class PushSumNode {
 /// contiguous arrays): a round's random accesses only touch the 16-byte
 /// mass or inbox entry of a host, not a 40-byte node, so at the paper's
 /// 100k-host scale the hot array stays cache-resident and the kernel's
-/// prefetched deposits hit instead of thrashing. Arithmetic is exactly
-/// PushSumNode's, element by element — estimates and mass totals are
-/// bit-identical to the node-per-host layout.
+/// prefetched deposits hit instead of thrashing. Each host's arithmetic is
+/// the shared step functions above, the same calls PushSumNode makes; the
+/// parity tests pin what can still differ from a node vector — plan order,
+/// RNG draws and deposit order.
 class PushSumSwarm {
  public:
   /// One host per entry of `values`; `mode` selects push or push/pull.
@@ -123,8 +146,7 @@ class PushSumSwarm {
   /// Current estimate of the network-wide average at `id` (PushSumNode
   /// semantics: initial value while the host holds no weight).
   double Estimate(HostId id) const {
-    return mass_[id].weight > 0.0 ? mass_[id].value / mass_[id].weight
-                                  : initial_[id];
+    return MassEstimate(mass_[id], initial_[id]);
   }
   int size() const { return static_cast<int>(mass_.size()); }
   GossipMode mode() const { return mode_; }

@@ -22,32 +22,30 @@ void PushSumRevertSwarm::RunRound(const Environment& env,
       meter_->RecordMessages(plan.CountMatched(), kMassMessageBytes);
     }
     // EmitPushHalf: the kernel deposits the half at the sender's own
-    // inbox, then at the partner's.
+    // inbox, then at the partner's. The half is read from the pre-round
+    // mass, which the end-of-round fold overwrites for every alive
+    // initiator, so it is not taken in place.
     kernel_.ForEachPushDeposit(
         size(), /*self_echo=*/true,
-        [this](HostId src) { return PushHalfAt(src); },
-        [this](HostId dst, const Mass& m) { DepositAt(dst, m); },
+        [this](HostId src) {
+          return PsrPushHalf(mass_[src], initial_[src], params_.lambda,
+                             params_.revert);
+        },
+        [this](HostId dst, const Mass& m) {
+          inbox_[dst] += m;
+          ++msgs_[dst];
+        },
         [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-    // On a never-mutated population alive_ids is every host: iterate the
-    // index range directly so the end-of-round fold has no id indirection.
-    if (pop.version() == 0) {
-      const int n = size();
-      for (HostId i = 0; i < n; ++i) EndRoundPushAt(i);
-    } else {
-      for (const HostId i : pop.alive_ids()) EndRoundPushAt(i);
-    }
+    ForEachAliveHost(pop, size(), [this](HostId i) {
+      PsrEndRoundPush(mass_[i], inbox_[i], msgs_[i], initial_[i],
+                      params_.lambda, params_.revert);
+    });
     return;
   }
   kernel_.PlanExchangeRound(env, pop, rng);
   kernel_.ForEachExchangePrefetched(
       [this](HostId i, HostId peer) {
-        // PushSumRevertNode::Exchange on the SoA state.
-        Mass& a = mass_[i];
-        Mass& b = mass_[peer];
-        const Mass avg{(a.weight + b.weight) * 0.5,
-                       (a.value + b.value) * 0.5};
-        a = avg;
-        b = avg;
+        mass_[i] = mass_[peer] = MassMidpoint(mass_[i], mass_[peer]);
         ++msgs_[i];
         ++msgs_[peer];
         if (meter_ != nullptr) {
@@ -56,12 +54,10 @@ void PushSumRevertSwarm::RunRound(const Environment& env,
         }
       },
       [this](HostId id) { __builtin_prefetch(&mass_[id], 1); });
-  if (pop.version() == 0) {
-    const int n = size();
-    for (HostId i = 0; i < n; ++i) EndRoundPushPullAt(i);
-  } else {
-    for (const HostId i : pop.alive_ids()) EndRoundPushPullAt(i);
-  }
+  ForEachAliveHost(pop, size(), [this](HostId i) {
+    PsrEndRoundPushPull(mass_[i], msgs_[i], initial_[i], params_.lambda,
+                        params_.revert);
+  });
 }
 
 Mass PushSumRevertSwarm::TotalAliveMass(const Population& pop) const {

@@ -17,6 +17,7 @@
 #ifndef DYNAGG_AGG_PUSH_SUM_REVERT_H_
 #define DYNAGG_AGG_PUSH_SUM_REVERT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "agg/aggregate.h"
@@ -39,7 +40,60 @@ struct PsrParams {
   RevertMode revert = RevertMode::kFixed;
 };
 
-/// Per-host Push-Sum-Revert state machine.
+// ---------------------------------------------------------------------------
+// The Push-Sum-Revert steps over one host's scalars: its mass, its inbox,
+// its per-round interaction count and its reversion anchor v0. The node
+// below, the swarm and the NodeAggregator facade all call these.
+
+/// Fig 3's Revert step at strength `eff`: w <- eff + (1 - eff) * w and
+/// v <- eff * v0 + (1 - eff) * v. Full-Transfer reverts with the same step.
+inline Mass Revert(const Mass& m, double v0, double eff) {
+  return Mass{(1.0 - eff) * m.weight + eff, (1.0 - eff) * m.value + eff * v0};
+}
+
+/// Adaptive reversion strength: lambda/2 per interaction, capped at 1.
+inline double AdaptiveStrength(double lambda, int32_t interactions) {
+  const double eff = 0.5 * lambda * static_cast<double>(interactions);
+  return eff > 1.0 ? 1.0 : eff;
+}
+
+/// Push-mode payload (Fig 3, step 2): the half of the outgoing mass sent to
+/// the peer and, as the self-message, to the host's own inbox. Fixed
+/// reversion applies to the outgoing total; adaptive reversion waits for
+/// the end of the round, when the indegree is known.
+inline Mass PsrPushHalf(const Mass& mass, double v0, double lambda,
+                        RevertMode revert) {
+  return MassScaled(revert == RevertMode::kFixed ? Revert(mass, v0, lambda)
+                                                 : mass,
+                    0.5);
+}
+
+/// Push-mode end of round: adopt the inbox; under adaptive reversion mix in
+/// lambda/2 of the initial mass per message received (self-message
+/// included). Clears the inbox and the count.
+inline void PsrEndRoundPush(Mass& mass, Mass& inbox, int32_t& msgs, double v0,
+                            double lambda, RevertMode revert) {
+  mass = revert == RevertMode::kAdaptive
+             ? Revert(inbox, v0, AdaptiveStrength(lambda, msgs))
+             : inbox;
+  inbox = Mass{};
+  msgs = 0;
+}
+
+/// Push/pull end of round: revert the mass in place. Under fixed reversion
+/// the strength is lambda; under adaptive it is lambda/2 per interaction
+/// this round, the self-interaction counting once. Clears the count.
+inline void PsrEndRoundPushPull(Mass& mass, int32_t& msgs, double v0,
+                                double lambda, RevertMode revert) {
+  const double eff = revert == RevertMode::kAdaptive
+                         ? AdaptiveStrength(lambda, msgs + 1)
+                         : lambda;
+  mass = Revert(mass, v0, eff);
+  msgs = 0;
+}
+
+/// Per-host Push-Sum-Revert state machine: the reference the swarm is
+/// tested against and the averaging half of the NodeAggregator facade.
 class PushSumRevertNode {
  public:
   /// (Re)initializes with local value `v0`; mass <1, v0>.
@@ -54,30 +108,13 @@ class PushSumRevertNode {
   /// rounds); used when the application's local reading changes.
   void SetLocalValue(double v0) { initial_value_ = v0; }
 
-  /// Push-mode emission (Fig 3, step 2), emission only: applies the
-  /// reversion to the outgoing total, removes the mass, and returns one
-  /// half of it. The caller owes TWO deposits of the returned half — one
-  /// to this host's own inbox (the self-message, which counts towards
-  /// adaptive indegree) and one to the peer — applied in that order by the
-  /// round kernel's push loop (RoundKernel::ForEachPushDeposit).
-  Mass TakePushHalf(double lambda, RevertMode revert) {
-    Mass out = mass_;
-    if (revert == RevertMode::kFixed) {
-      out.weight = (1.0 - lambda) * out.weight + lambda;
-      out.value = (1.0 - lambda) * out.value + lambda * initial_value_;
-    }
-    const Mass half{out.weight * 0.5, out.value * 0.5};
-    mass_ = Mass{};
-    return half;
-  }
-
-  /// Push-mode emission (Fig 3, step 2): applies the reversion to the
-  /// outgoing total, deposits half into the own inbox, returns the peer
-  /// half. Only used with RevertMode::kFixed; adaptive reversion happens at
-  /// EndRound based on indegree.
+  /// Push-mode emission (Fig 3, step 2): removes the mass, deposits the
+  /// payload half into the own inbox (the self-message counts towards
+  /// adaptive indegree) and returns the peer half.
   Mass EmitPushHalf(double lambda, RevertMode revert) {
-    const Mass half = TakePushHalf(lambda, revert);
-    Deposit(half);  // the self-message counts towards adaptive indegree
+    const Mass half = PsrPushHalf(mass_, initial_value_, lambda, revert);
+    mass_ = Mass{};
+    Deposit(half);
     return half;
   }
 
@@ -87,49 +124,27 @@ class PushSumRevertNode {
     ++messages_received_;
   }
 
-  /// Push-mode end of round: adopt the inbox; under adaptive reversion mix
-  /// in lambda/2 of the initial mass per message received.
+  /// Push-mode end of round (PsrEndRoundPush).
   void EndRoundPush(double lambda, RevertMode revert) {
-    Mass next = inbox_;
-    if (revert == RevertMode::kAdaptive) {
-      double eff = 0.5 * lambda * static_cast<double>(messages_received_);
-      if (eff > 1.0) eff = 1.0;
-      next.weight = (1.0 - eff) * next.weight + eff;
-      next.value = (1.0 - eff) * next.value + eff * initial_value_;
-    }
-    mass_ = next;
-    inbox_ = Mass{};
-    messages_received_ = 0;
+    PsrEndRoundPush(mass_, inbox_, messages_received_, initial_value_, lambda,
+                    revert);
   }
 
   /// Push/pull exchange: pairwise mass equalization. Counts one interaction
   /// on each side for adaptive reversion.
   static void Exchange(PushSumRevertNode& a, PushSumRevertNode& b) {
-    const Mass avg{(a.mass_.weight + b.mass_.weight) * 0.5,
-                   (a.mass_.value + b.mass_.value) * 0.5};
-    a.mass_ = avg;
-    b.mass_ = avg;
+    a.mass_ = b.mass_ = MassMidpoint(a.mass_, b.mass_);
     ++a.messages_received_;
     ++b.messages_received_;
   }
 
-  /// Push/pull end of round: applies the reversion in place. Under fixed
-  /// reversion the effective strength is lambda; under adaptive it is
-  /// lambda/2 per interaction this round (the self-interaction counts once).
+  /// Push/pull end of round (PsrEndRoundPushPull).
   void EndRoundPushPull(double lambda, RevertMode revert) {
-    double eff = lambda;
-    if (revert == RevertMode::kAdaptive) {
-      eff = 0.5 * lambda * static_cast<double>(messages_received_ + 1);
-      if (eff > 1.0) eff = 1.0;
-    }
-    mass_.weight = (1.0 - eff) * mass_.weight + eff;
-    mass_.value = (1.0 - eff) * mass_.value + eff * initial_value_;
-    messages_received_ = 0;
+    PsrEndRoundPushPull(mass_, messages_received_, initial_value_, lambda,
+                        revert);
   }
 
-  double Estimate() const {
-    return mass_.weight > 0.0 ? mass_.value / mass_.weight : initial_value_;
-  }
+  double Estimate() const { return MassEstimate(mass_, initial_value_); }
 
   const Mass& mass() const { return mass_; }
   /// Directly overwrites the mass: the adoption step of the serialized
@@ -141,20 +156,19 @@ class PushSumRevertNode {
   Mass mass_;
   Mass inbox_;
   double initial_value_ = 0.0;
-  int messages_received_ = 0;
+  int32_t messages_received_ = 0;
 };
 
 /// A population of Push-Sum-Revert hosts driven one round at a time.
 ///
-/// Structure-of-arrays layout (PushSumSwarm is the template): the per-host
-/// state machine above is kept as the semantic reference (and for the
-/// serialized NodeAggregator facade), but the swarm stores its hosts as
-/// flat parallel arrays — mass, inbox, reversion anchor, per-round message
-/// count — so the plan→apply inner loops walk contiguous memory with no
-/// per-host object padding. Every element operation replicates the node
-/// arithmetic expression-for-expression, so estimates stay bit-identical
-/// to a vector of PushSumRevertNodes (pinned by tests/sim/
-/// round_kernel_test.cc).
+/// Structure-of-arrays layout (PushSumSwarm is the template): the swarm
+/// stores its hosts as flat parallel arrays — mass, inbox, reversion
+/// anchor, per-round message count — so the plan→apply inner loops walk
+/// contiguous memory with no per-host object padding. Each host's
+/// arithmetic is the step functions above, called on that host's array
+/// slots exactly as PushSumRevertNode calls them on its members;
+/// tests/sim/round_kernel_test.cc pins the rest against a node vector —
+/// plan order, RNG draws and deposit order.
 class PushSumRevertSwarm {
  public:
   PushSumRevertSwarm(const std::vector<double>& values,
@@ -164,8 +178,7 @@ class PushSumRevertSwarm {
   void RunRound(const Environment& env, const Population& pop, Rng& rng);
 
   double Estimate(HostId id) const {
-    return mass_[id].weight > 0.0 ? mass_[id].value / mass_[id].weight
-                                  : initial_[id];
+    return MassEstimate(mass_[id], initial_[id]);
   }
   int size() const { return static_cast<int>(mass_.size()); }
   const PsrParams& params() const { return params_; }
@@ -198,45 +211,6 @@ class PushSumRevertSwarm {
   }
 
  private:
-  // Element-wise replicas of the PushSumRevertNode round steps.
-  // The pushed half, read from the pre-round mass (the end-of-round fold
-  // overwrites every alive initiator's mass, so it is not taken in place).
-  Mass PushHalfAt(HostId i) const {
-    Mass out = mass_[i];
-    if (params_.revert == RevertMode::kFixed) {
-      out.weight = (1.0 - params_.lambda) * out.weight + params_.lambda;
-      out.value =
-          (1.0 - params_.lambda) * out.value + params_.lambda * initial_[i];
-    }
-    return Mass{out.weight * 0.5, out.value * 0.5};
-  }
-  void DepositAt(HostId i, const Mass& m) {
-    inbox_[i] += m;
-    ++msgs_[i];
-  }
-  void EndRoundPushAt(HostId i) {
-    Mass next = inbox_[i];
-    if (params_.revert == RevertMode::kAdaptive) {
-      double eff = 0.5 * params_.lambda * static_cast<double>(msgs_[i]);
-      if (eff > 1.0) eff = 1.0;
-      next.weight = (1.0 - eff) * next.weight + eff;
-      next.value = (1.0 - eff) * next.value + eff * initial_[i];
-    }
-    mass_[i] = next;
-    inbox_[i] = Mass{};
-    msgs_[i] = 0;
-  }
-  void EndRoundPushPullAt(HostId i) {
-    double eff = params_.lambda;
-    if (params_.revert == RevertMode::kAdaptive) {
-      eff = 0.5 * params_.lambda * static_cast<double>(msgs_[i] + 1);
-      if (eff > 1.0) eff = 1.0;
-    }
-    mass_[i].weight = (1.0 - eff) * mass_[i].weight + eff;
-    mass_[i].value = (1.0 - eff) * mass_[i].value + eff * initial_[i];
-    msgs_[i] = 0;
-  }
-
   std::vector<Mass> mass_;
   std::vector<Mass> inbox_;
   std::vector<double> initial_;  // reversion anchors (the v0 values)

@@ -180,9 +180,18 @@ Result<uint64_t> MessageStream(const ScenarioSpec& spec,
 Status CheckValueBacked(const FailureConfig& cfg, bool value_backed);
 
 /// Rejects `record = bandwidth` on protocols that cannot meter their
-/// traffic (Capability::kMetered): the rounds and trace drivers measure it
-/// through the swarm's traffic meter. Shared by --dry-run and the drivers.
+/// traffic (Capability::kMetered): the rounds driver measures it through
+/// the swarm's traffic meter. Shared by --dry-run and the driver.
 Status CheckMetered(const ScenarioSpec& spec, bool metered);
+
+/// Spec-only validation of a `driver = trace` experiment: protocol
+/// capability, no rounds / failure.* / churn.* / record.* keys, the
+/// seeds.* allowlist and the metric catalog (rms, avg_group_size). Shared
+/// between the trace driver itself and the executor's `--dry-run`, the
+/// counterpart of ValidateAsyncSpec. Whether the environment provides a
+/// trace is checked against its registry entry (dry run) or the built
+/// environment (driver).
+Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def);
 
 /// Builds the scripted plan. `values` backs kill_top_fraction and may be
 /// null for protocols without per-host scalar values.

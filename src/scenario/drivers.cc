@@ -403,23 +403,9 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  if (!def.make_swarm) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' owns its whole trial loop and cannot run under driver = trace");
-  }
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
-  // Failure and churn plans are round-indexed; the trace timeline has no
-  // rounds.
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("failure.", {}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("churn.", {}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
-  DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(
-      spec, {"rms", "avg_group_size", "bandwidth", "gossip_bytes"}));
+  DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, def));
   const bool want_rms = MetricRequested(spec, "rms");
   const bool want_group_size = MetricRequested(spec, "avg_group_size");
-  const bool want_bandwidth = MetricRequested(spec, "bandwidth");
-  const bool want_gossip_bytes = MetricRequested(spec, "gossip_bytes");
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
   if (env.trace == nullptr) {
@@ -428,21 +414,10 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
         "' does not provide a contact trace (driver = trace replays one; "
         "use haggle or another trace environment)");
   }
+  // ValidateTraceSpec admitted a trace-capable protocol, so the swarm has
+  // the group_truths hook (the capability is derived from it).
   DYNAGG_ASSIGN_OR_RETURN(SwarmHandle swarm, def.make_swarm(ctx, env));
-  if (!swarm.group_truths) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not support driver = trace (no group-truth hook)");
-  }
   DYNAGG_RETURN_IF_ERROR(ApplyIntraRoundThreads(spec, swarm));
-  if (want_gossip_bytes && swarm.gossip_bytes < 0) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not model the gossip_bytes metric");
-  }
-  DYNAGG_RETURN_IF_ERROR(CheckMetered(spec, swarm.set_meter != nullptr));
-  TrafficMeter meter;
-  if (want_bandwidth) swarm.set_meter(&meter);
   const std::function<double(HostId)>& estimate =
       swarm.group_estimate ? swarm.group_estimate : swarm.estimate;
 
@@ -456,11 +431,8 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
 
   TraceRunner runner(*env.trace, gossip_period, env.group_window);
   Rng rng(DeriveSeed(ctx.trial_seed, round_stream));
-  int64_t ticks = 0;  // executed gossip ticks: the bandwidth denominator
-  runner.OnRound([&](SimTime) {
-    swarm.run_round(runner.env(), runner.pop(), rng);
-    ++ticks;
-  });
+  runner.OnRound(
+      [&](SimTime) { swarm.run_round(runner.env(), runner.pop(), rng); });
   // Declare both series before the run: a trace shorter than one sample
   // period must still emit the (empty) series for structural consistency.
   if (want_rms) rec.MutableSeries("hour", "rms");
@@ -487,19 +459,43 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   runner.Run();
   obs::Count(obs::Counter::kRngDraws,
              static_cast<int64_t>(rng.draw_count()));
-  // Traffic normalizes per host per executed gossip tick — the trace's
-  // event-driven analogue of the rounds driver's per-round normalization.
-  const double denom = static_cast<double>(env.env->num_hosts()) *
-                       static_cast<double>(std::max<int64_t>(1, ticks));
-  if (want_gossip_bytes) rec.AddScalar("gossip_bytes", swarm.gossip_bytes);
-  if (want_bandwidth) {
-    rec.SetBandwidth(meter.total().messages / denom,
-                     meter.total().bytes / denom, swarm.state_bytes);
-  }
   return Status::OK();
 }
 
 }  // namespace
+
+Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
+  const auto invalid = [&](const std::string& what) {
+    return Status::InvalidArgument("driver = trace: " + what);
+  };
+  if (!def.make_swarm) {
+    return invalid("protocol '" + spec.protocol +
+                   "' owns its whole trial loop and cannot replay a trace");
+  }
+  if (!def.capabilities.Has(Capability::kTrace)) {
+    return invalid("protocol '" + spec.protocol +
+                   "' does not support the trace driver (no group-truth "
+                   "hooks)");
+  }
+  if (spec.rounds_set || spec.sweep_key == "rounds" ||
+      spec.sweep2_key == "rounds") {
+    return invalid(
+        "rounds does not apply (the trace horizon and gossip_period govern "
+        "the run length)");
+  }
+  // Failure and churn plans are round-indexed and record.* knobs select
+  // rounds; the trace timeline has no rounds.
+  for (const auto& [key, value] : spec.params) {
+    if (key.rfind("failure.", 0) == 0 || key.rfind("churn.", 0) == 0 ||
+        key.rfind("record.", 0) == 0) {
+      return invalid("'" + key +
+                     "' does not apply (it is round-indexed; the trace "
+                     "timeline has no rounds)");
+    }
+  }
+  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
+  return CheckMetricsSupported(spec, {"rms", "avg_group_size"});
+}
 
 namespace internal {
 

@@ -860,32 +860,7 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
                      "' does not provide one (use haggle or another trace "
                      "environment)");
     }
-    if (!protocol.capabilities.Has(Capability::kTrace)) {
-      return invalid("protocol '" + spec.protocol +
-                     "' does not support driver = " + spec.driver +
-                     " (no group-truth hooks)");
-    }
-    if (spec.rounds_set || spec.sweep_key == "rounds" ||
-        spec.sweep2_key == "rounds") {
-      return invalid(
-          "rounds does not apply to driver = " + spec.driver +
-          " (the trace horizon and gossip_period govern the run length)");
-    }
-    // Failure plans are round-indexed; the event-driven timeline has no
-    // rounds. Mirrors the trace driver's run-time rejection so the
-    // mismatch fails --dry-run.
-    for (const auto& [key, value] : spec.params) {
-      if (key.rfind("failure.", 0) == 0) {
-        return invalid("'" + key + "' does not apply to driver = " +
-                       spec.driver +
-                       " (failure plans are round-indexed; the trace "
-                       "timeline has no rounds)");
-      }
-    }
-    DYNAGG_RETURN_IF_ERROR(
-        CheckMetered(spec, protocol.capabilities.Has(Capability::kMetered)));
-    DYNAGG_RETURN_IF_ERROR(
-        CheckMetricsSupported(spec, {"rms", "avg_group_size"}));
+    DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, protocol));
   } else if (spec.gossip_period > 0 || spec.sample_period > 0) {
     return invalid(
         "gossip_period / sample_period configure the event-driven drivers "
@@ -954,6 +929,8 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
     }
     if (driver.message_level) {
       DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
+    } else if (driver.event_driven) {
+      DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(swept, protocol));
     }
   }
   for (const double v : spec.sweep2_values) {
@@ -972,6 +949,8 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
     }
     if (driver.message_level) {
       DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
+    } else if (driver.event_driven) {
+      DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(swept, protocol));
     }
   }
   return Status::OK();

@@ -278,7 +278,7 @@ enum class Capability : uint8_t {
   kAsync,        // async_tick / async_deliver: `driver = async`
   kJoin,         // on_join: `churn.*` keys
   kGossipBytes,  // gossip_bytes >= 0: `record = gossip_bytes`
-  kMetered,      // set_meter: `record = bandwidth` (rounds, trace drivers)
+  kMetered,      // set_meter: `record = bandwidth` (rounds driver)
   kValueBacked,  // failure_values: `failure.kind = kill_top_fraction`
 };
 

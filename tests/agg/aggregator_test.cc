@@ -93,6 +93,41 @@ TEST(NodeAggregatorTest, GroupOfTenEstimatesSizeAndSum) {
   EXPECT_NEAR(devices[0]->SumEstimate(), true_sum, 0.55 * true_sum);
 }
 
+// The facade's serialized request/reply equalization and its end-of-round
+// reversion are the PushSumRevertNode push/pull steps: the same random
+// pairing run on both must give the same estimates bit for bit.
+TEST(NodeAggregatorTest, SerializedExchangeMatchesNodeSteps) {
+  const int n = 5;
+  const AggregatorConfig config = SmallConfig();
+  std::vector<std::unique_ptr<NodeAggregator>> devices;
+  std::vector<PushSumRevertNode> nodes(n);
+  for (int i = 0; i < n; ++i) {
+    const double value = 7.5 * i + 1.25;
+    devices.push_back(std::make_unique<NodeAggregator>(100 + i, value, config));
+    nodes[i].Init(value);
+  }
+  Rng rng(20240517);
+  for (int round = 0; round < 30; ++round) {
+    for (int i = 0; i < n; ++i) {
+      const int peer = static_cast<int>(rng.UniformInt(n - 1));
+      const int j = peer >= i ? peer + 1 : peer;
+      const auto request = devices[i]->BeginRound();
+      const auto reply = devices[j]->HandleMessage(request);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      ASSERT_TRUE(devices[i]->HandleReply(*reply).ok());
+      PushSumRevertNode::Exchange(nodes[i], nodes[j]);
+    }
+    for (int i = 0; i < n; ++i) {
+      devices[i]->EndRound();
+      nodes[i].EndRoundPushPull(config.lambda, RevertMode::kFixed);
+    }
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(devices[i]->AverageEstimate(), nodes[i].Estimate())
+          << "device " << i << ", round " << round;
+    }
+  }
+}
+
 TEST(NodeAggregatorTest, IsolatedDeviceDecaysToSelf) {
   AggregatorConfig config = SmallConfig();
   config.lambda = 0.2;

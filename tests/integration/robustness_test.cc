@@ -72,14 +72,25 @@ TEST_P(FuzzSeedTest, AggregatorRejectsBitflippedMassNaN) {
   config.csr.levels = 8;
   NodeAggregator a(1, 10.0, config);
   NodeAggregator b(2, 20.0, config);
-  auto request = a.BeginRound();
-  // Overwrite the weight field (offset 3) with a NaN pattern.
-  const uint64_t nan_bits = 0x7ff8000000000001ull;
-  for (int i = 0; i < 8; ++i) {
-    request[3 + i] = static_cast<uint8_t>(nan_bits >> (8 * i));
+  // Non-finite bit patterns written over the weight (offset 3) or the value
+  // (offset 11) field: NaN, +inf and -inf. One accepted payload would
+  // corrupt b's mass for good.
+  const uint64_t kNaN = 0x7ff8000000000001ull;
+  const uint64_t kPosInf = 0x7ff0000000000000ull;
+  const uint64_t kNegInf = 0xfff0000000000000ull;
+  const struct {
+    int offset;
+    uint64_t bits;
+  } cases[] = {{3, kNaN}, {3, kPosInf}, {11, kNegInf}, {11, kPosInf}};
+  for (const auto& c : cases) {
+    auto request = a.BeginRound();
+    for (int i = 0; i < 8; ++i) {
+      request[c.offset + i] = static_cast<uint8_t>(c.bits >> (8 * i));
+    }
+    b.BeginRound();
+    EXPECT_FALSE(b.HandleMessage(request).ok())
+        << "offset " << c.offset << ", bits " << std::hex << c.bits;
   }
-  b.BeginRound();
-  EXPECT_FALSE(b.HandleMessage(request).ok());
 }
 
 TEST_P(FuzzSeedTest, FmSketchDeserializeNeverCrashes) {

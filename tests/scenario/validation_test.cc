@@ -165,8 +165,8 @@ TEST(DryRunValidationTest, RejectsGossipBytesOnProtocolWithoutModel) {
                   .ok());
 }
 
-// The rounds and trace drivers measure `record = bandwidth` through the
-// swarm's traffic meter. Protocols whose swarm has none (no `metered`
+// The rounds driver measures `record = bandwidth` through the swarm's
+// traffic meter. Protocols whose swarm has none (no `metered`
 // capability) fail --dry-run with the message execution would give.
 constexpr char kNoBandwidth[] = "does not support the bandwidth metric";
 
@@ -233,6 +233,22 @@ TEST(DryRunValidationTest, RejectsFailurePlanKeysOnTraceDriver) {
       "protocol = push-sum-revert\ndriver = trace\nenvironment = haggle\n"
       "record = rms\nfailure.kind = churn\nfailure.death_prob = 0.01\n",
       "failure.");
+}
+
+// The trace driver reads no record.* knob and derives only the gossip
+// stream; both used to pass --dry-run and fail once the trial ran.
+TEST(DryRunValidationTest, RejectsRecordKeysOnTraceDriver) {
+  ExpectDryRunError(
+      "protocol = push-sum-revert\ndriver = trace\nenvironment = haggle\n"
+      "record = rms\nrecord.from = 1\n",
+      "record.from");
+}
+
+TEST(DryRunValidationTest, RejectsUnusedSeedStreamsOnTraceDriver) {
+  ExpectDryRunError(
+      "protocol = push-sum-revert\ndriver = trace\nenvironment = haggle\n"
+      "record = rms\nseeds.failure_stream = 3\n",
+      "seeds.failure_stream");
 }
 
 TEST(DryRunValidationTest, RejectsRoundMetricsOnTraceDriver) {

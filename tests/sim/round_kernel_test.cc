@@ -1,10 +1,14 @@
 // Round-kernel parity and determinism tests.
 //
-// The swarms' RunRound was rewritten from per-host SamplePeer loops onto
-// the shared plan -> apply kernel; these tests pin that the rewrite is
-// bit-identical to the pre-refactor loops (replicated verbatim below) —
-// including under mid-trial deaths, trace playback (AdvanceTo between
-// rounds), and with the push loop split over intra-round threads.
+// The swarms run each round on the shared plan -> apply kernel; the
+// reference loops below run it over node vectors with per-host SamplePeer
+// draws, as the pre-kernel RunRound bodies did. Swarms and nodes evaluate
+// each host's arithmetic with the same step functions (push_sum.h,
+// push_sum_revert.h, full_transfer.h), so these tests pin what can still
+// differ: the plan's host order, the RNG draws and the order in which
+// deposits land in each inbox. They do so under mid-trial deaths, trace
+// playback (AdvanceTo between rounds), and with the push loop split over
+// intra-round threads.
 
 #include <cmath>
 #include <span>

@@ -139,7 +139,8 @@ void AppendProtocolKnobs(const std::string& name, Rng& rng,
 
 /// Builds one structurally valid spec: bounded sizes, knobs inside the
 /// validated ranges, stream workloads for the protocols that require one,
-/// churn plans only on join-capable swarm protocols.
+/// churn plans only on join-capable swarm protocols, and sometimes a short
+/// contact-trace replay (driver = trace) for trace-capable ones.
 std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
                                         const ProtocolDef& def, int index,
                                         Rng& rng) {
@@ -147,16 +148,32 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
   lines.push_back({"name", "fuzz_" + std::to_string(index)});
   lines.push_back({"protocol", protocol});
   const bool custom = def.make_swarm == nullptr;
-  const int hosts = static_cast<int>(rng.UniformRange(2, 256));
-  lines.push_back({"hosts", std::to_string(hosts)});
-  const int rounds = static_cast<int>(rng.UniformRange(1, 40));
-  lines.push_back({"rounds", std::to_string(rounds)});
+  // The trace driver replays the haggle environment's synthetic trace for
+  // 1-3 hours. Its horizon sets the run length and its timeline has no
+  // rounds, so a trace spec gets no rounds, failure.*, churn.* or
+  // record.* lines.
+  const bool trace = !custom &&
+                     def.capabilities.Has(scenario::Capability::kTrace) &&
+                     rng.Bernoulli(0.2);
+  int hosts = 0;
+  int rounds = 0;
+  if (trace) {
+    lines.push_back({"driver", "trace"});
+    lines.push_back({"environment", "haggle"});
+    lines.push_back({"env.dataset", "1"});
+    lines.push_back({"env.hours", std::to_string(rng.UniformRange(1, 3))});
+  } else {
+    hosts = static_cast<int>(rng.UniformRange(2, 256));
+    lines.push_back({"hosts", std::to_string(hosts)});
+    rounds = static_cast<int>(rng.UniformRange(1, 40));
+    lines.push_back({"rounds", std::to_string(rounds)});
+  }
   lines.push_back({"trials", std::to_string(rng.UniformRange(1, 2))});
   lines.push_back({"seed", std::to_string(rng.Next() >> 1)});
 
   // Custom runners own their environment/record surface; keep them on the
   // defaults the validators accept.
-  if (!custom && rng.Bernoulli(0.25)) {
+  if (!custom && !trace && rng.Bernoulli(0.25)) {
     lines.push_back({"environment", "random-graph"});
     lines.push_back(
         {"env.degree", std::to_string(rng.UniformRange(2, 8))});
@@ -176,6 +193,10 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
   }
 
   AppendProtocolKnobs(protocol, rng, &lines);
+  if (trace) {
+    if (rng.Bernoulli(0.3)) lines.push_back({"record", "rms, avg_group_size"});
+    return lines;
+  }
 
   bool used_churn = false;
   if (def.capabilities.Has(scenario::Capability::kJoin) && !custom &&
