@@ -264,7 +264,7 @@ void CsrSwarm::RunRound(const Environment& env, const Population& pop,
     // state, timed under the apply phase in its own span (the exchange
     // walk below opens the next one).
     obs::ScopedPhase span(obs::Phase::kApply);
-    for (const HostId i : pop.alive_ids()) nodes_[i].AgeCounters();
+    ForEachAliveId(pop, [this](HostId i) { nodes_[i].AgeCounters(); });
   }
   // Phase 2: exchanges, applied sequentially in shuffled plan order
   // (min-merge is idempotent and monotone, so in-round ordering only

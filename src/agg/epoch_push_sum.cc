@@ -32,9 +32,8 @@ void EpochPushSumSwarm::RunRound(const Environment& env,
       b.AdvanceToEpoch(a.epoch());
     }
   });
-  for (const HostId i : pop.alive_ids()) {
-    nodes_[i].Tick(params_.epoch_length);
-  }
+  ForEachAliveId(pop,
+                 [this](HostId i) { nodes_[i].Tick(params_.epoch_length); });
 }
 
 }  // namespace dynagg

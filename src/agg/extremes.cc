@@ -15,7 +15,7 @@ DynamicExtremeSwarm::DynamicExtremeSwarm(const std::vector<double>& values,
 
 void DynamicExtremeSwarm::RunRound(const Environment& env,
                                    const Population& pop, Rng& rng) {
-  for (const HostId i : pop.alive_ids()) nodes_[i].BeginRound(params_);
+  ForEachAliveId(pop, [this](HostId i) { nodes_[i].BeginRound(params_); });
   kernel_.PlanExchangeRound(env, pop, rng);
   kernel_.ForEachExchange([this](HostId i, HostId peer) {
     if (params_.mode == GossipMode::kPushPull) {

@@ -63,14 +63,17 @@ void FullTransferSwarm::RunRound(const Environment& env,
       },
       [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
       [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-  ForEachAliveHost(pop, size(), [this](HostId i) {
+  // The end-of-round fold is apply work in its own span (the kernel's
+  // deposit span has closed).
+  obs::ScopedPhase span(obs::Phase::kApply);
+  ForEachAliveId(pop, [this](HostId i) {
     FtEndRound(mass_[i], inbox_[i], Ring(i), hist_next_[i], hist_count_[i]);
   });
 }
 
 Mass FullTransferSwarm::TotalAliveMass(const Population& pop) const {
   Mass total;
-  for (const HostId id : pop.alive_ids()) total += mass_[id];
+  ForEachAliveId(pop, [&](HostId id) { total += mass_[id]; });
   return total;
 }
 

@@ -30,16 +30,17 @@ void PushSumSwarm::RunRound(const Environment& env, const Population& pop,
         [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
         [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
     // PushSumNode::EndRound: adopt the summed inbox. On a never-mutated
-    // population alive_ids is every host, so the adoption collapses to an
+    // population every host is alive, so the adoption collapses to an
     // array swap plus a clear — no copy pass at all.
+    obs::ScopedPhase span(obs::Phase::kApply);
     if (pop.version() == 0) {
       mass_.swap(inbox_);
       std::fill(inbox_.begin(), inbox_.end(), Mass{});
     } else {
-      for (const HostId i : pop.alive_ids()) {
+      ForEachAliveId(pop, [this](HostId i) {
         mass_[i] = inbox_[i];
         inbox_[i] = Mass{};
-      }
+      });
     }
     return;
   }
@@ -72,7 +73,7 @@ void PushSumSwarm::PlanAsyncTick(const Environment& env, const Population& pop,
 
 Mass PushSumSwarm::TotalAliveMass(const Population& pop) const {
   Mass total;
-  for (const HostId id : pop.alive_ids()) total += mass_[id];
+  ForEachAliveId(pop, [&](HostId id) { total += mass_[id]; });
   return total;
 }
 

@@ -62,19 +62,6 @@ inline double MassEstimate(const Mass& m, double fallback) {
   return m.weight > 0.0 ? m.value / m.weight : fallback;
 }
 
-/// Calls fold(i) for every alive host of an `n`-host swarm: the
-/// end-of-round pass of the push-sum family. On a never-mutated population
-/// alive_ids is every host, so the pass walks the index range directly,
-/// with no id indirection.
-template <typename Fold>
-void ForEachAliveHost(const Population& pop, int n, Fold fold) {
-  if (pop.version() == 0) {
-    for (HostId i = 0; i < n; ++i) fold(i);
-  } else {
-    for (const HostId i : pop.alive_ids()) fold(i);
-  }
-}
-
 /// Per-host Push-Sum state machine: the averaging state inside each
 /// EpochPushSumNode, and the reference PushSumSwarm is tested against
 /// (tests/sim/round_kernel_test.cc).

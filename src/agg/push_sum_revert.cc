@@ -36,7 +36,10 @@ void PushSumRevertSwarm::RunRound(const Environment& env,
           ++msgs_[dst];
         },
         [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-    ForEachAliveHost(pop, size(), [this](HostId i) {
+    // The end-of-round fold is apply work in its own span (the kernel's
+    // deposit span has closed).
+    obs::ScopedPhase span(obs::Phase::kApply);
+    ForEachAliveId(pop, [this](HostId i) {
       PsrEndRoundPush(mass_[i], inbox_[i], msgs_[i], initial_[i],
                       params_.lambda, params_.revert);
     });
@@ -54,7 +57,8 @@ void PushSumRevertSwarm::RunRound(const Environment& env,
         }
       },
       [this](HostId id) { __builtin_prefetch(&mass_[id], 1); });
-  ForEachAliveHost(pop, size(), [this](HostId i) {
+  obs::ScopedPhase span(obs::Phase::kApply);  // the fold, as in push mode
+  ForEachAliveId(pop, [this](HostId i) {
     PsrEndRoundPushPull(mass_[i], msgs_[i], initial_[i], params_.lambda,
                         params_.revert);
   });
@@ -62,7 +66,7 @@ void PushSumRevertSwarm::RunRound(const Environment& env,
 
 Mass PushSumRevertSwarm::TotalAliveMass(const Population& pop) const {
   Mass total;
-  for (const HostId id : pop.alive_ids()) total += mass_[id];
+  ForEachAliveId(pop, [&](HostId id) { total += mass_[id]; });
   return total;
 }
 

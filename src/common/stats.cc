@@ -40,10 +40,6 @@ void RunningStat::Merge(const RunningStat& other) {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-double DeviationStat::rms() const {
-  return count_ > 0 ? std::sqrt(sum_sq_ / count_) : 0.0;
-}
-
 Histogram::Histogram(double lo, double hi, int num_buckets)
     : lo_(lo), width_((hi - lo) / num_buckets) {
   DYNAGG_CHECK_GT(num_buckets, 0);

@@ -8,6 +8,7 @@
 #ifndef DYNAGG_COMMON_STATS_H_
 #define DYNAGG_COMMON_STATS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,11 +57,13 @@ class RunningStat {
 /// sqrt(mean((estimate_i - truth_i)^2)).
 class DeviationStat {
  public:
-  /// Adds one host's estimate against its correct value.
+  /// Adds one host's estimate against its correct value. Branch-free (the
+  /// sign of a deviation is unpredictable), and inline together with rms()
+  /// so a per-host scan keeps the sums in registers.
   void Add(double estimate, double truth) {
     const double d = estimate - truth;
     sum_sq_ += d * d;
-    sum_abs_ += d < 0 ? -d : d;
+    sum_abs_ += std::fabs(d);
     ++count_;
   }
 
@@ -68,7 +71,9 @@ class DeviationStat {
 
   int64_t count() const { return count_; }
   /// Root-mean-square deviation from truth; 0 when empty.
-  double rms() const;
+  double rms() const {
+    return count_ > 0 ? std::sqrt(sum_sq_ / count_) : 0.0;
+  }
   /// Mean absolute deviation from truth; 0 when empty.
   double mean_abs() const { return count_ > 0 ? sum_abs_ / count_ : 0.0; }
 

@@ -114,7 +114,7 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   window.every = static_cast<int>(std::min<int64_t>(record_every, ticks));
 
   const auto rms_now = [&]() {
-    return RmsDeviationOverAlive(pop, swarm.truth(pop), swarm.estimate);
+    return swarm.rms_deviation(pop, swarm.truth(pop));
   };
 
   // Gossip tick k fires at (k+1) * gossip_period: plan the send wave, then

@@ -201,7 +201,7 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
     // Telemetry: per-round metric evaluation is the record phase.
     obs::ScopedPhase record_span(obs::Phase::kRecord);
     const double tr = swarm.truth(pop);
-    double rms = RmsDeviationOverAlive(pop, tr, swarm.estimate);
+    double rms = swarm.rms_deviation(pop, tr);
     // record.relative: the series (and everything derived from it) is
     // measured relative to the current truth, the cutoff ablation's
     // rms/truth convention. A zero truth would silently record inf/nan.
@@ -342,10 +342,10 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   std::vector<double> final_errors;
   if (metrics.final_error_cdf || !metrics.final_error_quantiles.empty()) {
     const double tr = swarm.truth(pop);
-    final_errors.reserve(pop.alive_ids().size());
-    for (const HostId id : pop.alive_ids()) {
+    final_errors.reserve(pop.num_alive());
+    ForEachAliveId(pop, [&](HostId id) {
       final_errors.push_back(std::abs(swarm.estimate(id) - tr));
-    }
+    });
   }
   if (!metrics.final_error_quantiles.empty()) {
     // quantile(final_error, q): exact (sorted sample, linear
@@ -444,11 +444,11 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
       labels = runner.env().CurrentGroups();
       const std::vector<int> sizes = ComponentSizes(labels);
       const std::vector<double> truths = swarm.group_truths(labels, sizes);
-      DeviationStat dev;
-      for (const HostId id : runner.pop().alive_ids()) {
-        dev.Add(estimate(id), truths[labels[id]]);
-      }
-      rec.AddSeriesPoint("hour", "rms", hour, dev.rms());
+      rec.AddSeriesPoint(
+          "hour", "rms", hour,
+          RmsDeviationPerHost(
+              runner.pop(), [&](HostId id) { return truths[labels[id]]; },
+              estimate));
     }
     if (want_group_size) {
       rec.AddSeriesPoint("hour", "avg_group_size", hour,

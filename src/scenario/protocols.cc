@@ -277,13 +277,13 @@ struct ExtremesBox {
     const bool max = swarm.params().kind == ExtremeKind::kMaximum;
     bool first = true;
     double best = 0.0;
-    for (const HostId id : pop.alive_ids()) {
+    ForEachAliveId(pop, [&](HostId id) {
       const double v = values[id];
       if (first || (max ? v > best : v < best)) {
         best = v;
         first = false;
       }
-    }
+    });
     return best;
   }
 };
@@ -1116,9 +1116,9 @@ Status RunExtremeRecovery(const TrialContext& ctx, Recorder& rec) {
   for (int64_t round = 0; round < cfg.recover_rounds; ++round) {
     swarm.RunRound(*env.env, pop, rng);
     int64_t holding = 0;
-    for (const HostId id : pop.alive_ids()) {
+    ForEachAliveId(pop, [&](HostId id) {
       if (swarm.Estimate(id) == cfg.runner_up_value) ++holding;
-    }
+    });
     if (holding >=
         static_cast<int64_t>(pop.num_alive()) * cfg.recover_pct / 100) {
       recover = static_cast<int>(round) + 1;

@@ -11,7 +11,8 @@
 // the hooks).
 //
 // The box supplies the measure:
-//   double Estimate(HostId) const            -> estimate (required)
+//   double Estimate(HostId) const            -> estimate, rms_deviation
+//                                               (required)
 //   double Truth(const Population&) const    -> truth (required)
 //   double state_bytes                       -> state_bytes (required)
 //   GroupTruths(labels, sizes) const         -> group_truths     kTrace
@@ -29,7 +30,8 @@
 //                                               message_bytes    kAsync
 //
 // Each hook is one lambda over a raw pointer into the box, so a driver's
-// per-host `estimate` call stays a single std::function call.
+// per-host `estimate` call stays a single std::function call, and
+// `rms_deviation` scans every alive host with Estimate inlined.
 
 #ifndef DYNAGG_SCENARIO_SWARM_HANDLE_H_
 #define DYNAGG_SCENARIO_SWARM_HANDLE_H_
@@ -143,6 +145,10 @@ SwarmHandle MakeSwarmHandle(std::shared_ptr<Box> box) {
   };
   h.estimate = [b](HostId id) { return b->Estimate(id); };
   h.truth = [b](const Population& pop) { return b->Truth(pop); };
+  h.rms_deviation = [b](const Population& pop, double truth) {
+    return RmsDeviationOverAlive(pop, truth,
+                                 [b](HostId id) { return b->Estimate(id); });
+  };
   h.state_bytes = b->state_bytes;
   if constexpr (GroupMeasured<Box>) {
     h.group_truths = [b](const std::vector<int>& labels,
@@ -244,7 +250,7 @@ struct CountBox {
   double Estimate(HostId id) const { return swarm.EstimateCount(id); }
   double Truth(const Population& pop) const {
     int64_t total = 0;
-    for (const HostId id : pop.alive_ids()) total += mult[id];
+    ForEachAliveId(pop, [&](HostId id) { total += mult[id]; });
     return static_cast<double>(total);
   }
   double GroupEstimate(HostId id) const {

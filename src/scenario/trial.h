@@ -315,9 +315,14 @@ struct SwarmHandle {
   /// Per-host estimate of the aggregate (required).
   std::function<double(HostId)> estimate;
   /// Network-wide truth over the alive population (required; the rounds
-  /// driver evaluates it, with `estimate`, after every round some requested
-  /// error metric reads — see RoundIsRead in scenario/config.h).
+  /// driver evaluates it, with `rms_deviation`, after every round some
+  /// requested error metric reads — see RoundIsRead in scenario/config.h).
   std::function<double(const Population&)> truth;
+  /// RMS deviation of every alive host's estimate from `truth`: the same
+  /// value as RmsDeviationOverAlive(pop, truth, estimate), with the box's
+  /// Estimate inlined into the id-order scan instead of one std::function
+  /// call per host (required). The per-round records read it.
+  std::function<double(const Population&, double truth)> rms_deviation;
   /// Per-group truth for group-relative (trace) error: given the current
   /// component labelling and per-group member counts, the truth of each
   /// group (index = group id). Null = no `driver = trace` support

@@ -3,32 +3,14 @@
 namespace dynagg {
 
 double TrueAverage(const std::vector<double>& values, const Population& pop) {
-  const auto& alive = pop.alive_ids();
-  if (alive.empty()) return 0.0;
-  double sum = 0.0;
-  for (const HostId id : alive) sum += values[id];
-  return sum / static_cast<double>(alive.size());
+  if (pop.num_alive() == 0) return 0.0;
+  return TrueSum(values, pop) / static_cast<double>(pop.num_alive());
 }
 
 double TrueSum(const std::vector<double>& values, const Population& pop) {
   double sum = 0.0;
-  for (const HostId id : pop.alive_ids()) sum += values[id];
+  ForEachAliveId(pop, [&](HostId id) { sum += values[id]; });
   return sum;
-}
-
-double RmsDeviationOverAlive(const Population& pop, double truth,
-                             const std::function<double(HostId)>& estimate) {
-  DeviationStat dev;
-  for (const HostId id : pop.alive_ids()) dev.Add(estimate(id), truth);
-  return dev.rms();
-}
-
-double RmsDeviationPerHost(const Population& pop,
-                           const std::function<double(HostId)>& truth,
-                           const std::function<double(HostId)>& estimate) {
-  DeviationStat dev;
-  for (const HostId id : pop.alive_ids()) dev.Add(estimate(id), truth(id));
-  return dev.rms();
 }
 
 int FirstSustainedBelow(const std::vector<double>& series, double threshold) {

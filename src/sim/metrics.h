@@ -5,7 +5,6 @@
 #ifndef DYNAGG_SIM_METRICS_H_
 #define DYNAGG_SIM_METRICS_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/stats.h"
@@ -15,20 +14,32 @@
 namespace dynagg {
 
 /// True average of `values` over currently alive hosts; 0 if none alive.
+/// Sums, here and below, follow ascending host id (ForEachAliveId).
 double TrueAverage(const std::vector<double>& values, const Population& pop);
 
 /// True sum of `values` over currently alive hosts.
 double TrueSum(const std::vector<double>& values, const Population& pop);
 
-/// RMS deviation of `estimate(id)` from `truth` over alive hosts.
+/// RMS deviation of `estimate(id)` from `truth` over alive hosts, summed in
+/// ascending host id. A template so a concrete callable (a swarm box's
+/// Estimate) inlines into the scan; a std::function works too.
+template <typename Estimate>
 double RmsDeviationOverAlive(const Population& pop, double truth,
-                             const std::function<double(HostId)>& estimate);
+                             const Estimate& estimate) {
+  DeviationStat dev;
+  ForEachAliveId(pop, [&](HostId id) { dev.Add(estimate(id), truth); });
+  return dev.rms();
+}
 
-/// RMS deviation with a per-host truth (used for group-relative errors in
-/// the trace experiments).
-double RmsDeviationPerHost(const Population& pop,
-                           const std::function<double(HostId)>& truth,
-                           const std::function<double(HostId)>& estimate);
+/// RMS deviation with a per-host truth (the trace driver's group-relative
+/// error), summed in ascending host id.
+template <typename Truth, typename Estimate>
+double RmsDeviationPerHost(const Population& pop, const Truth& truth,
+                           const Estimate& estimate) {
+  DeviationStat dev;
+  ForEachAliveId(pop, [&](HostId id) { dev.Add(estimate(id), truth(id)); });
+  return dev.rms();
+}
 
 /// Detects convergence: the first round whose deviation drops below
 /// `threshold` and stays below it for every subsequent recorded round.

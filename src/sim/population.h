@@ -51,6 +51,8 @@ class Population {
   HostId SampleAliveExcept(HostId exclude, Rng& rng) const;
 
   /// The alive hosts, in unspecified order. Stable between mutations.
+  /// Plans draw over this order; order-independent passes use
+  /// ForEachAliveId instead.
   const std::vector<HostId>& alive_ids() const { return alive_ids_; }
 
   /// Monotonic membership version of THIS object: 0 = never mutated;
@@ -77,6 +79,27 @@ class Population {
   uint64_t version_ = 0;
   uint64_t fingerprint_ = NextFingerprint();
 };
+
+/// Calls fn(id) for every alive host of `pop`, in ascending id order: the
+/// visit for per-host passes whose result does not depend on visit order
+/// (end-of-round folds, truths, metric sums). Churn scrambles alive_ids()
+/// by swap-with-last removal, so walking it is a random gather; the id
+/// scan reads host state sequentially and skips the dead. On a
+/// never-mutated population every host is alive, so the pass is a plain
+/// index loop. Plans keep alive_ids() order: it is part of the seeded RNG
+/// semantics. Declared inline so the scan inlines into its caller, which
+/// keeps the caller's accumulators in registers.
+template <typename Fn>
+inline void ForEachAliveId(const Population& pop, Fn&& fn) {
+  const HostId n = pop.size();
+  if (pop.version() == 0) {
+    for (HostId id = 0; id < n; ++id) fn(id);
+  } else {
+    for (HostId id = 0; id < n; ++id) {
+      if (pop.IsAlive(id)) fn(id);
+    }
+  }
+}
 
 }  // namespace dynagg
 

@@ -117,10 +117,10 @@ void StreamSketchSwarm::RunRound(const Environment& env, const Population& pop,
   } else {
     // Dead hosts receive nothing and keep their stride untouched.
     obs::ScopedPhase span(obs::Phase::kApply);
-    for (const HostId i : pop.alive_ids()) {
+    ForEachAliveId(pop, [this](HostId i) {
       const double* in = &next_[static_cast<size_t>(i) * stride_];
       std::copy(in, in + stride_, &state_[static_cast<size_t>(i) * stride_]);
-    }
+    });
   }
   ++round_;
 }

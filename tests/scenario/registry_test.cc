@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "scenario/executor.h"
 #include "scenario/spec.h"
 #include "scenario/trial.h"
+#include "sim/metrics.h"
+#include "sim/population.h"
 
 namespace dynagg {
 namespace scenario {
@@ -80,6 +83,19 @@ TEST(BuiltinRegistryTest, UnknownEnvironmentFailsExperimentCleanly) {
             std::string::npos);
 }
 
+// The 16-host spec the handle tests build each swarm protocol from.
+ScenarioSpec SmallSwarmSpec(const std::string& name, const ProtocolDef& def) {
+  ScenarioSpec spec;
+  spec.name = "capabilities";
+  spec.protocol = name;
+  spec.hosts = 16;
+  spec.rounds = 2;
+  if (def.consumes_workload) spec.params["workload.kind"] = "zipf";
+  // push-sum plans async messages in push mode only.
+  if (name == "push-sum") spec.params["protocol.mode"] = "push";
+  return spec;
+}
+
 // Every swarm protocol's registered capability set must equal what its
 // built handle actually provides: a capability without its hook (or the
 // reverse) would make --dry-run and execution disagree.
@@ -90,14 +106,7 @@ TEST(BuiltinRegistryTest, CapabilitiesMatchBuiltHooks) {
       EXPECT_EQ(DescribeCapabilities(def.capabilities), "—") << name;
       continue;
     }
-    ScenarioSpec spec;
-    spec.name = "capabilities";
-    spec.protocol = name;
-    spec.hosts = 16;
-    spec.rounds = 2;
-    if (def.consumes_workload) spec.params["workload.kind"] = "zipf";
-    // push-sum plans async messages in push mode only.
-    if (name == "push-sum") spec.params["protocol.mode"] = "push";
+    const ScenarioSpec spec = SmallSwarmSpec(name, def);
     TrialContext ctx;
     ctx.spec = &spec;
     ctx.trial_seed = 1;
@@ -122,6 +131,37 @@ TEST(BuiltinRegistryTest, CapabilitiesMatchBuiltHooks) {
         << name;
     EXPECT_EQ(caps.Has(Capability::kValueBacked),
               h.failure_values != nullptr)
+        << name;
+  }
+}
+
+// The derived rms_deviation hook runs the same id-order scan as
+// RmsDeviationOverAlive over the type-erased estimate, with the box's
+// Estimate inlined, so the two agree bit for bit on a population with
+// dead hosts.
+TEST(BuiltinRegistryTest, RmsDeviationHookMatchesEstimateScan) {
+  for (const std::string& name : ProtocolRegistry().Names()) {
+    const ProtocolDef def = ProtocolRegistry().Find(name).value();
+    if (!def.make_swarm) continue;
+    const ScenarioSpec spec = SmallSwarmSpec(name, def);
+    TrialContext ctx;
+    ctx.spec = &spec;
+    ctx.trial_seed = 1;
+    Result<EnvHandle> env = MakeEnvironment(ctx);
+    ASSERT_TRUE(env.ok()) << name << ": " << env.status().ToString();
+    Result<SwarmHandle> swarm = def.make_swarm(ctx, *env);
+    ASSERT_TRUE(swarm.ok()) << name << ": " << swarm.status().ToString();
+    const SwarmHandle& h = *swarm;
+    ASSERT_TRUE(h.rms_deviation) << name;
+    Population pop(spec.hosts);
+    for (const HostId id : {1, 6, 7, 15}) pop.Kill(id);
+    Rng rng(3);
+    for (int round = 0; round < spec.rounds; ++round) {
+      h.run_round(*env->env, pop, rng);
+    }
+    const double truth = h.truth(pop);
+    EXPECT_EQ(h.rms_deviation(pop, truth),
+              RmsDeviationOverAlive(pop, truth, h.estimate))
         << name;
   }
 }

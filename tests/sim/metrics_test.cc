@@ -1,10 +1,13 @@
 #include "sim/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/stats.h"
 #include "sim/population.h"
 
 namespace dynagg {
@@ -61,6 +64,47 @@ TEST(MetricsTest, RmsDeviationPerHost) {
       pop, [](HostId id) { return id == 0 ? 10.0 : 20.0; },
       [](HostId id) { return id == 0 ? 13.0 : 16.0; });
   EXPECT_DOUBLE_EQ(rms, std::sqrt((9.0 + 16.0) / 2.0));
+}
+
+// The metric sums walk host ids, not the alive list churn scrambles. On a
+// churned population they must agree with the alive-order sums up to
+// rounding.
+TEST(MetricsTest, IdOrderMatchesAliveOrderReference) {
+  constexpr int kHosts = 10000;
+  Rng rng(909);
+  std::vector<double> values(kHosts);
+  std::vector<double> estimates(kHosts);
+  for (int i = 0; i < kHosts; ++i) {
+    values[i] = 100.0 * rng.NextDouble();
+    estimates[i] = values[i] + rng.NextDouble() - 0.5;
+  }
+  Population pop(kHosts, kHosts * 4 / 5);
+  for (int step = 0; step < 4 * kHosts; ++step) {
+    const HostId id = static_cast<HostId>(rng.UniformInt(kHosts));
+    if (rng.Bernoulli(0.4)) {
+      pop.Kill(id);
+    } else {
+      pop.Revive(id);
+    }
+  }
+  const std::vector<HostId>& alive = pop.alive_ids();
+  ASSERT_GT(alive.size(), 1000u);
+  ASSERT_FALSE(std::is_sorted(alive.begin(), alive.end()));
+
+  double sum = 0.0;
+  for (const HostId id : alive) sum += values[id];
+  const double avg = sum / static_cast<double>(alive.size());
+  DeviationStat dev;
+  for (const HostId id : alive) dev.Add(estimates[id], avg);
+
+  const auto estimate = [&](HostId id) { return estimates[id]; };
+  EXPECT_NEAR(TrueSum(values, pop), sum, 1e-12 * sum);
+  EXPECT_NEAR(TrueAverage(values, pop), avg, 1e-12 * avg);
+  EXPECT_NEAR(RmsDeviationOverAlive(pop, avg, estimate), dev.rms(),
+              1e-12 * dev.rms());
+  EXPECT_NEAR(
+      RmsDeviationPerHost(pop, [&](HostId) { return avg; }, estimate),
+      dev.rms(), 1e-12 * dev.rms());
 }
 
 TEST(MetricsTest, FirstSustainedBelowBasic) {

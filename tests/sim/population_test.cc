@@ -123,5 +123,65 @@ TEST(PopulationTest, EmptyPopulation) {
   EXPECT_EQ(pop.SampleAlive(rng), kInvalidHost);
 }
 
+// Every id ForEachAliveId visits, in visit order.
+std::vector<HostId> VisitedIds(const Population& pop) {
+  std::vector<HostId> ids;
+  ForEachAliveId(pop, [&](HostId id) { ids.push_back(id); });
+  return ids;
+}
+
+// The alive set in ascending id order, read through IsAlive.
+std::vector<HostId> AliveByStatus(const Population& pop) {
+  std::vector<HostId> ids;
+  for (HostId id = 0; id < pop.size(); ++id) {
+    if (pop.IsAlive(id)) ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(PopulationTest, ForEachAliveIdVisitsAliveSetInIdOrder) {
+  // Never mutated: the index-loop fast path covers every host, the last
+  // one included.
+  Population fresh(7);
+  ASSERT_EQ(fresh.version(), 0u);
+  EXPECT_EQ(VisitedIds(fresh), (std::vector<HostId>{0, 1, 2, 3, 4, 5, 6}));
+
+  // Random Kill/Revive sequences scramble alive_ids(); the visit must
+  // still be exactly the alive set, ascending, after every step.
+  Rng rng(19);
+  for (const int n : {1, 2, 3, 64, 257}) {
+    Population pop(n);
+    for (int step = 0; step < 4 * n; ++step) {
+      const HostId id = static_cast<HostId>(rng.UniformInt(n));
+      if (rng.Bernoulli(0.5)) {
+        pop.Kill(id);
+      } else {
+        pop.Revive(id);
+      }
+      const std::vector<HostId> visited = VisitedIds(pop);
+      ASSERT_EQ(visited, AliveByStatus(pop)) << "n=" << n << " step=" << step;
+      ASSERT_EQ(static_cast<int>(visited.size()), pop.num_alive());
+    }
+  }
+
+  // Staged arrivals: the unborn tail is skipped until revived.
+  Population staged(6, 4);
+  EXPECT_EQ(VisitedIds(staged), (std::vector<HostId>{0, 1, 2, 3}));
+  staged.Revive(5);
+  EXPECT_EQ(VisitedIds(staged), (std::vector<HostId>{0, 1, 2, 3, 5}));
+
+  // All dead, and a one-host population dead and alive again.
+  Population dead(5);
+  for (HostId id = 0; id < 5; ++id) dead.Kill(id);
+  EXPECT_TRUE(VisitedIds(dead).empty());
+  Population one(1);
+  EXPECT_EQ(VisitedIds(one), (std::vector<HostId>{0}));
+  one.Kill(0);
+  EXPECT_TRUE(VisitedIds(one).empty());
+  one.Revive(0);
+  EXPECT_EQ(VisitedIds(one), (std::vector<HostId>{0}));
+  EXPECT_TRUE(VisitedIds(Population(0)).empty());
+}
+
 }  // namespace
 }  // namespace dynagg
