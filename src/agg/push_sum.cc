@@ -6,7 +6,7 @@ namespace dynagg {
 
 PushSumSwarm::PushSumSwarm(const std::vector<double>& values, GossipMode mode)
     : mass_(values.size()),
-      inbox_(values.size()),
+      inbox_(mode == GossipMode::kPush ? values.size() : 0),
       initial_(values),
       mode_(mode) {
   for (size_t i = 0; i < values.size(); ++i) mass_[i] = Mass{1.0, values[i]};

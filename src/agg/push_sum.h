@@ -118,10 +118,11 @@ class PushSumNode {
 /// contiguous arrays): a round's random accesses only touch the 16-byte
 /// mass or inbox entry of a host, not a 40-byte node, so at the paper's
 /// 100k-host scale the hot array stays cache-resident and the kernel's
-/// prefetched deposits hit instead of thrashing. Each host's arithmetic is
-/// the shared step functions above, the same calls PushSumNode makes; the
-/// parity tests pin what can still differ from a node vector — plan order,
-/// RNG draws and deposit order.
+/// prefetched deposits hit instead of thrashing. The inbox exists only in
+/// push mode; push/pull exchanges equalize masses in place. Each host's
+/// arithmetic is the shared step functions above, the same calls
+/// PushSumNode makes; the parity tests pin what can still differ from a
+/// node vector — plan order, RNG draws and deposit order.
 class PushSumSwarm {
  public:
   /// One host per entry of `values`; `mode` selects push or push/pull.
@@ -164,7 +165,7 @@ class PushSumSwarm {
   /// existing hosts and the byte-identity contract are unaffected.
   void OnJoin(HostId id) {
     mass_[id] = Mass{1.0, initial_[id]};
-    inbox_[id] = Mass{};
+    if (mode_ == GossipMode::kPush) inbox_[id] = Mass{};
   }
 
   /// Optionally records over-the-air traffic (self-messages excluded).
@@ -180,7 +181,7 @@ class PushSumSwarm {
  private:
   // SoA per-host state; indexes are host ids.
   std::vector<Mass> mass_;
-  std::vector<Mass> inbox_;
+  std::vector<Mass> inbox_;  // push mode only: push/pull never reads it
   std::vector<double> initial_;
   GossipMode mode_;
   TrafficMeter* meter_ = nullptr;

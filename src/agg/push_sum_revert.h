@@ -69,27 +69,26 @@ inline Mass PsrPushHalf(const Mass& mass, double v0, double lambda,
 }
 
 /// Push-mode end of round: adopt the inbox; under adaptive reversion mix in
-/// lambda/2 of the initial mass per message received (self-message
-/// included). Clears the inbox and the count.
-inline void PsrEndRoundPush(Mass& mass, Mass& inbox, int32_t& msgs, double v0,
+/// lambda/2 of the initial mass per message received (`msgs`, self-message
+/// included; fixed reversion ignores it). Clears the inbox; the caller
+/// clears the count it keeps.
+inline void PsrEndRoundPush(Mass& mass, Mass& inbox, int32_t msgs, double v0,
                             double lambda, RevertMode revert) {
   mass = revert == RevertMode::kAdaptive
              ? Revert(inbox, v0, AdaptiveStrength(lambda, msgs))
              : inbox;
   inbox = Mass{};
-  msgs = 0;
 }
 
 /// Push/pull end of round: revert the mass in place. Under fixed reversion
 /// the strength is lambda; under adaptive it is lambda/2 per interaction
-/// this round, the self-interaction counting once. Clears the count.
-inline void PsrEndRoundPushPull(Mass& mass, int32_t& msgs, double v0,
+/// this round (`msgs`), the self-interaction counting once.
+inline void PsrEndRoundPushPull(Mass& mass, int32_t msgs, double v0,
                                 double lambda, RevertMode revert) {
   const double eff = revert == RevertMode::kAdaptive
                          ? AdaptiveStrength(lambda, msgs + 1)
                          : lambda;
   mass = Revert(mass, v0, eff);
-  msgs = 0;
 }
 
 /// Per-host Push-Sum-Revert state machine: the reference the swarm is
@@ -128,6 +127,7 @@ class PushSumRevertNode {
   void EndRoundPush(double lambda, RevertMode revert) {
     PsrEndRoundPush(mass_, inbox_, messages_received_, initial_value_, lambda,
                     revert);
+    messages_received_ = 0;
   }
 
   /// Push/pull exchange: pairwise mass equalization. Counts one interaction
@@ -142,6 +142,7 @@ class PushSumRevertNode {
   void EndRoundPushPull(double lambda, RevertMode revert) {
     PsrEndRoundPushPull(mass_, messages_received_, initial_value_, lambda,
                         revert);
+    messages_received_ = 0;
   }
 
   double Estimate() const { return MassEstimate(mass_, initial_value_); }
@@ -162,11 +163,14 @@ class PushSumRevertNode {
 /// A population of Push-Sum-Revert hosts driven one round at a time.
 ///
 /// Structure-of-arrays layout (PushSumSwarm is the template): the swarm
-/// stores its hosts as flat parallel arrays — mass, inbox, reversion
-/// anchor, per-round message count — so the plan→apply inner loops walk
-/// contiguous memory with no per-host object padding. Each host's
-/// arithmetic is the step functions above, called on that host's array
-/// slots exactly as PushSumRevertNode calls them on its members;
+/// stores its hosts as flat parallel arrays so the plan→apply inner loops
+/// walk contiguous memory with no per-host object padding. Every mode keeps
+/// the mass and the reversion anchor; the inbox exists only in push mode
+/// and the per-round interaction count only under adaptive reversion, the
+/// one step that reads it, so a fixed-reversion push/pull round touches
+/// nothing but the mass and the anchor. Each host's arithmetic is the step
+/// functions above, called on that host's array slots exactly as
+/// PushSumRevertNode calls them on its members;
 /// tests/sim/round_kernel_test.cc pins the rest against a node vector —
 /// plan order, RNG draws and deposit order.
 class PushSumRevertSwarm {
@@ -194,11 +198,12 @@ class PushSumRevertSwarm {
 
   /// Churn-join reset: (re)initializes host `id` to its pristine <1, v0>
   /// mass anchored at its original reversion value (PushSumRevertNode::
-  /// Init semantics). Touches only `id`'s own slots.
+  /// Init semantics). Touches only `id`'s own slots, in the arrays its
+  /// mode keeps.
   void OnJoin(HostId id) {
     mass_[id] = Mass{1.0, initial_[id]};
-    inbox_[id] = Mass{};
-    msgs_[id] = 0;
+    if (params_.mode == GossipMode::kPush) inbox_[id] = Mass{};
+    if (params_.revert == RevertMode::kAdaptive) msgs_[id] = 0;
   }
 
   /// Optionally records over-the-air traffic (self-messages excluded).
@@ -211,10 +216,15 @@ class PushSumRevertSwarm {
   }
 
  private:
+  /// The push/pull apply: the round's exchanges, then the fold. Only the
+  /// adaptive instance counts interactions.
+  template <bool kAdaptive>
+  void ApplyExchangeRound(const Population& pop);
+
   std::vector<Mass> mass_;
-  std::vector<Mass> inbox_;
+  std::vector<Mass> inbox_;      // push mode only
   std::vector<double> initial_;  // reversion anchors (the v0 values)
-  std::vector<int32_t> msgs_;    // per-round indegree (adaptive reversion)
+  std::vector<int32_t> msgs_;    // per-round interactions; adaptive only
   PsrParams params_;
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;

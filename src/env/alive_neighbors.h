@@ -1,5 +1,6 @@
 // Shared alive-neighbor sampling for list-adjacency environments
-// (random-graph overlays, trace playback).
+// (random-graph overlays, trace playback). Each takes one host's neighbor
+// row as a span, whatever the environment stores it in.
 //
 // The draw sequence — up to 4 rejection attempts over the full neighbor
 // list, then one uniform draw over its alive subset — is part of the
@@ -12,6 +13,7 @@
 #ifndef DYNAGG_ENV_ALIVE_NEIGHBORS_H_
 #define DYNAGG_ENV_ALIVE_NEIGHBORS_H_
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,7 +29,7 @@ namespace dynagg {
 /// order (so cached and freshly-filtered rows draw identically). Returns
 /// kInvalidHost when `nbrs` has no alive member.
 template <typename EnsureAliveRowFn>
-HostId SampleAliveNeighbor(const std::vector<HostId>& nbrs,
+HostId SampleAliveNeighbor(std::span<const HostId> nbrs,
                            const Population& pop, Rng& rng,
                            EnsureAliveRowFn&& ensure_alive_row) {
   if (nbrs.empty()) return kInvalidHost;
@@ -41,7 +43,7 @@ HostId SampleAliveNeighbor(const std::vector<HostId>& nbrs,
 }
 
 /// The fallback filter: the alive members of `nbrs`, in list order.
-inline void FilterAliveNeighbors(const std::vector<HostId>& nbrs,
+inline void FilterAliveNeighbors(std::span<const HostId> nbrs,
                                  const Population& pop,
                                  std::vector<HostId>* out) {
   out->clear();

@@ -40,6 +40,10 @@ class PartnerPlan {
   const std::vector<HostId>& partners() const { return partners_; }
   /// Mutable partner array for Environment::BuildPlan implementations.
   std::vector<HostId>* mutable_partners() { return &partners_; }
+  /// Mutable initiator array, for the round kernel to reorder in place
+  /// before BuildPlan (the shuffled exchange order). Its size is the
+  /// plan's: reorder, never resize.
+  std::vector<HostId>* mutable_initiators() { return &initiators_; }
 
   HostId initiator(size_t k) const { return initiators_[k]; }
   HostId partner(size_t k) const { return partners_[k]; }

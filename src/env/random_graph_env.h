@@ -13,6 +13,7 @@
 #define DYNAGG_ENV_RANDOM_GRAPH_ENV_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,7 +29,7 @@ class RandomGraphEnvironment : public Environment {
   RandomGraphEnvironment(int num_hosts, int degree, uint64_t seed);
 
   int num_hosts() const override {
-    return static_cast<int>(adjacency_.size());
+    return static_cast<int>(row_begin_.size()) - 1;
   }
 
   HostId SamplePeer(HostId i, const Population& pop,
@@ -46,12 +47,22 @@ class RandomGraphEnvironment : public Environment {
 
   /// Realized degree of host i (alive or not).
   int Degree(HostId i) const {
-    return static_cast<int>(adjacency_[i].size());
+    return static_cast<int>(row_begin_[i + 1] - row_begin_[i]);
   }
   int64_t num_edges() const { return num_edges_; }
 
  private:
-  std::vector<std::vector<HostId>> adjacency_;
+  /// Host i's neighbors (alive or not), in edge-insertion order.
+  std::span<const HostId> Neighbors(HostId i) const {
+    return {neighbor_ids_.data() + row_begin_[i],
+            row_begin_[i + 1] - row_begin_[i]};
+  }
+
+  // The adjacency in CSR form: host i's neighbors are
+  // neighbor_ids_[row_begin_[i], row_begin_[i + 1]), so a partner draw
+  // costs one offset load and one row load.
+  std::vector<uint32_t> row_begin_;
+  std::vector<HostId> neighbor_ids_;
   int64_t num_edges_ = 0;
 
   // Lazy per-host alive-neighbor rows for BuildPlan's fallback, stamped

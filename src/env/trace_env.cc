@@ -1,6 +1,7 @@
 #include "env/trace_env.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/macros.h"
 #include "env/alive_neighbors.h"
@@ -85,7 +86,7 @@ HostId TraceEnvironment::SamplePeer(HostId i, const Population& pop,
                                     Rng& rng) const {
   // Rejection-sample over alive in-range neighbors, with the shared exact
   // fallback (rare: trace devices are normally all alive).
-  const auto& nbrs = neighbors_[i];
+  const std::span<const HostId> nbrs = neighbors_[i];
   std::vector<HostId> scratch;
   return SampleAliveNeighbor(nbrs, pop, rng,
                              [&]() -> const std::vector<HostId>& {
@@ -105,7 +106,7 @@ void TraceEnvironment::BuildPlan(const Population& pop, Rng& rng,
   std::vector<HostId>& partners = *plan->mutable_partners();
   for (size_t k = 0; k < initiators.size(); ++k) {
     const HostId i = initiators[k];
-    const auto& nbrs = neighbors_[i];
+    const std::span<const HostId> nbrs = neighbors_[i];
     // Same draw sequence as SamplePeer; the fallback row comes from the
     // (topology epoch, population fingerprint)-stamped cache.
     partners[k] = SampleAliveNeighbor(

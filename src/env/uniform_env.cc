@@ -1,5 +1,7 @@
 #include "env/uniform_env.h"
 
+#include <algorithm>
+
 namespace dynagg {
 
 void UniformEnvironment::BuildPlan(const Population& pop, Rng& rng,
@@ -48,16 +50,40 @@ void UniformEnvironment::BuildPlan(const Population& pop, Rng& rng,
     }
     return;
   }
+  // Changed population: alive_ids is a scrambled table, so every pick is a
+  // random load. Each block of slots first draws its indices (Rng only),
+  // prefetching each, then gathers the picks, so the loads overlap instead
+  // of waiting one behind each draw. A pick equal to its initiator would
+  // have been rejected and redrawn, shifting every later draw, so a block
+  // holding one is redone with the sequential rejection loop from the Rng
+  // state saved at its start: the draw sequence is SampleAliveExcept's.
   const HostId* alive_data = alive.data();
-  for (size_t k = 0; k < initiators.size(); ++k) {
-    const HostId exclude = initiators[k];
-    // Same rejection sequence as Population::SampleAliveExcept: at most one
-    // of n >= 2 candidates is excluded, so this terminates quickly.
-    HostId pick;
-    do {
-      pick = alive_data[rng.UniformInt(n)];
-    } while (pick == exclude);
-    partners[k] = pick;
+  const size_t slots = initiators.size();
+  uint64_t draws[kUniformPlanBlock] = {};
+  for (size_t begin = 0; begin < slots; begin += kUniformPlanBlock) {
+    const size_t end = std::min(slots, begin + kUniformPlanBlock);
+    const Rng block_start = rng;
+    for (size_t k = begin; k < end; ++k) {
+      draws[k - begin] = rng.UniformInt(n);
+      __builtin_prefetch(&alive_data[draws[k - begin]]);
+    }
+    bool rejected = false;
+    for (size_t k = begin; k < end; ++k) {
+      partners[k] = alive_data[draws[k - begin]];
+      rejected |= partners[k] == initiators[k];
+    }
+    if (!rejected) continue;
+    rng = block_start;
+    for (size_t k = begin; k < end; ++k) {
+      const HostId exclude = initiators[k];
+      // At most one of n >= 2 candidates is excluded, so this terminates
+      // quickly.
+      HostId pick;
+      do {
+        pick = alive_data[rng.UniformInt(n)];
+      } while (pick == exclude);
+      partners[k] = pick;
+    }
   }
 }
 

@@ -7,11 +7,16 @@
 #ifndef DYNAGG_ENV_UNIFORM_ENV_H_
 #define DYNAGG_ENV_UNIFORM_ENV_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "env/environment.h"
 
 namespace dynagg {
+
+/// Slots UniformEnvironment::BuildPlan draws ahead of their gathers on a
+/// changed population.
+inline constexpr size_t kUniformPlanBlock = 256;
 
 class UniformEnvironment : public Environment {
  public:
@@ -25,8 +30,10 @@ class UniformEnvironment : public Environment {
   }
 
   /// Batched selection: the per-slot loop of SampleAliveExcept with the
-  /// degenerate-population checks hoisted out of the hot loop. Rng draws
-  /// are bit-identical to the per-call path (same rejection sequence).
+  /// degenerate-population checks hoisted out of the hot loop, and on a
+  /// changed population the draws made kUniformPlanBlock slots ahead of
+  /// the alive-table loads. Rng draws and partners are bit-identical to the
+  /// per-call path (same rejection sequence).
   void BuildPlan(const Population& pop, Rng& rng,
                  PartnerPlan* plan) const override;
 

@@ -4,14 +4,26 @@
 
 namespace dynagg {
 
+void ShuffleHostIds(std::span<HostId> ids, Rng& rng) {
+  HostId* const a = ids.data();
+  size_t targets[kShuffleBlock] = {};
+  for (size_t i = ids.size(); i > 1;) {
+    const size_t block = std::min(kShuffleBlock, i - 1);
+    for (size_t b = 0; b < block; ++b) {
+      targets[b] = rng.UniformInt(i - b);
+      __builtin_prefetch(&a[targets[b]], 1);
+    }
+    for (size_t b = 0; b < block; ++b, --i) {
+      std::swap(a[i - 1], a[targets[b]]);
+    }
+  }
+}
+
 void ShuffledAliveOrder(const Population& pop, Rng& rng,
                         std::vector<HostId>* out) {
   const auto& alive = pop.alive_ids();
   out->assign(alive.begin(), alive.end());
-  for (size_t i = out->size(); i > 1; --i) {
-    const size_t j = rng.UniformInt(i);
-    std::swap((*out)[i - 1], (*out)[j]);
-  }
+  ShuffleHostIds(*out, rng);
 }
 
 const PartnerPlan& RoundKernel::PlanPushRound(const Environment& env,
@@ -37,8 +49,8 @@ const PartnerPlan& RoundKernel::PlanExchangeRound(const Environment& env,
                                                   const Population& pop,
                                                   Rng& rng) {
   obs::ScopedPhase span(obs::Phase::kPlan);
-  ShuffledAliveOrder(pop, rng, &order_);
-  plan_.Reset(order_, /*slots_per_initiator=*/1);
+  plan_.Reset(pop.alive_ids(), /*slots_per_initiator=*/1);
+  ShuffleHostIds(*plan_.mutable_initiators(), rng);
   env.BuildPlan(pop, rng, &plan_);
   obs::Count(obs::Counter::kGossipExchanges,
              static_cast<int64_t>(plan_.size()));

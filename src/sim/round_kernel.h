@@ -46,9 +46,21 @@
 
 namespace dynagg {
 
-/// Copies the alive ids and Fisher-Yates shuffles them. Push/pull exchanges
-/// are applied sequentially within a round; shuffling removes any host-id
-/// ordering bias. (Shared by the kernel and the tree baseline's harnesses.)
+/// Swap targets ShuffleHostIds draws ahead of their swaps.
+inline constexpr size_t kShuffleBlock = 64;
+
+/// Fisher-Yates shuffles `ids` in place: for i = n down to 2, swap
+/// ids[i - 1] with ids[rng.UniformInt(i)]. Each target depends only on i,
+/// so the loop draws kShuffleBlock targets ahead, prefetching each, and
+/// then makes that block's swaps: the random loads overlap instead of
+/// waiting one behind each draw, while the draws, the swaps and their order
+/// stay the textbook loop's.
+void ShuffleHostIds(std::span<HostId> ids, Rng& rng);
+
+/// Copies the alive ids and shuffles them (ShuffleHostIds). Push/pull
+/// exchanges are applied sequentially within a round; shuffling removes any
+/// host-id ordering bias. (The tree baseline's harnesses use it; the kernel
+/// shuffles its plan's initiators in place.)
 void ShuffledAliveOrder(const Population& pop, Rng& rng,
                         std::vector<HostId>* out);
 
@@ -281,7 +293,6 @@ class RoundKernel {
   void TransposePushPlan(int num_hosts);
 
   PartnerPlan plan_;
-  std::vector<HostId> order_;  // scratch for the shuffled initiator order
   // Scratch for ForEachPushDestination's transposed plan, reused across
   // rounds: host d's sources are sources_[source_begin_[d],
   // source_begin_[d + 1]).

@@ -4,9 +4,12 @@
 // calls, including after population mutations (kill/revive) and trace
 // playback (AdvanceTo), which exercise every batched implementation's cache
 // invalidation. A stale alive-neighbor cache or alive bitmap diverges from
-// the freshly-evaluated SamplePeer reference immediately.
+// the freshly-evaluated SamplePeer reference immediately. The draw-ahead
+// blocks of the uniform plan and of the exchange-order shuffle are pinned at
+// their edges against the sequential loops they must reproduce.
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,30 +23,32 @@
 #include "env/trace_env.h"
 #include "env/uniform_env.h"
 #include "sim/population.h"
+#include "sim/round_kernel.h"
 
 namespace dynagg {
 namespace {
 
 /// Asserts that BuildPlan over `initiators` matches the per-slot SamplePeer
 /// reference: same partners, same Rng consumption (checked by comparing the
-/// generators' next outputs afterwards).
+/// generators' draw counts and next outputs afterwards).
 void ExpectPlanMatchesSamplePeer(const Environment& env, const Population& pop,
                                  const std::vector<HostId>& initiators,
-                                 uint64_t seed) {
+                                 uint64_t seed, int slots_per_initiator = 1) {
   Rng plan_rng(seed);
   Rng ref_rng(seed);
 
   PartnerPlan plan;
-  plan.Reset(initiators, /*slots_per_initiator=*/1);
+  plan.Reset(initiators, slots_per_initiator);
   env.BuildPlan(pop, plan_rng, &plan);
 
-  ASSERT_EQ(plan.size(), initiators.size());
-  for (size_t k = 0; k < initiators.size(); ++k) {
-    const HostId expected = env.SamplePeer(initiators[k], pop, ref_rng);
+  ASSERT_EQ(plan.size(), initiators.size() * slots_per_initiator);
+  for (size_t k = 0; k < plan.size(); ++k) {
+    const HostId expected = env.SamplePeer(plan.initiator(k), pop, ref_rng);
     EXPECT_EQ(plan.partner(k), expected) << "slot " << k;
   }
   // Bit-identical Rng consumption: both generators must now be in the same
   // state.
+  EXPECT_EQ(plan_rng.draw_count(), ref_rng.draw_count());
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(plan_rng.Next(), ref_rng.Next()) << "rng drift at draw " << i;
   }
@@ -118,6 +123,63 @@ TEST(PartnerPlanParityTest, UniformDegeneratePopulations) {
   ExpectPlanMatchesSamplePeer(env, pop, {0}, 5);  // single alive host
   pop.Kill(0);
   ExpectPlanMatchesSamplePeer(env, pop, {}, 5);  // nobody alive
+}
+
+TEST(PartnerPlanParityTest, UniformChangedPopulationBlockEdges) {
+  // On a changed population BuildPlan draws kUniformPlanBlock slots ahead
+  // of their alive-table loads and redoes a block sequentially when one of
+  // its picks is its own initiator. Alive counts straddle the block size;
+  // at about 300 alive hosts a block of 256 picks holds its initiator with
+  // probability 1 - (299/300)^256, about 0.57, so with 8 slots per host
+  // most blocks take the redo path.
+  ASSERT_EQ(kUniformPlanBlock, 256u);
+  for (const int alive : {2, 255, 256, 257, 300, 5000}) {
+    SCOPED_TRACE(testing::Message() << alive << " alive");
+    const int n = alive + alive / 3 + 3;
+    UniformEnvironment env(n);
+    Population pop(n);
+    Rng fail(static_cast<uint64_t>(alive));
+    while (pop.num_alive() > alive) {
+      pop.Kill(static_cast<HostId>(fail.UniformInt(n)));
+    }
+    ASSERT_NE(pop.version(), 0u);
+    std::vector<HostId> shuffled;
+    ShuffledAliveOrder(pop, fail, &shuffled);
+    for (const int slots : {1, 8}) {
+      SCOPED_TRACE(testing::Message() << slots << " slots per host");
+      ExpectPlanMatchesSamplePeer(env, pop, AliveInitiators(pop), 71, slots);
+      ExpectPlanMatchesSamplePeer(env, pop, shuffled, 72, slots);
+    }
+  }
+}
+
+// ------------------------------------------------------------ shuffle ---
+
+/// The textbook Fisher-Yates loop ShuffleHostIds must reproduce.
+void TextbookShuffle(std::vector<HostId>& ids, Rng& rng) {
+  for (size_t i = ids.size(); i > 1; --i) {
+    const size_t j = rng.UniformInt(i);
+    std::swap(ids[i - 1], ids[j]);
+  }
+}
+
+TEST(ShuffleTest, ShuffledAliveOrderMatchesTextbookFisherYates) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, kShuffleBlock - 1,
+                         kShuffleBlock, kShuffleBlock + 1, size_t{10000}}) {
+    SCOPED_TRACE(testing::Message() << n << " hosts");
+    // A killed host makes the alive list a non-identity order.
+    Population pop(static_cast<int>(n) + 1);
+    pop.Kill(static_cast<HostId>(n / 2));
+    Rng shuffle_rng(900 + n);
+    Rng ref_rng(900 + n);
+    std::vector<HostId> order;
+    ShuffledAliveOrder(pop, shuffle_rng, &order);
+    std::vector<HostId> expected = pop.alive_ids();
+    TextbookShuffle(expected, ref_rng);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(shuffle_rng.draw_count(), ref_rng.draw_count());
+    EXPECT_EQ(shuffle_rng.Next(), ref_rng.Next());
+  }
 }
 
 // ------------------------------------------------------------ spatial ---

@@ -6,8 +6,9 @@
 // each host's arithmetic with the same step functions (push_sum.h,
 // push_sum_revert.h, full_transfer.h), so these tests pin what can still
 // differ: the plan's host order, the RNG draws and the order in which
-// deposits land in each inbox. They do so under mid-trial deaths, trace
-// playback (AdvanceTo between rounds), and with the push loop split over
+// deposits land in each inbox. They do so under mid-trial deaths, churn
+// joins (each mode resets only the arrays it keeps), trace playback
+// (AdvanceTo between rounds), and with the push loop split over
 // intra-round threads.
 
 #include <cmath>
@@ -113,13 +114,17 @@ void LegacyFullTransferRound(std::vector<FullTransferNode>& nodes,
   for (const HostId i : pop.alive_ids()) nodes[i].EndRound();
 }
 
+/// The round whose revival of host 1 the join-capable parity tests treat
+/// as a churn join: the swarm's OnJoin against the node's Init.
+constexpr int kJoinRound = 5;
+
 /// Applies the same scripted deaths/revivals to both populations.
 void Mutate(Population& pop, int round) {
   const int n = pop.size();
   if (round == 2) {
     for (HostId id = 0; id < n / 4; ++id) pop.Kill(id);
   }
-  if (round == 5) {
+  if (round == kJoinRound) {
     pop.Revive(1);
     pop.Kill(n - 1);
   }
@@ -144,6 +149,10 @@ void CheckPushSumParity(GossipMode mode) {
   for (int round = 0; round < 8; ++round) {
     Mutate(pop_a, round);
     Mutate(pop_b, round);
+    if (round == kJoinRound) {
+      swarm.OnJoin(1);
+      nodes[1].Init(values[1]);
+    }
     swarm.RunRound(env, pop_a, rng_a);
     LegacyPushSumRound(nodes, mode, env, pop_b, rng_b, order);
     for (HostId id = 0; id < n; ++id) {
@@ -182,6 +191,10 @@ TEST(RoundKernelParityTest, PsrBitIdenticalToLegacyLoop) {
       for (int round = 0; round < 8; ++round) {
         Mutate(pop_a, round);
         Mutate(pop_b, round);
+        if (round == kJoinRound) {
+          swarm.OnJoin(1);
+          nodes[1].Init(values[1]);
+        }
         swarm.RunRound(env, pop_a, rng_a);
         LegacyPsrRound(nodes, params, env, pop_b, rng_b, order);
         for (HostId id = 0; id < n; ++id) {
