@@ -16,7 +16,8 @@
 #include "agg/quantiles.h"
 #include "common/rng.h"
 #include "env/haggle_gen.h"
-#include "sim/trace_runner.h"
+#include "env/trace_env.h"
+#include "sim/population.h"
 
 int main() {
   using namespace dynagg;
@@ -47,17 +48,20 @@ int main() {
   csr.levels = 16;
   CsrSwarm population(std::vector<int64_t>(n, 100), csr);
 
-  TraceRunner runner(trace, FromSeconds(30));
-  runner.OnRound([&](SimTime) {
-    moments.RunRound(runner.env(), runner.pop(), rng);
-    cdf.RunRound(runner.env(), runner.pop(), rng);
-    population.RunRound(runner.env(), runner.pop(), rng);
-  });
-
+  // Gossip off the mobility trace, one round per 30 s.
+  TraceEnvironment env(trace);
+  Population pop(n);
+  const SimTime period = FromSeconds(30);
   const HostId display = 0;
   std::printf(
       "hour  people  interest: mean+-sd    [q25  median  q75]\n");
-  runner.EverySample(FromHours(1), [&](SimTime t) {
+  for (SimTime t = period; t <= trace.end_time(); t += period) {
+    env.AdvanceTo(t);
+    moments.RunRound(env, pop, rng);
+    cdf.RunRound(env, pop, rng);
+    population.RunRound(env, pop, rng);
+
+    if (t % FromHours(1) != 0) continue;  // report every hour
     std::printf("%4.0f  %6.1f  %13.1f+-%4.1f    [%4.1f  %6.1f  %5.1f]\n",
                 ToHours(t), population.EstimateCount(display) / 100.0,
                 moments.EstimateMean(display),
@@ -65,8 +69,7 @@ int main() {
                 cdf.EstimateQuantile(display, 0.25),
                 cdf.EstimateQuantile(display, 0.50),
                 cdf.EstimateQuantile(display, 0.75));
-  });
-  runner.Run();
+  }
   std::printf(
       "\nEvery column is a live gossip aggregate over the display\n"
       "device's current group; no coordinator, no membership list.\n");

@@ -9,7 +9,8 @@
 // within the cutoff and the next-best *present* song takes over. A static
 // gossip maximum (cutoff 0) would announce the departed song forever.
 //
-// Mobility and the gossip cadence run on the event-driven TraceRunner.
+// Mobility comes from a synthetic Haggle-style contact trace, played in
+// one loop of 30-second gossip rounds.
 
 #include <cstdio>
 #include <string>
@@ -18,7 +19,8 @@
 #include "agg/extremes.h"
 #include "common/rng.h"
 #include "env/haggle_gen.h"
-#include "sim/trace_runner.h"
+#include "env/trace_env.h"
+#include "sim/population.h"
 
 int main() {
   using namespace dynagg;
@@ -47,27 +49,27 @@ int main() {
   plays[superfan] = 500.0;  // an obvious number one
 
   DynamicExtremeSwarm swarm(plays, keys, ExtremeParams{.cutoff = 20});
-  TraceRunner runner(trace, FromSeconds(30));
+  TraceEnvironment env(trace);
+  Population pop(n);
+  const SimTime period = FromSeconds(30);
+  for (SimTime t = period; t <= trace.end_time(); t += period) {
+    env.AdvanceTo(t);
+    // The superfan leaves the party after three hours, before that
+    // instant's gossip round.
+    if (t == FromHours(3.0)) {
+      pop.Kill(superfan);
+      std::printf("-- the superfan (500 plays) left the party --\n");
+    }
+    swarm.RunRound(env, pop, rng);
 
-  runner.OnRound([&](SimTime) {
-    swarm.RunRound(runner.env(), runner.pop(), rng);
-  });
-  runner.EverySample(FromMinutes(30), [&](SimTime t) {
+    if (t % FromMinutes(30) != 0) continue;  // report every half hour
     const HostId observer = 0;
     const uint64_t key = swarm.BestKey(observer);
     std::printf("%4.1f h  device 0 hears: #1 is \"%s\" (%g plays)%s\n",
                 ToHours(t), songs[key % songs.size()].c_str(),
                 swarm.Estimate(observer),
-                runner.pop().IsAlive(superfan) ? "" : "  [superfan gone]");
-  });
-
-  // The superfan leaves the party after three hours.
-  runner.sim().ScheduleAt(FromHours(3.0), [&] {
-    runner.pop().Kill(superfan);
-    std::printf("-- the superfan (500 plays) left the party --\n");
-  });
-
-  runner.Run();
+                pop.IsAlive(superfan) ? "" : "  [superfan gone]");
+  }
   std::printf(
       "\nAfter the superfan departs, their song expires from every\n"
       "device within the cutoff and the best *present* song takes over.\n");

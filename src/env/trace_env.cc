@@ -22,8 +22,8 @@ TraceEnvironment::TraceEnvironment(const ContactTrace& trace,
 void TraceEnvironment::AdvanceTo(SimTime t) {
   DYNAGG_CHECK_GE(t, now_);
   const auto& events = trace_->Events();
-  // The event-driven drivers advance once per gossip tick and again for
-  // every sampler that shares the instant; when the clock is already at
+  // The trace driver advances once per gossip tick and again for a
+  // sample that shares the instant; when the clock is already at
   // `t` and no trace event is pending there is nothing to apply and the
   // recent-down prune below is idempotent, so skip the whole walk.
   if (t == now_ &&

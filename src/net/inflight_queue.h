@@ -1,17 +1,12 @@
 // InFlightQueue: the async driver's batched message timeline.
 //
-// The first async driver scheduled one Simulator event per undropped
-// message — a heap entry plus a std::function per delivery, hundreds of
-// thousands per trial. But deliveries are the only priority-0 events and
-// nothing observes simulation state *between* them: ticks (priority 1) and
-// samplers (priority 2) are the only readers. So the driver parks messages
-// here instead and drains everything due at or before the current instant
-// right when a tick or sampler fires — the observable state at every
-// observation point is identical, message for message, to the per-event
-// schedule (same (due time, send order) delivery order), with no
-// per-message allocation or event-queue churn.
+// The driver parks every undropped message here and, at each tick instant,
+// drains everything due at or before that instant: once before the tick
+// plans its sends and once after, before the metric sample. Nothing
+// observes simulation state between tick instants, so delivering in
+// batches there is exact.
 //
-// Sort on drain: drains only happen at tick and sampler instants, so Push
+// Sort on drain: drains only happen at tick instants, so Push
 // just appends to one flat vector. The first HasDueBy(t)/Top() that needs
 // entries partitions the ones due by t to the front and sorts that run
 // once by (due, seq); Pop then only advances a cursor. Entries not yet due
@@ -20,13 +15,10 @@
 // would, and a drain costs one partition pass plus one sort instead of a
 // log-depth sift over the whole wave per message.
 //
-// Ordering contract: Pop order is (due, seq) where seq is Push order.
-// Under the per-event scheme a delivery event's tie-break was its
-// insertion sequence, and messages are only ever scheduled from ticks in
-// send-wave order — so Push order IS the old insertion order and the
-// drain replays the exact legacy timeline. The contract holds for any
-// interleaving of calls, including a Push that lands inside a run already
-// being drained (the next drain re-sorts).
+// Ordering contract: Pop order is (due, seq) where seq is Push order, and
+// the driver pushes each tick's send wave in plan order. The contract holds
+// for any interleaving of calls, including a Push that lands inside a run
+// already being drained (the next drain re-sorts).
 
 #ifndef DYNAGG_NET_INFLIGHT_QUEUE_H_
 #define DYNAGG_NET_INFLIGHT_QUEUE_H_

@@ -4,12 +4,13 @@
 // hosts exclusively through these messages: a swarm's async tick plans a
 // batch of them, the network model (net/network_model.h) decides each one's
 // fate (latency draw, Bernoulli drop), and delivery hands the payload back
-// to the swarm whenever the event queue reaches it — possibly reordered
-// against other messages on the same edge. The payload is deliberately a
-// fixed pair of doubles plus a tag: push-sum ships a <weight, value> mass,
-// push-flow ships a cumulative <flow_num, flow_denom> edge state with a
-// per-direction sequence number, and keeping the struct POD keeps the
-// event-queue captures allocation-free.
+// to the swarm once the driver's clock reaches its due time — possibly
+// reordered against other messages on the same edge. The payload is
+// deliberately a fixed pair of doubles plus a tag: push-sum ships a
+// <weight, value> mass, push-flow ships a cumulative <flow_num,
+// flow_denom> edge state with a per-direction sequence number, and keeping
+// the struct POD lets the in-flight queue (net/inflight_queue.h) store
+// messages by value in one flat vector.
 
 #ifndef DYNAGG_NET_MESSAGE_H_
 #define DYNAGG_NET_MESSAGE_H_

@@ -10,7 +10,7 @@
 // (pinned by tests/net/network_model_test.cc). Reordering needs no
 // mechanism of its own — independent latency draws (uniform width or the
 // exponential tail, plus the optional jitter term) already let a later
-// message overtake an earlier one on the event queue.
+// message overtake an earlier one in the in-flight queue.
 
 #ifndef DYNAGG_NET_NETWORK_MODEL_H_
 #define DYNAGG_NET_NETWORK_MODEL_H_

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -16,26 +15,14 @@
 #include "scenario/config.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
-#include "sim/simulator.h"
 
 namespace dynagg {
 namespace scenario {
 namespace {
 
-// Same-instant ordering: messages in flight land before the gossip tick
-// they coincide with, and the metric sampler always observes the
-// post-tick, post-delivery state. Deliveries used to be priority-0
-// Simulator events; they now live in a batched InFlightQueue (one flat
-// appended entry per message instead of a std::function event, sorted
-// once per drain) that the tick and sampler callbacks drain up to their
-// own instant — ticks and samplers are the only state observers, so the
-// observable timeline is identical.
-constexpr int kGossipTickPriority = 1;
-constexpr int kSamplerPriority = 2;
-
 Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
                       Recorder& rec) {
-  // Setup phase: validation, environment/swarm construction, scheduling.
+  // Setup phase: validation, environment/swarm construction.
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
@@ -76,7 +63,6 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
       FromSeconds(spec.gossip_period > 0 ? spec.gossip_period : 30.0);
   const int ticks = spec.rounds;
 
-  Simulator sim;
   Population pop(n);
   Rng rng(DeriveSeed(ctx.trial_seed, round_stream));
   net::NetworkModel model(net_params,
@@ -87,7 +73,6 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   int64_t sent = 0;
   int64_t delivered = 0;
   uint64_t message_index = 0;
-  int tick = 0;
   std::vector<net::Message> wave;  // scratch: one tick's planned sends
   net::InFlightQueue inflight;     // undropped messages awaiting delivery
   inflight.Reserve(static_cast<size_t>(n));
@@ -117,57 +102,38 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
     return swarm.rms_deviation(pop, swarm.truth(pop));
   };
 
-  // Gossip tick k fires at (k+1) * gossip_period: plan the send wave, then
-  // run every message through the network model. Dropped messages are
-  // counted as sent — they consumed real bandwidth — and simply never get
-  // a delivery event.
-  sim.SchedulePeriodic(
-      gossip_period, gossip_period,
-      [&]() {
-        // Messages due by this instant were scheduled by earlier ticks and
-        // would have run at delivery priority before this tick fired.
-        drain_due(sim.Now());
-        if (advance_period > 0) {
-          raw_env->AdvanceTo(static_cast<SimTime>(tick + 1) * advance_period);
-        }
-        wave.clear();
-        swarm.async_tick(*raw_env, pop, rng, &wave);
-        sent += static_cast<int64_t>(wave.size());
-        for (const net::Message& m : wave) {
-          const net::NetworkModel::Delivery d = model.Decide(message_index++);
-          if (d.dropped) continue;
-          inflight.Push(sim.Now() + d.delay, m);
-        }
-        return ++tick < ticks;
-      },
-      kGossipTickPriority);
-
-  // The metric sampler shares the tick cadence at a later priority: sample
-  // s observes the state right after tick s and every delivery due by that
-  // instant.
-  int sample = 0;
-  sim.SchedulePeriodic(
-      gossip_period, gossip_period,
-      [&]() {
-        // Zero-delay messages sent by this instant's tick still land before
-        // the sampler observes (deliveries outrank samplers at a tie).
-        drain_due(sim.Now());
-        if (RoundIsRead(sampled, window, ticks, sample)) {
-          obs::ScopedPhase record_span(obs::Phase::kRecord);
-          const double rms = rms_now();
-          if (want_rms && sample >= record_from &&
-              (sample - record_from) % record_every == 0) {
-            rec.AddSeriesPoint("round", "rms",
-                               static_cast<double>(sample + 1), rms);
-          }
-          if (want_tail && sample >= record_from) tail.Add(rms);
-        }
-        return ++sample < ticks;
-      },
-      kSamplerPriority);
-
   setup_span.reset();
-  sim.Run();
+  // Tick k fires at t = (k+1) * gossip_period. At each tick instant the
+  // messages due by t land first, then the tick plans its send wave and
+  // runs every message through the network model (dropped messages count
+  // as sent: they consumed real bandwidth), then the messages the wave
+  // made due by t land too, and only then does the metric sample observe
+  // the state.
+  for (int k = 0; k < ticks; ++k) {
+    const SimTime t = static_cast<SimTime>(k + 1) * gossip_period;
+    drain_due(t);
+    if (advance_period > 0) {
+      raw_env->AdvanceTo(static_cast<SimTime>(k + 1) * advance_period);
+    }
+    wave.clear();
+    swarm.async_tick(*raw_env, pop, rng, &wave);
+    sent += static_cast<int64_t>(wave.size());
+    for (const net::Message& m : wave) {
+      const net::NetworkModel::Delivery d = model.Decide(message_index++);
+      if (d.dropped) continue;
+      inflight.Push(t + d.delay, m);
+    }
+    drain_due(t);
+    if (RoundIsRead(sampled, window, ticks, k)) {
+      obs::ScopedPhase record_span(obs::Phase::kRecord);
+      const double rms = rms_now();
+      if (want_rms && k >= record_from &&
+          (k - record_from) % record_every == 0) {
+        rec.AddSeriesPoint("round", "rms", static_cast<double>(k + 1), rms);
+      }
+      if (want_tail && k >= record_from) tail.Add(rms);
+    }
+  }
   // Drain the messages still in flight after the last tick in (due, send)
   // order — final_rms is a settled-network measurement.
   while (!inflight.empty()) {
@@ -318,11 +284,9 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
 namespace internal {
 
 void RegisterAsyncDriver(Registry<DriverDef>& registry) {
-  DriverDef def;
-  def.run = RunAsyncDriver;
-  def.event_driven = false;
-  def.message_level = true;
-  DYNAGG_CHECK(registry.Register("async", std::move(def)).ok());
+  DYNAGG_CHECK(
+      registry.Register("async", {RunAsyncDriver, DriverKind::kMessages})
+          .ok());
 }
 
 }  // namespace internal

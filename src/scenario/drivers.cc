@@ -12,12 +12,12 @@
 //             - bandwidth           measured traffic via TrafficMeter
 //             - cdf(final_error)    per-host |estimate - truth| CDF
 //           plus any extra selectors the swarm's finish hook handles.
-//   trace   Event-driven contact-trace playback (sim/trace_runner.h): the
-//           environment's ContactTrace, a gossip tick every gossip_period
-//           seconds, and a metric sample every sample_period seconds, all
-//           as events on one discrete-event simulator. Errors are measured
-//           against each host's current *group* aggregate (connected
-//           component over recently-seen edges, Section V):
+//   trace   Contact-trace playback: one time loop over the environment's
+//           ContactTrace that merges a gossip tick every gossip_period
+//           seconds with a metric sample every sample_period seconds (the
+//           tick first on a tie). Errors are measured against each host's
+//           current *group* aggregate (connected component over
+//           recently-seen edges, Section V):
 //             - rms                 per-sample series of the group-relative
 //                                   RMS deviation (x axis: hour)
 //             - avg_group_size      per-sample series of the mean group
@@ -41,6 +41,7 @@
 #include "obs/telemetry.h"
 #include "common/stats.h"
 #include "env/connectivity.h"
+#include "env/trace_env.h"
 #include "scenario/async_driver.h"
 #include "scenario/config.h"
 #include "scenario/trial.h"
@@ -49,7 +50,6 @@
 #include "sim/metrics.h"
 #include "sim/population.h"
 #include "sim/round_driver.h"
-#include "sim/trace_runner.h"
 
 namespace dynagg {
 namespace scenario {
@@ -399,7 +399,7 @@ Status RunRoundsDriver(const TrialContext& ctx, const ProtocolDef& def,
 
 Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
                       Recorder& rec) {
-  // Setup phase: trace/environment/swarm construction and runner wiring.
+  // Setup phase: trace/environment/swarm construction.
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
@@ -408,7 +408,10 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   const bool want_group_size = MetricRequested(spec, "avg_group_size");
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
-  if (env.trace == nullptr) {
+  // The trace environments build a TraceEnvironment over env.trace; the
+  // driver plays that one.
+  auto* trace_env = dynamic_cast<TraceEnvironment*>(env.env.get());
+  if (env.trace == nullptr || trace_env == nullptr) {
     return Status::InvalidArgument(
         "environment '" + spec.environment +
         "' does not provide a contact trace (driver = trace replays one; "
@@ -426,37 +429,56 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
       FromSeconds(spec.gossip_period > 0 ? spec.gossip_period : 30.0);
   const SimTime sample_period =
       FromSeconds(spec.sample_period > 0 ? spec.sample_period : 3600.0);
+  const int n = trace_env->num_hosts();
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t round_stream,
-                          RoundStream(spec, ctx, env.env->num_hosts()));
+                          RoundStream(spec, ctx, n));
 
-  TraceRunner runner(*env.trace, gossip_period, env.group_window);
+  Population pop(n);
   Rng rng(DeriveSeed(ctx.trial_seed, round_stream));
-  runner.OnRound(
-      [&](SimTime) { swarm.run_round(runner.env(), runner.pop(), rng); });
   // Declare both series before the run: a trace shorter than one sample
   // period must still emit the (empty) series for structural consistency.
   if (want_rms) rec.MutableSeries("hour", "rms");
   if (want_group_size) rec.MutableSeries("hour", "avg_group_size");
   std::vector<int> labels;
-  runner.EverySample(sample_period, [&](SimTime t) {
+  const auto sample = [&](SimTime t) {
     const double hour = ToHours(t);
     if (want_rms) {
-      labels = runner.env().CurrentGroups();
+      labels = trace_env->CurrentGroups();
       const std::vector<int> sizes = ComponentSizes(labels);
       const std::vector<double> truths = swarm.group_truths(labels, sizes);
       rec.AddSeriesPoint(
           "hour", "rms", hour,
           RmsDeviationPerHost(
-              runner.pop(), [&](HostId id) { return truths[labels[id]]; },
+              pop, [&](HostId id) { return truths[labels[id]]; },
               estimate));
     }
     if (want_group_size) {
       rec.AddSeriesPoint("hour", "avg_group_size", hour,
-                         runner.env().AverageGroupSize());
+                         trace_env->AverageGroupSize());
     }
-  });
+  };
   setup_span.reset();
-  runner.Run();
+
+  // Gossip ticks fire at k * gossip_period and samples at j *
+  // sample_period (k, j >= 1) up to the end of the trace, inclusive. The
+  // environment is advanced to each instant before its callback runs. On
+  // a tie the tick runs first, so a sample observes the post-tick state.
+  const SimTime end = env.trace->end_time();
+  int round = 0;
+  for (SimTime tick = gossip_period, at = sample_period;
+       std::min(tick, at) <= end;) {
+    if (tick <= at) {
+      trace_env->AdvanceTo(tick);
+      obs::ScopedRound span(round++);
+      swarm.run_round(*trace_env, pop, rng);
+      tick += gossip_period;
+    } else {
+      trace_env->AdvanceTo(at);
+      obs::ScopedPhase span(obs::Phase::kRecord);
+      sample(at);
+      at += sample_period;
+    }
+  }
   obs::Count(obs::Counter::kRngDraws,
              static_cast<int64_t>(rng.draw_count()));
   return Status::OK();
@@ -501,10 +523,10 @@ namespace internal {
 
 void RegisterBuiltinDrivers(Registry<DriverDef>& registry) {
   DYNAGG_CHECK(
-      registry.Register("rounds", {RunRoundsDriver, /*event_driven=*/false})
+      registry.Register("rounds", {RunRoundsDriver, DriverKind::kRounds})
           .ok());
   DYNAGG_CHECK(
-      registry.Register("trace", {RunTraceDriver, /*event_driven=*/true})
+      registry.Register("trace", {RunTraceDriver, DriverKind::kTrace})
           .ok());
   RegisterAsyncDriver(registry);
 }

@@ -142,8 +142,8 @@ Status ValidateHaggleSpec(const ScenarioSpec& spec) {
     return Status::InvalidArgument("env.gossip_seconds must be > 0");
   }
   // env.gossip_seconds paces round-driven playback (advance_period); the
-  // event-driven trace driver ticks on the top-level gossip_period, so an
-  // explicit value there would be silently dead.
+  // trace driver ticks on the top-level gossip_period, so an explicit
+  // value there would be silently dead.
   if (spec.driver == "trace" && spec.HasParam("env.gossip_seconds")) {
     return Status::InvalidArgument(
         "env.gossip_seconds paces the rounds driver; under driver = trace "
@@ -207,7 +207,6 @@ Result<EnvHandle> MakeHaggle(const TrialContext& ctx) {
   handle.env = std::make_unique<TraceEnvironment>(
       *handle.trace, FromMinutes(group_window));
   handle.advance_period = FromSeconds(gossip_seconds);
-  handle.group_window = FromMinutes(group_window);
   return handle;
 }
 
@@ -257,9 +256,9 @@ Result<std::shared_ptr<const ContactTrace>> LoadCrawdadTrace(
 /// CRAWDAD-format contact-table playback (env/crawdad.h): parses
 /// env.trace_file into a ContactTrace and replays it exactly like the
 /// synthetic haggle environment — round-paced via env.gossip_seconds under
-/// driver = rounds, event-driven under driver = trace. The file is read at
-/// trial execution time (once per distinct table; see LoadCrawdadTrace);
-/// --dry-run validates the spec without touching it.
+/// driver = rounds, paced by gossip_period under driver = trace. The file
+/// is read at trial execution time (once per distinct table; see
+/// LoadCrawdadTrace); --dry-run validates the spec without touching it.
 Status ValidateCrawdadSpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "env.", {"trace_file", "min_duration_seconds", "max_devices",
@@ -321,7 +320,6 @@ Result<EnvHandle> MakeCrawdad(const TrialContext& ctx) {
   handle.env = std::make_unique<TraceEnvironment>(
       *handle.trace, FromMinutes(group_window));
   handle.advance_period = FromSeconds(gossip_seconds);
-  handle.group_window = FromMinutes(group_window);
   return handle;
 }
 

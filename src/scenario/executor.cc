@@ -602,12 +602,12 @@ Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
     return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
   };
   if (!SpecUsesChurn(spec)) return Status::OK();
-  if (driver.event_driven || driver.message_level) {
+  if (driver.kind != DriverKind::kRounds) {
     return invalid(
         "churn.* plans are round-indexed and only the rounds driver "
         "executes them; driver = " +
         spec.driver +
-        (driver.message_level
+        (driver.kind == DriverKind::kMessages
              ? " needs event-indexed membership plans, which are not "
                "implemented yet (see docs/spec_reference.md)"
              : " has no rounds"));
@@ -826,7 +826,7 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
   // The net.* keys and the per-message seed stream configure the async
   // driver's network model; on any other driver they would be silently
   // ignored. Mirrors the workload rejection above.
-  if (!driver.message_level) {
+  if (driver.kind != DriverKind::kMessages) {
     for (const auto& [key, value] : spec.params) {
       if (key.rfind("net.", 0) == 0 || key == "seeds.message_stream") {
         return invalid("'" + key +
@@ -850,9 +850,9 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
   // fails --dry-run, not mid-run.
   DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(
       spec, protocol, driver, /*hosts_known=*/!sweep1_hosts && !sweep2_hosts));
-  if (driver.message_level) {
+  if (driver.kind == DriverKind::kMessages) {
     DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol));
-  } else if (driver.event_driven) {
+  } else if (driver.kind == DriverKind::kTrace) {
     if (!environment.provides_trace) {
       return invalid("driver = " + spec.driver +
                      " replays a contact trace, but environment '" +
@@ -909,7 +909,7 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
   // out-of-range or non-numeric value into a validated parameter).
   if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(spec));
   const bool plain_rounds =
-      !driver.message_level && !driver.event_driven && protocol.make_swarm;
+      driver.kind == DriverKind::kRounds && protocol.make_swarm;
   // Each axis's variants carry real values for its own key but still the
   // base placeholder for the other axis's hosts/rounds, so the same
   // skip-the-placeholder rule applies per axis.
@@ -927,9 +927,9 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
           swept, protocol, /*rounds_known=*/!sweep2_rounds,
           /*hosts_known=*/!sweep2_hosts));
     }
-    if (driver.message_level) {
+    if (driver.kind == DriverKind::kMessages) {
       DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
-    } else if (driver.event_driven) {
+    } else if (driver.kind == DriverKind::kTrace) {
       DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(swept, protocol));
     }
   }
@@ -947,9 +947,9 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
           swept, protocol, /*rounds_known=*/!sweep1_rounds,
           /*hosts_known=*/!sweep1_hosts));
     }
-    if (driver.message_level) {
+    if (driver.kind == DriverKind::kMessages) {
       DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
-    } else if (driver.event_driven) {
+    } else if (driver.kind == DriverKind::kTrace) {
       DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(swept, protocol));
     }
   }

@@ -4,9 +4,9 @@
 // workload it is measured against — and MakeSwarmHandle
 // (scenario/swarm_handle.h) derives the type-erased SwarmHandle's hooks and
 // the protocol's capabilities from the box type. Which time loop runs it —
-// the synchronous round loop or event-driven trace playback — is the
-// driver's business (scenario/drivers.cc), selected by `driver = rounds |
-// trace` in the spec. Factories validate their protocol.* parameters and
+// the synchronous round loop, trace playback or message-level ticks — is
+// the driver's business (scenario/drivers.cc, scenario/async_driver.cc),
+// selected by `driver = rounds | trace | async` in the spec. Factories validate their protocol.* parameters and
 // draw the paper's U[0,100) value workload from the trial seed.
 //
 // Protocols whose trial structure fits no shared driver register a custom

@@ -80,11 +80,12 @@ struct ScenarioSpec {
   std::string environment = "uniform";
   /// Trial driver registry key: how simulated time advances. "rounds" is
   /// the paper's synchronous round loop; "trace" replays the environment's
-  /// contact trace on the event-driven simulator core.
+  /// contact trace in a time loop of gossip ticks and sample instants;
+  /// "async" ticks the same way with messages in flight between ticks.
   std::string driver = "rounds";
-  /// Trace driver: seconds of simulated time between gossip ticks
-  /// (default 30, the paper's cadence). 0 = unset; setting it under a
-  /// non-event driver is a validation error.
+  /// Trace and async drivers: seconds of simulated time between gossip
+  /// ticks (default 30, the paper's cadence). 0 = unset; setting it under
+  /// the rounds driver is a validation error.
   double gossip_period = 0.0;
   /// Trace driver: seconds between metric samples (default 3600, the
   /// paper's hourly reporting). 0 = unset; same validation rule.
@@ -100,7 +101,7 @@ struct ScenarioSpec {
   /// Gossip rounds per trial.
   int rounds = 200;
   /// Whether `rounds =` was written explicitly (the parser sets this).
-  /// Event-driven drivers ignore rounds — the trace horizon governs the
+  /// The trace driver ignores rounds — the trace horizon governs the
   /// length — so validation rejects an explicit value there instead of
   /// silently running a different length than declared.
   bool rounds_set = false;

@@ -6,10 +6,11 @@
 //   - a SwarmFactory (protocol registry) builds the protocol's swarm for
 //     one trial and declares its estimate / truth / bandwidth hooks as a
 //     type-erased SwarmHandle;
-//   - a TrialDriver (driver registry, `driver = rounds | trace` in the
-//     spec) owns how simulated time advances: the synchronous round loop
-//     with failure plans and early-stop, or event-driven contact-trace
-//     playback on the Simulator core.
+//   - a TrialDriver (driver registry, `driver = rounds | trace | async`
+//     in the spec) owns how simulated time advances: the synchronous round
+//     loop with failure plans and early-stop, a time loop over a contact
+//     trace's gossip ticks and sample instants, or a time loop of gossip
+//     ticks with messages in flight between them.
 // The driver builds the environment through the environment registry,
 // obtains the swarm from the factory, runs the time loop, and emits typed
 // records — scalars, series, histograms/CDFs, bandwidth — through the
@@ -53,9 +54,6 @@ struct EnvHandle {
   /// When > 0, the round loop advances the environment to
   /// (round + 1) * advance_period before each round (trace playback).
   SimTime advance_period = 0;
-  /// Group labelling window for trace playback (the paper's "nearby in the
-  /// last 10 minutes"); consumed by the trace driver.
-  SimTime group_window = FromMinutes(10);
 };
 
 /// Everything a runner needs to execute one trial. The spec already has the
@@ -392,7 +390,7 @@ struct ProtocolDef {
   /// Null if and only if `run_custom` is set.
   SwarmFactory make_swarm;
   /// Whole-trial protocols that own their own time loop; executed by the
-  /// rounds driver, rejected by event-driven drivers.
+  /// rounds driver, rejected by the trace and async drivers.
   ProtocolRunner run_custom;
   /// What the built swarm can do beyond the rounds driver's basics, derived
   /// from the swarm type by the registration helper (SwarmProtocol in
@@ -431,17 +429,25 @@ struct ProtocolDef {
 using TrialDriver =
     std::function<Status(const TrialContext&, const ProtocolDef&, Recorder&)>;
 
+/// How a driver advances simulated time. The kind decides which spec keys
+/// the driver consumes and which environments and protocols it accepts.
+enum class DriverKind {
+  /// Synchronous rounds: failure/churn plans and the round-indexed
+  /// record.* knobs; rejects gossip_period / sample_period.
+  kRounds,
+  /// Contact-trace playback on gossip_period / sample_period; requires a
+  /// trace-providing environment.
+  kTrace,
+  /// Message-level gossip on gossip_period: the only kind that consumes
+  /// the net.* keys and seeds.message_stream; requires async-capable
+  /// protocols.
+  kMessages,
+};
+
 /// A registered trial driver (`driver = ...` in the spec).
 struct DriverDef {
   TrialDriver run;
-  /// Event-driven drivers consume the time-based keys gossip_period /
-  /// sample_period and require a trace-providing environment; the rounds
-  /// driver rejects those keys.
-  bool event_driven = false;
-  /// Message-level drivers (`driver = async`) consume the net.* keys and
-  /// seeds.message_stream and require async-capable protocols; other
-  /// drivers reject those keys.
-  bool message_level = false;
+  DriverKind kind = DriverKind::kRounds;
 };
 
 /// A registered environment.

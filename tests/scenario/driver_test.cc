@@ -1,14 +1,18 @@
 // Driver API v1 tests: spec-level driver validation (the --dry-run
 // contract), bit-identical parity of the ported fig10/fig11 scenarios with
-// the retired bench mains' loops, event-driven trace execution determinism
-// across thread counts, and keyed (per-group) series assembly. The parity
+// the retired bench mains' loops, trace execution determinism across
+// thread counts, the trace driver's tick/sample timeline on the checked-in
+// CRAWDAD fixture, and keyed (per-group) series assembly. The parity
 // replicas below are the exact code of the retired mains at reduced scale
 // (same RNG streams, same call order).
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +23,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "env/connectivity.h"
+#include "env/crawdad.h"
 #include "env/haggle_gen.h"
 #include "env/trace_env.h"
 #include "env/uniform_env.h"
@@ -503,6 +508,138 @@ TEST(DriverDeterminismTest, DerivedTraceSeedsDecorrelateTrials) {
     any_diff = any_diff || table.row(i)[2] != table.row(half + i)[2];
   }
   EXPECT_TRUE(any_diff);
+}
+
+// ------------------------------------------------ trace timeline ---
+
+// The checked-in CRAWDAD fixture ends at exactly 7200 s, so every 600 s
+// sample instant coincides with a 30 s gossip tick and the last sample
+// sits on the trace's horizon.
+std::string CrawdadFixturePath() {
+  return std::string(DYNAGG_SOURCE_DIR) +
+         "/bench/data/crawdad_fixture.contacts";
+}
+
+/// Runs the fixture under the trace driver with the given gossip period
+/// and 600 s samples; returns the table and the gossip rounds it ran.
+std::pair<CsvTable, int> RunCrawdadTimeline(const std::string& period) {
+  const std::vector<ScenarioSpec> specs = MustParse(
+      "name = crawdad_timeline\n"
+      "driver = trace\n"
+      "environment = crawdad\n"
+      "env.trace_file = " + CrawdadFixturePath() + "\n"
+      "protocol = push-sum-revert\n"
+      "protocol.lambda = 0.1\n"
+      "gossip_period = " + period + "\n"
+      "sample_period = 600\n"
+      "seed = 20090411\n"
+      "record = rms, avg_group_size\n");
+  EXPECT_EQ(specs.size(), 1u);
+  ExperimentTelemetry telemetry;
+  Result<std::vector<ResultTable>> tables =
+      RunExperiment(specs[0], RunOptions{1, "summary", nullptr}, &telemetry);
+  EXPECT_TRUE(tables.ok()) << tables.status().ToString();
+  EXPECT_EQ(tables->size(), 1u);
+  EXPECT_EQ(telemetry.units.size(), 1u);
+  return {std::move((*tables)[0].table), telemetry.units[0].rounds};
+}
+
+ContactTrace LoadCrawdadFixture() {
+  std::ifstream in(CrawdadFixturePath(), std::ios::binary);
+  EXPECT_TRUE(in.good()) << CrawdadFixturePath();
+  std::ostringstream text;
+  text << in.rdbuf();
+  Result<ContactTrace> trace = ParseCrawdadContacts(text.str());
+  EXPECT_TRUE(trace.ok()) << trace.status().ToString();
+  return std::move(*trace);
+}
+
+TEST(TraceDriverTest, RunsOneRoundPerGossipPeriod) {
+  // 7200 s / 30 s and 7200 s / 45 s: the tick on the horizon runs too.
+  EXPECT_EQ(RunCrawdadTimeline("30").second, 240);
+  EXPECT_EQ(RunCrawdadTimeline("45").second, 160);
+}
+
+TEST(TraceDriverTest, SamplesFireAtTheirPeriodThroughTheHorizon) {
+  const CsvTable table = RunCrawdadTimeline("30").first;
+  // Columns: hour, rms, avg_group_size; one row per 600 s from 1/6 h to
+  // the horizon at 2 h.
+  ASSERT_EQ(table.columns().size(), 3u);
+  ASSERT_EQ(table.num_rows(), 12);
+  for (int64_t i = 0; i < table.num_rows(); ++i) {
+    EXPECT_DOUBLE_EQ(table.row(i)[0], static_cast<double>(i + 1) / 6.0)
+        << "row " << i;
+  }
+  EXPECT_EQ(table.row(11)[0], 2.0);
+}
+
+TEST(TraceDriverTest, NoTickRunsWhenTheFirstFallsPastTheTrace) {
+  // The first tick would fire at 10000 s, past the 7200 s trace; the
+  // samples still run.
+  const auto [table, rounds] = RunCrawdadTimeline("10000");
+  EXPECT_EQ(rounds, 0);
+  EXPECT_EQ(table.num_rows(), 12);
+}
+
+TEST(TraceDriverTest, TraceIsAdvancedBeforeEachSample) {
+  // With no tick to advance it, each sample must advance the trace to its
+  // own instant before reading the groups.
+  const CsvTable table = RunCrawdadTimeline("10000").first;
+  ASSERT_EQ(table.num_rows(), 12);
+  const ContactTrace trace = LoadCrawdadFixture();
+  TraceEnvironment env(trace, FromMinutes(10));
+  for (int64_t i = 0; i < table.num_rows(); ++i) {
+    env.AdvanceTo(FromSeconds(600.0 * static_cast<double>(i + 1)));
+    EXPECT_EQ(table.row(i)[2], env.AverageGroupSize()) << "row " << i;
+  }
+}
+
+TEST(TraceDriverTest, MatchesManualLoop) {
+  // Hourly samples on the fixture: the second sits on the horizon and
+  // coincides with the last tick, so the hand-rolled loop (advance, gossip,
+  // then sample) pins the tick-before-sample order and the inclusive end.
+  const uint64_t seed = 20090411;
+  const ContactTrace trace = LoadCrawdadFixture();
+  const int n = trace.num_devices();
+  const std::vector<double> values = UniformWorkloadValues(n, seed);
+  TraceEnvironment env(trace, FromMinutes(10));
+  Population pop(n);
+  PushSumRevertSwarm swarm(values,
+                           {.lambda = 0.1, .mode = GossipMode::kPushPull});
+  Rng rng(DeriveSeed(seed, 1));  // the default seeds.round_stream
+  std::vector<int> labels;
+  std::vector<double> truths;
+  const std::vector<HourlyRow> expected = LegacyTraceSeries(
+      trace, env, pop,
+      [&] {
+        swarm.RunRound(env, pop, rng);
+        labels = env.CurrentGroups();
+        truths = GroupMeans(labels, ComponentSizes(labels), values);
+      },
+      [&](HostId id) { return truths[labels[id]]; },
+      [&](HostId id) { return swarm.Estimate(id); });
+
+  const CsvTable table = MustRun(
+      "name = crawdad_manual\n"
+      "driver = trace\n"
+      "environment = crawdad\n"
+      "env.trace_file = " + CrawdadFixturePath() + "\n"
+      "protocol = push-sum-revert\n"
+      "protocol.lambda = 0.1\n"
+      "gossip_period = 30\n"
+      "sample_period = 3600\n"
+      "seed = 20090411\n"
+      "record = rms, avg_group_size\n",
+      2);
+  // Columns: hour, rms, avg_group_size.
+  ASSERT_EQ(table.columns().size(), 3u);
+  ASSERT_EQ(expected.size(), 2u);
+  ASSERT_EQ(table.num_rows(), 2);
+  for (int64_t i = 0; i < table.num_rows(); ++i) {
+    EXPECT_EQ(table.row(i)[0], expected[i].hour) << "row " << i;
+    EXPECT_EQ(table.row(i)[1], expected[i].rms) << "row " << i;
+    EXPECT_EQ(table.row(i)[2], expected[i].avg_group_size) << "row " << i;
+  }
 }
 
 // --------------------------------------------- keyed series assembly ---

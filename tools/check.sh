@@ -19,9 +19,14 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # output of bench/scenarios/<name>.scenario at --threads=2, so a change
 # that moves numbers (not just structure) fails here. A new golden is one
 # new file; each spec's header says how to regenerate it after an
-# intentional change. smoke covers both trial drivers, heavy_hitters the
-# keyed streams, loss_sweep the async driver, churn_sweep two-sided
-# membership churn under record.every (the skipped-round record path).
+# intentional change. Each driver has its own pins: smoke covers the
+# rounds and trace drivers; crawdad_trace pins the trace driver's
+# timeline (a tick before a coinciding sample, the horizon inclusive);
+# loss_sweep, async_latency and async_ties pin the async driver
+# (async_ties: the same-instant drain/tick/drain/sample order). Beyond
+# the drivers, heavy_hitters covers the keyed streams and churn_sweep
+# two-sided membership churn under record.every (the skipped-round
+# record path).
 for golden in bench/scenarios/golden/*.csv; do
   name="$(basename "$golden" .csv)"
   "$BUILD_DIR"/dynagg_run --threads=2 --output="$BUILD_DIR/${name}_out.csv" \
