@@ -292,34 +292,49 @@ void BM_CsrExchangeMerge(benchmark::State& state) {
 BENCHMARK(BM_CsrExchangeMerge);
 
 void BM_CsrEstimate(benchmark::State& state) {
-  // A converged node (2,000 hosts, 30 rounds): runs are ~log2(n/m) levels
+  // A converged host (2,000 hosts, 30 rounds): runs are ~log2(n/m) levels
   // long, the scan a metric evaluation pays every round.
   const int n = 2000;
-  CsrSwarm swarm(std::vector<int64_t>(n, 1), CsrParams{});
+  CsrSwarm swarm(std::vector<int64_t>(n, 1), CsrParams{},
+                 /*read_counter_max=*/0);
   UniformEnvironment env(n);
   Population pop(n);
   Rng rng(1);
   for (int round = 0; round < 30; ++round) swarm.RunRound(env, pop, rng);
-  const CountSketchResetNode& node = swarm.node(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(node.EstimateCount());
+    benchmark::DoNotOptimize(swarm.EstimateCount(0));
   }
 }
 BENCHMARK(BM_CsrEstimate);
 
-void BM_CsrSwarmRound(benchmark::State& state) {
+// One push/pull round of the paper's geometry at the cell width the swarm
+// derives from `read_counter_max` (0: nibble cells; the byte cap: byte
+// cells). Each host-round touches three counter arrays: its own ageing
+// and the two sides of the exchange it initiates.
+void CsrSwarmRound(benchmark::State& state, int read_counter_max) {
   const int n = static_cast<int>(state.range(0));
-  std::vector<int64_t> ones(n, 1);
-  CsrSwarm swarm(ones, CsrParams{});
+  CsrSwarm swarm(std::vector<int64_t>(n, 1), CsrParams{}, read_counter_max);
   UniformEnvironment env(n);
   Population pop(n);
   Rng rng(1);
   for (auto _ : state) {
     swarm.RunRound(env, pop, rng);
   }
+  const auto touched = static_cast<int64_t>(3 * swarm.host_bytes());
   state.SetItemsProcessed(state.iterations() * n);
+  state.SetBytesProcessed(state.iterations() * n * touched);
+  state.counters["bytes_per_host_round"] = static_cast<double>(touched);
+}
+
+void BM_CsrSwarmRound(benchmark::State& state) {
+  CsrSwarmRound(state, /*read_counter_max=*/0);
 }
 BENCHMARK(BM_CsrSwarmRound)->Arg(1000)->Arg(10000)->Arg(40000);
+
+void BM_CsrSwarmRoundByteCells(benchmark::State& state) {
+  CsrSwarmRound(state, /*read_counter_max=*/kCsrCounterCap);
+}
+BENCHMARK(BM_CsrSwarmRoundByteCells)->Arg(40000);
 
 void BM_FmSketchInsert(benchmark::State& state) {
   FmSketch sketch(64, 32);

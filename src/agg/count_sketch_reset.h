@@ -19,13 +19,33 @@
 // its counters age past f(k) everywhere and the slot decays out within
 // ~f(k) rounds (Fig 9).
 //
-// Layout. A node stores its counters level-major: the byte at offset
-// k * bins + b is N[b][k], so each level is one contiguous row of `bins`
-// counters. Aging and both min-merges are elementwise, so they run as the
-// flat kernels below (CsrAge, CsrMergeMin, CsrExchangeMin) over the whole
-// array. The wire format stays bin-major (byte b * levels + k is N[b][k]):
-// Serialize and MergeSerialized transpose, so payloads are independent of
-// the in-memory layout.
+// Layout. Counters are stored level-major: the cell at index k * row + b is
+// N[b][k], so each level is one contiguous row of `bins` cells. Aging and
+// both min-merges are elementwise, so they run as the flat kernels below
+// (CsrAge, CsrMergeMin, CsrExchangeMin) over a host's whole array. A
+// CountSketchResetNode owns its array; a CsrSwarm keeps every host's array
+// in one arena (n x row bytes, host-major) with the owned cell indices as
+// one CSR (owned_begin_ + owned_) and one shared bit-limit table, so a
+// round streams one contiguous block instead of chasing a heap vector per
+// host. The wire format stays bin-major with one byte per counter (byte
+// b * levels + k is N[b][k]): Serialize and MergeSerialized transpose, so
+// payloads are independent of the in-memory layout.
+//
+// Cell width. Byte cells (8 bits) hold a counter as is: cap 254, infinity
+// 255. Nibble cells (4 bits) pack two counters per byte, low nibble first,
+// with cap 14 and infinity 15; a row of odd `bins` ends in a padding cell
+// held at infinity. The kernels are one set templated on the width. A swarm
+// uses nibbles whenever that is exact, which it derives from its cutoff
+// table and from the largest raw counter its caller reads:
+//   clamp(c) = min(c, 14) for finite c, clamp(255) = 15
+// commutes with the saturating +1 (any c >= 14 ages to a value >= 14) and
+// with min (clamp is monotone), and maps the owned pin 0 to 0. So a nibble
+// swarm holds clamp(N) of the byte swarm at every step. A bit test
+// "c <= L" reads the same through the clamp when L <= 13, and so does
+// "finite" (L = the byte cap, i.e. the cutoff disabled) with L = 14. Hence
+// nibble cells are exact when every bit limit is <= 13 or the byte cap, and
+// no caller reads a raw counter above 13. The paper's f(k) = 7 + k/4 stays
+// <= 13 below level 28, so its swarms run at half the bytes.
 //
 // Run total. The FM estimate needs Σ_b R(b), where R(b) is the run of set
 // bits from level 0 in bin b. Counting the same pairs (b, k) with k < R(b)
@@ -85,32 +105,66 @@ struct CsrParams {
   uint64_t hash_seed = 0x5eedc0de5eedc0deull;
 };
 
-// Per-step kernels over one contiguous counter array. Every Count-Sketch-
-// Reset code path (node, swarm, Invert-Average, the serialized facade)
-// runs its per-round work through these; each compiles to vector code at
-// -O2 on any target (fixed-width inner blocks over __restrict pointers).
+/// Geometry of counter cells `kBits` wide (8: one counter per byte; 4: two
+/// per byte, low nibble first). See "Cell width" in the file comment.
+template <int kBits>
+struct CsrCells {
+  static_assert(kBits == 4 || kBits == 8);
+  static constexpr int kPerByte = 8 / kBits;
+  static constexpr uint8_t kMask = kBits == 8 ? 0xff : 0x0f;
+  /// "Never heard" at this width; a byte of 0xff is infinity in every cell.
+  static constexpr uint8_t kInfinity = kMask;
+  /// Counters saturate here so they can never roll into the sentinel.
+  static constexpr uint8_t kCap = kMask - 1;
 
-/// Fig 5 step 2: every counter below kCsrCounterCap advances by one (the
-/// cap and the infinity sentinel stay), then the `owned` offsets are
-/// re-pinned to 0.
-void CsrAge(std::span<uint8_t> counters, std::span<const int32_t> owned);
+  /// Bytes of one level row of `bins` cells (padded to whole bytes).
+  static constexpr size_t RowBytes(int bins) {
+    return (static_cast<size_t>(bins) + kPerByte - 1) / kPerByte;
+  }
+  /// Cell `index` of a cell array.
+  static uint8_t Get(const uint8_t* bytes, size_t index) {
+    return static_cast<uint8_t>(
+               bytes[index / kPerByte] >> (index % kPerByte * kBits)) &
+           kMask;
+  }
+};
 
-/// Fig 5 step 5: dst[i] = min(dst[i], src[i]). Sizes must match and the
-/// spans must not overlap.
+// Per-step kernels over one contiguous array of `kBits`-wide cells (see
+// CsrCells; kBits is 4 or 8). Every Count-Sketch-Reset code path (node,
+// swarm, Invert-Average, the serialized facade) runs its per-round work
+// through these; each compiles to vector code at -O2 on any target
+// (fixed-width inner blocks over __restrict pointers).
+
+/// Fig 5 step 2: every cell below the cap advances by one (the cap and the
+/// infinity sentinel stay), then the `owned` cell indices are re-pinned
+/// to 0.
+template <int kBits>
+void CsrAge(std::span<uint8_t> cells, std::span<const int32_t> owned);
+
+/// Fig 5 step 5: dst[i] = min(dst[i], src[i]) cell by cell. Sizes must
+/// match and the spans must not overlap.
+template <int kBits>
 void CsrMergeMin(std::span<uint8_t> dst, std::span<const uint8_t> src);
 
-/// Push/pull: a[i] = b[i] = min(a[i], b[i]). Sizes must match and the
-/// spans must not overlap.
+/// Push/pull: a[i] = b[i] = min(a[i], b[i]) cell by cell. Sizes must match
+/// and the spans must not overlap.
+template <int kBits>
 void CsrExchangeMin(std::span<uint8_t> a, std::span<uint8_t> b);
 
 /// Σ over bins of the run of set bits from level 0, for a level-major
-/// (bit_limit.size() x bins) counter array where bit (b, k) is set iff
-/// counters[k * bins + b] <= bit_limit[k].
-int64_t CsrRunTotal(std::span<const uint8_t> counters, int bins,
+/// array of bit_limit.size() rows of RowBytes(bins) bytes, where bit
+/// (b, k) is set iff cell b of row k is <= bit_limit[k]. Padding cells
+/// hold infinity, which exceeds every limit, so they never count.
+template <int kBits>
+int64_t CsrRunTotal(std::span<const uint8_t> cells, int bins,
                     std::span<const uint8_t> bit_limit);
 
-/// Per-host Count-Sketch-Reset state machine. Self-contained (carries its
-/// geometry and cutoff table) so applications can embed it directly.
+/// Size in bytes of a serialized counter array (over-the-air payload).
+int64_t CsrSerializedBytes(int bins, int levels);
+
+/// Per-host Count-Sketch-Reset state machine over byte cells.
+/// Self-contained (carries its geometry and cutoff table) so applications
+/// can embed it directly; it backs the serialized facade and wire format.
 class CountSketchResetNode {
  public:
   CountSketchResetNode() = default;
@@ -149,11 +203,6 @@ class CountSketchResetNode {
   uint8_t counter(int bin, int level) const {
     return counters_[OffsetOf(bin, level)];
   }
-  /// The `bins` counters of one level, contiguous.
-  std::span<const uint8_t> level_row(int level) const {
-    return std::span<const uint8_t>(counters_).subspan(
-        static_cast<size_t>(level) * bins_, bins_);
-  }
   /// The whole array, level-major (see the file comment).
   const std::vector<uint8_t>& counters() const { return counters_; }
   /// Sorted offsets (into counters()) of the slots this host pins to 0.
@@ -167,7 +216,9 @@ class CountSketchResetNode {
   FmSketch DeriveBits() const;
 
   /// Size in bytes of the Serialize output (over-the-air payload size).
-  int64_t SerializedBytes() const;
+  int64_t SerializedBytes() const {
+    return CsrSerializedBytes(bins_, levels_);
+  }
 
   /// Serializes the counter array (geometry + raw bytes, bin-major). Owned
   /// slots are host-local and not part of the wire format.
@@ -186,12 +237,36 @@ class CountSketchResetNode {
   std::vector<int32_t> owned_;     // sorted offsets into counters_
 };
 
-/// A population of Count-Sketch-Reset nodes.
+/// Read-only view of one level row of a CsrSwarm host: row[b] is N[b][k]
+/// on the byte scale (kCsrInfinity = never heard), whatever the cell width.
+class CsrLevelRow {
+ public:
+  CsrLevelRow(const uint8_t* bytes, int bins, int cell_bits)
+      : bytes_(bytes), bins_(bins), cell_bits_(cell_bits) {}
+
+  int size() const { return bins_; }
+  uint8_t operator[](int bin) const {
+    if (cell_bits_ == 8) return bytes_[bin];
+    const uint8_t cell = CsrCells<4>::Get(bytes_, static_cast<size_t>(bin));
+    return cell == CsrCells<4>::kInfinity ? kCsrInfinity : cell;
+  }
+
+ private:
+  const uint8_t* bytes_;
+  int bins_;
+  int cell_bits_;
+};
+
+/// A population of Count-Sketch-Reset hosts sharing one counter arena (see
+/// "Layout" and "Cell width" in the file comment).
 class CsrSwarm {
  public:
   /// `multiplicities[i]` objects are registered for host i.
+  /// `read_counter_max` is the largest raw counter value the caller reads
+  /// exactly through counter() / level_row(): 0 when it reads only
+  /// estimates and bits. The cell width follows from it and the cutoff.
   CsrSwarm(const std::vector<int64_t>& multiplicities,
-           const CsrParams& params);
+           const CsrParams& params, int read_counter_max = kCsrCounterCap);
 
   /// One gossip iteration: all alive hosts age their counters, then each
   /// initiates one exchange (min-merge; bidirectional under push/pull).
@@ -199,13 +274,30 @@ class CsrSwarm {
   void RunRound(const Environment& env, const Population& pop, Rng& rng);
 
   /// Estimated number of registered objects visible to host id.
-  double EstimateCount(HostId id) const {
-    return nodes_[id].EstimateCount();
-  }
-  int size() const { return static_cast<int>(nodes_.size()); }
+  double EstimateCount(HostId id) const;
+  int size() const { return static_cast<int>(owned_begin_.size()) - 1; }
   const CsrParams& params() const { return params_; }
-  const CountSketchResetNode& node(HostId id) const { return nodes_[id]; }
-  CountSketchResetNode& node(HostId id) { return nodes_[id]; }
+  /// 4 (nibble cells) or 8 (byte cells).
+  int cell_bits() const { return cell_bits_; }
+  /// Bytes of one host's counter array in the arena.
+  size_t host_bytes() const { return host_bytes_; }
+
+  /// N[bin][level] of host id on the byte scale: exact up to the
+  /// constructor's read_counter_max; larger finite values read as some
+  /// value above it, and infinity reads kCsrInfinity.
+  uint8_t counter(HostId id, int bin, int level) const {
+    return level_row(id, level)[bin];
+  }
+  /// Host id's `bins` counters of one level.
+  CsrLevelRow level_row(HostId id, int level) const {
+    return CsrLevelRow(cells_.data() + static_cast<size_t>(id) * host_bytes_ +
+                           static_cast<size_t>(level) * level_bytes_,
+                       params_.bins, cell_bits_);
+  }
+  /// Derives host id's equivalent bit sketch (diagnostics / tests).
+  FmSketch DeriveBits(HostId id) const;
+  /// Size in bytes of one serialized counter array (one gossip payload).
+  int64_t SerializedBytes() const { return serialized_bytes_; }
 
   /// Churn-join reset: host `id` restarts from a fresh counter array —
   /// all counters at infinity except its own pinned slots
@@ -218,9 +310,34 @@ class CsrSwarm {
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
 
  private:
-  std::vector<CountSketchResetNode> nodes_;
-  std::vector<int64_t> multiplicities_;  // backs the churn-join re-Init
+  template <int kBits>
+  void RunRoundAt(const Environment& env, const Population& pop, Rng& rng);
+  // Re-pins host id's owned cells to 0.
+  void PinOwned(HostId id);
+
+  std::span<uint8_t> host_cells(HostId id) {
+    return {cells_.data() + static_cast<size_t>(id) * host_bytes_,
+            host_bytes_};
+  }
+  std::span<const uint8_t> host_cells(HostId id) const {
+    return {cells_.data() + static_cast<size_t>(id) * host_bytes_,
+            host_bytes_};
+  }
+  std::span<const int32_t> owned(HostId id) const {
+    return std::span<const int32_t>(owned_).subspan(
+        owned_begin_[id], owned_begin_[id + 1] - owned_begin_[id]);
+  }
+
   CsrParams params_;
+  int cell_bits_ = 8;
+  size_t level_bytes_ = 0;  // one level row, padded to whole bytes
+  size_t host_bytes_ = 0;   // levels x level_bytes_
+  int64_t serialized_bytes_ = 0;
+  // Bit (b, k) is set iff cell (b, k) <= bit_limit_[k], in cell units.
+  std::array<uint8_t, kCsrMaxLevels> bit_limit_{};
+  std::vector<uint8_t> cells_;        // n x host_bytes_, host-major
+  std::vector<size_t> owned_begin_;   // n + 1 offsets into owned_
+  std::vector<int32_t> owned_;        // per host: sorted cell indices
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;
 };

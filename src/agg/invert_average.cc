@@ -13,7 +13,7 @@ InvertAverageSwarm::InvertAverageSwarm(const std::vector<double>& values,
     : params_(params),
       psr_(values, params.psr),
       csr_(UniformMultiplicities(values.size(), params.count_multiplicity),
-           params.csr) {
+           params.csr, /*read_counter_max=*/0) {
   DYNAGG_CHECK_GE(params_.count_multiplicity, 1);
 }
 

@@ -59,8 +59,7 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t message_stream,
                           MessageStream(spec, ctx, n));
 
-  const SimTime gossip_period =
-      FromSeconds(spec.gossip_period > 0 ? spec.gossip_period : 30.0);
+  const SimTime gossip_period = GossipPeriod(spec);
   const int ticks = spec.rounds;
 
   Population pop(n);
@@ -215,6 +214,10 @@ Result<net::NetworkParams> ParseNetworkParams(const ScenarioSpec& spec) {
   if (!(p.jitter_s >= 0.0)) {
     return Status::InvalidArgument("net.jitter must be >= 0");
   }
+  DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("net.latency_s", p.latency_s));
+  DYNAGG_RETURN_IF_ERROR(
+      CheckTickSeconds("net.latency_hi_s", p.latency_hi_s));
+  DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("net.jitter", p.jitter_s));
   return p;
 }
 
@@ -242,6 +245,14 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
     return invalid(
         "sample_period does not apply (metrics are sampled once per gossip "
         "tick; thin the series with record.from / record.every)");
+  }
+  // Tick k fires at (k + 1) * gossip_period: the last one must fit too.
+  DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("gossip_period", spec.gossip_period));
+  const SimTime period = GossipPeriod(spec);
+  if (spec.rounds > kSimTimeMax / period) {
+    return invalid("rounds = " + std::to_string(spec.rounds) +
+                   " ticks of gossip_period overflow simulated time "
+                   "(64-bit microseconds)");
   }
   // Failure and churn plans are round-indexed membership scripts built
   // for the synchronous drivers. Under message-level time there is no

@@ -425,8 +425,7 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
       swarm.group_estimate ? swarm.group_estimate : swarm.estimate;
 
   // The paper's cadence: a gossip tick every 30 seconds, hourly samples.
-  const SimTime gossip_period =
-      FromSeconds(spec.gossip_period > 0 ? spec.gossip_period : 30.0);
+  const SimTime gossip_period = GossipPeriod(spec);
   const SimTime sample_period =
       FromSeconds(spec.sample_period > 0 ? spec.sample_period : 3600.0);
   const int n = trace_env->num_hosts();
@@ -516,6 +515,8 @@ Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
     }
   }
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
+  DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("gossip_period", spec.gossip_period));
+  DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("sample_period", spec.sample_period));
   return CheckMetricsSupported(spec, {"rms", "avg_group_size"});
 }
 

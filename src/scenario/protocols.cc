@@ -531,9 +531,10 @@ Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
     std::vector<std::vector<int64_t>> histograms(
         params.levels, std::vector<int64_t>(max_c + 1, 0));
     for (HostId id = 0; id < n; ++id) {
-      const CountSketchResetNode& node = swarm.node(id);
       for (int k = 0; k < params.levels; ++k) {
-        for (const uint8_t c : node.level_row(k)) {
+        const CsrLevelRow row = swarm.level_row(id, k);
+        for (int b = 0; b < row.size(); ++b) {
+          const uint8_t c = row[b];
           if (c == kCsrInfinity) continue;
           ++histograms[k][c <= max_c ? c : max_c];
         }
@@ -568,7 +569,9 @@ Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
       Histogram hist(0, hist_max, static_cast<int>(hist_buckets));
       int64_t finite = 0;
       for (HostId id = 0; id < n; ++id) {
-        for (const uint8_t c : swarm.node(id).level_row(k)) {
+        const CsrLevelRow row = swarm.level_row(id, k);
+        for (int b = 0; b < row.size(); ++b) {
+          const uint8_t c = row[b];
           if (c == kCsrInfinity) continue;
           hist.Add(c);
           ++finite;
@@ -588,15 +591,44 @@ Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
   return Status::OK();
 }
 
+/// The largest raw counter CsrBox::Finish reads exactly: the cdf's
+/// clamp bucket or the quantile histogram's upper edge, 0 when only
+/// estimates are recorded. Lets the swarm pick its cell width.
+Result<int> CsrReadCounterMax(const ScenarioSpec& spec) {
+  int64_t read_max = 0;
+  if (MetricRequested(spec, "cdf(counter)")) {
+    DYNAGG_ASSIGN_OR_RETURN(const int64_t max_counter,
+                            spec.ParamInt("record.max_counter", 12));
+    read_max = std::max(read_max, max_counter);
+  }
+  DYNAGG_ASSIGN_OR_RETURN(const std::vector<double> quantiles,
+                          ParseCounterQuantilesSpec(spec));
+  if (!quantiles.empty()) {
+    DYNAGG_ASSIGN_OR_RETURN(
+        const double hist_max,
+        spec.ParamDouble("record.counter_hist_max", 64.0));
+    // An edge Finish rejects (NaN, negative) reads every counter exactly.
+    const double edge = std::ceil(hist_max);
+    read_max = edge >= 0 && edge < kCsrCounterCap
+                   ? std::max(read_max, static_cast<int64_t>(edge))
+                   : int64_t{kCsrCounterCap};
+  }
+  return static_cast<int>(std::min<int64_t>(read_max, kCsrCounterCap));
+}
+
 BoxResult<CsrBox> MakeCountSketchReset(const TrialContext& ctx,
                                        EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const CsrSpecParams cfg, ParseCsrSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
   DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
                           Multiplicities(ctx, n));
-  auto box = std::make_shared<CsrBox>(std::move(mult), cfg.params);
+  DYNAGG_ASSIGN_OR_RETURN(const int read_counter_max,
+                          CsrReadCounterMax(*ctx.spec));
+  auto box = std::make_shared<CsrBox>(std::move(mult), cfg.params,
+                                      read_counter_max);
   box->attributes = cfg.attributes;
-  // One byte-sized age counter per (bin, level) slot.
+  // The modelled footprint: one byte-sized age counter per (bin, level)
+  // slot, the wire payload, whatever cell width the swarm stores.
   box->state_bytes =
       static_cast<double>(cfg.params.bins) * cfg.params.levels;
   return box;

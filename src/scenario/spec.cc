@@ -1,6 +1,8 @@
 #include "scenario/spec.h"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -56,6 +58,32 @@ Result<bool> ParseBool(std::string_view text) {
   if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
   if (s == "false" || s == "0" || s == "no" || s == "off") return false;
   return Status::InvalidArgument("not a boolean: " + Quoted(s));
+}
+
+SimTime GossipPeriod(const ScenarioSpec& spec) {
+  return FromSeconds(spec.gossip_period > 0 ? spec.gossip_period : 30.0);
+}
+
+Status CheckTickSeconds(const std::string& key, double seconds) {
+  if (std::isnan(seconds)) {
+    return Status::InvalidArgument(key +
+                                   " must be a number of seconds, got nan");
+  }
+  char value[32];
+  std::snprintf(value, sizeof(value), "%g", seconds);
+  // FromSeconds casts seconds * 1e6 to int64: defined below 2^63 only.
+  if (!(std::fabs(seconds) * 1e6 < 0x1p63)) {
+    return Status::InvalidArgument(
+        key + " = " + value +
+        " s overflows simulated time (64-bit microseconds, at most about "
+        "9.2e12 s)");
+  }
+  if (seconds > 0 && FromSeconds(seconds) == 0) {
+    return Status::InvalidArgument(
+        key + " = " + value +
+        " s is below the 1 microsecond tick of simulated time");
+  }
+  return Status::OK();
 }
 
 Result<std::string> ScenarioSpec::ParamString(const std::string& key,
@@ -327,6 +355,8 @@ Status ApplyKey(ScenarioSpec* spec, const std::string& key,
   } else if (key == "gossip_period" || key == "sample_period") {
     Result<double> v = ParseDouble(value);
     if (!v.ok()) return AtLine(line, v.status());
+    const Status tick = CheckTickSeconds(key, *v);
+    if (!tick.ok()) return AtLine(line, tick);
     if (*v <= 0) {
       return AtLine(line, Status::InvalidArgument(
                               key + " must be > 0 (seconds)"));

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/types.h"
 
 namespace dynagg {
 namespace scenario {
@@ -51,6 +52,12 @@ namespace scenario {
 Result<int64_t> ParseInt64(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 Result<bool> ParseBool(std::string_view text);
+
+/// Checks that `seconds`, the value of time key `key`, becomes a tick of
+/// the microsecond SimTime clock: a number, inside SimTime's range, and
+/// not a positive value below 1 µs (which FromSeconds would turn into 0).
+/// The diagnostic names the key.
+Status CheckTickSeconds(const std::string& key, double seconds);
 
 /// One entry of the `record =` metric list: a metric name plus an optional
 /// parenthesised argument — `rms`, `bandwidth`, `cdf(final_error)`. Which
@@ -162,6 +169,10 @@ struct ScenarioSpec {
   Status CheckParams(const std::string& prefix,
                      const std::vector<std::string>& allowed) const;
 };
+
+/// The trace and async drivers' gossip tick: gossip_period, or the
+/// paper's 30 s when unset.
+SimTime GossipPeriod(const ScenarioSpec& spec);
 
 /// Validates a metric list (non-empty names, no duplicate selectors) and an
 /// aggregate list (known statistics, no duplicates). Shared by the file

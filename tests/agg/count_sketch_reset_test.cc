@@ -217,6 +217,160 @@ std::vector<uint8_t> RandomCounters(Rng& rng, size_t n) {
   return c;
 }
 
+// A (levels x bins) array of kBits-wide cells, one logical value per cell
+// including the padding cell that ends an odd nibble row.
+template <int kBits>
+struct CellArray {
+  int bins;
+  int levels;
+  std::vector<uint8_t> cells;  // levels x row_cells(), unpacked
+
+  size_t row_cells() const {
+    return CsrCells<kBits>::RowBytes(bins) * CsrCells<kBits>::kPerByte;
+  }
+  bool padding(size_t index) const {
+    return static_cast<int>(index % row_cells()) >= bins;
+  }
+  std::vector<uint8_t> Pack() const {
+    std::vector<uint8_t> bytes(cells.size() / CsrCells<kBits>::kPerByte, 0);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      bytes[i / CsrCells<kBits>::kPerByte] |= static_cast<uint8_t>(
+          cells[i] << (i % CsrCells<kBits>::kPerByte * kBits));
+    }
+    return bytes;
+  }
+  static std::vector<uint8_t> Unpack(const std::vector<uint8_t>& bytes) {
+    std::vector<uint8_t> out(bytes.size() * CsrCells<kBits>::kPerByte);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] = CsrCells<kBits>::Get(bytes.data(), i);
+    }
+    return out;
+  }
+};
+
+// Random cells biased toward 0, the cap and infinity; padding cells hold
+// infinity, as in a swarm.
+template <int kBits>
+CellArray<kBits> RandomCells(Rng& rng, int bins, int levels) {
+  using Cells = CsrCells<kBits>;
+  CellArray<kBits> a{bins, levels, {}};
+  a.cells.resize(a.row_cells() * levels);
+  for (size_t i = 0; i < a.cells.size(); ++i) {
+    uint8_t& v = a.cells[i];
+    switch (a.padding(i) ? 2 : rng.UniformInt(4)) {
+      case 0: v = 0; break;
+      case 1: v = Cells::kCap; break;
+      case 2: v = Cells::kInfinity; break;
+      default:
+        v = static_cast<uint8_t>(rng.UniformInt(Cells::kInfinity + 1));
+        break;
+    }
+  }
+  return a;
+}
+
+// Every kernel at width kBits against scalar loops over unpacked cells.
+template <int kBits>
+void CheckKernelsAgainstScalarReference(uint64_t seed) {
+  using Cells = CsrCells<kBits>;
+  Rng rng(seed);
+  for (const int bins : {1, 5, 64, 300}) {
+    for (const int levels : {1, 7, 24, 32}) {
+      SCOPED_TRACE(testing::Message() << kBits << "-bit cells, " << bins
+                                      << " x " << levels);
+      // Age: saturating increment below the cap, then re-pin owned cells.
+      const CellArray<kBits> start = RandomCells<kBits>(rng, bins, levels);
+      std::vector<int32_t> owned;
+      for (size_t i = 0; i < start.cells.size(); ++i) {
+        if (!start.padding(i) && rng.Bernoulli(0.1)) {
+          owned.push_back(static_cast<int32_t>(i));
+        }
+      }
+      std::vector<uint8_t> expected = start.cells;
+      for (uint8_t& c : expected) {
+        if (c < Cells::kCap) ++c;
+      }
+      for (const int32_t index : owned) expected[index] = 0;
+      std::vector<uint8_t> aged = start.Pack();
+      CsrAge<kBits>(aged, owned);
+      EXPECT_EQ(CellArray<kBits>::Unpack(aged), expected);
+
+      // One-way and two-way min-merge.
+      const CellArray<kBits> a = RandomCells<kBits>(rng, bins, levels);
+      const CellArray<kBits> b = RandomCells<kBits>(rng, bins, levels);
+      std::vector<uint8_t> min_ab(a.cells.size());
+      for (size_t i = 0; i < min_ab.size(); ++i) {
+        min_ab[i] = std::min(a.cells[i], b.cells[i]);
+      }
+      std::vector<uint8_t> dst = a.Pack();
+      CsrMergeMin<kBits>(dst, b.Pack());
+      EXPECT_EQ(CellArray<kBits>::Unpack(dst), min_ab);
+      std::vector<uint8_t> x = a.Pack();
+      std::vector<uint8_t> y = b.Pack();
+      CsrExchangeMin<kBits>(x, y);
+      EXPECT_EQ(CellArray<kBits>::Unpack(x), min_ab);
+      EXPECT_EQ(CellArray<kBits>::Unpack(y), min_ab);
+
+      // Run total against a per-bin scan, with limits up to the cap.
+      std::vector<uint8_t> limits(levels);
+      for (uint8_t& l : limits) {
+        l = static_cast<uint8_t>(rng.UniformInt(Cells::kCap + 1));
+      }
+      int64_t total_run = 0;
+      for (int bin = 0; bin < bins; ++bin) {
+        int run = 0;
+        while (run < levels &&
+               a.cells[run * a.row_cells() + bin] <= limits[run]) {
+          ++run;
+        }
+        total_run += run;
+      }
+      EXPECT_EQ(CsrRunTotal<kBits>(a.Pack(), bins, limits), total_run);
+    }
+  }
+}
+
+TEST(CsrKernelTest, KernelsMatchScalarReference) {
+  CheckKernelsAgainstScalarReference<8>(13);
+}
+
+TEST(CsrKernelTest, NibbleKernelsMatchScalarReference) {
+  CheckKernelsAgainstScalarReference<4>(14);
+}
+
+TEST(CsrKernelTest, NibbleCapAndInfinityAreSticky) {
+  // One byte holds two cells: low nibble first.
+  std::vector<uint8_t> cells = {0x0d, 0xfe, 0xe0};  // (13, 0) (14, 15) (0, 14)
+  CsrAge<4>(cells, {});
+  EXPECT_EQ(cells, (std::vector<uint8_t>{0x1e, 0xfe, 0xe1}));
+  CsrAge<4>(cells, std::vector<int32_t>{0, 5});
+  EXPECT_EQ(cells, (std::vector<uint8_t>{0x20, 0xfe, 0x02}));
+}
+
+TEST(CsrKernelTest, NibblePaddingNeverCounts) {
+  // Every real cell of a 5-bin nibble array reads 0 (all bits set); each
+  // level row ends in a padding cell at infinity.
+  for (const int levels : {1, 7, 32}) {
+    CellArray<4> a{5, levels, {}};
+    a.cells.resize(a.row_cells() * levels);
+    for (size_t i = 0; i < a.cells.size(); ++i) {
+      a.cells[i] = a.padding(i) ? CsrCells<4>::kInfinity : 0;
+    }
+    std::vector<uint8_t> packed = a.Pack();
+    const std::vector<uint8_t> limits(levels, CsrCells<4>::kCap);
+    EXPECT_EQ(CsrRunTotal<4>(packed, 5, limits), 5 * levels);
+    for (int round = 0; round < 20; ++round) {
+      CsrAge<4>(packed, {});
+      CsrMergeMin<4>(packed, a.Pack());
+    }
+    for (size_t i = 0; i < a.cells.size(); ++i) {
+      if (a.padding(i)) {
+        EXPECT_EQ(CsrCells<4>::Get(packed.data(), i), CsrCells<4>::kInfinity);
+      }
+    }
+  }
+}
+
 // Serializes `wire` (bin-major counters) in the CSR wire format.
 std::vector<uint8_t> WirePayload(int bins, int levels,
                                  const std::vector<uint8_t>& wire) {
@@ -226,44 +380,6 @@ std::vector<uint8_t> WirePayload(int bins, int levels,
   w.PutBytes(std::string_view(reinterpret_cast<const char*>(wire.data()),
                               wire.size()));
   return w.Release();
-}
-
-TEST(CsrKernelTest, KernelsMatchScalarReference) {
-  Rng rng(13);
-  for (const int bins : {1, 5, 64, 300}) {
-    for (const int levels : {1, 7, 24, 32}) {
-      SCOPED_TRACE(testing::Message() << bins << " x " << levels);
-      const size_t n = static_cast<size_t>(bins) * levels;
-
-      // Age: saturating increment below the cap, then re-pin owned slots.
-      std::vector<uint8_t> aged = RandomCounters(rng, n);
-      std::vector<int32_t> owned;
-      for (size_t i = 0; i < n; ++i) {
-        if (rng.Bernoulli(0.1)) owned.push_back(static_cast<int32_t>(i));
-      }
-      std::vector<uint8_t> expected = aged;
-      for (uint8_t& c : expected) {
-        if (c < kCsrCounterCap) ++c;
-      }
-      for (const int32_t offset : owned) expected[offset] = 0;
-      CsrAge(aged, owned);
-      EXPECT_EQ(aged, expected);
-
-      // One-way and two-way min-merge.
-      const std::vector<uint8_t> a = RandomCounters(rng, n);
-      const std::vector<uint8_t> b = RandomCounters(rng, n);
-      std::vector<uint8_t> min_ab(n);
-      for (size_t i = 0; i < n; ++i) min_ab[i] = std::min(a[i], b[i]);
-      std::vector<uint8_t> dst = a;
-      CsrMergeMin(dst, b);
-      EXPECT_EQ(dst, min_ab);
-      std::vector<uint8_t> x = a;
-      std::vector<uint8_t> y = b;
-      CsrExchangeMin(x, y);
-      EXPECT_EQ(x, min_ab);
-      EXPECT_EQ(y, min_ab);
-    }
-  }
 }
 
 TEST(CsrKernelTest, EstimateMatchesPerBinScan) {
@@ -320,15 +436,27 @@ TEST(CsrNodeTest, WireFormatIsBinMajor) {
   Population pop(n);
   Rng rng(8);
   for (int round = 0; round < 4; ++round) swarm.RunRound(env, pop, rng);
-  const CountSketchResetNode& node = swarm.node(0);
 
-  // The logical accessor agrees with the hash placement of owned objects.
+  // The swarm accessor agrees with the hash placement of owned objects.
   for (int64_t idx = 0; idx < 3; ++idx) {
     const SketchSlot slot =
         SketchPlace(HashCombine(0, static_cast<uint64_t>(idx)), p.hash_seed,
                     p.bins, p.levels - 1);
-    EXPECT_EQ(node.counter(slot.bin, slot.level), 0);
+    EXPECT_EQ(swarm.counter(0, slot.bin, slot.level), 0);
   }
+
+  // A node that received host 0's counters sends them back bin-major.
+  std::vector<uint8_t> host0(static_cast<size_t>(p.bins) * p.levels);
+  for (int b = 0; b < p.bins; ++b) {
+    for (int k = 0; k < p.levels; ++k) {
+      host0[static_cast<size_t>(b) * p.levels + k] = swarm.counter(0, b, k);
+    }
+  }
+  CountSketchResetNode node;
+  node.Init(p, /*host_key=*/1, /*multiplicity=*/0);
+  const std::vector<uint8_t> payload = WirePayload(p.bins, p.levels, host0);
+  BufReader in(payload);
+  ASSERT_TRUE(node.MergeSerialized(&in).ok());
 
   BufWriter w;
   node.Serialize(&w);
@@ -344,6 +472,8 @@ TEST(CsrNodeTest, WireFormatIsBinMajor) {
   ASSERT_EQ(levels, 7u);
   ASSERT_EQ(bytes.size(), 35u);
   EXPECT_EQ(static_cast<int64_t>(w.size()), node.SerializedBytes());
+  EXPECT_EQ(node.SerializedBytes(), swarm.SerializedBytes());
+  EXPECT_EQ(bytes, host0);
   for (int b = 0; b < p.bins; ++b) {
     for (int k = 0; k < p.levels; ++k) {
       EXPECT_EQ(bytes[static_cast<size_t>(b) * p.levels + k],
@@ -403,7 +533,7 @@ TEST(CsrSwarmTest, MatchesStaticSketchWhenCutoffDisabled) {
     csr.RunRound(env, pop, rng1);
     cs.RunRound(env, pop, rng2);
   }
-  EXPECT_TRUE(csr.node(0).DeriveBits() == cs.node(0).sketch());
+  EXPECT_TRUE(csr.DeriveBits(0) == cs.node(0).sketch());
   EXPECT_DOUBLE_EQ(csr.EstimateCount(0), cs.EstimateCount(0));
 }
 
@@ -475,14 +605,98 @@ TEST(CsrSwarmTest, CounterDistributionBoundedByLinearCutoff) {
   for (int round = 0; round < 40; ++round) swarm.RunRound(env, pop, rng);
   // Levels that at least two hosts own (k <~ log2(n/m)) must have small
   // counters everywhere.
-  const CountSketchResetNode& node = swarm.node(0);
-  for (int b = 0; b < node.bins(); ++b) {
+  for (int b = 0; b < swarm.params().bins; ++b) {
     for (int k = 0; k < 4; ++k) {
-      const uint8_t c = node.counter(b, k);
+      const uint8_t c = swarm.counter(0, b, k);
       if (c == kCsrInfinity) continue;  // never sourced
       EXPECT_LE(c, 7.0 + k / 4.0 + 6.0) << "bin " << b << " level " << k;
     }
   }
+}
+
+// A nibble swarm is the byte swarm seen through clamp(c) = min(c, 14)
+// with infinity at 15 (file comment, "Cell width"): same estimates bit for
+// bit, every counter equal under the clamp, through failures and joins.
+TEST(CsrSwarmTest, NibbleSwarmMatchesByteSwarm) {
+  const int n = 200;
+  std::vector<int64_t> mults(n);
+  for (int i = 0; i < n; ++i) mults[i] = 1 + i % 3;
+  const auto clamp = [](uint8_t c) -> uint8_t {
+    return c == kCsrInfinity ? c : std::min<uint8_t>(c, CsrCells<4>::kCap);
+  };
+  for (const int bins : {5, 64}) {
+    for (const int levels : {7, 24}) {
+      for (const bool cutoff : {true, false}) {
+        for (const GossipMode mode :
+             {GossipMode::kPush, GossipMode::kPushPull}) {
+          SCOPED_TRACE(testing::Message()
+                       << bins << " x " << levels << " cutoff " << cutoff
+                       << " push/pull "
+                       << (mode == GossipMode::kPushPull));
+          CsrParams p;
+          p.bins = bins;
+          p.levels = levels;
+          p.cutoff_enabled = cutoff;
+          p.mode = mode;
+          CsrSwarm bytes(mults, p, /*read_counter_max=*/kCsrCounterCap);
+          CsrSwarm nibbles(mults, p, /*read_counter_max=*/0);
+          ASSERT_EQ(bytes.cell_bits(), 8);
+          ASSERT_EQ(nibbles.cell_bits(), 4);
+          UniformEnvironment env(n);
+          Population pop(n);
+          Rng rng_bytes(21);
+          Rng rng_nibbles(21);
+          for (int round = 0; round < 40; ++round) {
+            if (round == 12) {
+              for (HostId id = 0; id < n; id += 2) pop.Kill(id);
+            }
+            if (round == 25) {
+              for (HostId id = 0; id < n; id += 6) {
+                pop.Revive(id);
+                bytes.OnJoin(id);
+                nibbles.OnJoin(id);
+              }
+            }
+            bytes.RunRound(env, pop, rng_bytes);
+            nibbles.RunRound(env, pop, rng_nibbles);
+            int estimate_mismatches = 0;
+            int counter_mismatches = 0;
+            ForEachAliveId(pop, [&](HostId id) {
+              if (bytes.EstimateCount(id) != nibbles.EstimateCount(id)) {
+                ++estimate_mismatches;
+              }
+              for (int k = 0; k < levels; ++k) {
+                const CsrLevelRow b = bytes.level_row(id, k);
+                const CsrLevelRow nb = nibbles.level_row(id, k);
+                for (int bin = 0; bin < bins; ++bin) {
+                  if (clamp(b[bin]) != nb[bin]) ++counter_mismatches;
+                }
+              }
+            });
+            ASSERT_EQ(estimate_mismatches, 0) << "round " << round;
+            ASSERT_EQ(counter_mismatches, 0) << "round " << round;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CsrSwarmTest, CellWidthFollowsCutoffAndReads) {
+  const std::vector<int64_t> ones(10, 1);
+  CsrParams paper;  // f(k) = 7 + k/4 <= 12 over 24 levels
+  EXPECT_EQ(CsrSwarm(ones, paper, 0).cell_bits(), 4);
+  EXPECT_EQ(CsrSwarm(ones, paper, 13).cell_bits(), 4);
+  EXPECT_EQ(CsrSwarm(ones, paper, 14).cell_bits(), 8);
+  EXPECT_EQ(CsrSwarm(ones, paper).cell_bits(), 8);
+  CsrParams high = paper;
+  high.cutoff_base = 10.0;  // f(23) = 15.75
+  EXPECT_EQ(CsrSwarm(ones, high, 0).cell_bits(), 8);
+  high.cutoff_base = 14.0;  // "c <= 14" cannot tell 14 from 20 at 4 bits
+  high.cutoff_slope = 0.0;
+  EXPECT_EQ(CsrSwarm(ones, high, 0).cell_bits(), 8);
+  high.cutoff_enabled = false;  // any finite counter: exact at 4 bits
+  EXPECT_EQ(CsrSwarm(ones, high, 0).cell_bits(), 4);
 }
 
 }  // namespace

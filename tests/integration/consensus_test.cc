@@ -66,11 +66,11 @@ TEST(ConsensusTest, CsrAllHostsHoldIdenticalSketchAtConvergence) {
   for (int round = 0; round < 30; ++round) swarm.RunRound(env, pop, rng);
   // Derived bits (not raw counters, which differ by small ages) must agree
   // across all hosts once converged.
-  const FmSketch reference = swarm.node(0).DeriveBits();
+  const FmSketch reference = swarm.DeriveBits(0);
   const double est0 = swarm.EstimateCount(0);
   int disagreements = 0;
   for (HostId id = 0; id < kHosts; ++id) {
-    if (!(swarm.node(id).DeriveBits() == reference)) ++disagreements;
+    if (!(swarm.DeriveBits(id) == reference)) ++disagreements;
   }
   // A handful of hosts can be mid-flip on a boundary counter.
   EXPECT_LT(disagreements, kHosts / 100);

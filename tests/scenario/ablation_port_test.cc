@@ -595,9 +595,8 @@ void LegacyCounterQuantiles(const CsrSwarm& swarm, int n,
     Histogram hist(0, 64, 64);
     int64_t finite = 0;
     for (HostId id = 0; id < n; ++id) {
-      const CountSketchResetNode& node = swarm.node(id);
       for (int b = 0; b < swarm.params().bins; ++b) {
-        const uint8_t c = node.counter(b, k);
+        const uint8_t c = swarm.counter(id, b, k);
         if (c == kCsrInfinity) continue;
         hist.Add(c);
         ++finite;

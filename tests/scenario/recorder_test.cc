@@ -68,10 +68,9 @@ TEST(RecorderParityTest, CounterCdfMatchesLegacyFig06Loop) {
       levels, std::vector<int64_t>(max_counter + 1, 0));
   std::vector<int64_t> finite_totals(levels, 0);
   for (HostId id = 0; id < n; ++id) {
-    const CountSketchResetNode& node = swarm.node(id);
     for (int b = 0; b < params.bins; ++b) {
       for (int k = 0; k < levels; ++k) {
-        const uint8_t c = node.counter(b, k);
+        const uint8_t c = swarm.counter(id, b, k);
         if (c == kCsrInfinity) continue;
         ++histograms[k][c <= max_counter ? c : max_counter];
         ++finite_totals[k];

@@ -4,6 +4,7 @@
 // building environments or swarms — and the diagnostics must name the
 // offending key or selector.
 
+#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -291,6 +292,76 @@ TEST(DryRunValidationTest, BoundsChurnArrivalRate) {
       "protocol = push-sum-revert\nhosts = 16\n"
       "churn.arrival_rate = 150\nsweep = hosts: 100, 200\n",
       "churn.arrival_rate exceeds hosts = 100");
+}
+
+// ------------------------------------------------------- time values ---
+
+// Every time key becomes a tick of the microsecond SimTime clock. A value
+// that cannot (NaN, below 1 µs, past SimTime's range) fails at parse or
+// --dry-run with a diagnostic naming the key, instead of running with a
+// zero period (a hang) or an overflowed clock.
+
+const char kAsyncBase[] =
+    "driver = async\nprotocol = push-flow\nenvironment = uniform\n"
+    "hosts = 20\n";
+
+void ExpectParseError(const std::string& text, const std::string& needle) {
+  const auto specs = ParseScenarioFile(text);
+  EXPECT_FALSE(specs.ok()) << "spec unexpectedly parsed:\n" << text;
+  if (!specs.ok()) {
+    EXPECT_NE(specs.status().message().find(needle), std::string::npos)
+        << "diagnostic '" << specs.status().message()
+        << "' does not mention '" << needle << "'";
+  }
+}
+
+TEST(TimeValueValidationTest, RejectsNan) {
+  for (const std::string key : {"gossip_period", "sample_period"}) {
+    ExpectParseError(kAsyncBase + key + " = nan\n", key);
+  }
+  // A hand-built spec skips the parser; --dry-run still catches it.
+  auto specs = ParseScenarioFile(std::string(kAsyncBase) + "rounds = 5\n");
+  ASSERT_TRUE(specs.ok());
+  (*specs)[0].gossip_period = std::nan("");
+  const Status st = ValidateExperiment((*specs)[0]);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("gossip_period"), std::string::npos)
+      << st.message();
+}
+
+TEST(TimeValueValidationTest, RejectsValuesBelowOneMicrosecond) {
+  for (const std::string key : {"gossip_period", "sample_period"}) {
+    ExpectParseError(kAsyncBase + key + " = 1e-9\n", key);
+  }
+  for (const std::string key : {"net.latency_s", "net.jitter"}) {
+    ExpectDryRunError(kAsyncBase + key + " = 1e-9\n", key);
+  }
+  ExpectDryRunError(std::string(kAsyncBase) +
+                        "net.latency = uniform\nnet.latency_hi_s = 5e-7\n",
+                    "net.latency_hi_s");
+  // 0 is a valid latency (the default), and 1 µs is one tick.
+  EXPECT_TRUE(DryRun(std::string(kAsyncBase) +
+                     "net.latency_s = 0\nnet.jitter = 1e-6\n")
+                  .ok());
+}
+
+TEST(TimeValueValidationTest, RejectsValuesThatOverflowSimTime) {
+  for (const std::string key : {"gossip_period", "sample_period"}) {
+    ExpectParseError(kAsyncBase + key + " = 1e13\n", key);
+  }
+  for (const std::string key : {"net.latency_s", "net.jitter"}) {
+    ExpectDryRunError(kAsyncBase + key + " = 1e13\n", key);
+  }
+  ExpectDryRunError(std::string(kAsyncBase) +
+                        "net.latency = uniform\nnet.latency_hi_s = 1e13\n",
+                    "net.latency_hi_s");
+  // Each tick time fits, the last of 10^4 ticks of 10^9 s does not.
+  ExpectDryRunError(std::string(kAsyncBase) +
+                        "gossip_period = 1e9\nrounds = 10000\n",
+                    "gossip_period");
+  EXPECT_TRUE(
+      DryRun(std::string(kAsyncBase) + "gossip_period = 1e9\nrounds = 9000\n")
+          .ok());
 }
 
 }  // namespace

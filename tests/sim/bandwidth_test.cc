@@ -102,11 +102,13 @@ TEST(TrafficMeterTest, CsrPayloadMatchesSerializedBytes) {
   Rng rng(5);
   swarm.RunRound(env, pop, rng);
   EXPECT_EQ(meter.total().messages, 2 * n);
-  const int64_t payload = swarm.node(0).SerializedBytes();
+  const int64_t payload = swarm.SerializedBytes();
   EXPECT_EQ(meter.total().bytes, 2 * n * payload);
   // And SerializedBytes must agree with the actual serialization.
+  CountSketchResetNode node;
+  node.Init(CsrParams{}, /*host_key=*/0, /*multiplicity=*/1);
   BufWriter w;
-  swarm.node(0).Serialize(&w);
+  node.Serialize(&w);
   EXPECT_EQ(static_cast<int64_t>(w.size()), payload);
 }
 
