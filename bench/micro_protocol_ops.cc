@@ -108,10 +108,11 @@ void BM_PushRoundKernel(benchmark::State& state) {
 /// and then run the push round. The membership mutations invalidate the
 /// environment's cached partner plan, so this prices the invalidation +
 /// rebuild the steady-state kernel number never pays.
-void BM_ChurnedPushRound(benchmark::State& state) {
+void ChurnedPushRound(benchmark::State& state, int threads) {
   const int n = static_cast<int>(state.range(0));
   std::vector<double> values(n, 1.0);
   PushSumSwarm swarm(values, GossipMode::kPush);
+  swarm.set_intra_round_threads(threads);
   UniformEnvironment env(n);
   Population pop(n, n * 9 / 10);
   ChurnParams params;
@@ -134,7 +135,19 @@ void BM_ChurnedPushRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+
+void BM_ChurnedPushRound(benchmark::State& state) {
+  ChurnedPushRound(state, /*threads=*/1);
+}
 BENCHMARK(BM_ChurnedPushRound)->Arg(100000);
+
+/// BM_ChurnedPushRound at `intra_round_threads` = range(1): the churned
+/// alive order makes the initiators non-identity, so T > 1 takes the
+/// sharded walk's general compaction.
+void BM_ChurnedPushRoundThreads(benchmark::State& state) {
+  ChurnedPushRound(state, static_cast<int>(state.range(1)));
+}
+BENCHMARK(BM_ChurnedPushRoundThreads)->Args({100000, 1})->Args({100000, 2});
 
 BENCHMARK(BM_PushRoundKernel)
     ->Args({10000, 1})
@@ -291,12 +304,12 @@ void BM_CsrExchangeMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrExchangeMerge);
 
-void BM_CsrEstimate(benchmark::State& state) {
-  // A converged host (2,000 hosts, 30 rounds): runs are ~log2(n/m) levels
-  // long, the scan a metric evaluation pays every round.
+// A converged host (2,000 hosts, 30 rounds): runs are ~log2(n/m) levels
+// long, the scan a metric evaluation pays every round. The cell width
+// follows `read_counter_max` as in CsrSwarmRound below.
+void CsrEstimate(benchmark::State& state, int read_counter_max) {
   const int n = 2000;
-  CsrSwarm swarm(std::vector<int64_t>(n, 1), CsrParams{},
-                 /*read_counter_max=*/0);
+  CsrSwarm swarm(std::vector<int64_t>(n, 1), CsrParams{}, read_counter_max);
   UniformEnvironment env(n);
   Population pop(n);
   Rng rng(1);
@@ -305,7 +318,16 @@ void BM_CsrEstimate(benchmark::State& state) {
     benchmark::DoNotOptimize(swarm.EstimateCount(0));
   }
 }
+
+void BM_CsrEstimate(benchmark::State& state) {
+  CsrEstimate(state, /*read_counter_max=*/0);
+}
 BENCHMARK(BM_CsrEstimate);
+
+void BM_CsrEstimateByteCells(benchmark::State& state) {
+  CsrEstimate(state, /*read_counter_max=*/kCsrCounterCap);
+}
+BENCHMARK(BM_CsrEstimateByteCells);
 
 // One push/pull round of the paper's geometry at the cell width the swarm
 // derives from `read_counter_max` (0: nibble cells; the byte cap: byte

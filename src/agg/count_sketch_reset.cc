@@ -77,41 +77,36 @@ inline void ExchangeMinBlock(uint8_t* __restrict a, uint8_t* __restrict b,
   }
 }
 
-// Run total over `width` adjacent bytes (columns) of a level-major array
-// with row stride `stride` bytes: alive[s][j] stays 1 while the run of
-// cell s of byte j reaches the current level, run[s][j] counts the levels
-// it reached.
+// Run total (Σ_k of the bins whose run reaches level k; see the header)
+// over `width` adjacent bytes (columns) of a level-major array with row
+// stride `stride` bytes, one lane per cell: alive[l] stays 1 while lane l's
+// run reaches the current level, and each level adds its alive lanes. A
+// nibble row is split once per level, low nibbles into lanes [0, width)
+// and high nibbles into [width, 2 * width), each taking the byte update.
 template <int kBits, typename Width>
 inline int64_t RunTotalBlock(const uint8_t* __restrict column, size_t stride,
                              std::span<const uint8_t> bit_limit,
                              Width width) {
-  constexpr int kPerByte = CsrCells<kBits>::kPerByte;
-  uint8_t alive[kPerByte][kBlockBytes<kBits>];
-  uint8_t run[kPerByte][kBlockBytes<kBits>];
-  for (int s = 0; s < kPerByte; ++s) {
-    for (size_t j = 0; j < width; ++j) {
-      alive[s][j] = 1;
-      run[s][j] = 0;
-    }
-  }
+  uint8_t alive[kLanes];
+  for (size_t j = 0; j < CsrCells<kBits>::kPerByte * width; ++j) alive[j] = 1;
+  int64_t total = 0;
   for (size_t k = 0; k < bit_limit.size(); ++k) {
     const uint8_t* __restrict row = column + k * stride;
     const uint8_t limit = bit_limit[k];
-    uint8_t any = 0;
+    // At most kLanes = 64 lanes are alive, so a byte holds the count.
+    uint8_t count = 0;
     for (size_t j = 0; j < width; ++j) {
-      const uint8_t x = row[j];
-      for (int s = 0; s < kPerByte; ++s) {
-        const uint8_t cell = (x >> (s * kBits)) & CsrCells<kBits>::kMask;
-        alive[s][j] &= cell <= limit ? 1 : 0;
-        run[s][j] += alive[s][j];
-        any |= alive[s][j];
+      if constexpr (kBits == 4) {
+        alive[j] &= (row[j] & 0x0f) <= limit ? 1 : 0;
+        alive[width + j] &= (row[j] >> 4) <= limit ? 1 : 0;
+        count += alive[j] + alive[width + j];
+      } else {
+        alive[j] &= row[j] <= limit ? 1 : 0;
+        count += alive[j];
       }
     }
-    if (any == 0) break;
-  }
-  int64_t total = 0;
-  for (int s = 0; s < kPerByte; ++s) {
-    for (size_t j = 0; j < width; ++j) total += run[s][j];
+    if (count == 0) break;
+    total += count;
   }
   return total;
 }

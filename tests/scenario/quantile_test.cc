@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -247,25 +248,62 @@ class ScopedVisibleCpus {
 
 TEST(IntraRoundThreadsTest, OutputBitIdenticalToSequential) {
   // This also runs the worker pool nested under the executor's trial
-  // threads — the production shape.
+  // threads — the production shape. Every spec plans above the kernel's
+  // parallel-slots gate; churn and failure make the initiators
+  // non-identity (dead hosts drop out of the alive order).
   const ScopedVisibleCpus forced(4);
-  const std::string base =
-      "name = scatter\n"
-      "protocol = push-sum-revert\n"
-      "protocol.mode = push\n"
-      "hosts = 5000\n"  // above the kernel's parallel-slots gate
-      "rounds = 5\n"
-      "seed = 11\n"
-      "record = rms, quantile(final_error, 0.5)\n";
-  const auto seq = RunScenario(base + "intra_round_threads = 1\n", 1);
-  const auto par = RunScenario(base + "intra_round_threads = 4\n", 1);
-  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-  ASSERT_TRUE(par.ok()) << par.status().ToString();
-  const auto csv_seq = RenderTables(*seq, "scatter", "csv");
-  const auto csv_par = RenderTables(*par, "scatter", "csv");
-  ASSERT_TRUE(csv_seq.ok());
-  ASSERT_TRUE(csv_par.ok());
-  EXPECT_EQ(*csv_seq, *csv_par);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"push-sum",
+       "protocol = push-sum\n"
+       "protocol.mode = push\n"
+       "hosts = 5000\n"},
+      {"push-sum-revert fixed",
+       "protocol = push-sum-revert\n"
+       "protocol.mode = push\n"
+       "hosts = 5000\n"},
+      {"push-sum-revert adaptive under churn",
+       "protocol = push-sum-revert\n"
+       "protocol.mode = push\n"
+       "protocol.lambda = 0.05\n"
+       "protocol.revert = adaptive\n"
+       "hosts = 8000\n"
+       "churn.initial = 6000\n"
+       "churn.arrival_rate = 40\n"
+       "churn.death_prob = 0.02\n"
+       "churn.rebirth_prob = 0.25\n"},
+      {"full-transfer",
+       "protocol = full-transfer\n"
+       "protocol.parcels = 4\n"
+       "hosts = 3000\n"},
+      {"push-sum after a random-fraction failure",
+       "protocol = push-sum\n"
+       "protocol.mode = push\n"
+       "hosts = 8000\n"
+       "failure.kind = kill_random_fraction\n"
+       "failure.round = 2\n"
+       "failure.fraction = 0.3\n"},
+  };
+  for (const auto& [label, protocol] : cases) {
+    SCOPED_TRACE(label);
+    const std::string base = "name = scatter\n" + protocol +
+                             "rounds = 5\n"
+                             "seed = 11\n"
+                             "record = rms, quantile(final_error, 0.5)\n";
+    std::string first;
+    for (const int threads : {1, 2, 4}) {
+      const auto run = RunScenario(
+          base + "intra_round_threads = " + std::to_string(threads) + "\n",
+          1);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const auto csv = RenderTables(*run, "scatter", "csv");
+      ASSERT_TRUE(csv.ok());
+      if (threads == 1) {
+        first = *csv;
+      } else {
+        EXPECT_EQ(*csv, first) << "intra_round_threads " << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

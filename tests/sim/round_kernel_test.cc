@@ -365,6 +365,31 @@ class SpottyEnvironment : public Environment {
   int n_;
 };
 
+/// Runs ForEachPushDeposit over the kernel's current plan with the
+/// initiator id as the payload and checks that every host receives the
+/// sequential push loop's deposits: slot order, a slot's self echo (when
+/// on) before its partner deposit, an unmatched slot's initiator twice.
+void ExpectPushDepositsInSlotOrder(const RoundKernel& kernel, int n,
+                                   bool self_echo) {
+  const PartnerPlan& plan = kernel.plan();
+  std::vector<std::vector<HostId>> want(n);
+  for (size_t k = 0; k < plan.size(); ++k) {
+    const HostId init = plan.initiator(k);
+    if (self_echo) want[init].push_back(init);
+    want[plan.EffectivePartner(k)].push_back(init);
+  }
+  std::vector<std::vector<HostId>> deposits(n);
+  kernel.ForEachPushDeposit(
+      n, self_echo, [](HostId src) { return src; },
+      // Each dst is owned by one worker, so its list is unshared.
+      [&](HostId dst, HostId src) { deposits[dst].push_back(src); },
+      [n](HostId dst) { ASSERT_TRUE(dst >= 0 && dst < n); });
+  for (HostId id = 0; id < n; ++id) {
+    ASSERT_EQ(deposits[id], want[id])
+        << "self_echo " << self_echo << " host " << id;
+  }
+}
+
 TEST(RoundKernelTest, PushDestinationsFollowPushLoopDepositOrder) {
   // ForEachPushDestination's source lists and ForEachPushDeposit's
   // deposits must both follow the sequential push loop's order.
@@ -410,28 +435,82 @@ TEST(RoundKernelTest, PushDestinationsFollowPushLoopDepositOrder) {
         }
         // The push deposit loop lands the same lists, one deposit per
         // entry; without the self echo only the partner deposits remain.
-        for (const bool self_echo : {true, false}) {
-          std::vector<std::vector<HostId>> want(n);
-          for (size_t k = 0; k < plan.size(); ++k) {
-            const HostId init = plan.initiator(k);
-            if (self_echo) want[init].push_back(init);
-            want[plan.EffectivePartner(k)].push_back(init);
-          }
-          std::vector<std::vector<HostId>> deposits(n);
-          kernel.ForEachPushDeposit(
-              n, self_echo, [](HostId src) { return src; },
-              // Each dst is owned by one worker, so its list is unshared.
-              [&](HostId dst, HostId src) { deposits[dst].push_back(src); },
-              [n](HostId dst) { ASSERT_TRUE(dst >= 0 && dst < n); });
-          for (HostId id = 0; id < n; ++id) {
-            ASSERT_EQ(deposits[id], want[id])
-                << "threads " << threads << " self_echo " << self_echo
-                << " host " << id;
-          }
-        }
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        ExpectPushDepositsInSlotOrder(kernel, n, /*self_echo=*/true);
+        ExpectPushDepositsInSlotOrder(kernel, n, /*self_echo=*/false);
         // Mutate between rounds: kill a block, revive part of it.
         for (HostId id = n / 3; id < n / 3 + 500; ++id) pop.Kill(id);
         for (HostId id = n / 3; id < n / 3 + 500; id += 3) pop.Revive(id);
+      }
+    }
+  }
+}
+
+/// Sends every matched slot's partner into the host ids [lo, hi), and
+/// leaves about a fifth of the slots unmatched.
+class FunnelEnvironment : public Environment {
+ public:
+  FunnelEnvironment(int n, HostId lo, HostId hi) : n_(n), lo_(lo), hi_(hi) {}
+  int num_hosts() const override { return n_; }
+  HostId SamplePeer(HostId, const Population&, Rng& rng) const override {
+    if (rng.UniformInt(5) == 0) return kInvalidHost;
+    return lo_ + static_cast<HostId>(rng.UniformInt(hi_ - lo_));
+  }
+  void AppendNeighbors(HostId, const Population&,
+                       std::vector<HostId>*) const override {}
+
+ private:
+  int n_;
+  HostId lo_;
+  HostId hi_;
+};
+
+TEST(RoundKernelTest, PushDepositsFunneledIntoOneRangeKeepSlotOrder) {
+  // The sharded walk's worst case: every partner deposit lands in the last
+  // worker's range, so that worker's chunks carry two events a slot (its
+  // initiators' self echoes plus every partner deposit) and fill the
+  // chunk buffer.
+  struct Case {
+    int hosts;
+    int slots_per_initiator;
+    bool dead_prefix;
+  };
+  const Case cases[] = {
+      // A dead prefix and scattered dead hosts: non-identity initiators,
+      // and a slot count that is not a multiple of the chunk size.
+      {6 * static_cast<int>(RoundKernel::kPushChunk) + 123, 1, true},
+      // Identity initiators (slot k is host k); the ranges are not
+      // chunk-aligned.
+      {5 * static_cast<int>(RoundKernel::kPushChunk) + 77, 1, false},
+      // The smallest plan that still shards, two slots per initiator:
+      // a few chunks, the last one partial.
+      {static_cast<int>(RoundKernel::kMinParallelSlots) / 2 + 1, 2, false},
+  };
+  for (const int threads : {2, 3, 4}) {
+    const ScopedVisibleCpus forced(threads);
+    for (const Case& c : cases) {
+      const int n = c.hosts;
+      Population pop(n);
+      if (c.dead_prefix) {
+        for (HostId id = 0; id < n / 5; ++id) pop.Kill(id);
+        for (HostId id = n / 2; id < n; id += 7) pop.Kill(id);
+      }
+      // ForEachHostRange's split: the last worker owns [lo, n).
+      const auto lo =
+          static_cast<HostId>(int64_t{n} * (threads - 1) / threads);
+      FunnelEnvironment env(n, lo, n);
+      RoundKernel kernel;
+      kernel.set_intra_round_threads(threads);
+      Rng rng(300 + threads);
+      for (int round = 0; round < 2; ++round) {
+        const PartnerPlan& plan =
+            kernel.PlanPushRound(env, pop, rng, c.slots_per_initiator);
+        ASSERT_GE(plan.size(), RoundKernel::kMinParallelSlots);
+        ASSERT_NE(plan.size() % RoundKernel::kPushChunk, 0u);
+        SCOPED_TRACE(testing::Message()
+                     << "threads " << threads << " hosts " << n);
+        ExpectPushDepositsInSlotOrder(kernel, n, /*self_echo=*/true);
+        ExpectPushDepositsInSlotOrder(kernel, n, /*self_echo=*/false);
       }
     }
   }
