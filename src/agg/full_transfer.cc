@@ -2,30 +2,6 @@
 
 namespace dynagg {
 
-void FullTransferNode::Init(double v0, int window) {
-  DYNAGG_CHECK_GT(window, 0);
-  mass_ = Mass{1.0, v0};
-  inbox_ = Mass{};
-  outgoing_ = Mass{};
-  emitting_ = false;
-  initial_value_ = v0;
-  history_.assign(window, Mass{});
-  history_next_ = 0;
-  history_count_ = 0;
-}
-
-Mass FullTransferNode::EmitParcel(double lambda, int parcels) {
-  DYNAGG_CHECK_GT(parcels, 0);
-  if (!emitting_) {
-    // First parcel of the round: take the whole mass out (full transfer
-    // keeps nothing back).
-    outgoing_ = mass_;
-    mass_ = Mass{};
-    emitting_ = true;
-  }
-  return FtParcel(outgoing_, initial_value_, lambda, parcels);
-}
-
 FullTransferSwarm::FullTransferSwarm(const std::vector<double>& values,
                                      const FullTransferParams& params)
     : mass_(values.size()),

@@ -44,8 +44,8 @@ struct FullTransferParams {
 // ---------------------------------------------------------------------------
 // The Full-Transfer steps over one host's scalars: its mass, its inbox, its
 // reversion anchor v0 and its ring of the last T mass-bearing rounds (next
-// write slot and fill count). FullTransferNode and FullTransferSwarm both
-// call these.
+// write slot and fill count). FullTransferSwarm calls these on its arrays;
+// tests/agg/full_transfer_test.cc drives them on one host.
 
 /// One parcel (Fig 4, step 2): 1/N of the reverted outgoing mass. Full
 /// transfer keeps nothing back: the N parcels together carry all of it.
@@ -76,59 +76,15 @@ inline double FtEstimate(std::span<const Mass> ring, int32_t count,
   return MassEstimate(total, v0);
 }
 
-/// Per-host Full-Transfer state machine: the reference the swarm is tested
-/// against.
-class FullTransferNode {
- public:
-  /// (Re)initializes with local value `v0` and an empty estimate window.
-  void Init(double v0, int window);
-
-  void SetLocalValue(double v0) { initial_value_ = v0; }
-
-  /// Emits one parcel (FtParcel) of the round's outgoing mass; call
-  /// exactly `parcels` times per round. The first emission of the round
-  /// takes the whole mass out of the host.
-  Mass EmitParcel(double lambda, int parcels);
-
-  /// Accumulates a received parcel.
-  void Deposit(const Mass& m) { inbox_ += m; }
-
-  /// Adopts the inbox as next state (FtEndRound).
-  void EndRound() {
-    emitting_ = false;
-    FtEndRound(mass_, inbox_, history_, history_next_, history_count_);
-  }
-
-  /// Windowed estimate (FtEstimate).
-  double Estimate() const {
-    return FtEstimate(history_, history_count_, initial_value_);
-  }
-
-  const Mass& mass() const { return mass_; }
-  double initial_value() const { return initial_value_; }
-
- private:
-  Mass mass_;
-  Mass inbox_;
-  Mass outgoing_;  // the mass taken out by the round's first emission
-  bool emitting_ = false;
-  double initial_value_ = 0.0;
-  // Ring buffer of the last `window` mass-bearing rounds.
-  std::vector<Mass> history_;
-  int32_t history_next_ = 0;
-  int32_t history_count_ = 0;
-};
-
 /// A population of Full-Transfer hosts driven one round at a time.
 ///
 /// Structure-of-arrays layout (PushSumSwarm is the template): the swarm
 /// stores flat parallel arrays — mass, inbox, and one shared history arena
 /// of `n * window` Masses (host i's ring lives at [i * window,
 /// (i+1) * window)) — so rounds touch contiguous memory and no per-host
-/// heap vectors. Each host's arithmetic is the step functions above, the
-/// same calls FullTransferNode makes; tests/sim/round_kernel_test.cc pins
-/// the rest against a node vector — plan order, RNG draws and deposit
-/// order.
+/// heap vectors. Each host's arithmetic is the step functions above; the
+/// bench_ports_small golden (bench/scenarios/golden/) pins the rest at
+/// full precision: plan order, RNG draws, deposit order and churn joins.
 class FullTransferSwarm {
  public:
   FullTransferSwarm(const std::vector<double>& values,
@@ -151,8 +107,7 @@ class FullTransferSwarm {
   Mass TotalAliveMass(const Population& pop) const;
 
   /// Churn-join reset: (re)initializes host `id` to its pristine <1, v0>
-  /// mass with an empty estimate window (FullTransferNode::Init
-  /// semantics). Touches only `id`'s own slots.
+  /// mass with an empty estimate window. Touches only `id`'s own slots.
   void OnJoin(HostId id) {
     mass_[id] = Mass{1.0, initial_[id]};
     inbox_[id] = Mass{};

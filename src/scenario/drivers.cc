@@ -73,7 +73,7 @@ Status ApplyIntraRoundThreads(const ScenarioSpec& spec,
 
 // ----------------------------------------------------------- rounds ---
 
-/// Swarm adapter slotted into RunRounds: advances trace-backed
+/// Swarm adapter slotted into RunRoundsUntil: advances trace-backed
 /// environments, applies the churn plan's membership events (kills, joins,
 /// rebirths — each admitted host reset through the swarm's on_join hook),
 /// re-pins a host alive (between the failure application and the gossip

@@ -1,3 +1,3 @@
-// RunRounds / RunRoundsUntil are header-only templates; the shared
+// RunRoundsUntil is a header-only template; the shared
 // ShuffledAliveOrder helper lives with the round kernel
 // (sim/round_kernel.cc) since Environment API v2.

@@ -47,20 +47,6 @@ int RunRoundsUntil(Swarm& swarm, const Environment& env, Population& pop,
   return max_rounds;
 }
 
-/// Runs `num_rounds` rounds of `swarm` under `env`/`pop`, applying `failures`
-/// before each round and calling `on_round_end(round)` after each round
-/// (round numbering starts at 0). `on_round_end` may be null.
-template <typename Swarm>
-void RunRounds(Swarm& swarm, const Environment& env, Population& pop,
-               const FailurePlan& failures, int num_rounds, Rng& rng,
-               const std::function<void(int)>& on_round_end = nullptr) {
-  RunRoundsUntil(swarm, env, pop, failures, num_rounds, rng,
-                 [&on_round_end](int round) {
-                   if (on_round_end) on_round_end(round);
-                   return true;
-                 });
-}
-
 }  // namespace dynagg
 
 #endif  // DYNAGG_SIM_ROUND_DRIVER_H_

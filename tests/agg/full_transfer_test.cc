@@ -1,6 +1,7 @@
 #include "agg/full_transfer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,66 +28,78 @@ double SwarmRms(const FullTransferSwarm& swarm, const Population& pop,
       pop, truth, [&](HostId id) { return swarm.Estimate(id); });
 }
 
-TEST(FullTransferNodeTest, ParcelsSplitRevertedMassEvenly) {
-  FullTransferNode node;
-  node.Init(20.0, /*window=*/3);
-  const Mass p1 = node.EmitParcel(/*lambda=*/0.0, /*parcels=*/4);
-  const Mass p2 = node.EmitParcel(0.0, 4);
+/// One host's Full-Transfer scalars, as FullTransferSwarm keeps them per
+/// host: pristine <1, v0> mass, an empty inbox and an empty ring of the
+/// last `window` mass-bearing rounds.
+struct FtHost {
+  FtHost(double v0, int window) : v0(v0), mass{1.0, v0}, ring(window) {}
+  double v0;
+  Mass mass;
+  Mass inbox;
+  std::vector<Mass> ring;
+  int32_t next = 0;
+  int32_t count = 0;
+};
+
+void EndRound(FtHost& h) {
+  FtEndRound(h.mass, h.inbox, h.ring, h.next, h.count);
+}
+
+double Estimate(const FtHost& h) { return FtEstimate(h.ring, h.count, h.v0); }
+
+TEST(FullTransferStepsTest, ParcelsSplitRevertedMassEvenly) {
+  FtHost h(20.0, /*window=*/3);
+  const Mass p1 = FtParcel(h.mass, h.v0, /*lambda=*/0.0, /*parcels=*/4);
+  const Mass p2 = FtParcel(h.mass, h.v0, 0.0, 4);
   EXPECT_DOUBLE_EQ(p1.weight, 0.25);
   EXPECT_DOUBLE_EQ(p1.value, 5.0);
   EXPECT_DOUBLE_EQ(p2.weight, 0.25);
   EXPECT_DOUBLE_EQ(p2.value, 5.0);
-  // All mass has left the node.
-  EXPECT_DOUBLE_EQ(node.mass().weight, 0.0);
+  // All mass has left the host: with nothing received, the round leaves
+  // it empty.
+  EndRound(h);
+  EXPECT_DOUBLE_EQ(h.mass.weight, 0.0);
 }
 
-TEST(FullTransferNodeTest, ReversionReseedsEmptyNode) {
-  FullTransferNode node;
-  node.Init(40.0, 3);
-  // Drain the node completely, receive nothing.
-  for (int p = 0; p < 2; ++p) node.EmitParcel(0.5, 2);
-  node.EndRound();
-  EXPECT_DOUBLE_EQ(node.mass().weight, 0.0);
+TEST(FullTransferStepsTest, ReversionReseedsEmptyNode) {
+  FtHost h(40.0, 3);
+  // Drain the host completely, receive nothing.
+  EndRound(h);
+  EXPECT_DOUBLE_EQ(h.mass.weight, 0.0);
   // Next round's emission still carries the lambda fraction of the initial
   // mass: the host cannot permanently vanish from the computation.
-  const Mass parcel = node.EmitParcel(0.5, 1);
+  const Mass parcel = FtParcel(h.mass, h.v0, 0.5, 1);
   EXPECT_DOUBLE_EQ(parcel.weight, 0.5);
   EXPECT_DOUBLE_EQ(parcel.value, 20.0);
 }
 
-TEST(FullTransferNodeTest, EstimateSkipsEmptyRounds) {
-  FullTransferNode node;
-  node.Init(10.0, /*window=*/2);
-  node.Deposit(Mass{1.0, 70.0});
-  node.EndRound();
-  EXPECT_DOUBLE_EQ(node.Estimate(), 70.0);
+TEST(FullTransferStepsTest, EstimateSkipsEmptyRounds) {
+  FtHost h(10.0, /*window=*/2);
+  h.inbox += Mass{1.0, 70.0};
+  EndRound(h);
+  EXPECT_DOUBLE_EQ(Estimate(h), 70.0);
   // A round with no received mass must not dilute the window.
-  node.EmitParcel(0.0, 1);
-  node.EndRound();
-  EXPECT_DOUBLE_EQ(node.Estimate(), 70.0);
+  EndRound(h);
+  EXPECT_DOUBLE_EQ(Estimate(h), 70.0);
 }
 
-TEST(FullTransferNodeTest, WindowAveragesRecentRounds) {
-  FullTransferNode node;
-  node.Init(0.0, /*window=*/2);
-  node.Deposit(Mass{1.0, 10.0});
-  node.EndRound();
-  node.EmitParcel(0.0, 1);
-  node.Deposit(Mass{1.0, 30.0});
-  node.EndRound();
+TEST(FullTransferStepsTest, WindowAveragesRecentRounds) {
+  FtHost h(0.0, /*window=*/2);
+  h.inbox += Mass{1.0, 10.0};
+  EndRound(h);
+  h.inbox += Mass{1.0, 30.0};
+  EndRound(h);
   // Window holds <1,10> and <1,30>: estimate 40/2 = 20.
-  EXPECT_DOUBLE_EQ(node.Estimate(), 20.0);
+  EXPECT_DOUBLE_EQ(Estimate(h), 20.0);
   // A third mass-bearing round evicts the oldest entry.
-  node.EmitParcel(0.0, 1);
-  node.Deposit(Mass{1.0, 50.0});
-  node.EndRound();
-  EXPECT_DOUBLE_EQ(node.Estimate(), 40.0);  // (30 + 50) / 2
+  h.inbox += Mass{1.0, 50.0};
+  EndRound(h);
+  EXPECT_DOUBLE_EQ(Estimate(h), 40.0);  // (30 + 50) / 2
 }
 
-TEST(FullTransferNodeTest, EstimateBeforeAnyMassIsInitialValue) {
-  FullTransferNode node;
-  node.Init(123.0, 3);
-  EXPECT_DOUBLE_EQ(node.Estimate(), 123.0);
+TEST(FullTransferStepsTest, EstimateBeforeAnyMassIsInitialValue) {
+  const FtHost h(123.0, 3);
+  EXPECT_DOUBLE_EQ(Estimate(h), 123.0);
 }
 
 TEST(FullTransferSwarmTest, ConvergesToAverage) {

@@ -37,9 +37,10 @@ TEST(ConvergenceTest, RunRoundsDrivesFailuresAndObserver) {
   failures.AddKill(5, {0, 1, 2});
   std::vector<int> observed_rounds;
   std::vector<int> alive_at_round;
-  RunRounds(swarm, env, pop, failures, 10, rng, [&](int round) {
+  RunRoundsUntil(swarm, env, pop, failures, 10, rng, [&](int round) {
     observed_rounds.push_back(round);
     alive_at_round.push_back(pop.num_alive());
+    return true;
   });
   ASSERT_EQ(observed_rounds.size(), 10u);
   EXPECT_EQ(observed_rounds.front(), 0);

@@ -52,10 +52,11 @@ TEST(FailureRecoveryTest, PsrTracksThroughRepeatedFailures) {
                                              ids.begin() + n / 2));
   }
   std::vector<double> rms_series;
-  RunRounds(swarm, env, pop, failures, 110, rng, [&](int) {
+  RunRoundsUntil(swarm, env, pop, failures, 110, rng, [&](int) {
     rms_series.push_back(RmsDeviationOverAlive(
         pop, TrueAverage(values, pop),
         [&](HostId id) { return swarm.Estimate(id); }));
+    return true;
   });
   // Converged before each failure and recovered after both.
   EXPECT_LT(rms_series[19], 6.0);
@@ -76,12 +77,13 @@ TEST(FailureRecoveryTest, PsrSurvivesContinuousChurn) {
   const FailurePlan churn =
       FailurePlan::Churn(n, 10, 100, 0.01, 0.1, churn_rng);
   std::vector<double> rms_tail;
-  RunRounds(swarm, env, pop, churn, 100, rng, [&](int round) {
+  RunRoundsUntil(swarm, env, pop, churn, 100, rng, [&](int round) {
     if (round >= 60) {
       rms_tail.push_back(RmsDeviationOverAlive(
           pop, TrueAverage(values, pop),
           [&](HostId id) { return swarm.Estimate(id); }));
     }
+    return true;
   });
   double mean_rms = 0.0;
   for (const double r : rms_tail) mean_rms += r;

@@ -1,15 +1,12 @@
 // Driver API v1 tests: spec-level driver validation (the --dry-run
-// contract), bit-identical parity of the ported fig10/fig11 scenarios with
-// the retired bench mains' loops, trace execution determinism across
-// thread counts, the trace driver's tick/sample timeline on the checked-in
-// CRAWDAD fixture, and keyed (per-group) series assembly. The parity
-// replicas below are the exact code of the retired mains at reduced scale
-// (same RNG streams, same call order).
+// contract), trace execution determinism across thread counts, the trace
+// driver's tick/sample timeline on the checked-in CRAWDAD fixture, and
+// keyed (per-group) series assembly. The fig10/fig11 ports and the
+// fixture's hourly series are pinned by the bench_ports_small golden
+// (bench/scenarios/golden/).
 
-#include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,25 +14,12 @@
 
 #include <gtest/gtest.h>
 
-#include "agg/count_sketch_reset.h"
-#include "agg/full_transfer.h"
-#include "agg/push_sum_revert.h"
-#include "common/rng.h"
-#include "common/stats.h"
-#include "env/connectivity.h"
 #include "env/crawdad.h"
-#include "env/haggle_gen.h"
 #include "env/trace_env.h"
-#include "env/uniform_env.h"
 #include "scenario/executor.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
 #include "scenario/trial.h"
-#include "sim/failure.h"
-#include "sim/metrics.h"
-#include "sim/population.h"
-#include "sim/round_driver.h"
-#include "sim/workload.h"
 
 namespace dynagg {
 namespace scenario {
@@ -222,235 +206,6 @@ TEST(DriverValidationTest, TraceDriverRejectsRoundsMetrics) {
             std::string::npos);
 }
 
-// ----------------------------------------- parity: fig10 correlated ---
-
-TEST(DriverParityTest, Fig10SeriesMatchLegacyLoopForBothPanels) {
-  const int n = 300;
-  const int rounds = 25;
-  const int fail_round = 8;
-  const uint64_t seed = 20090402;
-  const std::vector<double> lambdas = {0.0, 0.1};
-
-  // Hand-rolled replica of bench/fig10_correlated.cc RunSeries() for both
-  // panels: expected[panel] rows of (lambda, round, rms).
-  const std::vector<double> values = UniformWorkloadValues(n, seed);
-  std::vector<std::vector<std::vector<double>>> expected(2);
-  for (const double lambda : lambdas) {
-    PushSumRevertSwarm basic(
-        values, {.lambda = lambda, .mode = GossipMode::kPushPull});
-    FullTransferSwarm ft(values,
-                         {.lambda = lambda, .parcels = 4, .window = 3});
-    const auto run_series = [&](auto& swarm, int panel) {
-      UniformEnvironment env(n);
-      Population pop(n);
-      Rng rng(DeriveSeed(seed, 1));
-      const FailurePlan failures =
-          FailurePlan::KillTopFraction(values, fail_round, 0.5);
-      RunRounds(swarm, env, pop, failures, rounds, rng, [&](int round) {
-        const double truth = TrueAverage(values, pop);
-        const double rms = RmsDeviationOverAlive(
-            pop, truth, [&](HostId id) { return swarm.Estimate(id); });
-        expected[panel].push_back(
-            {lambda, static_cast<double>(round + 1), rms});
-      });
-    };
-    run_series(basic, 0);
-    run_series(ft, 1);
-  }
-
-  // The two-section scenario structure of fig10_correlated.scenario at
-  // reduced scale.
-  const std::vector<ScenarioSpec> specs = MustParse(
-      "name = fig10_small\n"
-      "seed = 20090402\n"
-      "hosts = 300\n"
-      "rounds = 25\n"
-      "sweep = protocol.lambda: 0, 0.1\n"
-      "failure.kind = kill_top_fraction\n"
-      "failure.round = 8\n"
-      "failure.fraction = 0.5\n"
-      "record = rms\n"
-      "\n"
-      "[basic]\n"
-      "protocol = push-sum-revert\n"
-      "\n"
-      "[full_transfer]\n"
-      "protocol = full-transfer\n"
-      "protocol.parcels = 4\n"
-      "protocol.window = 3\n");
-  ASSERT_EQ(specs.size(), 2u);
-  for (int panel = 0; panel < 2; ++panel) {
-    const CsvTable table = MustRunSpec(specs[panel], 4);
-    ASSERT_EQ(table.num_rows(),
-              static_cast<int64_t>(expected[panel].size()))
-        << "panel " << panel;
-    for (int64_t i = 0; i < table.num_rows(); ++i) {
-      ASSERT_EQ(table.row(i).size(), 3u);
-      EXPECT_EQ(table.row(i)[0], expected[panel][i][0]) << "row " << i;
-      EXPECT_EQ(table.row(i)[1], expected[panel][i][1]) << "row " << i;
-      // Bit-identical: the engine must replay the exact RNG stream layout
-      // of the legacy bench.
-      EXPECT_EQ(table.row(i)[2], expected[panel][i][2])
-          << "panel " << panel << " row " << i;
-    }
-  }
-}
-
-// -------------------------------------------- parity: fig11 haggle ---
-
-struct HourlyRow {
-  double hour;
-  double avg_group_size;
-  double rms;
-};
-
-/// Replica of bench/fig11_haggle.cc RunTraceSeries(): the legacy
-/// advance/gossip/sample loop at 30-second gossip and hourly samples.
-template <typename RoundFn, typename TruthFn, typename EstimateFn>
-std::vector<HourlyRow> LegacyTraceSeries(const ContactTrace& trace,
-                                         TraceEnvironment& env,
-                                         Population& pop,
-                                         const RoundFn& round_fn,
-                                         const TruthFn& truth_of,
-                                         const EstimateFn& estimate_of) {
-  std::vector<HourlyRow> rows;
-  const SimTime period = FromSeconds(30);
-  int round = 0;
-  for (SimTime t = period; t <= trace.end_time(); t += period, ++round) {
-    env.AdvanceTo(t);
-    round_fn();
-    if ((round + 1) % 120 != 0) continue;  // hourly samples
-    DeviationStat dev;
-    for (const HostId id : pop.alive_ids()) {
-      dev.Add(estimate_of(id), truth_of(id));
-    }
-    rows.push_back(HourlyRow{ToHours(t), env.AverageGroupSize(), dev.rms()});
-  }
-  return rows;
-}
-
-TEST(DriverParityTest, Fig11AverageMatchesLegacyLoopPerLambda) {
-  const uint64_t seed = 20090405;
-  HaggleGenParams params = HaggleDataset1();
-  params.duration_hours = 6;  // reduced scale; the preset seed is kept
-  const ContactTrace trace = GenerateHaggleTrace(params);
-  const int n = trace.num_devices();
-  const std::vector<double> values = UniformWorkloadValues(n, seed);
-
-  // Replica of the fig11 dynamic-average loop: per-series RNG stream
-  // 10 + series, truth = the device's current group average.
-  const std::vector<double> lambdas = {0.0, 0.01};
-  std::vector<std::vector<HourlyRow>> expected;
-  for (size_t series = 0; series < lambdas.size(); ++series) {
-    TraceEnvironment env(trace);
-    Population pop(n);
-    PushSumRevertSwarm swarm(values, {.lambda = lambdas[series],
-                                      .mode = GossipMode::kPushPull});
-    Rng rng(DeriveSeed(seed, 10 + series));
-    std::vector<int> labels;
-    std::vector<double> truths;
-    expected.push_back(LegacyTraceSeries(
-        trace, env, pop,
-        [&] {
-          swarm.RunRound(env, pop, rng);
-          labels = env.CurrentGroups();
-          truths = GroupMeans(labels, ComponentSizes(labels), values);
-        },
-        [&](HostId id) { return truths[labels[id]]; },
-        [&](HostId id) { return swarm.Estimate(id); }));
-  }
-
-  const CsvTable table = MustRun(
-      "name = fig11_avg_small\n"
-      "driver = trace\n"
-      "protocol = push-sum-revert\n"
-      "environment = haggle\n"
-      "env.dataset = 1\n"
-      "env.hours = 6\n"
-      "env.trace_seed = preset\n"
-      "seed = 20090405\n"
-      "gossip_period = 30\n"
-      "sample_period = 3600\n"
-      "sweep = protocol.lambda: 0, 0.01\n"
-      "seeds.round_stream = sweep+10\n"
-      "record = rms, avg_group_size\n",
-      2);
-  // Columns: lambda, hour, rms, avg_group_size.
-  ASSERT_EQ(table.columns().size(), 4u);
-  EXPECT_EQ(table.columns()[0], "lambda");
-  EXPECT_EQ(table.columns()[1], "hour");
-  EXPECT_EQ(table.columns()[2], "rms");
-  EXPECT_EQ(table.columns()[3], "avg_group_size");
-  int64_t row = 0;
-  for (size_t series = 0; series < lambdas.size(); ++series) {
-    ASSERT_FALSE(expected[series].empty());
-    for (const HourlyRow& exp : expected[series]) {
-      ASSERT_LT(row, table.num_rows());
-      EXPECT_EQ(table.row(row)[0], lambdas[series]) << "row " << row;
-      EXPECT_EQ(table.row(row)[1], exp.hour) << "row " << row;
-      // Bit-identical: same trace, same RNG stream, same group labelling,
-      // same accumulation order.
-      EXPECT_EQ(table.row(row)[2], exp.rms) << "row " << row;
-      EXPECT_EQ(table.row(row)[3], exp.avg_group_size) << "row " << row;
-      ++row;
-    }
-  }
-  EXPECT_EQ(row, table.num_rows());
-}
-
-TEST(DriverParityTest, Fig11SizeMatchesLegacyLoop) {
-  const uint64_t seed = 20090405;
-  const int64_t kIdsPerDevice = 100;
-  HaggleGenParams params = HaggleDataset1();
-  params.duration_hours = 6;
-  const ContactTrace trace = GenerateHaggleTrace(params);
-  const int n = trace.num_devices();
-
-  // Replica of the fig11 dynamic-size loop, series 0 (reversion off):
-  // RNG stream 20, truth = the device's current group size.
-  CsrParams csr;
-  csr.cutoff_enabled = false;
-  TraceEnvironment env(trace);
-  Population pop(n);
-  CsrSwarm swarm(std::vector<int64_t>(n, kIdsPerDevice), csr);
-  Rng rng(DeriveSeed(seed, 20));
-  std::vector<int> labels;
-  std::vector<int> sizes;
-  const std::vector<HourlyRow> expected = LegacyTraceSeries(
-      trace, env, pop,
-      [&] {
-        swarm.RunRound(env, pop, rng);
-        labels = env.CurrentGroups();
-        sizes = ComponentSizes(labels);
-      },
-      [&](HostId id) { return static_cast<double>(sizes[labels[id]]); },
-      [&](HostId id) {
-        return swarm.EstimateCount(id) / static_cast<double>(kIdsPerDevice);
-      });
-  ASSERT_FALSE(expected.empty());
-
-  const CsvTable table = MustRun(
-      "name = fig11_size_small\n"
-      "driver = trace\n"
-      "protocol = count-sketch-reset\n"
-      "protocol.multiplicity = 100\n"
-      "protocol.cutoff_enabled = false\n"
-      "environment = haggle\n"
-      "env.dataset = 1\n"
-      "env.hours = 6\n"
-      "env.trace_seed = preset\n"
-      "seed = 20090405\n"
-      "seeds.round_stream = 20\n"
-      "record = rms, avg_group_size\n",
-      1);
-  ASSERT_EQ(table.num_rows(), static_cast<int64_t>(expected.size()));
-  for (int64_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ(table.row(i)[0], expected[i].hour) << "row " << i;
-    EXPECT_EQ(table.row(i)[1], expected[i].rms) << "row " << i;
-    EXPECT_EQ(table.row(i)[2], expected[i].avg_group_size) << "row " << i;
-  }
-}
-
 // ------------------------------------------- trace determinism ---
 
 TEST(DriverDeterminismTest, TraceDriverIsByteIdenticalAcrossThreadCounts) {
@@ -591,54 +346,6 @@ TEST(TraceDriverTest, TraceIsAdvancedBeforeEachSample) {
   for (int64_t i = 0; i < table.num_rows(); ++i) {
     env.AdvanceTo(FromSeconds(600.0 * static_cast<double>(i + 1)));
     EXPECT_EQ(table.row(i)[2], env.AverageGroupSize()) << "row " << i;
-  }
-}
-
-TEST(TraceDriverTest, MatchesManualLoop) {
-  // Hourly samples on the fixture: the second sits on the horizon and
-  // coincides with the last tick, so the hand-rolled loop (advance, gossip,
-  // then sample) pins the tick-before-sample order and the inclusive end.
-  const uint64_t seed = 20090411;
-  const ContactTrace trace = LoadCrawdadFixture();
-  const int n = trace.num_devices();
-  const std::vector<double> values = UniformWorkloadValues(n, seed);
-  TraceEnvironment env(trace, FromMinutes(10));
-  Population pop(n);
-  PushSumRevertSwarm swarm(values,
-                           {.lambda = 0.1, .mode = GossipMode::kPushPull});
-  Rng rng(DeriveSeed(seed, 1));  // the default seeds.round_stream
-  std::vector<int> labels;
-  std::vector<double> truths;
-  const std::vector<HourlyRow> expected = LegacyTraceSeries(
-      trace, env, pop,
-      [&] {
-        swarm.RunRound(env, pop, rng);
-        labels = env.CurrentGroups();
-        truths = GroupMeans(labels, ComponentSizes(labels), values);
-      },
-      [&](HostId id) { return truths[labels[id]]; },
-      [&](HostId id) { return swarm.Estimate(id); });
-
-  const CsvTable table = MustRun(
-      "name = crawdad_manual\n"
-      "driver = trace\n"
-      "environment = crawdad\n"
-      "env.trace_file = " + CrawdadFixturePath() + "\n"
-      "protocol = push-sum-revert\n"
-      "protocol.lambda = 0.1\n"
-      "gossip_period = 30\n"
-      "sample_period = 3600\n"
-      "seed = 20090411\n"
-      "record = rms, avg_group_size\n",
-      2);
-  // Columns: hour, rms, avg_group_size.
-  ASSERT_EQ(table.columns().size(), 3u);
-  ASSERT_EQ(expected.size(), 2u);
-  ASSERT_EQ(table.num_rows(), 2);
-  for (int64_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ(table.row(i)[0], expected[i].hour) << "row " << i;
-    EXPECT_EQ(table.row(i)[1], expected[i].rms) << "row " << i;
-    EXPECT_EQ(table.row(i)[2], expected[i].avg_group_size) << "row " << i;
   }
 }
 

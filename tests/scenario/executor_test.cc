@@ -1,8 +1,7 @@
 // Executor tests: thread-count determinism (including multi-metric,
-// aggregated, 2-D-swept experiments) and numeric parity with the
-// hand-rolled bench loops the scenario engine replaces. The parity tests
-// replicate the exact code of the legacy bench mains (same RNG streams,
-// same call order) at reduced scale and demand bit-identical metrics.
+// aggregated, 2-D-swept experiments), table assembly and error surfacing.
+// The ports of the retired bench mains are pinned by the
+// bench_ports_small golden (bench/scenarios/golden/).
 
 #include "scenario/executor.h"
 
@@ -12,30 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include "agg/push_sum.h"
-#include "agg/push_sum_revert.h"
-#include "common/rng.h"
 #include "common/stats.h"
-#include "env/spatial_env.h"
-#include "env/uniform_env.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
-#include "sim/failure.h"
-#include "sim/metrics.h"
-#include "sim/population.h"
-#include "sim/round_driver.h"
-#include "sim/workload.h"
-#include "tree/spanning_tree.h"
-#include "tree/tag.h"
 
 namespace dynagg {
 namespace scenario {
 namespace {
-
-// The parity replicas must generate the exact populations the engine does.
-std::vector<double> UniformValues(int n, uint64_t seed) {
-  return UniformWorkloadValues(n, seed);
-}
 
 std::vector<ResultTable> MustRunAll(const std::string& text, int threads) {
   const auto specs = ParseScenarioFile(text);
@@ -252,202 +234,6 @@ TEST(ExecutorTest, Sweep2ProducesCrossProductInSweepMajorOrder) {
   EXPECT_EQ(table.row(2)[1], 2.0);
   EXPECT_EQ(table.row(3)[0], 0.1);
   EXPECT_EQ(table.row(3)[1], 3.0);
-}
-
-// ------------------------------------------------- parity: fig08 logic ---
-
-TEST(ExecutorParityTest, PerRoundRmsMatchesLegacyFig08Loop) {
-  const int n = 256;
-  const int rounds = 25;
-  const int fail_round = 8;
-  const uint64_t seed = 4242;
-  const std::vector<double> lambdas = {0.0, 0.1};
-
-  // Hand-rolled replica of bench/fig08_uncorrelated.cc Run().
-  std::vector<std::vector<double>> expected;  // lambda, round, rms
-  const std::vector<double> values = UniformValues(n, seed);
-  for (const double lambda : lambdas) {
-    PushSumRevertSwarm swarm(
-        values, {.lambda = lambda, .mode = GossipMode::kPushPull});
-    UniformEnvironment env(n);
-    Population pop(n);
-    Rng rng(DeriveSeed(seed, 1));
-    Rng fail_rng(DeriveSeed(seed, 2));
-    const FailurePlan failures =
-        FailurePlan::KillRandomFraction(n, fail_round, 0.5, fail_rng);
-    RunRounds(swarm, env, pop, failures, rounds, rng, [&](int round) {
-      const double truth = TrueAverage(values, pop);
-      const double rms = RmsDeviationOverAlive(
-          pop, truth, [&](HostId id) { return swarm.Estimate(id); });
-      expected.push_back({lambda, static_cast<double>(round + 1), rms});
-    });
-  }
-
-  const CsvTable table = MustRun(
-      "name = fig08_small\n"
-      "protocol = push-sum-revert\n"
-      "hosts = 256\n"
-      "rounds = 25\n"
-      "seed = 4242\n"
-      "sweep = protocol.lambda: 0, 0.1\n"
-      "failure.kind = kill_random_fraction\n"
-      "failure.round = 8\n"
-      "failure.fraction = 0.5\n",
-      4);
-  ASSERT_EQ(table.num_rows(), static_cast<int64_t>(expected.size()));
-  for (int64_t i = 0; i < table.num_rows(); ++i) {
-    ASSERT_EQ(table.row(i).size(), 3u);
-    EXPECT_EQ(table.row(i)[0], expected[i][0]) << "row " << i;
-    EXPECT_EQ(table.row(i)[1], expected[i][1]) << "row " << i;
-    // Bit-identical, not approximately equal: the engine must replay the
-    // exact RNG stream layout of the legacy bench.
-    EXPECT_EQ(table.row(i)[2], expected[i][2]) << "row " << i;
-  }
-}
-
-// ------------------------- parity: tree_vs_gossip churn + pin + tail ---
-
-TEST(ExecutorParityTest, TailMeanUnderChurnMatchesLegacyAblationLoop) {
-  const int side = 8;
-  const int n = side * side;
-  const int rounds = 60;
-  const uint64_t seed = 20090414;
-  const std::vector<double> death_probs = {0.0, 0.02};
-
-  std::vector<double> expected;  // one tail mean per death_prob
-  const std::vector<double> values = UniformValues(n, seed);
-  for (const double death_prob : death_probs) {
-    SpatialGridEnvironment env(side, side);
-    PushSumRevertSwarm swarm(
-        values, {.lambda = 0.05, .mode = GossipMode::kPushPull});
-    Population pop(n);
-    Rng rng(DeriveSeed(seed, 77));
-    Rng churn_rng(DeriveSeed(seed, static_cast<uint64_t>(death_prob * 1e5)));
-    const FailurePlan churn = FailurePlan::Churn(
-        n, 0, rounds, death_prob, death_prob * 4, churn_rng);
-    RunningStat tail;
-    for (int r = 0; r < rounds; ++r) {
-      churn.Apply(r, &pop);
-      pop.Revive(0);
-      swarm.RunRound(env, pop, rng);
-      if (r >= 30) {
-        tail.Add(RmsDeviationOverAlive(
-            pop, TrueAverage(values, pop),
-            [&](HostId id) { return swarm.Estimate(id); }));
-      }
-    }
-    expected.push_back(tail.mean());
-  }
-
-  const CsvTable table = MustRun(
-      "name = tvg_small\n"
-      "protocol = push-sum-revert\n"
-      "protocol.lambda = 0.05\n"
-      "environment = spatial\n"
-      "env.width = 8\n"
-      "env.height = 8\n"
-      "hosts = 64\n"
-      "rounds = 60\n"
-      "seed = 20090414\n"
-      "sweep = failure.death_prob: 0, 0.02\n"
-      "failure.kind = churn\n"
-      "failure.return_factor = 4\n"
-      "failure.pin_alive = 0\n"
-      "seeds.round_stream = 77\n"
-      "record = rms_tail_mean\n"
-      "record.from = 30\n",
-      2);
-  ASSERT_EQ(table.num_rows(), 2);
-  EXPECT_EQ(table.row(0)[1], expected[0]);
-  EXPECT_EQ(table.row(1)[1], expected[1]);
-}
-
-TEST(ExecutorParityTest, TagTreeMatchesLegacyAblationLoop) {
-  const int side = 8;
-  const int n = side * side;
-  const int epochs = 8;
-  const uint64_t seed = 20090414;
-  const double death_prob = 0.01;
-
-  // Hand-rolled replica of the TAG half of ablation_tree_vs_gossip.cc.
-  const std::vector<double> values = UniformValues(n, seed);
-  SpatialGridEnvironment env(side, side);
-  Rng churn_rng(DeriveSeed(seed, static_cast<uint64_t>(death_prob * 1e5)));
-  RunningStat err;
-  int failed_epochs = 0;
-  Population pop(n);
-  int round = 0;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    const SpanningTree tree = BuildBfsTree(env, pop, /*root=*/0);
-    const FailurePlan churn = FailurePlan::Churn(
-        n, round, round + tree.max_depth + 1, death_prob, death_prob * 4,
-        churn_rng);
-    const TagEpochResult result =
-        RunTagEpoch(tree, values, pop, churn, round);
-    round += tree.max_depth + 1;
-    pop.Revive(0);
-    if (!result.valid || result.count == 0) {
-      ++failed_epochs;
-      continue;
-    }
-    err.Add(std::abs(result.average - TrueAverage(values, pop)));
-  }
-
-  const CsvTable table = MustRun(
-      "name = tag_small\n"
-      "protocol = tag-tree\n"
-      "protocol.epochs = 8\n"
-      "environment = spatial\n"
-      "env.width = 8\n"
-      "env.height = 8\n"
-      "hosts = 64\n"
-      "seed = 20090414\n"
-      "failure.kind = churn\n"
-      "failure.death_prob = 0.01\n"
-      "failure.return_factor = 4\n",
-      1);
-  ASSERT_EQ(table.num_rows(), 1);
-  EXPECT_EQ(table.row(0)[0], err.mean());
-  EXPECT_EQ(table.row(0)[1], 100.0 * failed_epochs / epochs);
-}
-
-// ------------------------------------------- parity: convergence kind ---
-
-TEST(ExecutorParityTest, ConvergenceRoundMatchesLegacyTabLoop) {
-  const int n = 500;
-  const uint64_t seed = 20090406;
-
-  // Hand-rolled replica of tab_convergence.cc PushSumRounds().
-  const std::vector<double> values = UniformValues(n, seed);
-  PushSumSwarm swarm(values, GossipMode::kPushPull);
-  UniformEnvironment env(n);
-  Population pop(n);
-  Rng rng(DeriveSeed(seed, 3));
-  const double truth = TrueAverage(values, pop);
-  int expected = -1;
-  for (int round = 0; round < 200; ++round) {
-    swarm.RunRound(env, pop, rng);
-    const double rms = RmsDeviationOverAlive(
-        pop, truth, [&](HostId id) { return swarm.Estimate(id); });
-    if (rms < 1.0) {
-      expected = round + 1;
-      break;
-    }
-  }
-  ASSERT_GT(expected, 0);
-
-  const CsvTable table = MustRun(
-      "name = conv_small\n"
-      "protocol = push-sum\n"
-      "hosts = 500\n"
-      "rounds = 200\n"
-      "seed = 20090406\n"
-      "seeds.round_stream = 3\n"
-      "record = rounds_to_converge\n"
-      "record.threshold = 1.0\n",
-      1);
-  ASSERT_EQ(table.num_rows(), 1);
-  EXPECT_EQ(table.row(0)[0], static_cast<double>(expected));
 }
 
 // ------------------------------------------------------------- errors ---

@@ -1,14 +1,12 @@
-// Port tests for this PR's retired / newly scenario-reachable workloads:
+// Port tests for scenario-reachable workloads beyond the paper's figures:
 //
-//   - fm-accuracy: the tab_sketch_error bench main's Monte-Carlo loop,
-//     replicated verbatim, must match the scenario port bit-identically
-//     (same seed convention, same statistics).
+//   - fm-accuracy: the tab_sketch_error port rejects bad parameters (its
+//     values are pinned by the bench_ports_small golden).
 //   - crawdad: the external-contact-table environment must validate under
 //     --dry-run (without touching the file), parse a CRAWDAD table at
 //     execution time, run under both drivers, and fail loudly on missing
 //     or corrupt files.
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -16,10 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "agg/fm_sketch.h"
-#include "common/hash.h"
-#include "common/rng.h"
-#include "common/stats.h"
 #include "scenario/executor.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
@@ -33,61 +27,6 @@ Result<std::vector<ResultTable>> RunScenario(const std::string& text, int thread
   if (!specs.ok()) return specs.status();
   EXPECT_EQ(specs->size(), 1u);
   return RunExperiment((*specs)[0], threads);
-}
-
-// ----------------------------------------- parity: tab_sketch_error ---
-
-TEST(PortParityTest, FmAccuracyMatchesLegacyTabSketchError) {
-  const int samples = 40;
-  const int count = 2000;
-  const uint64_t seed = 20090407;
-  const std::vector<int> bucket_sweep = {8, 32, 64};
-
-  // Hand-rolled replica of the retired bench/tab_sketch_error.cc Run().
-  std::vector<std::vector<double>> expected;  // per bucket count: 3 stats
-  for (const int buckets : bucket_sweep) {
-    RunningStat rel_error;
-    RunningStat signed_error;
-    for (int trial = 0; trial < samples; ++trial) {
-      FmSketch sketch(buckets, 32);
-      const uint64_t trial_seed = DeriveSeed(seed, trial * 1000 + buckets);
-      for (int i = 0; i < count; ++i) {
-        sketch.InsertObject(HashCombine(trial_seed, i), trial_seed);
-      }
-      const double rel = (sketch.EstimateCount() - count) / count;
-      rel_error.Add(std::abs(rel));
-      signed_error.Add(rel);
-    }
-    expected.push_back({rel_error.mean(),
-                        std::sqrt(rel_error.mean() * rel_error.mean() +
-                                  rel_error.variance()),
-                        signed_error.mean()});
-  }
-
-  const auto tables = RunScenario(
-      "name = tab_sketch_error_small\n"
-      "protocol = fm-accuracy\n"
-      "seed = 20090407\n"
-      "protocol.samples = 40\n"
-      "protocol.count = 2000\n"
-      "sweep = protocol.buckets: 8, 32, 64\n",
-      1);
-  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
-  ASSERT_EQ(tables->size(), 1u);
-  const CsvTable& table = (*tables)[0].table;
-  ASSERT_EQ(table.columns().size(), 4u);
-  EXPECT_EQ(table.columns()[0], "buckets");
-  EXPECT_EQ(table.columns()[1], "mean_rel_error");
-  EXPECT_EQ(table.columns()[2], "rms_rel_error");
-  EXPECT_EQ(table.columns()[3], "bias");
-  ASSERT_EQ(table.num_rows(), 3);
-  for (int64_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(table.row(r)[0], bucket_sweep[r]);
-    // Bit-identical: same draws, same accumulators, same divisions.
-    EXPECT_EQ(table.row(r)[1], expected[r][0]) << "row " << r;
-    EXPECT_EQ(table.row(r)[2], expected[r][1]) << "row " << r;
-    EXPECT_EQ(table.row(r)[3], expected[r][2]) << "row " << r;
-  }
 }
 
 TEST(PortParityTest, FmAccuracyValidatesParameters) {

@@ -1,33 +1,16 @@
-// Recorder-era parity tests: the scenario ports of the retired bench
-// binaries (fig06_counter_cdf, fig09_counting_failure, tab_bandwidth) must
-// reproduce the legacy loops bit-identically, and the node-aggregator
-// protocol must drive the serialized facade correctly. The replicas below
-// are the exact code of the retired mains at reduced scale (same RNG
-// streams, same call order).
+// Recorder tests: the counter CDF pools across trials under aggregation,
+// and the node-aggregator protocol drives the serialized facade correctly.
+// The fig06, fig09 and tab_bandwidth ports are pinned by the
+// bench_ports_small golden (bench/scenarios/golden/).
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "agg/count_sketch.h"
-#include "agg/count_sketch_reset.h"
-#include "agg/full_transfer.h"
-#include "agg/push_sum.h"
-#include "agg/push_sum_revert.h"
-#include "common/rng.h"
-#include "common/stats.h"
-#include "env/uniform_env.h"
 #include "scenario/executor.h"
 #include "scenario/spec.h"
-#include "sim/bandwidth.h"
-#include "sim/failure.h"
-#include "sim/metrics.h"
-#include "sim/population.h"
-#include "sim/round_driver.h"
-#include "sim/workload.h"
 
 namespace dynagg {
 namespace scenario {
@@ -42,215 +25,6 @@ CsvTable MustRun(const std::string& text, int threads) {
   EXPECT_TRUE(tables.ok()) << tables.status().ToString();
   EXPECT_EQ(tables->size(), 1u);
   return std::move((*tables)[0].table);
-}
-
-// --------------------------------------- parity: fig06 counter CDF ---
-
-TEST(RecorderParityTest, CounterCdfMatchesLegacyFig06Loop) {
-  const int n = 300;
-  const int rounds = 10;
-  const int max_counter = 8;
-  const uint64_t seed = 20090404;
-
-  // Hand-rolled replica of bench/fig06_counter_cdf.cc RunOneSize().
-  const std::vector<int64_t> ones(n, 1);
-  CsrParams params;
-  params.cutoff_enabled = false;
-  CsrSwarm swarm(ones, params);
-  UniformEnvironment env(n);
-  Population pop(n);
-  Rng rng(DeriveSeed(seed, n));  // legacy: per-size round stream
-  for (int round = 0; round < rounds; ++round) {
-    swarm.RunRound(env, pop, rng);
-  }
-  const int levels = params.levels;
-  std::vector<std::vector<int64_t>> histograms(
-      levels, std::vector<int64_t>(max_counter + 1, 0));
-  std::vector<int64_t> finite_totals(levels, 0);
-  for (HostId id = 0; id < n; ++id) {
-    for (int b = 0; b < params.bins; ++b) {
-      for (int k = 0; k < levels; ++k) {
-        const uint8_t c = swarm.counter(id, b, k);
-        if (c == kCsrInfinity) continue;
-        ++histograms[k][c <= max_counter ? c : max_counter];
-        ++finite_totals[k];
-      }
-    }
-  }
-  std::vector<std::vector<double>> expected;  // bit, counter_value, cdf
-  for (int k = 0; k < levels; ++k) {
-    if (finite_totals[k] < n / 100 + 1) continue;
-    int64_t cumulative = 0;
-    for (int c = 0; c <= max_counter; ++c) {
-      cumulative += histograms[k][c];
-      expected.push_back({static_cast<double>(k), static_cast<double>(c),
-                          static_cast<double>(cumulative) /
-                              static_cast<double>(finite_totals[k])});
-    }
-  }
-  ASSERT_FALSE(expected.empty());
-
-  const CsvTable table = MustRun(
-      "name = fig06_small\n"
-      "protocol = count-sketch-reset\n"
-      "protocol.cutoff_enabled = false\n"
-      "hosts = 300\n"
-      "rounds = 10\n"
-      "seed = 20090404\n"
-      "seeds.round_stream = hosts\n"
-      "record = cdf(counter)\n"
-      "record.max_counter = 8\n",
-      1);
-  ASSERT_EQ(table.columns().size(), 3u);
-  EXPECT_EQ(table.columns()[0], "bit");
-  EXPECT_EQ(table.columns()[1], "counter_value");
-  EXPECT_EQ(table.columns()[2], "cdf");
-  ASSERT_EQ(table.num_rows(), static_cast<int64_t>(expected.size()));
-  for (int64_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ(table.row(i)[0], expected[i][0]) << "row " << i;
-    EXPECT_EQ(table.row(i)[1], expected[i][1]) << "row " << i;
-    // Bit-identical: same pooling, same clamping, same division.
-    EXPECT_EQ(table.row(i)[2], expected[i][2]) << "row " << i;
-  }
-}
-
-// --------------------------------- parity: fig09 counting failure ---
-
-TEST(RecorderParityTest, CountingUnderFailureMatchesLegacyFig09Loop) {
-  const int n = 400;
-  const int rounds = 12;
-  const int fail_round = 5;
-  const uint64_t seed = 20090403;
-
-  // Hand-rolled replica of bench/fig09_counting_failure.cc Run().
-  std::vector<std::vector<double>> expected;  // limiting, round, rms
-  const std::vector<int64_t> ones(n, 1);
-  for (const bool limiting : {true, false}) {
-    CsrParams params;
-    params.cutoff_enabled = limiting;
-    CsrSwarm swarm(ones, params);
-    UniformEnvironment env(n);
-    Population pop(n);
-    Rng rng(DeriveSeed(seed, 1));
-    Rng fail_rng(DeriveSeed(seed, 2));
-    const FailurePlan failures =
-        FailurePlan::KillRandomFraction(n, fail_round, 0.5, fail_rng);
-    RunRounds(swarm, env, pop, failures, rounds, rng, [&](int round) {
-      const double truth = pop.num_alive();
-      const double rms = RmsDeviationOverAlive(
-          pop, truth, [&](HostId id) { return swarm.EstimateCount(id); });
-      expected.push_back(
-          {limiting ? 1.0 : 0.0, static_cast<double>(round + 1), rms});
-    });
-  }
-
-  const CsvTable table = MustRun(
-      "name = fig09_small\n"
-      "protocol = count-sketch-reset\n"
-      "hosts = 400\n"
-      "rounds = 12\n"
-      "seed = 20090403\n"
-      "sweep = protocol.cutoff_enabled: 1, 0\n"
-      "failure.kind = kill_random_fraction\n"
-      "failure.round = 5\n"
-      "failure.fraction = 0.5\n"
-      "record = rms\n",
-      4);
-  ASSERT_EQ(table.num_rows(), static_cast<int64_t>(expected.size()));
-  for (int64_t i = 0; i < table.num_rows(); ++i) {
-    ASSERT_EQ(table.row(i).size(), 3u);
-    EXPECT_EQ(table.row(i)[0], expected[i][0]) << "row " << i;
-    EXPECT_EQ(table.row(i)[1], expected[i][1]) << "row " << i;
-    EXPECT_EQ(table.row(i)[2], expected[i][2]) << "row " << i;
-  }
-}
-
-// ------------------------------------- parity: bandwidth table ---
-
-struct LegacyBandwidthRow {
-  double msgs_per_host_round;
-  double bytes_per_host_round;
-  double state_bytes;
-};
-
-template <typename Swarm>
-LegacyBandwidthRow LegacyMeasure(Swarm& swarm, int n, int rounds,
-                                 double state, uint64_t seed) {
-  // Hand-rolled replica of bench/tab_bandwidth.cc Measure().
-  TrafficMeter meter;
-  swarm.set_traffic_meter(&meter);
-  UniformEnvironment env(n);
-  Population pop(n);
-  Rng rng(DeriveSeed(seed, 1));
-  for (int round = 0; round < rounds; ++round) {
-    swarm.RunRound(env, pop, rng);
-  }
-  const double denom = static_cast<double>(n) * rounds;
-  return {meter.total().messages / denom, meter.total().bytes / denom,
-          state};
-}
-
-void ExpectBandwidthParity(const std::string& protocol_key,
-                           const LegacyBandwidthRow& expected, int n,
-                           int rounds, uint64_t seed) {
-  const CsvTable table = MustRun(
-      "name = bw\n"
-      "protocol = " + protocol_key + "\n" +
-      "hosts = " + std::to_string(n) + "\n" +
-      "rounds = " + std::to_string(rounds) + "\n" +
-      "seed = " + std::to_string(seed) + "\n" +
-      "record = bandwidth\n",
-      1);
-  ASSERT_EQ(table.num_rows(), 1) << protocol_key;
-  EXPECT_EQ(table.row(0)[0], expected.msgs_per_host_round) << protocol_key;
-  EXPECT_EQ(table.row(0)[1], expected.bytes_per_host_round) << protocol_key;
-  EXPECT_EQ(table.row(0)[2], expected.state_bytes) << protocol_key;
-}
-
-TEST(RecorderParityTest, BandwidthMatchesLegacyTabBandwidthLoop) {
-  const int n = 200;
-  const int rounds = 5;
-  const uint64_t seed = 20090416;
-  const std::vector<double> values = UniformWorkloadValues(n, seed);
-  const std::vector<int64_t> ones(n, 1);
-
-  {
-    PushSumSwarm swarm(values, GossipMode::kPushPull);
-    ExpectBandwidthParity(
-        "push-sum",
-        LegacyMeasure(swarm, n, rounds, 2.0 * sizeof(double), seed), n,
-        rounds, seed);
-  }
-  {
-    PushSumRevertSwarm swarm(
-        values, {.lambda = 0.01, .mode = GossipMode::kPushPull});
-    ExpectBandwidthParity(
-        "push-sum-revert",
-        LegacyMeasure(swarm, n, rounds, 3.0 * sizeof(double), seed), n,
-        rounds, seed);
-  }
-  {
-    FullTransferSwarm swarm(values,
-                            {.lambda = 0.1, .parcels = 4, .window = 3});
-    ExpectBandwidthParity(
-        "full-transfer",
-        LegacyMeasure(swarm, n, rounds, (2.0 + 2.0 * 3) * sizeof(double),
-                      seed),
-        n, rounds, seed);
-  }
-  {
-    CountSketchSwarm swarm(ones, CountSketchParams{});
-    ExpectBandwidthParity(
-        "count-sketch",
-        LegacyMeasure(swarm, n, rounds, 64.0 * sizeof(uint64_t), seed), n,
-        rounds, seed);
-  }
-  {
-    CsrSwarm swarm(ones, CsrParams{});
-    ExpectBandwidthParity("count-sketch-reset",
-                          LegacyMeasure(swarm, n, rounds, 64.0 * 24.0, seed),
-                          n, rounds, seed);
-  }
 }
 
 // Regression: the counter-CDF bucket structure must be seed-independent —

@@ -4,12 +4,13 @@
 // reference loops below run it over node vectors with per-host SamplePeer
 // draws, as the pre-kernel RunRound bodies did. Swarms and nodes evaluate
 // each host's arithmetic with the same step functions (push_sum.h,
-// push_sum_revert.h, full_transfer.h), so these tests pin what can still
-// differ: the plan's host order, the RNG draws and the order in which
-// deposits land in each inbox. They do so under mid-trial deaths, churn
-// joins (each mode resets only the arrays it keeps), trace playback
-// (AdvanceTo between rounds), and with the push loop split over
-// intra-round threads.
+// push_sum_revert.h), so these tests pin what can still differ: the plan's
+// host order, the RNG draws and the order in which deposits land in each
+// inbox. They do so under mid-trial deaths, churn joins (each mode resets
+// only the arrays it keeps), trace playback (AdvanceTo between rounds),
+// and with the push loop split over intra-round threads. Full transfer
+// has no node class; its rounds are pinned by the bench_ports_small
+// golden (bench/scenarios/golden/), including churn joins.
 
 #include <cmath>
 #include <span>
@@ -52,7 +53,7 @@ std::vector<double> TestValues(int n, uint64_t seed) {
 // ------------------------- pre-refactor reference implementations ---
 //
 // Exact copies of the PR <= 3 RunRound bodies, expressed over PushSumNode /
-// PushSumRevertNode / FullTransferNode vectors.
+// PushSumRevertNode vectors.
 
 void LegacyPushSumRound(std::vector<PushSumNode>& nodes, GossipMode mode,
                         const Environment& env, const Population& pop,
@@ -98,20 +99,6 @@ void LegacyPsrRound(std::vector<PushSumRevertNode>& nodes,
   for (const HostId i : pop.alive_ids()) {
     nodes[i].EndRoundPushPull(params.lambda, params.revert);
   }
-}
-
-void LegacyFullTransferRound(std::vector<FullTransferNode>& nodes,
-                             const FullTransferParams& params,
-                             const Environment& env, const Population& pop,
-                             Rng& rng) {
-  for (const HostId i : pop.alive_ids()) {
-    for (int p = 0; p < params.parcels; ++p) {
-      const Mass parcel = nodes[i].EmitParcel(params.lambda, params.parcels);
-      const HostId peer = env.SamplePeer(i, pop, rng);
-      nodes[peer == kInvalidHost ? i : peer].Deposit(parcel);
-    }
-  }
-  for (const HostId i : pop.alive_ids()) nodes[i].EndRound();
 }
 
 /// The round whose revival of host 1 the join-capable parity tests treat
@@ -205,31 +192,6 @@ TEST(RoundKernelParityTest, PsrBitIdenticalToLegacyLoop) {
       EXPECT_EQ(rng_a.Next(), rng_b.Next());
     }
   }
-}
-
-TEST(RoundKernelParityTest, FullTransferBitIdenticalToLegacyLoop) {
-  const int n = 120;
-  const std::vector<double> values = TestValues(n, 13);
-  const FullTransferParams params{.lambda = 0.1, .parcels = 4, .window = 3};
-  FullTransferSwarm swarm(values, params);
-  std::vector<FullTransferNode> nodes(n);
-  for (int i = 0; i < n; ++i) nodes[i].Init(values[i], params.window);
-  UniformEnvironment env(n);
-  Population pop_a(n);
-  Population pop_b(n);
-  Rng rng_a(31);
-  Rng rng_b(31);
-  for (int round = 0; round < 8; ++round) {
-    Mutate(pop_a, round);
-    Mutate(pop_b, round);
-    swarm.RunRound(env, pop_a, rng_a);
-    LegacyFullTransferRound(nodes, params, env, pop_b, rng_b);
-    for (HostId id = 0; id < n; ++id) {
-      ASSERT_EQ(swarm.Estimate(id), nodes[id].Estimate())
-          << "round " << round << " host " << id;
-    }
-  }
-  EXPECT_EQ(rng_a.Next(), rng_b.Next());
 }
 
 // --------------------------------------------- trace-env invalidation ---
