@@ -227,7 +227,7 @@ void BM_AsyncDriverStep(benchmark::State& state) {
   // production driver: drain the in-flight messages due by this tick, plan
   // a push-flow tick, decide every message's fate through the
   // per-message-seeded network model, park the survivors in the batched
-  // InFlightQueue (the driver's sort-on-drain buffer — no per-message
+  // InFlightQueue (the driver's host-major drain buffer — no per-message
   // events). The uniform environment pairs hosts at random, so each
   // host's push-flow peer list grows by about two entries per iteration:
   // a rung's time per step depends on how many iterations it ran.

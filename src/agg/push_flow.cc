@@ -2,23 +2,56 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+
+#include "common/macros.h"
 
 namespace dynagg {
 
 PushFlowSwarm::PushFlowSwarm(const std::vector<double>& values)
     : values_(values),
-      edges_(values.size()),
+      rows_(values.size()),
+      peer_chunks_(1),
+      flow_chunks_(1),
       sent_num_(values.size(), 0.0),
       sent_denom_(values.size(), 0.0),
       recv_num_(values.size(), 0.0),
       recv_denom_(values.size(), 0.0) {}
 
 PushFlowSwarm::EdgeFlow& PushFlowSwarm::EdgeTo(HostId self, HostId peer) {
-  HostEdges& h = edges_[self];
-  const auto it = std::find(h.peers.begin(), h.peers.end(), peer);
-  if (it != h.peers.end()) return h.flows[it - h.peers.begin()];
-  h.peers.push_back(peer);
-  return h.flows.emplace_back();
+  Row& r = rows_[self];
+  const HostId* peers = PeersOf(r);
+  const HostId* it = std::find(peers, peers + r.len, peer);
+  if (it != peers + r.len) return FlowsOf(r)[it - peers];
+  if (r.len == r.cap) Grow(r);
+  const uint32_t k = r.len++;
+  PeersOf(r)[k] = peer;
+  EdgeFlow& f = FlowsOf(r)[k];
+  f = EdgeFlow{};
+  return f;
+}
+
+void PushFlowSwarm::Grow(Row& r) {
+  const size_t cap = r.cap == 0 ? 4 : 2 * size_t{r.cap};
+  if (flow_chunks_.back().size() + cap > flow_chunks_.back().capacity()) {
+    // The first chunk holds every host's first row; each later one at
+    // least everything reserved so far, so there are O(log) chunks.
+    const size_t slots = std::max({cap, 4 * rows_.size(), reserved_});
+    DYNAGG_CHECK(slots <= std::numeric_limits<uint32_t>::max());
+    peer_chunks_.emplace_back().reserve(slots);
+    flow_chunks_.emplace_back().reserve(slots);
+    reserved_ += slots;
+  }
+  std::vector<HostId>& peers = peer_chunks_.back();
+  std::vector<EdgeFlow>& flows = flow_chunks_.back();
+  const size_t begin = flows.size();
+  peers.resize(begin + cap);  // within capacity: no row moves
+  flows.resize(begin + cap);
+  std::copy_n(PeersOf(r), r.len, peers.data() + begin);
+  std::copy_n(FlowsOf(r), r.len, flows.data() + begin);
+  r.chunk = static_cast<uint32_t>(flow_chunks_.size() - 1);
+  r.begin = static_cast<uint32_t>(begin);
+  r.cap = static_cast<uint32_t>(cap);
 }
 
 net::Message PushFlowSwarm::PlanPush(HostId src, HostId dst) {
@@ -49,24 +82,24 @@ void PushFlowSwarm::OnJoin(HostId id) {
   // incarnation of `id`, reclaiming its own outgoing flow and dropping the
   // adopted inflow. Only then is `id`'s side cleared, so conservation over
   // live hosts holds before and after.
-  HostEdges& mine = edges_[id];
-  for (const HostId peer : mine.peers) {
-    HostEdges& theirs = edges_[peer];
-    const auto it = std::find(theirs.peers.begin(), theirs.peers.end(), id);
-    if (it == theirs.peers.end()) continue;
-    const size_t k = static_cast<size_t>(it - theirs.peers.begin());
-    const EdgeFlow& back = theirs.flows[k];
-    sent_num_[peer] -= back.out_num;
-    sent_denom_[peer] -= back.out_denom;
-    recv_num_[peer] -= back.in_num;
-    recv_denom_[peer] -= back.in_denom;
-    theirs.peers[k] = theirs.peers.back();
-    theirs.peers.pop_back();
-    theirs.flows[k] = theirs.flows.back();
-    theirs.flows.pop_back();
+  Row& mine = rows_[id];
+  for (uint32_t j = 0; j < mine.len; ++j) {
+    const HostId peer = PeersOf(mine)[j];
+    Row& theirs = rows_[peer];
+    HostId* peers = PeersOf(theirs);
+    HostId* it = std::find(peers, peers + theirs.len, id);
+    if (it == peers + theirs.len) continue;
+    const auto k = static_cast<size_t>(it - peers);
+    const uint32_t last = --theirs.len;
+    EdgeFlow* flows = FlowsOf(theirs);
+    sent_num_[peer] -= flows[k].out_num;
+    sent_denom_[peer] -= flows[k].out_denom;
+    recv_num_[peer] -= flows[k].in_num;
+    recv_denom_[peer] -= flows[k].in_denom;
+    peers[k] = peers[last];
+    flows[k] = flows[last];
   }
-  mine.peers.clear();
-  mine.flows.clear();
+  mine.len = 0;
   sent_num_[id] = 0.0;
   sent_denom_[id] = 0.0;
   recv_num_[id] = 0.0;

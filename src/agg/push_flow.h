@@ -101,12 +101,11 @@ class PushFlowSwarm {
   /// Whether `self` tracks an edge toward `peer`, and how many edges it
   /// tracks (diagnostics and churn tests).
   bool tracks_edge(HostId self, HostId peer) const {
-    const std::vector<HostId>& peers = edges_[self].peers;
-    return std::find(peers.begin(), peers.end(), peer) != peers.end();
+    const Row& r = rows_[self];
+    const HostId* peers = PeersOf(r);
+    return std::find(peers, peers + r.len, peer) != peers + r.len;
   }
-  int num_edges(HostId id) const {
-    return static_cast<int>(edges_[id].peers.size());
-  }
+  int num_edges(HostId id) const { return static_cast<int>(rows_[id].len); }
 
   /// Optionally records over-the-air traffic under the synchronous
   /// drivers (the async driver meters at send time itself). Pass nullptr
@@ -137,29 +136,59 @@ class PushFlowSwarm {
     uint64_t seen_seq = 0;
   };
 
-  /// The edges one host has actually exchanged over, stored contiguously:
-  /// flows[k] is the edge toward peers[k]. Lookup is a linear scan of the
-  /// packed peer ids — a handful under a bounded-degree graph, a few
-  /// hundred under uniform pairing — which beats a per-host hash map's
-  /// node chasing at both ends. Order is insertion order, except that
-  /// OnJoin fills a removed edge's slot with the last one.
-  struct HostEdges {
-    std::vector<HostId> peers;
-    std::vector<EdgeFlow> flows;
+  /// The edges one host has actually exchanged over: a row of the arena,
+  /// PeersOf(row)[k] the neighbor and FlowsOf(row)[k] the edge toward it
+  /// for k < len. Lookup is a linear scan of the packed peer ids — a
+  /// handful under a bounded-degree graph, a few hundred under uniform
+  /// pairing — with no per-host heap block to chase. A row is allocated on
+  /// the host's first edge with room for 4; a full row moves to the arena
+  /// end with double the room, abandoning its old slots. Tick 1's sender
+  /// walk thus lays the rows out in host order, which the async driver's
+  /// host-major deliveries then walk sequentially. A row's abandoned slots
+  /// sum to less than its capacity, so the arena's touched slots stay
+  /// under twice the live capacity. Edge order within a row is insertion
+  /// order, except that OnJoin fills a removed edge's slot with the row's
+  /// last one.
+  struct Row {
+    uint32_t chunk = 0;
+    uint32_t begin = 0;
+    uint32_t len = 0;
+    uint32_t cap = 0;
   };
+
+  const HostId* PeersOf(const Row& r) const {
+    return peer_chunks_[r.chunk].data() + r.begin;
+  }
+  HostId* PeersOf(const Row& r) {
+    return peer_chunks_[r.chunk].data() + r.begin;
+  }
+  EdgeFlow* FlowsOf(const Row& r) {
+    return flow_chunks_[r.chunk].data() + r.begin;
+  }
 
   /// Host `self`'s state for edge self<->peer, created zeroed on first use.
   EdgeFlow& EdgeTo(HostId self, HostId peer);
+
+  /// Moves `r` to the arena end with double its capacity (4 when empty),
+  /// opening a new chunk when the last one has no room.
+  void Grow(Row& r);
 
   /// Moves half of `src`'s effective state into its outgoing flow toward
   /// `dst` and returns the message restating that cumulative flow.
   net::Message PlanPush(HostId src, HostId dst);
 
   std::vector<double> values_;  // immutable initial values
-  /// edges_[i]: host i's edges. Sparse: a host only ever tracks neighbors
-  /// it has actually exchanged with.
-  std::vector<HostEdges> edges_;
-  // Running sums of edges_[i]'s out_* resp. in_* so Estimate() is O(1).
+  /// rows_[i]: host i's edges in the arena below. Sparse: a host only
+  /// ever tracks neighbors it has actually exchanged with.
+  std::vector<Row> rows_;
+  /// The arena, as chunk pairs filled front to back. A chunk is reserved
+  /// once and never reallocated, so a growing arena copies nothing and
+  /// holds no second buffer; pages a row has not reached stay out of RSS.
+  /// Chunk 0 is empty: rows without edges point into it.
+  std::vector<std::vector<HostId>> peer_chunks_;
+  std::vector<std::vector<EdgeFlow>> flow_chunks_;
+  size_t reserved_ = 0;  // slots reserved over all chunks
+  // Running sums of host i's out_* resp. in_* so Estimate() is O(1).
   std::vector<double> sent_num_;
   std::vector<double> sent_denom_;
   std::vector<double> recv_num_;

@@ -320,15 +320,12 @@ double ChurnReturnProb(const FailureConfig& cfg) {
 
 Result<uint64_t> FailureStream(const ScenarioSpec& spec,
                                const FailureConfig& cfg) {
-  if (spec.HasParam("seeds.failure_stream")) {
-    DYNAGG_ASSIGN_OR_RETURN(const int64_t stream,
-                            spec.ParamInt("seeds.failure_stream", 2));
-    return static_cast<uint64_t>(stream);
-  }
-  if (cfg.kind == FailureConfig::Kind::kChurn) {
-    return static_cast<uint64_t>(cfg.death_prob * 1e5);
-  }
-  return uint64_t{2};
+  const int64_t fallback = cfg.kind == FailureConfig::Kind::kChurn
+                               ? static_cast<int64_t>(cfg.death_prob * 1e5)
+                               : 2;
+  DYNAGG_ASSIGN_OR_RETURN(const int64_t stream,
+                          spec.ParamInt("seeds.failure_stream", fallback));
+  return static_cast<uint64_t>(stream);
 }
 
 namespace {

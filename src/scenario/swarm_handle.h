@@ -28,6 +28,10 @@
 //   PlanAsyncTick(env, pop, rng, out), Deliver(msg), kMessageBytes
 //                                            -> async_tick, async_deliver,
 //                                               message_bytes    kAsync
+// Deliver(msg) must read and write only host msg.dst's state: the async
+// driver delivers each drain host-major, in (dst, due, send order), which
+// is exact only because deliveries to different hosts commute (the
+// async_deliver contract in scenario/trial.h).
 //
 // Each hook is one lambda over a raw pointer into the box, so a driver's
 // per-host `estimate` call stays a single std::function call, and

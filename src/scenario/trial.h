@@ -366,7 +366,12 @@ struct SwarmHandle {
                      std::vector<net::Message>*)>
       async_tick;
   /// Applies one delivered message to the receiver's state (required
-  /// together with async_tick).
+  /// together with async_tick). Contract: a delivery reads and writes only
+  /// the state of `m.dst`. The in-flight queue relies on it to deliver each
+  /// drain host-major, in (dst, due, send order): deliveries to different
+  /// hosts then commute and each host still sees its messages in (due,
+  /// send order), so the output is bit-identical to a (due, send order)
+  /// drain (tests/agg/async_delivery_order_test.cc).
   std::function<void(const net::Message&)> async_deliver;
   /// Over-the-air bytes of one async message (metered at send time, so
   /// dropped messages still count as sent bandwidth).

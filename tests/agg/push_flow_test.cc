@@ -3,18 +3,22 @@
 // the synchronous rounds, self-healing after dropped messages (the next
 // cumulative flow on the same directed edge restores the receiver's
 // view), the sequence-number guard against reordered deliveries, the
-// churn-join edge teardown, and hosts tracking hundreds of edges.
+// churn-join edge teardown, hosts tracking hundreds of edges, and a hub
+// whose edge row moves through the arena several times before joins.
 
 #include "agg/push_flow.h"
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "env/environment.h"
 #include "env/uniform_env.h"
 #include "net/message.h"
 #include "sim/population.h"
@@ -270,6 +274,117 @@ TEST(PushFlowSwarmTest, HostTracksHundredsOfPeers) {
   EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
   EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
   for (HostId p = 1; p < n; ++p) EXPECT_FALSE(swarm.tracks_edge(p, 0)) << p;
+}
+
+/// Host 0 is adjacent to every other host, and hosts 1..n-1 also form a
+/// ring: the hub pushes to any leaf, a leaf to the hub or a ring neighbor.
+class HubRingEnvironment : public Environment {
+ public:
+  explicit HubRingEnvironment(int n) : n_(n) {}
+  int num_hosts() const override { return n_; }
+  HostId SamplePeer(HostId i, const Population& /*pop*/,
+                    Rng& rng) const override {
+    if (i == 0) return Leaf(static_cast<int>(rng.UniformInt(n_ - 1)));
+    switch (rng.UniformInt(3)) {
+      case 0:
+        return 0;
+      case 1:
+        return Leaf(i);
+      default:
+        return Leaf(i - 2);
+    }
+  }
+  void AppendNeighbors(HostId i, const Population& /*pop*/,
+                       std::vector<HostId>* out) const override {
+    if (i == 0) {
+      for (HostId p = 1; p < n_; ++p) out->push_back(p);
+      return;
+    }
+    out->insert(out->end(), {0, Leaf(i), Leaf(i - 2)});
+  }
+
+ private:
+  /// Leaf number k (mod n - 1) as a host id in 1..n-1.
+  HostId Leaf(int k) const {
+    const int leaves = n_ - 1;
+    return static_cast<HostId>(1 + ((k % leaves) + leaves) % leaves);
+  }
+  int n_;
+};
+
+TEST(PushFlowSwarmTest, MovedHubRowKeepsFlowsThroughJoins) {
+  // The hub tracks all 100 leaves, so its row fills and moves to the arena
+  // end five times (capacity 4, 8, ..., 128); each leaf's row holds the hub
+  // and its two ring neighbors. Then a leaf and the hub rejoin.
+  const int n = 101;
+  const std::vector<double> values = UniformValues(n, 11);
+  const double total = std::accumulate(values.begin(), values.end(), 0.0);
+  PushFlowSwarm swarm(values);
+  HubRingEnvironment env(n);
+  Population pop(n);
+  Rng rng(12);
+  std::map<std::pair<HostId, HostId>, net::Message> last;  // per src->dst
+  std::vector<net::Message> wave;
+  const auto tick = [&]() {
+    wave.clear();
+    swarm.PlanAsyncTick(env, pop, rng, &wave);
+    for (const net::Message& m : wave) {
+      swarm.Deliver(m);
+      last[{m.src, m.dst}] = m;
+    }
+  };
+  for (int t = 0; t < 40; ++t) tick();
+  ASSERT_EQ(swarm.num_edges(0), n - 1);
+  EXPECT_EQ(swarm.num_edges(1), 3);
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
+
+  const HostId leaf = 7;
+  swarm.OnJoin(leaf);  // swap-removes inside the hub's moved row
+  EXPECT_EQ(swarm.num_edges(0), n - 2);
+  EXPECT_EQ(swarm.num_edges(leaf), 0);
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
+
+  // Every surviving edge, the hub's included, keeps its flows: on a copy,
+  // the edge's last cumulative flow restated is stale, and the next one
+  // moves the receiver by exactly the increment over it.
+  int surviving = 0;
+  for (const auto& [edge, m] : last) {
+    const auto [src, dst] = edge;
+    const bool reset = src == leaf || dst == leaf;
+    EXPECT_EQ(swarm.tracks_edge(dst, src), !reset) << src << "->" << dst;
+    EXPECT_EQ(swarm.tracks_edge(src, dst), !reset) << src << "->" << dst;
+    if (reset) continue;
+    ++surviving;
+    PushFlowSwarm probe = swarm;
+    const double mass = probe.effective_mass(dst);
+    const double weight = probe.effective_weight(dst);
+    probe.Deliver(m);
+    EXPECT_EQ(probe.effective_mass(dst), mass) << src << "->" << dst;
+    probe.Deliver(net::Message{src, dst, m.a + 1.0, m.b + 0.5, m.tag + 1});
+    EXPECT_NEAR(probe.effective_mass(dst), mass + 1.0, 1e-9);
+    EXPECT_NEAR(probe.effective_weight(dst), weight + 0.5, 1e-9);
+  }
+  // Every ring edge and leaf->hub edge not touching `leaf`, plus the
+  // hub->leaf edges the hub has pushed over.
+  EXPECT_GT(surviving, 2 * (n - 1) - 4 + (n - 2));
+
+  swarm.OnJoin(0);
+  EXPECT_EQ(swarm.num_edges(0), 0);
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
+  for (HostId p = 1; p < n; ++p) {
+    EXPECT_FALSE(swarm.tracks_edge(p, 0)) << p;
+    EXPECT_EQ(swarm.num_edges(p), p == leaf ? 0 : p == 6 || p == 8 ? 1 : 2);
+  }
+
+  // The outgoing halves survived too: pushes keep restating them, so the
+  // network total stays exact while the swarm converges again.
+  for (int t = 0; t < 200; ++t) tick();
+  EXPECT_NEAR(TotalEffectiveMass(swarm), total, 1e-9 * total);
+  EXPECT_NEAR(TotalEffectiveWeight(swarm), n, 1e-9);
+  EXPECT_LT(MaxEstimateError(swarm, total / n), 1e-6);
 }
 
 }  // namespace

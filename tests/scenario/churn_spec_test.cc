@@ -2,13 +2,15 @@
 // driver/protocol/knob mismatch with a diagnostic naming the offense, a
 // valid churned experiment must validate and run, and the run's output
 // must be byte-identical at any executor thread count — the determinism
-// contract extended to two-sided membership.
+// contract extended to two-sided membership. The failure RNG stream's
+// defaults are pinned here too.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "scenario/config.h"
 #include "scenario/executor.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
@@ -223,6 +225,39 @@ TEST(ChurnSpecTest, ChurnedRunIsByteIdenticalAcrossThreads) {
   }
   EXPECT_EQ(rendered[0], rendered[1]);
   EXPECT_NE(rendered[0].find("rms"), std::string::npos);
+}
+
+// ------------------------------------------------------ failure stream ---
+
+Result<uint64_t> FailureStreamOf(const std::string& text) {
+  const auto specs = ParseScenarioFile(text);
+  EXPECT_TRUE(specs.ok()) << specs.status().ToString();
+  if (!specs.ok()) return specs.status();
+  DYNAGG_ASSIGN_OR_RETURN(const FailureConfig cfg,
+                          ParseFailureConfig((*specs)[0]));
+  return FailureStream((*specs)[0], cfg);
+}
+
+TEST(FailureStreamTest, DefaultsToStreamTwoWithoutChurn) {
+  const std::string kill =
+      "protocol = push-sum\nhosts = 100\n"
+      "failure.kind = kill_random_fraction\n"
+      "failure.round = 5\nfailure.fraction = 0.5\n";
+  const Result<uint64_t> stream = FailureStreamOf(kill);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  EXPECT_EQ(*stream, 2u);
+  const Result<uint64_t> set =
+      FailureStreamOf(kill + "seeds.failure_stream = 9\n");
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  EXPECT_EQ(*set, 9u);
+}
+
+TEST(FailureStreamTest, ChurnDefaultsToDeathProbTimes1e5) {
+  const Result<uint64_t> stream = FailureStreamOf(
+      "protocol = push-sum\nhosts = 100\n"
+      "failure.kind = churn\nfailure.death_prob = 0.0125\n");
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  EXPECT_EQ(*stream, 1250u);
 }
 
 }  // namespace
