@@ -149,6 +149,35 @@ void BM_ChurnedPushRoundThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_ChurnedPushRoundThreads)->Args({100000, 1})->Args({100000, 2});
 
+/// ChurnPlan::Build at churn_revert's rates (80% of the hosts alive at
+/// round 0, 1% deaths and 25% rebirths per round, n / 250 arrivals per
+/// round, 60 rounds): the fixed set-up cost of a churned trial. The
+/// `per_draw` counter is the build time per RNG draw (printed in ns,
+/// seconds in JSON); a build draws once per alive born host plus once per
+/// dead born host below the cap per round, and the rest is bookkeeping.
+void BM_ChurnPlanBuild(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  ChurnParams params;
+  params.n = n;
+  params.initial = n / 5 * 4;
+  params.arrival_rate = n / 250.0;
+  params.death_prob = 0.01;
+  params.rebirth_prob = 0.25;
+  params.start_round = 0;
+  params.end_round = 60;
+  params.max_alive = n;
+  uint64_t draws = 0;
+  for (auto _ : state) {
+    Rng rng(909);
+    benchmark::DoNotOptimize(ChurnPlan::Build(params, rng));
+    draws += rng.draw_count();
+  }
+  state.counters["per_draw"] = benchmark::Counter(
+      static_cast<double>(draws),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChurnPlanBuild)->Arg(100000)->Arg(1000000);
+
 BENCHMARK(BM_PushRoundKernel)
     ->Args({10000, 1})
     ->Args({100000, 1})

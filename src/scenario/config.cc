@@ -1,11 +1,37 @@
 #include "scenario/config.h"
 
 #include <cmath>
+#include <limits>
 
 namespace dynagg {
 namespace scenario {
 
 namespace {
+
+/// Reads integer key `key` as an int, rejecting values outside int's range
+/// (a plain cast would wrap them: 4294967297 would become 1).
+Result<int> ParamInt32(const ScenarioSpec& spec, const std::string& key,
+                       int def) {
+  DYNAGG_ASSIGN_OR_RETURN(const int64_t v, spec.ParamInt(key, def));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        key + " = " + std::to_string(v) +
+        " is outside the int range [-2147483648, 2147483647]");
+  }
+  return static_cast<int>(v);
+}
+
+/// Reads double key `key`, rejecting NaN: every comparison with NaN is
+/// false, so it would slip past the range checks that follow.
+Result<double> ParamNumber(const ScenarioSpec& spec, const std::string& key,
+                           double def) {
+  DYNAGG_ASSIGN_OR_RETURN(const double v, spec.ParamDouble(key, def));
+  if (std::isnan(v)) {
+    return Status::InvalidArgument(key + " is NaN; it must be a number");
+  }
+  return v;
+}
 
 /// Parses the argument of a `quantile(metric, q)` selector against the
 /// rounds driver's per-host sample catalog (currently: final_error).
@@ -284,26 +310,19 @@ Result<FailureConfig> ParseFailureConfig(const ScenarioSpec& spec) {
         "kill_top_fraction or churn, got '" +
         kind + "'");
   }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t round,
-                          spec.ParamInt("failure.round", 0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.round, ParamInt32(spec, "failure.round", 0));
   DYNAGG_ASSIGN_OR_RETURN(cfg.fraction,
-                          spec.ParamDouble("failure.fraction", 0.5));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t start,
-                          spec.ParamInt("failure.start", 0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t end,
-                          spec.ParamInt("failure.end", -1));
+                          ParamNumber(spec, "failure.fraction", 0.5));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.start, ParamInt32(spec, "failure.start", 0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.end, ParamInt32(spec, "failure.end", -1));
   DYNAGG_ASSIGN_OR_RETURN(cfg.death_prob,
-                          spec.ParamDouble("failure.death_prob", 0.0));
+                          ParamNumber(spec, "failure.death_prob", 0.0));
   DYNAGG_ASSIGN_OR_RETURN(cfg.return_factor,
-                          spec.ParamDouble("failure.return_factor", 4.0));
+                          ParamNumber(spec, "failure.return_factor", 4.0));
   DYNAGG_ASSIGN_OR_RETURN(cfg.return_prob,
-                          spec.ParamDouble("failure.return_prob", -1.0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t pin,
-                          spec.ParamInt("failure.pin_alive", kInvalidHost));
-  cfg.round = static_cast<int>(round);
-  cfg.start = static_cast<int>(start);
-  cfg.end = static_cast<int>(end);
-  cfg.pin_alive = static_cast<HostId>(pin);
+                          ParamNumber(spec, "failure.return_prob", -1.0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.pin_alive,
+                          ParamInt32(spec, "failure.pin_alive", kInvalidHost));
   if (cfg.fraction < 0.0 || cfg.fraction > 1.0) {
     return Status::InvalidArgument("failure.fraction must be in [0, 1]");
   }
@@ -445,23 +464,17 @@ Result<ChurnConfig> ParseChurnConfig(const ScenarioSpec& spec) {
     }
   }
   if (!cfg.enabled) return cfg;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t initial,
-                          spec.ParamInt("churn.initial", -1));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.initial, ParamInt32(spec, "churn.initial", -1));
   DYNAGG_ASSIGN_OR_RETURN(cfg.arrival_rate,
                           spec.ParamDouble("churn.arrival_rate", 0.0));
   DYNAGG_ASSIGN_OR_RETURN(cfg.death_prob,
-                          spec.ParamDouble("churn.death_prob", 0.0));
+                          ParamNumber(spec, "churn.death_prob", 0.0));
   DYNAGG_ASSIGN_OR_RETURN(cfg.rebirth_prob,
-                          spec.ParamDouble("churn.rebirth_prob", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t start,
-                          spec.ParamInt("churn.start", 0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t end, spec.ParamInt("churn.end", -1));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t max_alive,
-                          spec.ParamInt("churn.max_alive", -1));
-  cfg.initial = static_cast<int>(initial);
-  cfg.start = static_cast<int>(start);
-  cfg.end = static_cast<int>(end);
-  cfg.max_alive = static_cast<int>(max_alive);
+                          ParamNumber(spec, "churn.rebirth_prob", 0.0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.start, ParamInt32(spec, "churn.start", 0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.end, ParamInt32(spec, "churn.end", -1));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.max_alive,
+                          ParamInt32(spec, "churn.max_alive", -1));
   if (cfg.initial != -1 && cfg.initial < 1) {
     return Status::InvalidArgument(
         "churn.initial must be >= 1 (or omitted for all hosts alive)");

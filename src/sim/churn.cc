@@ -1,6 +1,9 @@
 #include "sim/churn.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 namespace dynagg {
 
@@ -26,6 +29,43 @@ int SamplePoisson(double lambda, Rng& rng) {
   return k;
 }
 
+/// The integer form of `Rng::Bernoulli(p)` for p in [0, 1]: NextDouble() < p
+/// compares k * 2^-53 with p for the integer k = Next() >> 11, which holds
+/// exactly when k < ceil(p * 2^53). Same draw, same outcome, no conversion.
+uint64_t BernoulliThreshold(double p) {
+  return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
+bool BernoulliBelow(Rng& rng, uint64_t threshold) {
+  return (rng.Next() >> 11) < threshold;
+}
+
+/// The plan's event count under the mean-field (expected-value) dynamics.
+/// Build reserves a little above it, so the event array is allocated once
+/// in practice: doubling it while it is built would copy it and, at the
+/// million-host rung, leave the process several MB higher at its peak.
+double ExpectedEvents(const ChurnParams& params) {
+  double alive = params.initial;
+  double dead = 0;
+  double unborn = params.n - params.initial;
+  double events = 0;
+  for (int round = params.start_round; round < params.end_round; ++round) {
+    const double kills = params.death_prob * alive;
+    alive -= kills;
+    dead += kills;
+    const double rebirths = std::min(params.rebirth_prob * dead,
+                                     std::max(0.0, params.max_alive - alive));
+    alive += rebirths;
+    dead -= rebirths;
+    const double joins = std::min(
+        {params.arrival_rate, unborn, std::max(0.0, params.max_alive - alive)});
+    alive += joins;
+    unborn -= joins;
+    events += kills + rebirths + joins;
+  }
+  return events;
+}
+
 }  // namespace
 
 ChurnPlan ChurnPlan::Build(const ChurnParams& params, Rng& rng) {
@@ -33,40 +73,73 @@ ChurnPlan ChurnPlan::Build(const ChurnParams& params, Rng& rng) {
   DYNAGG_CHECK(params.initial >= 0 && params.initial <= params.n);
   DYNAGG_CHECK(params.max_alive >= 0 && params.max_alive <= params.n);
   DYNAGG_CHECK_GE(params.arrival_rate, 0.0);
+  DYNAGG_CHECK(params.death_prob >= 0.0 && params.death_prob <= 1.0);
+  DYNAGG_CHECK(params.rebirth_prob >= 0.0 && params.rebirth_prob <= 1.0);
+  const uint64_t death_below = BernoulliThreshold(params.death_prob);
+  const uint64_t rebirth_below = BernoulliThreshold(params.rebirth_prob);
 
   ChurnPlan plan;
-  // born: ids [0, next_unborn) have been alive at least once.
+  plan.first_round_ = params.start_round;
+  plan.bounds_.push_back(0);
+  std::vector<HostId>& ids = plan.ids_;
+  ids.reserve(static_cast<size_t>(1.05 * ExpectedEvents(params)) + 64);
+  // born: ids [0, next_unborn) have been alive at least once. Of those,
+  // `dead` holds the ones that are not alive now, ascending; every other
+  // born id is alive.
   HostId next_unborn = params.initial;
-  std::vector<bool> alive(params.n, false);
-  for (HostId id = 0; id < params.initial; ++id) alive[id] = true;
+  std::vector<HostId> dead;
+  std::vector<HostId> merged;
   int alive_count = params.initial;
 
   for (int round = params.start_round; round < params.end_round; ++round) {
-    RoundEvents events;
     // Deaths: every alive (necessarily born) host flips a coin, in ID
-    // order so the schedule is independent of any container ordering.
+    // order so the schedule is independent of any container ordering. The
+    // alive hosts are the gaps between consecutive dead ids.
     if (params.death_prob > 0) {
-      for (HostId id = 0; id < next_unborn; ++id) {
-        if (alive[id] && rng.Bernoulli(params.death_prob)) {
-          alive[id] = false;
-          --alive_count;
-          events.kills.push_back(id);
+      const size_t kills_begin = ids.size();
+      // The draws come from a local copy, written back after the pass: the
+      // compiler cannot prove that the pushes leave a referenced generator
+      // alone, so it would store and reload its state around every draw.
+      Rng local = rng;
+      HostId id = 0;
+      const auto draw_until = [&](HostId end) {
+        for (; id < end; ++id) {
+          if (BernoulliBelow(local, death_below)) ids.push_back(id);
         }
+      };
+      for (const HostId d : dead) {
+        draw_until(d);
+        id = d + 1;
       }
+      draw_until(next_unborn);
+      rng = local;
+      // This round's kills are ascending too: merge them in, so they are
+      // eligible for rebirth in this same round.
+      const auto kills = ids.begin() + static_cast<std::ptrdiff_t>(kills_begin);
+      alive_count -= static_cast<int>(ids.end() - kills);
+      merged.resize(dead.size() + (ids.size() - kills_begin));
+      std::merge(dead.begin(), dead.end(), kills, ids.end(), merged.begin());
+      dead.swap(merged);
     }
+    plan.bounds_.push_back(ids.size());
     // Rebirths: dead-but-born hosts return with ID reuse. The cap check
     // precedes each draw, so a full population consumes no RNG here and
     // the schedule stays a pure function of the (deterministic) state.
     if (params.rebirth_prob > 0) {
-      for (HostId id = 0; id < next_unborn; ++id) {
-        if (alive[id] || alive_count >= params.max_alive) continue;
-        if (rng.Bernoulli(params.rebirth_prob)) {
-          alive[id] = true;
+      size_t kept = 0;
+      size_t k = 0;
+      for (; k < dead.size() && alive_count < params.max_alive; ++k) {
+        if (BernoulliBelow(rng, rebirth_below)) {
+          ids.push_back(dead[k]);
           ++alive_count;
-          events.rebirths.push_back(id);
+        } else {
+          dead[kept++] = dead[k];
         }
       }
+      dead.erase(dead.begin() + static_cast<std::ptrdiff_t>(kept),
+                 dead.begin() + static_cast<std::ptrdiff_t>(k));
     }
+    plan.bounds_.push_back(ids.size());
     // First-time arrivals: the Poisson draw always happens (fixed RNG
     // consumption per round), then the count is clamped by the growth cap
     // and the remaining unborn pool.
@@ -74,17 +147,13 @@ ChurnPlan ChurnPlan::Build(const ChurnParams& params, Rng& rng) {
       int want = SamplePoisson(params.arrival_rate, rng);
       while (want > 0 && next_unborn < params.n &&
              alive_count < params.max_alive) {
-        alive[next_unborn] = true;
+        ids.push_back(next_unborn);
         ++alive_count;
-        events.joins.push_back(next_unborn);
         ++next_unborn;
         --want;
       }
     }
-    if (!events.kills.empty() || !events.joins.empty() ||
-        !events.rebirths.empty()) {
-      plan.events_[round] = std::move(events);
-    }
+    plan.bounds_.push_back(ids.size());
   }
   return plan;
 }
@@ -93,32 +162,35 @@ ChurnPlan::RoundDelta ChurnPlan::Apply(
     int round, Population* pop,
     const std::function<void(HostId)>& on_join) const {
   RoundDelta delta;
-  const auto it = events_.find(round);
-  if (it == events_.end()) return delta;
-  const RoundEvents& events = it->second;
-  for (const HostId id : events.kills) pop->Kill(id);
+  const size_t b = 3 * static_cast<size_t>(round - first_round_);
+  if (round < first_round_ || b + 3 >= bounds_.size()) return delta;
+  const HostId* kills = ids_.data() + bounds_[b];
+  const HostId* rebirths = ids_.data() + bounds_[b + 1];
+  const HostId* joins = ids_.data() + bounds_[b + 2];
+  const HostId* end = ids_.data() + bounds_[b + 3];
+  for (const HostId* id = kills; id != rebirths; ++id) pop->Kill(*id);
   // Joins before rebirths: both revive + reset, but keeping the two lists
   // distinct lets the driver count them separately.
-  for (const HostId id : events.joins) {
-    pop->Revive(id);
-    if (on_join) on_join(id);
+  for (const HostId* id = joins; id != end; ++id) {
+    pop->Revive(*id);
+    if (on_join) on_join(*id);
   }
-  for (const HostId id : events.rebirths) {
-    pop->Revive(id);
-    if (on_join) on_join(id);
+  for (const HostId* id = rebirths; id != joins; ++id) {
+    pop->Revive(*id);
+    if (on_join) on_join(*id);
   }
-  delta.kills = static_cast<int>(events.kills.size());
-  delta.joins = static_cast<int>(events.joins.size());
-  delta.rebirths = static_cast<int>(events.rebirths.size());
+  delta.kills = static_cast<int>(rebirths - kills);
+  delta.rebirths = static_cast<int>(joins - rebirths);
+  delta.joins = static_cast<int>(end - joins);
   return delta;
 }
 
 ChurnPlan::RoundDelta ChurnPlan::Totals() const {
   RoundDelta totals;
-  for (const auto& [round, events] : events_) {
-    totals.kills += static_cast<int>(events.kills.size());
-    totals.joins += static_cast<int>(events.joins.size());
-    totals.rebirths += static_cast<int>(events.rebirths.size());
+  for (size_t b = 0; b + 3 < bounds_.size(); b += 3) {
+    totals.kills += static_cast<int>(bounds_[b + 1] - bounds_[b]);
+    totals.rebirths += static_cast<int>(bounds_[b + 2] - bounds_[b + 1]);
+    totals.joins += static_cast<int>(bounds_[b + 3] - bounds_[b + 2]);
   }
   return totals;
 }

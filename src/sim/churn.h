@@ -11,12 +11,17 @@
 // arrival and rebirth). The whole schedule is precomputed from a dedicated
 // RNG stream so a plan replays identically and no existing seed stream is
 // perturbed.
+//
+// Cost: per churning round, one draw per alive born host plus one per dead
+// born host below the cap, and no scan of the whole universe. The build
+// keeps the born-but-dead ids in one ascending list: the death pass walks
+// the gaps between them, the rebirth pass walks only the list.
 
 #ifndef DYNAGG_SIM_CHURN_H_
 #define DYNAGG_SIM_CHURN_H_
 
+#include <cstddef>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,10 +54,12 @@ class ChurnPlan {
   };
 
   /// Precomputes the full schedule. Each churning round, in order: every
-  /// alive born host dies with `death_prob`; every dead born host is
-  /// reborn with `rebirth_prob` (skipped while at `max_alive`); then a
-  /// Poisson(`arrival_rate`) number of unborn hosts join in ID order
-  /// (clamped by `max_alive` and the universe). All draws come from `rng`.
+  /// alive born host dies with `death_prob`, in ID order; every dead born
+  /// host, including one killed this round, is reborn with `rebirth_prob`
+  /// in ID order, with the cap checked before each draw (no draw while at
+  /// `max_alive`); then a Poisson(`arrival_rate`) number of unborn hosts
+  /// join in ID order (clamped by `max_alive` and the universe). All draws
+  /// come from `rng`.
   static ChurnPlan Build(const ChurnParams& params, Rng& rng);
 
   /// Applies the events scheduled for `round` to `pop`: kills first, then
@@ -62,18 +69,19 @@ class ChurnPlan {
                    const std::function<void(HostId)>& on_join) const;
 
   /// True if no events are scheduled.
-  bool empty() const { return events_.empty(); }
+  bool empty() const { return ids_.empty(); }
 
   /// Total events across all rounds (plan-construction sanity checks).
   RoundDelta Totals() const;
 
  private:
-  struct RoundEvents {
-    std::vector<HostId> kills;
-    std::vector<HostId> joins;
-    std::vector<HostId> rebirths;
-  };
-  std::map<int, RoundEvents> events_;
+  // Every event in one flat array, round after round, each round as
+  // kills | rebirths | joins (each run ascending by id). Round
+  // `first_round_ + r` has its kills in ids_[bounds_[3r], bounds_[3r+1]),
+  // rebirths up to bounds_[3r+2] and joins up to bounds_[3r+3].
+  std::vector<HostId> ids_;
+  std::vector<size_t> bounds_;
+  int first_round_ = 0;
 };
 
 }  // namespace dynagg

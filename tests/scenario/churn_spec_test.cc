@@ -3,7 +3,8 @@
 // valid churned experiment must validate and run, and the run's output
 // must be byte-identical at any executor thread count — the determinism
 // contract extended to two-sided membership. The failure RNG stream's
-// defaults are pinned here too.
+// defaults and the failure.* number checks (no NaN, no int wrap) are
+// pinned here too.
 
 #include <string>
 #include <vector>
@@ -123,6 +124,70 @@ TEST(ChurnSpecTest, RejectsOutOfRangeProbabilities) {
       "protocol = push-sum\nhosts = 32\nrecord = rms\n"
       "churn.rebirth_prob = -0.1\n",
       "churn.rebirth_prob");
+}
+
+// NaN passes every range comparison, so each double key must reject it by
+// name; an int key must reject what a cast to int would wrap
+// (4294967297 = 2^32 + 1 would become 1).
+TEST(ChurnSpecTest, RejectsNanDeathProb) {
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 32\nrecord = rms\n"
+      "churn.death_prob = nan\n",
+      "churn.death_prob");
+}
+
+TEST(ChurnSpecTest, RejectsNanRebirthProb) {
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 32\nrecord = rms\n"
+      "churn.rebirth_prob = nan\n",
+      "churn.rebirth_prob");
+}
+
+TEST(ChurnSpecTest, RejectsInitialThatWouldWrap) {
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 32\nrecord = rms\n"
+      "churn.initial = 4294967297\n",
+      "churn.initial");
+}
+
+TEST(ChurnSpecTest, RejectsWindowAndCapThatWouldWrap) {
+  for (const std::string key : {"churn.start", "churn.end",
+                                "churn.max_alive"}) {
+    SCOPED_TRACE(key);
+    ExpectDryRunError(std::string(kChurnBase) + key + " = 4294967297\n",
+                      key);
+  }
+}
+
+TEST(FailureSpecTest, RejectsNanKillFraction) {
+  // Used to pass --dry-run and then abort the run inside the kill plan.
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 32\nrecord = rms\n"
+      "failure.kind = kill_random_fraction\nfailure.fraction = nan\n",
+      "failure.fraction");
+}
+
+TEST(FailureSpecTest, RejectsNanChurnRates) {
+  for (const std::string key : {"failure.death_prob", "failure.return_factor",
+                                "failure.return_prob"}) {
+    SCOPED_TRACE(key);
+    ExpectDryRunError(
+        "protocol = push-sum\nhosts = 32\nrecord = rms\n"
+        "failure.kind = churn\n" + key + " = nan\n",
+        key);
+  }
+}
+
+TEST(FailureSpecTest, RejectsRoundsAndHostThatWouldWrap) {
+  for (const std::string key : {"failure.round", "failure.start",
+                                "failure.end", "failure.pin_alive"}) {
+    SCOPED_TRACE(key);
+    ExpectDryRunError(
+        "protocol = push-sum\nhosts = 32\nrecord = rms\n"
+        "failure.kind = kill_random_fraction\n" +
+            key + " = 4294967297\n",
+        key);
+  }
 }
 
 TEST(ChurnSpecTest, RejectsInvertedWindow) {

@@ -2,9 +2,12 @@
 // must be a pure function of (params, seed), respect the growth cap and
 // the churn window, admit first-time arrivals in ID order, and consume its
 // Poisson arrival draw even when the result is clamped — the invariant
-// that keeps a tightened cap from shifting every later draw. Also covers
-// the partial-alive Population constructor churn plans build on.
+// that keeps a tightened cap from shifting every later draw. The draw
+// contract of the rebirth pass (no draw at the cap, same-round kills
+// eligible) and the id order of each round's events are pinned too. Also
+// covers the partial-alive Population constructor churn plans build on.
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,6 +165,110 @@ TEST(ChurnPlanTest, CapClampConsumesTheArrivalDraw) {
   EXPECT_TRUE(plan_capped.empty());
   // Same draws consumed despite the clamp.
   EXPECT_EQ(rng_open.Next(), rng_capped.Next());
+}
+
+// The cap check precedes each rebirth draw: while the population is at or
+// above max_alive, the dead hosts consume no RNG, so the plan draws exactly
+// what the same plan with no rebirths draws.
+TEST(ChurnPlanTest, PopulationAtTheCapDrawsNoRebirths) {
+  ChurnParams at_cap = BaseParams();
+  at_cap.initial = 60;
+  at_cap.max_alive = 40;  // 60 alive hosts, 10% deaths: stays above 40
+  at_cap.arrival_rate = 0;
+  at_cap.death_prob = 0.1;
+  at_cap.rebirth_prob = 0.9;
+  at_cap.end_round = 3;
+  ChurnParams no_rebirths = at_cap;
+  no_rebirths.rebirth_prob = 0;
+  Rng rng_at_cap(21);
+  Rng rng_no_rebirths(21);
+  const ChurnPlan plan = ChurnPlan::Build(at_cap, rng_at_cap);
+  ChurnPlan::Build(no_rebirths, rng_no_rebirths);
+  for (const int alive : AliveTrajectory(plan, at_cap)) {
+    ASSERT_GE(alive, at_cap.max_alive);
+  }
+  EXPECT_GT(plan.Totals().kills, 0);  // there were dead hosts to consider
+  EXPECT_EQ(plan.Totals().rebirths, 0);
+  EXPECT_EQ(rng_at_cap.draw_count(), rng_no_rebirths.draw_count());
+}
+
+// A host killed in round r is a dead born host for round r's rebirth pass.
+// Round 0 starts with every host alive, so each of its rebirths is a host
+// that died in that same round.
+TEST(ChurnPlanTest, HostKilledInARoundCanBeRebornInIt) {
+  ChurnParams params = BaseParams();
+  params.initial = params.n;
+  params.arrival_rate = 0;
+  params.death_prob = 0.5;
+  params.rebirth_prob = 0.9;
+  params.end_round = 1;
+  Rng rng(5);
+  const ChurnPlan plan = ChurnPlan::Build(params, rng);
+  Population pop(params.n);
+  std::vector<HostId> reborn;
+  const auto delta =
+      plan.Apply(0, &pop, [&](HostId id) { reborn.push_back(id); });
+  EXPECT_GT(delta.kills, 0);
+  EXPECT_GT(delta.rebirths, 0);
+  EXPECT_EQ(static_cast<int>(reborn.size()), delta.rebirths);
+  EXPECT_EQ(pop.num_alive(), params.n - delta.kills + delta.rebirths);
+}
+
+// Each round's kills, rebirths and first-time arrivals are ascending by id.
+// Kills are observed through the alive list they scramble (swap-with-last
+// removal): it must match a copy that kills the same hosts in ascending id.
+TEST(ChurnPlanTest, EachRoundsEventsAreAscendingById) {
+  ChurnParams params = BaseParams();
+  params.n = 400;
+  params.initial = 200;
+  params.max_alive = 400;
+  params.arrival_rate = 6;
+  params.death_prob = 0.1;
+  params.rebirth_prob = 0.3;
+  Rng rng(17);
+  const ChurnPlan plan = ChurnPlan::Build(params, rng);
+  Population pop(params.n, params.initial);
+  std::vector<bool> born(params.n, false);
+  for (HostId id = 0; id < params.initial; ++id) born[id] = true;
+  int rounds_with_both = 0;
+  for (int round = 0; round < params.end_round; ++round) {
+    Population ascending_kills = pop;
+    std::vector<HostId> joins;
+    std::vector<HostId> rebirths;
+    const auto delta = plan.Apply(round, &pop, [&](HostId id) {
+      // Apply admits every first-time arrival before any rebirth.
+      if (born[id]) {
+        rebirths.push_back(id);
+      } else {
+        EXPECT_TRUE(rebirths.empty()) << "arrival after a rebirth";
+        joins.push_back(id);
+        born[id] = true;
+      }
+    });
+    EXPECT_TRUE(std::is_sorted(joins.begin(), joins.end()));
+    EXPECT_TRUE(std::is_sorted(rebirths.begin(), rebirths.end()));
+    EXPECT_EQ(std::adjacent_find(rebirths.begin(), rebirths.end()),
+              rebirths.end());
+    // Replay the kills in ascending id: hosts alive before the round and
+    // dead after it, plus the rebirths (dead in between, or killed and
+    // reborn in this round when they were alive before it).
+    std::vector<HostId> killed;
+    for (HostId id = 0; id < params.n; ++id) {
+      const bool reborn =
+          std::binary_search(rebirths.begin(), rebirths.end(), id);
+      if (ascending_kills.IsAlive(id) && (!pop.IsAlive(id) || reborn)) {
+        killed.push_back(id);
+      }
+    }
+    ASSERT_EQ(static_cast<int>(killed.size()), delta.kills);
+    for (const HostId id : killed) ascending_kills.Kill(id);
+    for (const HostId id : joins) ascending_kills.Revive(id);
+    for (const HostId id : rebirths) ascending_kills.Revive(id);
+    EXPECT_EQ(ascending_kills.alive_ids(), pop.alive_ids())
+        << "round " << round << "'s kills are not in ascending id order";
+    if (delta.kills > 1 && delta.rebirths > 1) ++rounds_with_both;
+  }
+  EXPECT_GT(rounds_with_both, 0);
 }
 
 TEST(ChurnPlanTest, DefaultPlanIsEmpty) {

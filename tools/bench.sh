@@ -49,7 +49,7 @@ fi
 BUILD_DIR="${1:-build}"
 MICRO="$BUILD_DIR/micro_protocol_ops"
 RUNNER="$BUILD_DIR/dynagg_run"
-FILTER='PushRoundLegacy|PushRoundKernel|PushPullRoundLegacy|PushPullRoundKernel|ChurnedPushRound|StreamCountMinRound|AsyncDriverStep'
+FILTER='PushRoundLegacy|PushRoundKernel|PushPullRoundLegacy|PushPullRoundKernel|ChurnedPushRound|ChurnPlanBuild|StreamCountMinRound|AsyncDriverStep'
 
 if [[ ! -x "$RUNNER" ]]; then
   echo "bench.sh: $RUNNER not built (run tools/check.sh or cmake first)" >&2
@@ -123,7 +123,7 @@ if [[ "$MODE" == smoke ]]; then
     # so they stay on the short window.
     SMOKE_HEAVY_JSON="$BUILD_DIR/bench_smoke_heavy_raw.json"
     "$MICRO" \
-      --benchmark_filter='PushRoundLegacy|PushRoundKernel|PushPullRoundLegacy|PushPullRoundKernel|ChurnedPushRound' \
+      --benchmark_filter='PushRoundLegacy|PushRoundKernel|PushPullRoundLegacy|PushPullRoundKernel|ChurnedPushRound|ChurnPlanBuild' \
       --benchmark_min_time="${DYNAGG_BENCH_SMOKE_MIN_TIME:-0.25}" \
       --benchmark_repetitions=5 \
       --benchmark_enable_random_interleaving=true \
@@ -281,7 +281,7 @@ fi
 MICRO_JSON="$BUILD_DIR/bench_roundkernel_raw.json"
 MICRO_HEAVY_JSON="$BUILD_DIR/bench_roundkernel_heavy_raw.json"
 "$MICRO" \
-  --benchmark_filter='PushRoundLegacy|PushRoundKernel|PushPullRoundLegacy|PushPullRoundKernel|ChurnedPushRound' \
+  --benchmark_filter='PushRoundLegacy|PushRoundKernel|PushPullRoundLegacy|PushPullRoundKernel|ChurnedPushRound|ChurnPlanBuild' \
   --benchmark_min_time="${DYNAGG_BENCH_MIN_TIME:-0.25}" \
   --benchmark_repetitions="${DYNAGG_BENCH_REPS:-9}" \
   --benchmark_enable_random_interleaving=true \
