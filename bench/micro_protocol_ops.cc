@@ -230,12 +230,15 @@ void BM_PushPullRoundKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_PushPullRoundKernel)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-void BM_StreamCountMinRound(benchmark::State& state) {
+// One count-min gossip round at sketch width `width` (depth 2). Each
+// host-round moves three strides on average: its own and one partner's
+// read by the gather, and its next stride written.
+void StreamCountMinRound(benchmark::State& state, int width) {
   const int n = static_cast<int>(state.range(0));
   stream::StreamSwarmParams params;
   params.kind = stream::SketchKind::kCountMin;
   params.depth = 2;
-  params.width = 32;
+  params.width = width;
   params.hash_seed = 7;
   params.batch = 8;
   KeyedStreamGen gen(KeyStreamKind::kZipf, 1000000, 1.1, 42);
@@ -247,9 +250,22 @@ void BM_StreamCountMinRound(benchmark::State& state) {
   for (auto _ : state) {
     swarm.RunRound(env, pop, rng);
   }
+  const int64_t moved = 3 * swarm.message_bytes();
   state.SetItemsProcessed(state.iterations() * n);
+  state.SetBytesProcessed(state.iterations() * n * moved);
+  state.counters["bytes_per_host_round"] = static_cast<double>(moved);
+}
+
+void BM_StreamCountMinRound(benchmark::State& state) {
+  StreamCountMinRound(state, /*width=*/32);
 }
 BENCHMARK(BM_StreamCountMinRound)->Arg(10000)->Arg(100000)->Arg(1000000);
+
+// The stream_zipf workload's geometry: width 128 (2 KB strides), 60k hosts.
+void BM_StreamCountMinRoundZipf(benchmark::State& state) {
+  StreamCountMinRound(state, /*width=*/128);
+}
+BENCHMARK(BM_StreamCountMinRoundZipf)->Arg(60000);
 
 void BM_AsyncDriverStep(benchmark::State& state) {
   // One async-driver gossip step at scale, structured exactly like the

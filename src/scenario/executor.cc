@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -27,16 +28,18 @@ Result<ScenarioSpec> ApplySweepKey(const ScenarioSpec& spec,
                                    const std::string& key, double value) {
   ScenarioSpec out = spec;
   if (key == "hosts" || key == "rounds" || key == "intra_round_threads") {
-    const auto v = static_cast<int64_t>(value);
-    if (v <= 0 || static_cast<double>(v) != value) {
-      return Status::InvalidArgument("sweep over " + key +
-                                     " requires positive integer values");
+    // Range-check the double before the cast: a value past int's range
+    // would otherwise wrap (hosts 4294967328 would run 32 hosts).
+    if (!(value >= 1.0 && value <= std::numeric_limits<int>::max()) ||
+        value != std::floor(value)) {
+      return Status::InvalidArgument(
+          "sweep over " + key +
+          " requires integer values in [1, 2147483647]");
     }
-    if (key == "hosts") out.hosts = static_cast<int>(v);
-    if (key == "rounds") out.rounds = static_cast<int>(v);
-    if (key == "intra_round_threads") {
-      out.intra_round_threads = static_cast<int>(v);
-    }
+    const int v = static_cast<int>(value);
+    if (key == "hosts") out.hosts = v;
+    if (key == "rounds") out.rounds = v;
+    if (key == "intra_round_threads") out.intra_round_threads = v;
   } else {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", value);

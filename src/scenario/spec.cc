@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <utility>
 
 namespace dynagg {
@@ -203,6 +205,16 @@ bool IsNamespacedKey(std::string_view key) {
   return false;
 }
 
+/// Rejects a non-negative int64 value above INT_MAX: the spec fields are
+/// int, and a bare cast would wrap (hosts = 4294967328 would run 32 hosts).
+Status CheckFitsInt(const std::string& key, int64_t v) {
+  if (v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(key + " = " + std::to_string(v) +
+                                   " is above the int maximum 2147483647");
+  }
+  return Status::OK();
+}
+
 Status AtLine(int line, const Status& st) {
   return Status(st.ok() ? st
                         : Status::InvalidArgument(
@@ -369,6 +381,8 @@ Status ApplyKey(ScenarioSpec* spec, const std::string& key,
       return AtLine(line, Status::InvalidArgument(
                               "intra_round_threads must be >= 1"));
     }
+    const Status fits = CheckFitsInt(key, *v);
+    if (!fits.ok()) return AtLine(line, fits);
     spec->intra_round_threads = static_cast<int>(*v);
   } else if (key == "telemetry") {
     if (value != "off" && value != "summary" && value != "profile") {
@@ -393,6 +407,8 @@ Status ApplyKey(ScenarioSpec* spec, const std::string& key,
       return AtLine(line,
                     Status::InvalidArgument(key + " must be positive"));
     }
+    const Status fits = CheckFitsInt(key, *v);
+    if (!fits.ok()) return AtLine(line, fits);
     if (key == "hosts") spec->hosts = static_cast<int>(*v);
     if (key == "rounds") {
       spec->rounds = static_cast<int>(*v);

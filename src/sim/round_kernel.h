@@ -13,8 +13,8 @@
 //             deposit loop for push-mode protocols with a small payload
 //             (ForEachPushDeposit), or, for push-mode protocols whose
 //             payload is a large per-host stride, a pull-mode gather over
-//             the transposed plan (one call per destination with its
-//             ordered source list). Both push applies can split the
+//             the transposed plan (one pass per column block over the
+//             ordered source lists). Both push applies can split the
 //             destination ids into contiguous ranges over intra-round
 //             threads (set_intra_round_threads) while keeping the exact
 //             per-destination deposit order, so N-thread rounds are
@@ -269,33 +269,48 @@ class RoundKernel {
     });
   }
 
+  /// The transposed plan ForEachPushDestination hands its passes: host
+  /// d's sources are sources[begin[d], begin[d + 1]).
+  struct PushSources {
+    const HostId* sources;
+    const uint32_t* begin;
+    std::span<const HostId> operator[](HostId dst) const {
+      return {sources + begin[dst], sources + begin[dst + 1]};
+    }
+  };
+
   /// Pull-mode apply for push rounds whose payload is the initiator's whole
-  /// state: transposes the plan into per-destination source lists, then
-  /// calls `gather(dst, sources)` once for every host that receives at
-  /// least one deposit. `sources` (a std::span<const HostId>) lists the
-  /// initiators depositing into `dst` in exactly ForEachPushDeposit's
-  /// order with self echo: slot order, a slot's self echo before its partner
-  /// deposit, and an unmatched slot's initiator twice. `gather` must only
-  /// write state owned by `dst`; with T > 1 intra-round threads the
-  /// destinations are split into T contiguous id ranges over the worker
-  /// pool, so results are bit-identical at any thread count. Requires
-  /// every planned host id in [0, num_hosts).
-  template <typename GatherFn>
-  void ForEachPushDestination(int num_hosts, GatherFn&& gather) {
+  /// state, split into `passes` column blocks: transposes the plan once into
+  /// per-destination source lists, then runs `passes` passes over them.
+  /// Pass p calls `pass(p, lo, hi, lists)` over destination ids [lo, hi),
+  /// the ranges together covering [0, num_hosts) once; `lists[dst]` (a
+  /// std::span<const HostId>) lists the initiators depositing into `dst`
+  /// in exactly ForEachPushDeposit's order with self echo: slot order, a
+  /// slot's self echo before its partner deposit, and an unmatched slot's
+  /// initiator twice. Every initiator is in its own list, so a list is
+  /// empty exactly for hosts that are not alive (partners are alive by the
+  /// Environment contract). Once pass p is done (all workers joined),
+  /// `end_pass(p)` runs on the calling thread. `pass` must only write
+  /// state owned by its destinations; with T > 1 intra-round threads each
+  /// pass splits the destinations into the T contiguous id ranges of
+  /// ForEachPushDeposit, so results are bit-identical at any thread count.
+  /// Requires every planned host id in [0, num_hosts).
+  template <typename PassFn, typename EndPassFn>
+  void ForEachPushDestination(int num_hosts, int passes, PassFn&& pass,
+                              EndPassFn&& end_pass) {
     obs::ScopedPhase span(obs::Phase::kApply);
-    // One source id per slot: ForEachPushDeposit's accounting with the
-    // initiator id as the payload.
+    // One source id per slot, once per round whatever the pass count:
+    // ForEachPushDeposit's accounting with the initiator id as the payload.
     obs::Count(obs::Counter::kDepositBytes,
                static_cast<int64_t>(plan_.size() * sizeof(HostId)));
     TransposePushPlan(num_hosts);
-    ForEachHostRange(num_hosts, [&](auto, HostId begin, HostId end) {
-      for (HostId dst = begin; dst < end; ++dst) {
-        const uint32_t lo = source_begin_[dst];
-        const uint32_t hi = source_begin_[dst + 1];
-        if (lo == hi) continue;
-        gather(dst, std::span<const HostId>(&sources_[lo], hi - lo));
-      }
-    });
+    const PushSources lists{sources_.data(), source_begin_.data()};
+    for (int p = 0; p < passes; ++p) {
+      ForEachHostRange(num_hosts, [&](auto, HostId lo, HostId hi) {
+        pass(p, lo, hi, lists);
+      });
+      end_pass(p);
+    }
   }
 
  private:

@@ -303,9 +303,11 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
   std::vector<int> order(m);
   std::vector<double> sum(selectors.size(), 0.0);
   double frontier_sum = 0.0;
+  std::vector<double> row(swarm.stride());
+  const double* const host = row.data();
   for (HostId id = 0; id < n; ++id) {
-    const double* host = swarm.host_state(id);
-    const double weight = swarm.host_weight(id);
+    swarm.ReadHost(id, row);
+    const double weight = host[hash.cells()];
     const double scale =
         weight > 0.0 ? static_cast<double>(n) / weight : 0.0;
     for (int j = 0; j < m; ++j) {

@@ -16,13 +16,24 @@
 // (global stream sketch) * (weight / n), so n * counter / weight
 // estimates the *global* frequency of a key from any single host.
 //
-// The round is applied pull-mode: the round kernel transposes the plan
-// into per-destination source lists, and each destination writes its next
-// stride in one pass as +0.0 + 0.5*src_1 + 0.5*src_2 + ... into a second
-// buffer, which then becomes the state (whole-buffer swap while every host
-// is alive, alive rows copied back otherwise). A round thus reads each
-// host's own row plus its incoming partners' rows and writes one row per
-// host, with no in-place halving and no buffer clearing.
+// The state is stored block-major: each stride is cut into blocks of
+// kBlockLanes doubles (the last block may be narrower), and block b of
+// every host lives in its own contiguous region of n * width(b) doubles,
+// host h at offset h * width(b), so one host's block is one or a few
+// whole cache lines. Output column c of a destination depends only on
+// column c of its sources, so the round is applied pull-mode one block
+// at a time: the round kernel transposes the plan once into
+// per-destination source lists, and each block pass writes every
+// destination's block as +0.0 + 0.5*src_1 + 0.5*src_2 + ... into a spare
+// region of the same width (a host that is not alive has no sources and
+// copies its old block), then swaps the spare with the block's region
+// (a pointer swap, no copy). There is one pass per full block; the
+// partial last block is gathered in the last pass, alongside. The source
+// blocks a few destinations ahead are prefetched: a 128 B block is too
+// short for the hardware prefetcher to stream, as it did whole 2 KB rows.
+// The swarm thus holds its state plus one spare region per block width
+// (one full width, plus the partial last block's), not a second copy of
+// the state.
 //
 // Determinism: arrivals are applied in alive order from per-(host, round)
 // RNG streams, and the source lists keep the push loop's exact
@@ -33,8 +44,10 @@
 #ifndef DYNAGG_STREAM_STREAM_SWARM_H_
 #define DYNAGG_STREAM_STREAM_SWARM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -64,8 +77,17 @@ struct StreamSwarmParams {
 
 class StreamSketchSwarm {
  public:
+  /// Lanes per state block: a compile-time constant, so full blocks run
+  /// fixed-trip-count loops that GCC's -O2 cost model vectorizes.
+  static constexpr size_t kBlockLanes = 16;
+
   StreamSketchSwarm(int num_hosts, const StreamSwarmParams& params,
                     const KeyedStreamGen& gen);
+  // region_ points into arena_: moving keeps the buffer, copying would not.
+  StreamSketchSwarm(StreamSketchSwarm&&) = default;
+  StreamSketchSwarm& operator=(StreamSketchSwarm&&) = default;
+  StreamSketchSwarm(const StreamSketchSwarm&) = delete;
+  StreamSketchSwarm& operator=(const StreamSketchSwarm&) = delete;
 
   /// One gossip round: absorb this round's arrivals, then mass-split the
   /// strides over the planned partners (gathered per destination).
@@ -106,12 +128,10 @@ class StreamSketchSwarm {
   SketchKind kind() const { return params_.kind; }
   const SketchHash& hash() const { return hash_; }
 
-  /// Raw stride access for the heavy-hitter record pass: the sketch
-  /// counters start at host_state(id)[0]; weight follows the counters.
-  const double* host_state(HostId id) const { return &state_[id * stride_]; }
-  double host_weight(HostId id) const {
-    return state_[id * stride_ + hash_.cells()];
-  }
+  /// Copies host `id`'s stride into `out` (stride() doubles): the sketch
+  /// counters at out[0, cells), then weight and mass.
+  void ReadHost(HostId id, std::span<double> out) const;
+  size_t stride() const { return stride_; }
 
   /// Per-host sketch counter bytes (the accuracy/size frontier axis).
   size_t sketch_bytes() const { return hash_.cells() * sizeof(double); }
@@ -122,14 +142,34 @@ class StreamSketchSwarm {
 
  private:
   void AbsorbArrivals(const Population& pop);
+  /// Width of block b: kBlockLanes, or less for the stride's last block.
+  size_t BlockWidth(size_t b) const {
+    return std::min(kBlockLanes, stride_ - b * kBlockLanes);
+  }
+  /// Host `id`'s block b (BlockWidth(b) doubles).
+  double* HostBlock(HostId id, size_t b) const {
+    return region_[b] + static_cast<size_t>(id) * BlockWidth(b);
+  }
+  /// Host `id`'s stride element `lane`.
+  double& Cell(HostId id, size_t lane) {
+    return HostBlock(id, lane / kBlockLanes)[lane % kBlockLanes];
+  }
+  double Cell(HostId id, size_t lane) const {
+    return HostBlock(id, lane / kBlockLanes)[lane % kBlockLanes];
+  }
 
   int n_;
   StreamSwarmParams params_;
   KeyedStreamGen gen_;
   SketchHash hash_;
   size_t stride_;  // cells + 2 (weight, mass)
-  std::vector<double> state_;
-  std::vector<double> next_;          // the round's gathered strides
+  // Every block region and both spares, 64-byte aligned: block b of host h
+  // is region_[b][h * BlockWidth(b) ...]. A round swaps each region with
+  // the spare of its width.
+  std::vector<double> arena_;
+  std::vector<double*> region_;
+  double* spare_ = nullptr;       // n * kBlockLanes (full blocks)
+  double* tail_spare_ = nullptr;  // n * width of a partial last block
   std::vector<uint64_t> batch_keys_;  // FillBatch scratch
   std::unordered_map<uint64_t, double> truth_;
   double truth_total_ = 0.0;

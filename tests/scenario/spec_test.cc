@@ -1,5 +1,7 @@
 #include "scenario/spec.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace dynagg {
@@ -144,6 +146,34 @@ TEST(SpecParseTest, BadValueIsError) {
       ParseScenarioFile("protocol = p\nsweep = oops.key: 1\n").ok());
   EXPECT_FALSE(ParseScenarioFile("protocol = p\n[unterminated\n").ok());
   EXPECT_FALSE(ParseScenarioFile("protocol = p\nno_equals_sign\n").ok());
+}
+
+/// Expects `line` (after a protocol line) to be rejected at line 2 with a
+/// message naming `key`.
+void ExpectIntKeyRejected(const std::string& key, const std::string& line) {
+  const auto specs = ParseScenarioFile("protocol = push-sum\n" + line + "\n");
+  ASSERT_FALSE(specs.ok()) << line;
+  EXPECT_NE(specs.status().message().find("line 2"), std::string::npos)
+      << specs.status().ToString();
+  EXPECT_NE(specs.status().message().find(key), std::string::npos)
+      << specs.status().ToString();
+}
+
+TEST(SpecParseTest, IntKeysAboveIntMaxAreRejected) {
+  // 2^32 + 32 used to wrap to 32 through the int cast.
+  ExpectIntKeyRejected("hosts", "hosts = 4294967328");
+  ExpectIntKeyRejected("rounds", "rounds = 4294967299");
+  ExpectIntKeyRejected("trials", "trials = 2147483648");
+  ExpectIntKeyRejected("intra_round_threads",
+                       "intra_round_threads = 4294967297");
+  const auto at_max = ParseScenarioFile(
+      "protocol = push-sum\nhosts = 2147483647\nrounds = 2147483647\n"
+      "trials = 2147483647\nintra_round_threads = 2147483647\n");
+  ASSERT_TRUE(at_max.ok()) << at_max.status().ToString();
+  EXPECT_EQ((*at_max)[0].hosts, 2147483647);
+  EXPECT_EQ((*at_max)[0].rounds, 2147483647);
+  EXPECT_EQ((*at_max)[0].trials, 2147483647);
+  EXPECT_EQ((*at_max)[0].intra_round_threads, 2147483647);
 }
 
 TEST(SpecParseTest, MissingProtocolIsError) {

@@ -90,6 +90,16 @@ TEST(DryRunValidationTest, RejectsBadKnobValueInSweep) {
       "protocol.parcels");
 }
 
+TEST(DryRunValidationTest, RejectsSweptIntKeyAboveIntMax) {
+  // 2^32 + 32 used to wrap to 32 hosts through the int cast.
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 16\nsweep = hosts: 16, 4294967328\n",
+      "sweep over hosts");
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 16\nsweep = rounds: 3, 4294967299\n",
+      "sweep over rounds");
+}
+
 TEST(DryRunValidationTest, RejectsWorkloadMultiplicityUnderTrace) {
   ExpectDryRunError(
       "protocol = count-sketch-reset\ndriver = trace\n"

@@ -12,6 +12,7 @@
 // has no node class; its rounds are pinned by the bench_ports_small
 // golden (bench/scenarios/golden/), including churn joins.
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -382,17 +383,34 @@ TEST(RoundKernelTest, PushDestinationsFollowPushLoopDepositOrder) {
           expected[init].push_back(init);
           expected[plan.EffectivePartner(k)].push_back(init);
         }
+        // Every pass covers every host once, after the previous pass
+        // ended; hosts that receive nothing get an empty list.
+        constexpr int kPasses = 3;
         std::vector<int> visits(n, 0);
         std::vector<std::vector<HostId>> got(n);
+        int passes_ended = 0;
         kernel.ForEachPushDestination(
-            n, [&](HostId dst, std::span<const HostId> sources) {
-              ++visits[dst];  // each dst is owned by one worker
-              got[dst].assign(sources.begin(), sources.end());
-            });
+            n, kPasses,
+            [&](int pass, HostId lo, HostId hi,
+                const RoundKernel::PushSources& lists) {
+              ASSERT_EQ(pass, passes_ended);
+              // Each dst is owned by one worker per pass.
+              for (HostId dst = lo; dst < hi; ++dst) {
+                ASSERT_EQ(visits[dst]++, pass);
+                const std::span<const HostId> sources = lists[dst];
+                if (pass == 0) got[dst].assign(sources.begin(), sources.end());
+                ASSERT_TRUE(std::equal(sources.begin(), sources.end(),
+                                       got[dst].begin(), got[dst].end()));
+              }
+            },
+            [&](int pass) { ASSERT_EQ(pass, passes_ended++); });
+        ASSERT_EQ(passes_ended, kPasses);
         for (HostId id = 0; id < n; ++id) {
-          ASSERT_EQ(visits[id], expected[id].empty() ? 0 : 1)
+          ASSERT_EQ(visits[id], kPasses)
               << "threads " << threads << " host " << id;
           ASSERT_EQ(got[id], expected[id])
+              << "threads " << threads << " host " << id;
+          ASSERT_EQ(got[id].empty(), !pop.IsAlive(id))
               << "threads " << threads << " host " << id;
         }
         // The push deposit loop lands the same lists, one deposit per
