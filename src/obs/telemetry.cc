@@ -6,7 +6,7 @@ namespace dynagg {
 namespace obs {
 
 namespace internal {
-thread_local TrialTelemetry* tls_sink = nullptr;
+constinit thread_local TrialTelemetry* tls_sink = nullptr;
 }  // namespace internal
 
 const char* PhaseName(Phase phase) {

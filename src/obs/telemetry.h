@@ -122,7 +122,14 @@ struct TrialTelemetry {
 namespace internal {
 // The calling thread's sink; null = telemetry off. Defined in telemetry.cc,
 // exposed here so the hooks below inline to a single TLS pointer test.
+// constinit tells every includer the variable has no dynamic initializer,
+// so the hooks read it directly instead of through a TLS wrapper call.
+// C++17 includers (the bench/e2e harness) fall back to the wrapper.
+#ifdef __cpp_constinit
+extern constinit thread_local TrialTelemetry* tls_sink;
+#else
 extern thread_local TrialTelemetry* tls_sink;
+#endif
 }  // namespace internal
 
 /// The calling thread's telemetry sink, or null when telemetry is off.

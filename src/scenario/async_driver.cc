@@ -22,11 +22,12 @@ namespace {
 
 Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
                       Recorder& rec) {
-  // Setup phase: validation, environment/swarm construction.
+  // Setup phase: config parsing, environment/swarm construction. The
+  // spec-only checks (ValidateAsyncSpec) ran in ValidateExperiment on this
+  // exact spec.
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, def));
   DYNAGG_ASSIGN_OR_RETURN(const net::NetworkParams net_params,
                           ParseNetworkParams(spec));
   DYNAGG_ASSIGN_OR_RETURN(const int64_t record_from,
@@ -42,17 +43,9 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   const bool want_delivery = MetricRequested(spec, "delivery_rate");
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
+  // The async capability is derived from the hooks MakeSwarmHandle sets,
+  // and it asserts a positive payload size.
   DYNAGG_ASSIGN_OR_RETURN(SwarmHandle swarm, def.make_swarm(ctx, env));
-  if (!swarm.async_tick || !swarm.async_deliver) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' is registered async-capable but built no message-level hooks");
-  }
-  if ((want_bandwidth || want_gossip_bytes) && swarm.message_bytes <= 0) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not declare its per-message payload size");
-  }
   const int n = env.env->num_hosts();
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t round_stream,
                           RoundStream(spec, ctx, n));

@@ -31,8 +31,8 @@ namespace scenario {
 
 /// Spec-only validation of a `driver = async` experiment: protocol
 /// capability, the net.* / seeds.* / record.* allowlists and value ranges,
-/// the metric catalog, and the keys the driver does not consume. Shared
-/// between the driver itself and the executor's `--dry-run`.
+/// the metric catalog, and the keys the driver does not consume.
+/// ValidateExperiment runs it on every cell of the sweep grid.
 Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def);
 
 /// Parses and range-checks the net.* keys (defaults: a perfect network —

@@ -111,9 +111,9 @@ Result<RecordConfig> ParseRecordConfig(
 
 /// Spec-only window checks for the rounds driver's metrics: every windowed
 /// selector must leave at least one round inside its window, and the cdf
-/// histogram must be well-formed. Factored out of the driver so --dry-run
-/// applies the identical checks to the base spec and every swept variant
-/// (a rounds sweep can empty a window the base spec satisfies).
+/// histogram must be well-formed. --dry-run applies them to every cell of
+/// the sweep grid (a rounds sweep can empty a window the base spec
+/// satisfies).
 Status CheckRecordWindows(const ScenarioSpec& spec, const MetricFlags& metrics,
                           const RecordConfig& cfg);
 
@@ -175,21 +175,20 @@ Result<uint64_t> MessageStream(const ScenarioSpec& spec,
                                const TrialContext& ctx, int n);
 
 /// Rejects failure.kind = kill_top_fraction on protocols without per-host
-/// scalar values (Capability::kValueBacked). Shared by --dry-run and
-/// BuildFailurePlan so both reject with one message.
+/// scalar values (Capability::kValueBacked). BuildFailurePlan also runs it,
+/// as the guard before it reads the built swarm's values.
 Status CheckValueBacked(const FailureConfig& cfg, bool value_backed);
 
 /// Rejects `record = bandwidth` on protocols that cannot meter their
 /// traffic (Capability::kMetered): the rounds driver measures it through
-/// the swarm's traffic meter. Shared by --dry-run and the driver.
+/// the swarm's traffic meter.
 Status CheckMetered(const ScenarioSpec& spec, bool metered);
 
 /// Spec-only validation of a `driver = trace` experiment: protocol
 /// capability, no rounds / failure.* / churn.* / record.* keys, the
-/// seeds.* allowlist and the metric catalog (rms, avg_group_size). Shared
-/// between the trace driver itself and the executor's `--dry-run`, the
+/// seeds.* allowlist and the metric catalog (rms, avg_group_size); the
 /// counterpart of ValidateAsyncSpec. Whether the environment provides a
-/// trace is checked against its registry entry (dry run) or the built
+/// trace is checked against its registry entry (dry run) and the built
 /// environment (driver).
 Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def);
 
@@ -226,8 +225,9 @@ Result<uint64_t> ChurnStream(const ScenarioSpec& spec, const TrialContext& ctx,
                              int n);
 
 /// Builds the precomputed churn schedule; `rounds` backs the default
-/// window end. Range checks (initial/max_alive vs n) run here so dry-run
-/// surfaces them without executing a trial.
+/// window end. The range checks (initial/max_alive vs n) stay here:
+/// ValidateChurnSpec runs them against each cell's hosts, but an
+/// environment-derived size (hosts = 0) is known only once it is built.
 Result<ChurnPlan> BuildChurnPlan(const ChurnConfig& cfg, int n, int rounds,
                                  Rng& churn_rng);
 

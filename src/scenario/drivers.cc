@@ -1,10 +1,10 @@
 // Builtin trial drivers: how simulated time advances within one trial.
 //
-//   rounds  The paper's synchronous round loop (sim/round_driver.h) with
-//           the spec-declared failure plan, multi-metric recording and
-//           early convergence stop. All requested metrics are recorded in
-//           ONE pass over the rounds, evaluating only the rounds some
-//           metric reads (RoundIsRead in scenario/config.h):
+//   rounds  The paper's synchronous round loop with the spec-declared
+//           failure plan, multi-metric recording and early convergence
+//           stop. All requested metrics are recorded in ONE pass over the
+//           rounds, evaluating only the rounds some metric reads
+//           (RoundIsRead in scenario/config.h):
 //             - rms                 per-round RMS-deviation series
 //                                   (record.from/every)
 //             - rms_tail_mean       scalar mean RMS over rounds >= from
@@ -49,7 +49,6 @@
 #include "sim/churn.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
-#include "sim/round_driver.h"
 
 namespace dynagg {
 namespace scenario {
@@ -57,53 +56,14 @@ namespace {
 
 /// Wires the top-level intra_round_threads knob into the swarm's round
 /// kernel. The push apply is bit-identical at any thread count, so this only
-/// changes wall-clock; protocols without a data-parallel apply phase reject
-/// values > 1 rather than silently ignoring the key.
-Status ApplyIntraRoundThreads(const ScenarioSpec& spec,
-                              const SwarmHandle& swarm) {
-  if (spec.intra_round_threads <= 1) return Status::OK();
-  if (!swarm.set_threads) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not support intra_round_threads");
-  }
-  swarm.set_threads(spec.intra_round_threads);
-  return Status::OK();
+/// changes wall-clock; ValidateExperiment admitted values > 1 only for
+/// protocols with the threads capability, i.e. a set_threads hook.
+void ApplyIntraRoundThreads(const ScenarioSpec& spec,
+                            const SwarmHandle& swarm) {
+  if (spec.intra_round_threads > 1) swarm.set_threads(spec.intra_round_threads);
 }
 
 // ----------------------------------------------------------- rounds ---
-
-/// Swarm adapter slotted into RunRoundsUntil: advances trace-backed
-/// environments, applies the churn plan's membership events (kills, joins,
-/// rebirths — each admitted host reset through the swarm's on_join hook),
-/// re-pins a host alive (between the failure application and the gossip
-/// exchange, exactly where the legacy benches revive their leader), then
-/// delegates to the swarm handle.
-struct RoundHooks {
-  const SwarmHandle& swarm;
-  Environment* env;
-  SimTime advance_period;
-  HostId pin_alive;
-  const ChurnPlan* churn = nullptr;
-  int round = 0;
-
-  void RunRound(const Environment& e, Population& pop, Rng& rng) {
-    if (advance_period > 0) {
-      env->AdvanceTo(static_cast<SimTime>(round + 1) * advance_period);
-    }
-    if (churn != nullptr && !churn->empty()) {
-      const ChurnPlan::RoundDelta delta =
-          churn->Apply(round, &pop, swarm.on_join);
-      if (delta.joins > 0) obs::Count(obs::Counter::kChurnJoins, delta.joins);
-      if (delta.rebirths > 0) {
-        obs::Count(obs::Counter::kChurnRebirths, delta.rebirths);
-      }
-    }
-    if (pin_alive != kInvalidHost) pop.Revive(pin_alive);
-    swarm.run_round(e, pop, rng);
-    ++round;
-  }
-};
 
 /// Formats a parametrized scalar-record column name: "<base>_<%g of v>"
 /// (rms_at_25, rounds_below_1.5).
@@ -116,7 +76,9 @@ std::string SuffixedScalarName(const char* base, double v) {
 /// Drives the swarm for spec.rounds rounds under the spec's environment,
 /// failure plan and requested metrics, recording everything in one pass.
 /// `def` carries the protocol's statically declared extra selectors (the
-/// built swarm's finish hook interprets them).
+/// built swarm's finish hook interprets them). The spec-only checks ran in
+/// ValidateExperiment on this exact spec; only the checks that need the
+/// built environment or the run's data remain here.
 Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
                    EnvHandle& env, const SwarmHandle& swarm, Recorder& rec) {
   // Everything up to the round loop — config parsing, the failure plan,
@@ -125,9 +87,6 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "seeds.",
-      {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
   DYNAGG_ASSIGN_OR_RETURN(
       const MetricFlags metrics,
       ClassifyDriverMetrics(spec, def.extra_metrics));
@@ -140,10 +99,7 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t fail_stream,
                           FailureStream(spec, fail));
 
-  DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
-
-  DYNAGG_RETURN_IF_ERROR(ApplyIntraRoundThreads(spec, swarm));
-  DYNAGG_RETURN_IF_ERROR(CheckMetered(spec, swarm.set_meter != nullptr));
+  ApplyIntraRoundThreads(spec, swarm);
   TrafficMeter meter;
   if (metrics.bandwidth) swarm.set_meter(&meter);
 
@@ -157,20 +113,6 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   }
 
   DYNAGG_ASSIGN_OR_RETURN(const ChurnConfig churn, ParseChurnConfig(spec));
-  if (churn.enabled) {
-    if (fail.kind != FailureConfig::Kind::kNone) {
-      return Status::InvalidArgument(
-          "churn.* and failure.kind cannot be combined: churn plans cover "
-          "deaths via churn.death_prob (and their rebirths RESET host "
-          "state, unlike failure churn's silent revives)");
-    }
-    if (!swarm.on_join) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' cannot admit hosts (no on_join hook); churn.* keys require a "
-          "join-capable protocol");
-    }
-  }
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t churn_stream,
                           ChurnStream(spec, ctx, n));
   Rng churn_rng(DeriveSeed(ctx.trial_seed, churn_stream));
@@ -189,15 +131,41 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   std::vector<double> rms_at_values(metrics.rms_at.size(), 0.0);
   std::vector<double> full_series;      // backs rounds_below
   std::vector<double> recovery_window;  // backs recovery_rounds
-  Status round_error = Status::OK();    // raised inside the round callback
   const bool early_stop = metrics.OnlyConvergence();
   // Declare the series up front: a unit whose recording window is empty
   // (record.from >= its rounds under a rounds sweep) must still carry the
   // series so batches stay structurally identical across units.
   if (metrics.rms) rec.MutableSeries("round", "rms");
-  const auto on_round_end = [&](int round) {
+
+  setup_span.reset();
+  int executed = 0;
+  for (int round = 0; round < spec.rounds; ++round) {
+    executed = round + 1;
+    // Telemetry: the round span covers failure application, the
+    // environment advance, churn, the pin, the swarm's plan/apply phases
+    // and the metric evaluation.
+    obs::ScopedRound span(round);
+    plan.Apply(round, &pop);
+    if (env.advance_period > 0) {
+      env.env->AdvanceTo(static_cast<SimTime>(round + 1) * env.advance_period);
+    }
+    // The churn plan's membership events: kills, joins and rebirths, each
+    // admitted host reset through the swarm's on_join hook.
+    if (!churn_plan.empty()) {
+      const ChurnPlan::RoundDelta delta =
+          churn_plan.Apply(round, &pop, swarm.on_join);
+      if (delta.joins > 0) obs::Count(obs::Counter::kChurnJoins, delta.joins);
+      if (delta.rebirths > 0) {
+        obs::Count(obs::Counter::kChurnRebirths, delta.rebirths);
+      }
+    }
+    // Re-pin between the failure application and the gossip exchange,
+    // exactly where the legacy benches revive their leader.
+    if (fail.pin_alive != kInvalidHost) pop.Revive(fail.pin_alive);
+    swarm.run_round(*env.env, pop, rng);
+
     // Rounds no requested metric reads cost neither truth nor estimate.
-    if (!RoundIsRead(metrics, cfg, spec.rounds, round)) return true;
+    if (!RoundIsRead(metrics, cfg, spec.rounds, round)) continue;
     // Telemetry: per-round metric evaluation is the record phase.
     obs::ScopedPhase record_span(obs::Phase::kRecord);
     const double tr = swarm.truth(pop);
@@ -207,10 +175,9 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
     // rms/truth convention. A zero truth would silently record inf/nan.
     if (cfg.relative) {
       if (tr == 0.0) {
-        round_error = Status::InvalidArgument(
+        return Status::InvalidArgument(
             "record.relative: the truth is 0 after round " +
             std::to_string(round) + ", the relative error is undefined");
-        return false;
       }
       rms /= tr;
     }
@@ -235,18 +202,10 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
         converged_round = round + 1;
         // Later rounds cannot change the result; stop paying for them
         // unless another metric still needs them.
-        if (early_stop) return false;
+        if (early_stop) break;
       }
     }
-    return true;
-  };
-
-  RoundHooks hooks{swarm, env.env.get(), env.advance_period, fail.pin_alive,
-                   &churn_plan};
-  setup_span.reset();
-  const int executed = RunRoundsUntil(hooks, *env.env, pop, plan,
-                                      spec.rounds, rng, on_round_end);
-  DYNAGG_RETURN_IF_ERROR(round_error);
+  }
   // All trial streams are fully drawn by now (the failure and churn plans
   // are prebuilt; rounds draw only from rng).
   obs::Count(obs::Counter::kRngDraws,
@@ -323,14 +282,7 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
                                      static_cast<double>(host)),
                   std::abs(swarm.estimate(host) - tr) / tr);
   }
-  if (metrics.gossip_bytes) {
-    if (swarm.gossip_bytes < 0) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' does not model the gossip_bytes metric");
-    }
-    rec.AddScalar("gossip_bytes", swarm.gossip_bytes);
-  }
+  if (metrics.gossip_bytes) rec.AddScalar("gossip_bytes", swarm.gossip_bytes);
   if (metrics.bandwidth) {
     const double denom = static_cast<double>(n) * executed;
     rec.SetBandwidth(meter.total().messages / denom,
@@ -378,15 +330,7 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
 Status RunRoundsDriver(const TrialContext& ctx, const ProtocolDef& def,
                        Recorder& rec) {
   // Whole-trial protocols own their loop; the rounds driver is their host.
-  if (def.run_custom) {
-    if (ctx.spec->intra_round_threads > 1) {
-      return Status::InvalidArgument(
-          "protocol '" + ctx.spec->protocol +
-          "' owns its whole trial loop and does not support "
-          "intra_round_threads");
-    }
-    return def.run_custom(ctx, rec);
-  }
+  if (def.run_custom) return def.run_custom(ctx, rec);
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
@@ -403,7 +347,6 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, def));
   const bool want_rms = MetricRequested(spec, "rms");
   const bool want_group_size = MetricRequested(spec, "avg_group_size");
 
@@ -417,10 +360,10 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
         "' does not provide a contact trace (driver = trace replays one; "
         "use haggle or another trace environment)");
   }
-  // ValidateTraceSpec admitted a trace-capable protocol, so the swarm has
+  // ValidateExperiment admitted a trace-capable protocol, so the swarm has
   // the group_truths hook (the capability is derived from it).
   DYNAGG_ASSIGN_OR_RETURN(SwarmHandle swarm, def.make_swarm(ctx, env));
-  DYNAGG_RETURN_IF_ERROR(ApplyIntraRoundThreads(spec, swarm));
+  ApplyIntraRoundThreads(spec, swarm);
   const std::function<double(HostId)>& estimate =
       swarm.group_estimate ? swarm.group_estimate : swarm.estimate;
 

@@ -8,6 +8,7 @@
 // environment replays an external contact table instead (env.trace_file),
 // so every trial observes the same real-world trace.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -31,10 +32,10 @@ namespace scenario {
 namespace {
 
 // Each environment's spec-only checks live in a Validate*Spec function
-// wired onto EnvironmentDef::validate, so --dry-run applies them to the
-// base spec and every swept variant (a hosts sweep can undercut
-// env.degree). The factories call the same function first — the runtime
-// rejects exactly what --dry-run rejects, never more.
+// wired onto EnvironmentDef::validate, so --dry-run applies them to every
+// cell of the sweep grid (a hosts sweep can undercut env.degree). The
+// factories call the same function first — the runtime rejects exactly
+// what --dry-run rejects, never more.
 
 Status ValidateUniformSpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("env.", {}));
@@ -132,7 +133,15 @@ Status ValidateHaggleSpec(const ScenarioSpec& spec) {
   if (dataset < 1 || dataset > 3) {
     return Status::InvalidArgument("env.dataset must be 1, 2 or 3");
   }
-  DYNAGG_RETURN_IF_ERROR(spec.ParamDouble("env.hours", 0.0).status());
+  DYNAGG_ASSIGN_OR_RETURN(const double hours,
+                          spec.ParamDouble("env.hours", 0.0));
+  // The trace horizon becomes 64-bit microseconds (FromHours): NaN or
+  // anything past about 2.5e9 hours would overflow the cast.
+  if (!(std::fabs(hours) * 3600.0 * 1e6 < 0x1p63)) {
+    return Status::InvalidArgument(
+        "env.hours overflows simulated time (64-bit microseconds, at most "
+        "about 2.5e9 hours)");
+  }
   DYNAGG_ASSIGN_OR_RETURN(const double gossip_seconds,
                           spec.ParamDouble("env.gossip_seconds", 30.0));
   DYNAGG_RETURN_IF_ERROR(

@@ -22,11 +22,9 @@ namespace scenario {
 
 namespace {
 
-/// Applies one sweep override for `key` to a copy of the spec. Doubles are
-/// stored with %.17g so the runner parses back the exact swept value.
-Result<ScenarioSpec> ApplySweepKey(const ScenarioSpec& spec,
-                                   const std::string& key, double value) {
-  ScenarioSpec out = spec;
+/// Applies one sweep override for `key` to `out`. Doubles are stored with
+/// %.17g so the runner parses back the exact swept value.
+Status ApplySweepKey(const std::string& key, double value, ScenarioSpec* out) {
   if (key == "hosts" || key == "rounds" || key == "intra_round_threads") {
     // Range-check the double before the cast: a value past int's range
     // would otherwise wrap (hosts 4294967328 would run 32 hosts).
@@ -37,15 +35,15 @@ Result<ScenarioSpec> ApplySweepKey(const ScenarioSpec& spec,
           " requires integer values in [1, 2147483647]");
     }
     const int v = static_cast<int>(value);
-    if (key == "hosts") out.hosts = v;
-    if (key == "rounds") out.rounds = v;
-    if (key == "intra_round_threads") out.intra_round_threads = v;
+    if (key == "hosts") out->hosts = v;
+    if (key == "rounds") out->rounds = v;
+    if (key == "intra_round_threads") out->intra_round_threads = v;
   } else {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out.params[key] = buf;
+    out->params[key] = buf;
   }
-  return out;
+  return Status::OK();
 }
 
 /// Column header for a sweep: the last path segment of the swept key
@@ -65,10 +63,20 @@ struct AxisLayout {
   int num_sweep2 = 1;
   int trials = 1;
 
+  explicit AxisLayout(const ScenarioSpec& spec)
+      : has_sweep(!spec.sweep_key.empty()),
+        has_sweep2(!spec.sweep2_key.empty()),
+        has_trial(spec.trials > 1 && spec.aggregates.empty()),
+        num_sweep(has_sweep ? static_cast<int>(spec.sweep_values.size()) : 1),
+        num_sweep2(has_sweep2 ? static_cast<int>(spec.sweep2_values.size())
+                              : 1),
+        trials(spec.trials) {}
+
   int num_units() const { return num_sweep * num_sweep2 * trials; }
   int num_cells() const { return num_sweep * num_sweep2; }
-  int sweep_index(int unit) const { return unit / (num_sweep2 * trials); }
-  int sweep2_index(int unit) const { return (unit / trials) % num_sweep2; }
+  int cell(int unit) const { return unit / trials; }
+  int sweep_index(int cell_index) const { return cell_index / num_sweep2; }
+  int sweep2_index(int cell_index) const { return cell_index % num_sweep2; }
   int trial(int unit) const { return unit % trials; }
 
   std::vector<std::string> ColumnNames(const ScenarioSpec& spec) const {
@@ -88,14 +96,42 @@ struct AxisLayout {
   std::vector<double> Values(const ScenarioSpec& spec, int unit,
                              bool with_trial) const {
     std::vector<double> values;
-    if (has_sweep) values.push_back(spec.sweep_values[sweep_index(unit)]);
-    if (has_sweep2) values.push_back(spec.sweep2_values[sweep2_index(unit)]);
+    if (has_sweep) {
+      values.push_back(spec.sweep_values[sweep_index(cell(unit))]);
+    }
+    if (has_sweep2) {
+      values.push_back(spec.sweep2_values[sweep2_index(cell(unit))]);
+    }
     if (has_trial && with_trial) {
       values.push_back(static_cast<double>(trial(unit)));
     }
     return values;
   }
 };
+
+/// Builds the spec that cell `cell` of the sweep grid runs, the base spec
+/// with the cell's sweep and sweep2 values applied, and sets the cell's
+/// axis fields of `ctx` (the trial fields are the caller's).
+/// ValidateExperiment checks exactly this spec, and every unit of the cell
+/// runs it.
+Result<ScenarioSpec> BuildCell(const ScenarioSpec& spec,
+                               const AxisLayout& axes, int cell,
+                               TrialContext* ctx) {
+  ScenarioSpec out = spec;
+  if (axes.has_sweep) {
+    ctx->sweep_index = axes.sweep_index(cell);
+    ctx->sweep_value = spec.sweep_values[ctx->sweep_index];
+    DYNAGG_RETURN_IF_ERROR(
+        ApplySweepKey(spec.sweep_key, ctx->sweep_value, &out));
+  }
+  if (axes.has_sweep2) {
+    ctx->sweep2_index = axes.sweep2_index(cell);
+    ctx->sweep2_value = spec.sweep2_values[ctx->sweep2_index];
+    DYNAGG_RETURN_IF_ERROR(
+        ApplySweepKey(spec.sweep2_key, ctx->sweep2_value, &out));
+  }
+  return out;
+}
 
 std::string UnitError(const ScenarioSpec& spec, int unit,
                       const std::string& what) {
@@ -595,12 +631,9 @@ bool SpecUsesChurn(const ScenarioSpec& spec) {
 /// Spec-only validation of the churn.* plan family: churn runs only under
 /// the rounds driver on join-capable swarm protocols, cannot be combined
 /// with failure.kind, and its knob ranges (incl. initial/max_alive vs the
-/// variant's hosts) must hold for the base spec and every swept variant.
-/// `hosts_known` is false when another sweep axis writes hosts, making this
-/// spec's own value a placeholder that never executes — the comparisons
-/// against it are skipped and covered by that axis's per-variant pass.
+/// cell's hosts) must hold.
 Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
-                         const DriverDef& driver, bool hosts_known) {
+                         const DriverDef& driver) {
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
   };
@@ -636,7 +669,6 @@ Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
           "deaths via churn.death_prob (and their rebirths RESET host "
           "state, unlike failure churn's silent revives)");
     }
-    if (!hosts_known) return Status::OK();
     if (churn.initial > spec.hosts) {
       return invalid("churn.initial = " + std::to_string(churn.initial) +
                      " exceeds hosts = " + std::to_string(spec.hosts));
@@ -664,12 +696,12 @@ Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
 /// leave nobody alive by construction (only failure.pin_alive revives):
 /// a kill_* plan whose kill count rounds to every host, from failure.round
 /// on, and churn with failure.death_prob = 1, after failure.start. Reject
-/// them up front. With `hosts_known` false (a swept or environment-derived
-/// size) only fraction = 1 is certain to kill every host.
+/// them up front. With an environment-derived size (hosts = 0) only
+/// fraction = 1 is certain to kill every host.
 Status CheckRelativeSurvivors(const ScenarioSpec& spec,
                               const MetricFlags& metrics,
                               const RecordConfig& cfg,
-                              const FailureConfig& fail, bool hosts_known) {
+                              const FailureConfig& fail) {
   if (!cfg.relative || !metrics.NeedsRoundEvaluation() ||
       fail.pin_alive != kInvalidHost) {
     return Status::OK();
@@ -681,7 +713,7 @@ Status CheckRelativeSurvivors(const ScenarioSpec& spec,
     case FailureConfig::Kind::kKillTopFraction: {
       // The kill count of FailurePlan::KillRandomFraction / KillTopFraction.
       const bool kills_all =
-          hosts_known && spec.hosts > 0
+          spec.hosts > 0
               ? static_cast<size_t>(fail.fraction * spec.hosts + 0.5) >=
                     static_cast<size_t>(spec.hosts)
               : fail.fraction >= 1.0;
@@ -709,18 +741,11 @@ Status CheckRelativeSurvivors(const ScenarioSpec& spec,
       knob + ", or drop record.relative)");
 }
 
-/// Spec-only preflight of the plain rounds driver, mirroring DriveRounds'
-/// own setup checks so an unknown seeds.* stream or an empty metric window
-/// fails --dry-run, not mid-run. Applied to the base spec and to each
-/// swept variant — a rounds sweep can empty a window the base spec
-/// satisfies. `rounds_known` / `hosts_known` are false when another sweep
-/// axis writes rounds / hosts, making this spec's own value a placeholder
-/// that never executes — the checks against it are skipped or weakened
-/// (that axis's per-variant pass and DriveRounds itself still run them
-/// with the real value).
+/// Spec-only preflight of the plain rounds driver: its seeds.* allowlist,
+/// metric catalog, record.* knobs, failure plan and metric windows, so
+/// DriveRounds itself only parses them.
 Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
-                                const ProtocolDef& protocol,
-                                bool rounds_known, bool hosts_known) {
+                                const ProtocolDef& protocol) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "seeds.",
       {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
@@ -737,14 +762,68 @@ Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
   DYNAGG_ASSIGN_OR_RETURN(
       const RecordConfig cfg,
       ParseRecordConfig(spec, protocol.extra_record_keys));
-  // The failure.* plan is parsed from the spec alone; an unknown knob or a
-  // bad kind/range should not wait for the trial loop to reject it.
   DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
   DYNAGG_RETURN_IF_ERROR(CheckValueBacked(
       fail, protocol.capabilities.Has(Capability::kValueBacked)));
-  if (!rounds_known) return Status::OK();
   DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
-  return CheckRelativeSurvivors(spec, metrics, cfg, fail, hosts_known);
+  return CheckRelativeSurvivors(spec, metrics, cfg, fail);
+}
+
+/// The per-spec checks, run on the exact spec and context one cell of the
+/// sweep grid executes: everything that reads a value a sweep axis can
+/// write (hosts, rounds, intra_round_threads, any namespaced knob).
+Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
+                    const EnvironmentDef& environment,
+                    const DriverDef& driver) {
+  const ScenarioSpec& spec = *ctx.spec;
+  const auto invalid = [&](const std::string& what) {
+    return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
+  };
+  // Environment knobs (env.* allowlist, ranges, hosts/degree consistency)
+  // are spec-only. Skipped for the rare protocols that never build an
+  // environment.
+  if (environment.validate && protocol.uses_environment) {
+    DYNAGG_RETURN_IF_ERROR(environment.validate(spec));
+  }
+  if (spec.intra_round_threads < 1) {
+    return invalid("intra_round_threads must be >= 1");
+  }
+  if (spec.intra_round_threads > 1 &&
+      !protocol.capabilities.Has(Capability::kThreads)) {
+    return invalid("protocol '" + spec.protocol +
+                   "' does not support intra_round_threads (no "
+                   "data-parallel apply phase)");
+  }
+  DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(spec, protocol, driver));
+  if (driver.kind == DriverKind::kMessages) {
+    DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol));
+  } else if (driver.kind == DriverKind::kTrace) {
+    if (!environment.provides_trace) {
+      return invalid("driver = " + spec.driver +
+                     " replays a contact trace, but environment '" +
+                     spec.environment +
+                     "' does not provide one (use haggle or another trace "
+                     "environment)");
+    }
+    DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, protocol));
+  } else if (spec.gossip_period > 0 || spec.sample_period > 0) {
+    return invalid(
+        "gossip_period / sample_period configure the event-driven drivers "
+        "(trace, async); driver = " +
+        spec.driver + " advances in rounds");
+  } else if (protocol.make_swarm) {
+    DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(spec, protocol));
+  }
+  if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(spec));
+  // Each seeds.* stream expression resolves against this cell's axes,
+  // with the `hosts` term at the cell's size (the drivers use the built
+  // environment's, which only differs when hosts = 0 derives it). The
+  // failure stream is a plain integer.
+  for (const auto stream :
+       {RoundStream, WorkloadStream, MessageStream, ChurnStream}) {
+    DYNAGG_RETURN_IF_ERROR(stream(spec, ctx, spec.hosts).status());
+  }
+  return spec.ParamInt("seeds.failure_stream", 0).status();
 }
 
 }  // namespace
@@ -763,32 +842,8 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
                           EnvironmentRegistry().Find(spec.environment));
   DYNAGG_ASSIGN_OR_RETURN(const DriverDef driver,
                           DriverRegistry().Find(spec.driver));
-  // A sweep axis that writes hosts or rounds makes the base spec's own
-  // field a placeholder no unit ever executes with; checks that read it
-  // skip the placeholder and rely on that axis's per-variant pass below.
-  const bool sweep1_hosts = spec.sweep_key == "hosts";
-  const bool sweep2_hosts = spec.sweep2_key == "hosts";
-  const bool sweep1_rounds = spec.sweep_key == "rounds";
-  const bool sweep2_rounds = spec.sweep2_key == "rounds";
-  // Environment knobs (env.* allowlist, ranges, hosts/degree consistency)
-  // are spec-only; reject them here rather than at trial setup. Skipped
-  // for the rare protocols that never build an environment.
-  if (environment.validate && protocol.uses_environment && !sweep1_hosts &&
-      !sweep2_hosts) {
-    DYNAGG_RETURN_IF_ERROR(environment.validate(spec));
-  }
-  if (spec.intra_round_threads < 1) {
-    return invalid("intra_round_threads must be >= 1");
-  }
-  const bool threads_capable =
-      protocol.capabilities.Has(Capability::kThreads);
-  if (spec.intra_round_threads > 1 && !threads_capable) {
-    return invalid("protocol '" + spec.protocol +
-                   "' does not support intra_round_threads (no "
-                   "data-parallel apply phase)");
-  }
   // A swept thread count must be usable at every value, not just the base.
-  if (!threads_capable) {
+  if (!protocol.capabilities.Has(Capability::kThreads)) {
     for (const std::string& key : {spec.sweep_key, spec.sweep2_key}) {
       if (key == "intra_round_threads") {
         return invalid("protocol '" + spec.protocol +
@@ -805,7 +860,7 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
   // Keyed stream workloads feed the stream sketch protocols only; a
   // workload key on any other protocol would be silently ignored. The
   // reverse direction — a consuming protocol without a workload.kind — is
-  // rejected by the protocol's own validate hook below.
+  // rejected by the protocol's own validate hook.
   if (!protocol.consumes_workload) {
     for (const auto& [key, value] : spec.params) {
       if (key.rfind("workload.", 0) == 0 || key == "seeds.workload_stream") {
@@ -847,37 +902,6 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
       }
     }
   }
-  // churn.* plans run under the rounds driver on join-capable protocols
-  // only; anywhere else they would be silently ignored. Mirrors the
-  // workload/net rejections above, plus knob-range checks so a bad plan
-  // fails --dry-run, not mid-run.
-  DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(
-      spec, protocol, driver, /*hosts_known=*/!sweep1_hosts && !sweep2_hosts));
-  if (driver.kind == DriverKind::kMessages) {
-    DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol));
-  } else if (driver.kind == DriverKind::kTrace) {
-    if (!environment.provides_trace) {
-      return invalid("driver = " + spec.driver +
-                     " replays a contact trace, but environment '" +
-                     spec.environment +
-                     "' does not provide one (use haggle or another trace "
-                     "environment)");
-    }
-    DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, protocol));
-  } else if (spec.gossip_period > 0 || spec.sample_period > 0) {
-    return invalid(
-        "gossip_period / sample_period configure the event-driven drivers "
-        "(trace, async); driver = " +
-        spec.driver + " advances in rounds");
-  } else if (protocol.make_swarm) {
-    // The rounds driver's metric catalog, record.* knobs, metric windows
-    // and seeds.* streams are static per protocol, so selector typos,
-    // malformed rounds_below/recovery/quantile arguments, unknown record
-    // or seed-stream keys and empty windows fail --dry-run, not mid-run.
-    DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-        spec, protocol, /*rounds_known=*/!sweep1_rounds && !sweep2_rounds,
-        /*hosts_known=*/!sweep1_hosts && !sweep2_hosts));
-  }
   DYNAGG_RETURN_IF_ERROR(ValidateMetricList(spec.metrics));
   DYNAGG_RETURN_IF_ERROR(ValidateAggregateList(spec.aggregates));
   if (!spec.aggregates.empty() && spec.trials < 2) {
@@ -906,55 +930,17 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
       return invalid("sweep2 over '" + spec.sweep2_key + "' has no values");
     }
   }
-  // Dry-apply every sweep value so e.g. a fractional hosts sweep fails in
-  // --dry-run, not halfway through a long run; validate the protocol's
-  // knobs on the base spec and on each swept variant (a sweep may write an
-  // out-of-range or non-numeric value into a validated parameter).
-  if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(spec));
-  const bool plain_rounds =
-      driver.kind == DriverKind::kRounds && protocol.make_swarm;
-  // Each axis's variants carry real values for its own key but still the
-  // base placeholder for the other axis's hosts/rounds, so the same
-  // skip-the-placeholder rule applies per axis.
-  for (const double v : spec.sweep_values) {
-    DYNAGG_ASSIGN_OR_RETURN(const ScenarioSpec swept,
-                            ApplySweepKey(spec, spec.sweep_key, v));
-    if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(swept));
-    if (environment.validate && protocol.uses_environment && !sweep2_hosts) {
-      DYNAGG_RETURN_IF_ERROR(environment.validate(swept));
-    }
-    DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(swept, protocol, driver,
-                                             /*hosts_known=*/!sweep2_hosts));
-    if (plain_rounds) {
-      DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-          swept, protocol, /*rounds_known=*/!sweep2_rounds,
-          /*hosts_known=*/!sweep2_hosts));
-    }
-    if (driver.kind == DriverKind::kMessages) {
-      DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
-    } else if (driver.kind == DriverKind::kTrace) {
-      DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(swept, protocol));
-    }
-  }
-  for (const double v : spec.sweep2_values) {
-    DYNAGG_ASSIGN_OR_RETURN(const ScenarioSpec swept,
-                            ApplySweepKey(spec, spec.sweep2_key, v));
-    if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(swept));
-    if (environment.validate && protocol.uses_environment && !sweep1_hosts) {
-      DYNAGG_RETURN_IF_ERROR(environment.validate(swept));
-    }
-    DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(swept, protocol, driver,
-                                             /*hosts_known=*/!sweep1_hosts));
-    if (plain_rounds) {
-      DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-          swept, protocol, /*rounds_known=*/!sweep1_rounds,
-          /*hosts_known=*/!sweep1_hosts));
-    }
-    if (driver.kind == DriverKind::kMessages) {
-      DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
-    } else if (driver.kind == DriverKind::kTrace) {
-      DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(swept, protocol));
-    }
+  // Every cell of the sweep grid is validated before any unit runs, on
+  // the spec its units execute: a fractional hosts sweep, a swept value
+  // out of a knob's range, or a combination of both axes (churn.initial
+  // above a swept hosts) fails --dry-run, not halfway through a long run.
+  const AxisLayout axes(spec);
+  for (int cell = 0; cell < axes.num_cells(); ++cell) {
+    TrialContext ctx;
+    DYNAGG_ASSIGN_OR_RETURN(const ScenarioSpec cell_spec,
+                            BuildCell(spec, axes, cell, &ctx));
+    ctx.spec = &cell_spec;
+    DYNAGG_RETURN_IF_ERROR(ValidateCell(ctx, protocol, environment, driver));
   }
   return Status::OK();
 }
@@ -982,15 +968,7 @@ Result<std::vector<ResultTable>> RunExperiment(
   DYNAGG_ASSIGN_OR_RETURN(const DriverDef driver,
                           DriverRegistry().Find(spec.driver));
 
-  AxisLayout axes;
-  axes.has_sweep = !spec.sweep_key.empty();
-  axes.has_sweep2 = !spec.sweep2_key.empty();
-  axes.num_sweep =
-      axes.has_sweep ? static_cast<int>(spec.sweep_values.size()) : 1;
-  axes.num_sweep2 =
-      axes.has_sweep2 ? static_cast<int>(spec.sweep2_values.size()) : 1;
-  axes.trials = spec.trials;
-  axes.has_trial = spec.trials > 1 && spec.aggregates.empty();
+  const AxisLayout axes(spec);
   const int num_units = axes.num_units();
 
   std::vector<std::optional<Result<RecordBatch>>> slots(num_units);
@@ -1003,48 +981,26 @@ Result<std::vector<ResultTable>> RunExperiment(
       const int unit = next_unit.fetch_add(1);
       if (unit >= num_units) return;
 
-      ScenarioSpec unit_spec = spec;
       TrialContext ctx;
       ctx.trial = axes.trial(unit);
       ctx.trial_seed = TrialSeed(spec.seed, ctx.trial);
-      Status sweep_status = Status::OK();
-      if (axes.has_sweep) {
-        ctx.sweep_index = axes.sweep_index(unit);
-        ctx.sweep_value = spec.sweep_values[ctx.sweep_index];
-        Result<ScenarioSpec> swept =
-            ApplySweepKey(unit_spec, spec.sweep_key, ctx.sweep_value);
-        if (swept.ok()) {
-          unit_spec = std::move(swept).value();
-        } else {
-          sweep_status = swept.status();
-        }
+      // ValidateExperiment built this cell's spec with the same call and
+      // accepted it, so the build cannot fail here.
+      const ScenarioSpec unit_spec =
+          BuildCell(spec, axes, axes.cell(unit), &ctx).value();
+      ctx.spec = &unit_spec;
+      // Install the unit's telemetry sink (null = all hooks no-op) for
+      // exactly the driver call: spans and counters land per unit, on the
+      // worker that ran it.
+      obs::TrialTelemetry* sink = nullptr;
+      if (collect) {
+        sink = &unit_telemetry[unit];
+        sink->unit = unit;
+        sink->worker = worker_id;
+        sink->trial = ctx.trial;
+        sink->profile = mode == "profile";
       }
-      if (sweep_status.ok() && axes.has_sweep2) {
-        ctx.sweep2_index = axes.sweep2_index(unit);
-        ctx.sweep2_value = spec.sweep2_values[ctx.sweep2_index];
-        Result<ScenarioSpec> swept =
-            ApplySweepKey(unit_spec, spec.sweep2_key, ctx.sweep2_value);
-        if (swept.ok()) {
-          unit_spec = std::move(swept).value();
-        } else {
-          sweep_status = swept.status();
-        }
-      }
-      if (!sweep_status.ok()) {
-        slots[unit].emplace(sweep_status);
-      } else {
-        ctx.spec = &unit_spec;
-        // Install the unit's telemetry sink (null = all hooks no-op) for
-        // exactly the driver call: spans and counters land per unit, on
-        // the worker that ran it.
-        obs::TrialTelemetry* sink = nullptr;
-        if (collect) {
-          sink = &unit_telemetry[unit];
-          sink->unit = unit;
-          sink->worker = worker_id;
-          sink->trial = ctx.trial;
-          sink->profile = mode == "profile";
-        }
+      {
         obs::ScopedTrial scope(sink);
         Recorder rec;
         const Status st = driver.run(ctx, protocol, rec);

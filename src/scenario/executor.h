@@ -32,15 +32,16 @@
 namespace dynagg {
 namespace scenario {
 
-/// Structural validation without executing a trial: registry lookups
-/// (protocol, environment, driver), driver compatibility (`driver = trace`
-/// needs a trace-providing environment and a trace-capable protocol;
-/// gossip_period / sample_period are trace-driver keys), rounds/trials
-/// bounds, metric/aggregate grammar, sweep axis sanity (including that
-/// every sweep value is applicable to its key). This is the whole
-/// preflight of RunExperiment and the backing of `dynagg_run --dry-run`;
-/// protocol/environment parameter values are validated by the factories at
-/// execution time.
+/// Validation without executing a trial: registry lookups (protocol,
+/// environment, driver) and the experiment-level checks (rounds/trials
+/// bounds, metric/aggregate grammar, sweep axis sanity, telemetry mode,
+/// keys the protocol or driver never reads), then every per-spec check on
+/// each cell of the sweep grid, on the exact spec and sweep context its
+/// units run: protocol and environment knobs, churn, driver compatibility
+/// and the driver's spec-only checks, and the seeds.* stream expressions.
+/// This is the whole preflight of RunExperiment, so every cell is
+/// validated before any unit runs, and the backing of
+/// `dynagg_run --dry-run`.
 Status ValidateExperiment(const ScenarioSpec& spec);
 
 /// Execution knobs beyond the spec itself.

@@ -46,7 +46,6 @@
 #include "sim/bandwidth.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
-#include "sim/round_driver.h"
 #include "sim/workload.h"
 #include "tree/spanning_tree.h"
 #include "tree/tag.h"

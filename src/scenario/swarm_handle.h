@@ -175,6 +175,9 @@ SwarmHandle MakeSwarmHandle(std::shared_ptr<Box> box) {
     h.on_join = [s](HostId id) { s->OnJoin(id); };
   }
   if constexpr (MessageLevel<Swarm>) {
+    static_assert(Swarm::kMessageBytes > 0,
+                  "an async swarm's kMessageBytes is its per-message "
+                  "payload size and must be positive");
     h.async_tick = [s](const Environment& e, const Population& p, Rng& r,
                        std::vector<net::Message>* out) {
       s->PlanAsyncTick(e, p, r, out);

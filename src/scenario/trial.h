@@ -430,7 +430,8 @@ struct ProtocolDef {
 
 /// Advances simulated time for one trial: builds the environment, obtains
 /// the swarm from the protocol definition, runs the loop, and records the
-/// spec's metrics.
+/// spec's metrics. RunExperiment calls it only with a cell spec that
+/// ValidateExperiment accepted, so a driver repeats no spec-only check.
 using TrialDriver =
     std::function<Status(const TrialContext&, const ProtocolDef&, Recorder&)>;
 

@@ -12,9 +12,10 @@
 #include "common/rng.h"
 #include "env/spatial_env.h"
 #include "env/uniform_env.h"
+#include "sim/failure.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
-#include "sim/round_driver.h"
+#include "sim/round_kernel.h"
 
 namespace dynagg {
 namespace {
@@ -37,11 +38,12 @@ TEST(ConvergenceTest, RunRoundsDrivesFailuresAndObserver) {
   failures.AddKill(5, {0, 1, 2});
   std::vector<int> observed_rounds;
   std::vector<int> alive_at_round;
-  RunRoundsUntil(swarm, env, pop, failures, 10, rng, [&](int round) {
+  for (int round = 0; round < 10; ++round) {
+    failures.Apply(round, &pop);
+    swarm.RunRound(env, pop, rng);
     observed_rounds.push_back(round);
     alive_at_round.push_back(pop.num_alive());
-    return true;
-  });
+  }
   ASSERT_EQ(observed_rounds.size(), 10u);
   EXPECT_EQ(observed_rounds.front(), 0);
   EXPECT_EQ(observed_rounds.back(), 9);

@@ -17,7 +17,6 @@
 #include "sim/failure.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
-#include "sim/round_driver.h"
 
 namespace dynagg {
 namespace {
@@ -52,12 +51,13 @@ TEST(FailureRecoveryTest, PsrTracksThroughRepeatedFailures) {
                                              ids.begin() + n / 2));
   }
   std::vector<double> rms_series;
-  RunRoundsUntil(swarm, env, pop, failures, 110, rng, [&](int) {
+  for (int round = 0; round < 110; ++round) {
+    failures.Apply(round, &pop);
+    swarm.RunRound(env, pop, rng);
     rms_series.push_back(RmsDeviationOverAlive(
         pop, TrueAverage(values, pop),
         [&](HostId id) { return swarm.Estimate(id); }));
-    return true;
-  });
+  }
   // Converged before each failure and recovered after both.
   EXPECT_LT(rms_series[19], 6.0);
   EXPECT_GT(rms_series[21], rms_series[19]);  // failure spike
@@ -77,14 +77,15 @@ TEST(FailureRecoveryTest, PsrSurvivesContinuousChurn) {
   const FailurePlan churn =
       FailurePlan::Churn(n, 10, 100, 0.01, 0.1, churn_rng);
   std::vector<double> rms_tail;
-  RunRoundsUntil(swarm, env, pop, churn, 100, rng, [&](int round) {
+  for (int round = 0; round < 100; ++round) {
+    churn.Apply(round, &pop);
+    swarm.RunRound(env, pop, rng);
     if (round >= 60) {
       rms_tail.push_back(RmsDeviationOverAlive(
           pop, TrueAverage(values, pop),
           [&](HostId id) { return swarm.Estimate(id); }));
     }
-    return true;
-  });
+  }
   double mean_rms = 0.0;
   for (const double r : rms_tail) mean_rms += r;
   mean_rms /= static_cast<double>(rms_tail.size());

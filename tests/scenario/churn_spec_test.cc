@@ -240,8 +240,8 @@ TEST(ChurnSpecTest, RejectsDegreeNotBelowHostsStatically) {
 }
 
 // A hosts sweep leaves the base spec's hosts field a placeholder no unit
-// executes with; hosts-dependent validation must skip it and judge each
-// swept variant instead (the ablation corpus specs rely on this).
+// executes with; validation judges each cell's own hosts instead (the
+// ablation corpus specs rely on this).
 TEST(ChurnSpecTest, HostsSweepSkipsThePlaceholderButChecksVariants) {
   EXPECT_TRUE(DryRun("protocol = push-sum\nrecord = rms\n"
                      "sweep = hosts: 1000, 10000\n")

@@ -36,6 +36,10 @@ void ExpectDryRunError(const std::string& text, const std::string& needle) {
   }
 }
 
+const char kAsyncBase[] =
+    "driver = async\nprotocol = push-flow\nenvironment = uniform\n"
+    "hosts = 20\n";
+
 // ------------------------------------------------ protocol knob paths ---
 
 TEST(DryRunValidationTest, RejectsUnknownGossipMode) {
@@ -269,13 +273,42 @@ TEST(DryRunValidationTest, RejectsRoundMetricsOnTraceDriver) {
       "rms_tail_mean");
 }
 
-TEST(DryRunValidationTest, RoundStreamGrammarResolvesAtRunTimeOnly) {
-  // The sweepval grammar needs a sweep axis; with one present the spec
-  // validates, and the ablation specs rely on it.
+// Every seeds.* stream expression resolves per cell at dry-run, against
+// the cell's own sweep index and value.
+TEST(DryRunValidationTest, ResolvesSeedStreamsPerCell) {
+  const std::string base = "protocol = push-sum\nhosts = 16\n";
+  ExpectDryRunError(base + "seeds.round_stream = 1+banana\n",
+                    "seeds.round_stream = 1+banana: 'banana' is not a valid "
+                    "term");
+  ExpectDryRunError(base + "seeds.round_stream = sweepval*10\n",
+                    "'sweepval' requires a sweep axis");
+  ExpectDryRunError(base + "sweep = rounds: 3, 4\n"
+                           "seeds.churn_stream = sweep2+1\n",
+                    "'sweep2' requires a sweep2 axis");
+  ExpectDryRunError("protocol = count-min\nhosts = 16\n"
+                    "workload.kind = zipf\nseeds.workload_stream = 3+\n",
+                    "seeds.workload_stream = 3+: empty term");
+  ExpectDryRunError(std::string(kAsyncBase) +
+                        "seeds.message_stream = sweepval*0\n",
+                    "seeds.message_stream");
+  // The failure stream is a plain integer, on the custom runners too.
+  ExpectDryRunError("protocol = tag-tree\nhosts = 16\n"
+                    "seeds.failure_stream = hosts+1\n",
+                    "seeds.failure_stream: not an integer");
+  // With the axis present every cell resolves (the ablation specs rely on
+  // the sweepval grammar), and `hosts` resolves at the cell's size.
   EXPECT_TRUE(DryRun("protocol = push-sum-revert\nhosts = 16\n"
                      "sweep = protocol.lambda: 0.01, 0.1\n"
                      "seeds.round_stream = sweepval*10000+1\n")
                   .ok());
+  EXPECT_TRUE(DryRun(base + "sweep = hosts: 16, 32\n"
+                            "seeds.round_stream = hosts+sweep\n")
+                  .ok());
+  // A negative swept value makes only its own cell's term negative.
+  ExpectDryRunError("protocol = push-sum-revert\nhosts = 16\n"
+                    "sweep = protocol.lambda: 0.1, -0.1\n"
+                    "seeds.round_stream = sweepval*10\n",
+                    "negative for sweep value");
 }
 
 TEST(DryRunValidationTest, BoundsChurnArrivalRate) {
@@ -310,10 +343,6 @@ TEST(DryRunValidationTest, BoundsChurnArrivalRate) {
 // that cannot (NaN, below 1 µs, past SimTime's range) fails at parse or
 // --dry-run with a diagnostic naming the key, instead of running with a
 // zero period (a hang) or an overflowed clock.
-
-const char kAsyncBase[] =
-    "driver = async\nprotocol = push-flow\nenvironment = uniform\n"
-    "hosts = 20\n";
 
 void ExpectParseError(const std::string& text, const std::string& needle) {
   const auto specs = ParseScenarioFile(text);
@@ -372,6 +401,82 @@ TEST(TimeValueValidationTest, RejectsValuesThatOverflowSimTime) {
   EXPECT_TRUE(
       DryRun(std::string(kAsyncBase) + "gossip_period = 1e9\nrounds = 9000\n")
           .ok());
+}
+
+TEST(TimeValueValidationTest, RejectsTraceHorizonThatOverflowsSimTime) {
+  // The horizon becomes the trace's end time in 64-bit microseconds.
+  const std::string base =
+      "protocol = push-sum-revert\ndriver = trace\nenvironment = haggle\n";
+  for (const char* hours : {"1e99", "nan"}) {
+    ExpectDryRunError(base + "env.hours = " + hours + "\n",
+                      "env.hours overflows simulated time");
+  }
+  EXPECT_TRUE(DryRun(base + "env.hours = 2\n").ok());
+}
+
+// ------------------------------------------------------ sweep grids ---
+
+// Each cell of a two-axis grid combines a value of each axis, so a bound
+// between the two axes holds or fails cell by cell. In these grids every
+// value is valid on its own axis and one cell is not: it must fail
+// --dry-run, and RunExperiment must fail before any unit runs.
+
+/// Runs `text` and returns its status, counting the units that executed.
+Status RunCounting(const std::string& text, int* units_done) {
+  const auto specs = ParseScenarioFile(text);
+  EXPECT_TRUE(specs.ok()) << specs.status().ToString();
+  if (!specs.ok()) return specs.status();
+  RunOptions options;
+  options.on_unit_done = [units_done](int done, int) { *units_done = done; };
+  return RunExperiment((*specs)[0], options, /*telemetry=*/nullptr).status();
+}
+
+TEST(SweepGridValidationTest, RejectsChurnInitialAboveSweptHosts) {
+  const std::string text =
+      "name = grid\nprotocol = push-sum-revert\nhosts = 16\nrounds = 5\n"
+      "churn.arrival_rate = 1\nsweep = hosts: 16, 64\n"
+      "sweep2 = churn.initial: 8, 32\n";
+  ExpectDryRunError(text, "churn.initial = 32 exceeds hosts = 16");
+  int units_done = 0;
+  const Status st = RunCounting(text, &units_done);
+  EXPECT_NE(st.message().find("churn.initial = 32 exceeds hosts = 16"),
+            std::string::npos)
+      << st.message();
+  EXPECT_EQ(units_done, 0);
+}
+
+TEST(SweepGridValidationTest, RejectsDegreeNotBelowSweptHosts) {
+  const std::string text =
+      "name = grid\nprotocol = push-sum\nenvironment = random-graph\n"
+      "hosts = 100\nrounds = 5\nsweep = hosts: 100, 12\n"
+      "sweep2 = env.degree: 4, 16\n";
+  ExpectDryRunError(text, "env.degree = 16 must be below hosts = 12");
+  int units_done = 0;
+  const Status st = RunCounting(text, &units_done);
+  EXPECT_NE(st.message().find("env.degree = 16 must be below hosts = 12"),
+            std::string::npos)
+      << st.message();
+  EXPECT_EQ(units_done, 0);
+  // Without the offending cell the same grid runs.
+  EXPECT_TRUE(RunCounting("name = grid\nprotocol = push-sum\n"
+                          "environment = random-graph\nhosts = 100\n"
+                          "rounds = 5\nsweep = hosts: 100, 20\n"
+                          "sweep2 = env.degree: 4, 16\n",
+                          &units_done)
+                  .ok());
+  EXPECT_EQ(units_done, 4);
+}
+
+TEST(SweepGridValidationTest, RejectsRecordWindowEmptiedBySweptRounds) {
+  // rms_tail_mean needs record.from below rounds in every cell.
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 16\nrecord = rms_tail_mean\n"
+      "sweep = rounds: 10, 20\nsweep2 = record.from: 5, 15\n",
+      "record.from = 15 leaves no rounds to average (rounds = 10)");
+  EXPECT_TRUE(DryRun("protocol = push-sum\nhosts = 16\n"
+                     "record = rms_tail_mean\nsweep = rounds: 20, 30\n"
+                     "sweep2 = record.from: 5, 15\n")
+                  .ok());
 }
 
 }  // namespace

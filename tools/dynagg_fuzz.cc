@@ -9,7 +9,11 @@
 // near-valid mutants (typoed keys, junk values, dropped lines, forbidden
 // key combinations, unknown namespaced knobs, capability probes that ask
 // any protocol for bandwidth, gossip_bytes, kill_top_fraction, threads or
-// churn). Every generated spec must uphold the dry-run contract:
+// churn, seeds.* stream terms). Valid specs include two-axis sweep grids
+// whose second axis is checked against the first (hosts x churn.initial /
+// churn.max_alive / env.degree, rounds x record.from), so a cell that
+// combines two valid axis values can still be invalid. Every generated
+// spec must uphold the dry-run contract:
 //
 //   it either fails `--dry-run` (parse or ValidateExperiment) with an
 //   actionable message, or it executes clean.
@@ -137,10 +141,18 @@ void AppendProtocolKnobs(const std::string& name, Rng& rng,
   }
 }
 
+/// "<key>: a, b" with two draws from [lo, hi].
+std::string SweepAxis(const std::string& key, int64_t lo, int64_t hi,
+                      Rng& rng) {
+  return key + ": " + std::to_string(rng.UniformRange(lo, hi)) + ", " +
+         std::to_string(rng.UniformRange(lo, hi));
+}
+
 /// Builds one structurally valid spec: bounded sizes, knobs inside the
 /// validated ranges, stream workloads for the protocols that require one,
-/// churn plans only on join-capable swarm protocols, and sometimes a short
-/// contact-trace replay (driver = trace) for trace-capable ones.
+/// churn plans only on join-capable swarm protocols, sometimes a two-axis
+/// sweep grid, and sometimes a short contact-trace replay (driver = trace)
+/// for trace-capable ones.
 std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
                                         const ProtocolDef& def, int index,
                                         Rng& rng) {
@@ -173,7 +185,8 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
 
   // Custom runners own their environment/record surface; keep them on the
   // defaults the validators accept.
-  if (!custom && !trace && rng.Bernoulli(0.25)) {
+  const bool random_graph = !custom && !trace && rng.Bernoulli(0.25);
+  if (random_graph) {
     lines.push_back({"environment", "random-graph"});
     lines.push_back(
         {"env.degree", std::to_string(rng.UniformRange(2, 8))});
@@ -223,6 +236,7 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
         {"failure.death_prob", FormatDouble(rng.UniformDouble(0.0, 0.05))});
   }
 
+  bool record_set = false;
   if (rng.Bernoulli(0.3)) {
     if (used_churn && rng.Bernoulli(0.5)) {
       lines.push_back({"sweep", "churn.arrival_rate: 0, 1, 3"});
@@ -231,10 +245,33 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
           {"sweep", "rounds: " + std::to_string(rng.UniformRange(2, 10)) +
                         ", " + std::to_string(rng.UniformRange(11, 40))});
     }
+  } else if (!custom && rng.Bernoulli(0.3)) {
+    // A two-axis grid: the second axis is bounded by the first, and both
+    // draw from overlapping ranges, so some cells combine two values that
+    // are each valid against the other axis's base value but not
+    // together.
+    std::vector<std::string> seconds = {"record.from"};
+    if (used_churn) {
+      seconds.push_back("churn.initial");
+      seconds.push_back("churn.max_alive");
+    }
+    if (random_graph) seconds.push_back("env.degree");
+    const std::string& second = seconds[rng.UniformInt(seconds.size())];
+    if (second == "record.from") {
+      lines.push_back({"sweep", SweepAxis("rounds", 1, 40, rng)});
+      lines.push_back({"sweep2", SweepAxis("record.from", 0, 40, rng)});
+      lines.push_back({"record", "rms, rms_tail_mean"});
+      record_set = true;
+    } else {
+      lines.push_back({"sweep", SweepAxis("hosts", 2, 256, rng)});
+      lines.push_back({"sweep2", second == "env.degree"
+                                     ? SweepAxis(second, 2, 64, rng)
+                                     : SweepAxis(second, 1, 256, rng)});
+    }
   }
   // The default record (rms) is accepted by every registered protocol,
   // including the custom runners; sometimes add the tail-mean scalar.
-  if (!custom && rng.Bernoulli(0.3)) {
+  if (!custom && !record_set && rng.Bernoulli(0.3)) {
     lines.push_back({"record", "rms, rms_tail_mean"});
     lines.push_back(
         {"record.from", std::to_string(rng.UniformRange(0, rounds))});
@@ -255,7 +292,7 @@ void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
     if (lines->empty()) return nullptr;
     return &(*lines)[rng.UniformInt(lines->size())];
   };
-  switch (rng.UniformInt(13)) {
+  switch (rng.UniformInt(14)) {
     case 0: {  // typo a key: drop one character
       SpecLine* line = pick_line();
       if (line != nullptr && !line->key.empty()) {
@@ -326,6 +363,19 @@ void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
           {"intra_round_threads", "2"},
           {"churn.death_prob", "0.05"}};
       lines->push_back(kProbes[rng.UniformInt(std::size(kProbes))]);
+      break;
+    }
+    case 13: {  // a seeds.* stream expression, well- or ill-formed
+      static const char* const kStreams[] = {
+          "round_stream", "failure_stream", "workload_stream",
+          "churn_stream", "message_stream"};
+      static const char* const kTerms[] = {
+          "7", "hosts+1", "sweep+10", "sweep2", "sweepval*10",
+          "sweep2val*100", "1+banana", "3+", "sweepval*0", "-1"};
+      lines->push_back(
+          {std::string("seeds.") +
+               kStreams[rng.UniformInt(std::size(kStreams))],
+           kTerms[rng.UniformInt(std::size(kTerms))]});
       break;
     }
   }
