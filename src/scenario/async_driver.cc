@@ -1,6 +1,5 @@
 #include "scenario/async_driver.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -20,6 +19,23 @@ namespace dynagg {
 namespace scenario {
 namespace {
 
+/// The async driver's record.* knobs: record.from / record.every thin the
+/// per-tick series (and from starts the rms_tail_mean window).
+struct AsyncRecordWindow {
+  int from = 0;
+  int every = 1;
+};
+
+Result<AsyncRecordWindow> ParseAsyncRecordWindow(const ScenarioSpec& spec) {
+  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {"from", "every"}));
+  AsyncRecordWindow w;
+  DYNAGG_ASSIGN_OR_RETURN(w.from,
+                          spec.ParamInt<int>("record.from", 0, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(w.every,
+                          spec.ParamInt<int>("record.every", 1, 1, kIntMax));
+  return w;
+}
+
 Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
                       Recorder& rec) {
   // Setup phase: config parsing, environment/swarm construction. The
@@ -30,10 +46,8 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   const ScenarioSpec& spec = *ctx.spec;
   DYNAGG_ASSIGN_OR_RETURN(const net::NetworkParams net_params,
                           ParseNetworkParams(spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t record_from,
-                          spec.ParamInt("record.from", 0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t record_every,
-                          spec.ParamInt("record.every", 1));
+  DYNAGG_ASSIGN_OR_RETURN(const AsyncRecordWindow record,
+                          ParseAsyncRecordWindow(spec));
 
   const bool want_rms = MetricRequested(spec, "rms");
   const bool want_tail = MetricRequested(spec, "rms_tail_mean");
@@ -81,14 +95,13 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   if (want_rms) rec.MutableSeries("round", "rms");
   RunningStat tail;
   // The sampler evaluates only the samples a series point or the tail
-  // reads, by the rounds driver's rule. Clamping the window to the tick
-  // count leaves it unchanged (no sample reaches it) and fits an int.
+  // reads, by the rounds driver's rule.
   MetricFlags sampled;
   sampled.rms = want_rms;
   sampled.tail_mean = want_tail;
   RecordConfig window;
-  window.from = static_cast<int>(std::min<int64_t>(record_from, ticks));
-  window.every = static_cast<int>(std::min<int64_t>(record_every, ticks));
+  window.from = record.from;
+  window.every = record.every;
 
   const auto rms_now = [&]() {
     return swarm.rms_deviation(pop, swarm.truth(pop));
@@ -119,11 +132,11 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
     if (RoundIsRead(sampled, window, ticks, k)) {
       obs::ScopedPhase record_span(obs::Phase::kRecord);
       const double rms = rms_now();
-      if (want_rms && k >= record_from &&
-          (k - record_from) % record_every == 0) {
+      if (want_rms && k >= record.from &&
+          (k - record.from) % record.every == 0) {
         rec.AddSeriesPoint("round", "rms", static_cast<double>(k + 1), rms);
       }
-      if (want_tail && k >= record_from) tail.Add(rms);
+      if (want_tail && k >= record.from) tail.Add(rms);
     }
   }
   // Drain the messages still in flight after the last tick in (due, send)
@@ -161,11 +174,10 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
 }  // namespace
 
 Result<net::NetworkParams> ParseNetworkParams(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "net.", {"latency", "latency_s", "latency_hi_s", "loss", "jitter"}));
+  ParamReader r(spec, "net.");
   net::NetworkParams p;
   DYNAGG_ASSIGN_OR_RETURN(const std::string kind,
-                          spec.ParamString("net.latency", "fixed"));
+                          r.String("net.latency", "fixed"));
   if (kind == "fixed") {
     p.latency = net::LatencyKind::kFixed;
   } else if (kind == "uniform") {
@@ -178,34 +190,26 @@ Result<net::NetworkParams> ParseNetworkParams(const ScenarioSpec& spec) {
         "'");
   }
   DYNAGG_ASSIGN_OR_RETURN(p.latency_s,
-                          spec.ParamDouble("net.latency_s", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(p.latency_hi_s,
-                          spec.ParamDouble("net.latency_hi_s", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(p.loss, spec.ParamDouble("net.loss", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(p.jitter_s, spec.ParamDouble("net.jitter", 0.0));
-  // Negated comparisons so NaN (which strtod accepts) fails the checks.
-  if (!(p.latency_s >= 0.0)) {
-    return Status::InvalidArgument("net.latency_s must be >= 0");
-  }
+                          r.Double("net.latency_s", 0.0, 0.0, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      p.latency_hi_s, r.Double("net.latency_hi_s", 0.0, 0.0, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(p.loss, r.Double("net.loss", 0.0, 0.0, 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(p.jitter_s,
+                          r.Double("net.jitter", 0.0, 0.0, kFiniteMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   if (p.latency == net::LatencyKind::kUniform) {
     if (!spec.HasParam("net.latency_hi_s")) {
       return Status::InvalidArgument(
           "net.latency = uniform needs net.latency_hi_s (the high edge of "
           "the latency range)");
     }
-    if (!(p.latency_hi_s >= p.latency_s)) {
+    if (p.latency_hi_s < p.latency_s) {
       return Status::InvalidArgument(
           "net.latency_hi_s must be >= net.latency_s");
     }
   } else if (spec.HasParam("net.latency_hi_s")) {
     return Status::InvalidArgument(
         "net.latency_hi_s only applies to net.latency = uniform");
-  }
-  if (!(p.loss >= 0.0 && p.loss <= 1.0)) {
-    return Status::InvalidArgument("net.loss must be in [0, 1]");
-  }
-  if (!(p.jitter_s >= 0.0)) {
-    return Status::InvalidArgument("net.jitter must be >= 0");
   }
   DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("net.latency_s", p.latency_s));
   DYNAGG_RETURN_IF_ERROR(
@@ -267,15 +271,10 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
   }
   DYNAGG_RETURN_IF_ERROR(
       spec.CheckParams("seeds.", {"round_stream", "message_stream"}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {"from", "every"}));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t from, spec.ParamInt("record.from", 0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t every,
-                          spec.ParamInt("record.every", 1));
-  if (from < 0 || every < 1) {
-    return invalid("record.from must be >= 0 and record.every >= 1");
-  }
-  if (MetricRequested(spec, "rms_tail_mean") && from >= spec.rounds) {
-    return invalid("record.from = " + std::to_string(from) +
+  DYNAGG_ASSIGN_OR_RETURN(const AsyncRecordWindow record,
+                          ParseAsyncRecordWindow(spec));
+  if (MetricRequested(spec, "rms_tail_mean") && record.from >= spec.rounds) {
+    return invalid("record.from = " + std::to_string(record.from) +
                    " leaves no ticks to average (rounds = " +
                    std::to_string(spec.rounds) + ")");
   }

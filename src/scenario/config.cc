@@ -1,37 +1,12 @@
 #include "scenario/config.h"
 
 #include <cmath>
-#include <limits>
+#include <cstdint>
 
 namespace dynagg {
 namespace scenario {
 
 namespace {
-
-/// Reads integer key `key` as an int, rejecting values outside int's range
-/// (a plain cast would wrap them: 4294967297 would become 1).
-Result<int> ParamInt32(const ScenarioSpec& spec, const std::string& key,
-                       int def) {
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t v, spec.ParamInt(key, def));
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument(
-        key + " = " + std::to_string(v) +
-        " is outside the int range [-2147483648, 2147483647]");
-  }
-  return static_cast<int>(v);
-}
-
-/// Reads double key `key`, rejecting NaN: every comparison with NaN is
-/// false, so it would slip past the range checks that follow.
-Result<double> ParamNumber(const ScenarioSpec& spec, const std::string& key,
-                           double def) {
-  DYNAGG_ASSIGN_OR_RETURN(const double v, spec.ParamDouble(key, def));
-  if (std::isnan(v)) {
-    return Status::InvalidArgument(key + " is NaN; it must be a number");
-  }
-  return v;
-}
 
 /// Parses the argument of a `quantile(metric, q)` selector against the
 /// rounds driver's per-host sample catalog (currently: final_error).
@@ -197,42 +172,39 @@ Result<RecordConfig> ParseRecordConfig(
   allowed.insert(allowed.end(), extra_keys.begin(), extra_keys.end());
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", allowed));
   RecordConfig cfg;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t from,
-                          spec.ParamInt("record.from", 0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t every,
-                          spec.ParamInt("record.every", 1));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.threshold,
-                          spec.ParamDouble("record.threshold", 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.from,
+                          spec.ParamInt<int>("record.from", 0, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.every,
+                          spec.ParamInt<int>("record.every", 1, 1, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.threshold,
+      spec.ParamDouble("record.threshold", 1.0, -kFiniteMax, kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
       cfg.threshold_relative,
       spec.ParamBool("record.threshold_relative", false));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.cdf_lo, spec.ParamDouble("record.cdf_lo", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.cdf_hi, spec.ParamDouble("record.cdf_hi", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t cdf_buckets,
-                          spec.ParamInt("record.cdf_buckets", 20));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.cdf_lo,
+      spec.ParamDouble("record.cdf_lo", 0.0, -kFiniteMax, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.cdf_hi,
+      spec.ParamDouble("record.cdf_hi", 0.0, -kFiniteMax, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.cdf_buckets,
+      spec.ParamInt<int>("record.cdf_buckets", 20, 1, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(cfg.relative,
                           spec.ParamBool("record.relative", false));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t recovery_from,
-                          spec.ParamInt("record.recovery_from", 0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.recovery_mult,
-                          spec.ParamDouble("record.recovery_mult", 2.0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.recovery_add,
-                          spec.ParamDouble("record.recovery_add", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.recovery_min,
-                          spec.ParamDouble("record.recovery_min", 0.0));
-  if (from < 0 || every < 1) {
-    return Status::InvalidArgument(
-        "record.from must be >= 0 and record.every >= 1");
-  }
-  if (recovery_from < 0 || cfg.recovery_mult < 0.0 ||
-      cfg.recovery_add < 0.0 || cfg.recovery_min < 0.0) {
-    return Status::InvalidArgument(
-        "record.recovery_from/mult/add/min must be >= 0");
-  }
-  cfg.from = static_cast<int>(from);
-  cfg.every = static_cast<int>(every);
-  cfg.cdf_buckets = static_cast<int>(cdf_buckets);
-  cfg.recovery_from = static_cast<int>(recovery_from);
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.recovery_from,
+      spec.ParamInt<int>("record.recovery_from", 0, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.recovery_mult,
+      spec.ParamDouble("record.recovery_mult", 2.0, 0.0, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.recovery_add,
+      spec.ParamDouble("record.recovery_add", 0.0, 0.0, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.recovery_min,
+      spec.ParamDouble("record.recovery_min", 0.0, 0.0, kFiniteMax));
   return cfg;
 }
 
@@ -260,11 +232,9 @@ Status CheckRecordWindows(const ScenarioSpec& spec, const MetricFlags& metrics,
           std::to_string(spec.rounds) + ")");
     }
   }
-  if (metrics.final_error_cdf &&
-      (cfg.cdf_buckets < 1 || cfg.cdf_hi <= cfg.cdf_lo)) {
+  if (metrics.final_error_cdf && cfg.cdf_hi <= cfg.cdf_lo) {
     return Status::InvalidArgument(
-        "cdf(final_error) needs record.cdf_hi > record.cdf_lo and "
-        "record.cdf_buckets >= 1");
+        "cdf(final_error) needs record.cdf_hi > record.cdf_lo");
   }
   return Status::OK();
 }
@@ -290,12 +260,10 @@ bool RoundIsRead(const MetricFlags& metrics, const RecordConfig& cfg,
 }
 
 Result<FailureConfig> ParseFailureConfig(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "failure.", {"kind", "round", "fraction", "start", "end", "death_prob",
-                   "return_factor", "return_prob", "pin_alive"}));
+  ParamReader r(spec, "failure.");
   FailureConfig cfg;
   DYNAGG_ASSIGN_OR_RETURN(const std::string kind,
-                          spec.ParamString("failure.kind", "none"));
+                          r.String("failure.kind", "none"));
   if (kind == "none") {
     cfg.kind = FailureConfig::Kind::kNone;
   } else if (kind == "kill_random_fraction") {
@@ -310,25 +278,24 @@ Result<FailureConfig> ParseFailureConfig(const ScenarioSpec& spec) {
         "kill_top_fraction or churn, got '" +
         kind + "'");
   }
-  DYNAGG_ASSIGN_OR_RETURN(cfg.round, ParamInt32(spec, "failure.round", 0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.round,
+                          r.Int<int>("failure.round", 0, 0, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(cfg.fraction,
-                          ParamNumber(spec, "failure.fraction", 0.5));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.start, ParamInt32(spec, "failure.start", 0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.end, ParamInt32(spec, "failure.end", -1));
+                          r.Double("failure.fraction", 0.5, 0.0, 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.start,
+                          r.Int<int>("failure.start", 0, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.end, r.Int<int>("failure.end", -1, 0, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(cfg.death_prob,
-                          ParamNumber(spec, "failure.death_prob", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.return_factor,
-                          ParamNumber(spec, "failure.return_factor", 4.0));
+                          r.Double("failure.death_prob", 0.0, 0.0, 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.return_factor,
+      r.Double("failure.return_factor", 4.0, 0.0, kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(cfg.return_prob,
-                          ParamNumber(spec, "failure.return_prob", -1.0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.pin_alive,
-                          ParamInt32(spec, "failure.pin_alive", kInvalidHost));
-  if (cfg.fraction < 0.0 || cfg.fraction > 1.0) {
-    return Status::InvalidArgument("failure.fraction must be in [0, 1]");
-  }
-  if (cfg.death_prob < 0.0 || cfg.death_prob > 1.0) {
-    return Status::InvalidArgument("failure.death_prob must be in [0, 1]");
-  }
+                          r.Double("failure.return_prob", -1.0, 0.0, 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.pin_alive,
+      r.Int<HostId>("failure.pin_alive", kInvalidHost, 0, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   return cfg;
 }
 
@@ -342,8 +309,9 @@ Result<uint64_t> FailureStream(const ScenarioSpec& spec,
   const int64_t fallback = cfg.kind == FailureConfig::Kind::kChurn
                                ? static_cast<int64_t>(cfg.death_prob * 1e5)
                                : 2;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t stream,
-                          spec.ParamInt("seeds.failure_stream", fallback));
+  DYNAGG_ASSIGN_OR_RETURN(
+      const int64_t stream,
+      spec.ParamInt("seeds.failure_stream", fallback, 0, kInt64Max));
   return static_cast<uint64_t>(stream);
 }
 
@@ -453,53 +421,31 @@ Result<uint64_t> MessageStream(const ScenarioSpec& spec,
 }
 
 Result<ChurnConfig> ParseChurnConfig(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "churn.", {"initial", "arrival_rate", "death_prob", "rebirth_prob",
-                 "start", "end", "max_alive"}));
+  ParamReader r(spec, "churn.");
   ChurnConfig cfg;
   for (const auto& [key, value] : spec.params) {
-    if (key.rfind("churn.", 0) == 0) {
-      cfg.enabled = true;
-      break;
-    }
+    cfg.enabled = cfg.enabled || key.rfind("churn.", 0) == 0;
   }
-  if (!cfg.enabled) return cfg;
-  DYNAGG_ASSIGN_OR_RETURN(cfg.initial, ParamInt32(spec, "churn.initial", -1));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.arrival_rate,
-                          spec.ParamDouble("churn.arrival_rate", 0.0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.initial,
+                          r.Int<int>("churn.initial", -1, 1, kIntMax));
+  // The per-round Poisson draw takes O(rate) uniforms, so the rate must
+  // be finite; the bound by hosts needs the cell's real size, so
+  // ValidateChurnSpec checks it.
+  DYNAGG_ASSIGN_OR_RETURN(
+      cfg.arrival_rate,
+      r.Double("churn.arrival_rate", 0.0, 0.0, kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(cfg.death_prob,
-                          ParamNumber(spec, "churn.death_prob", 0.0));
+                          r.Double("churn.death_prob", 0.0, 0.0, 1.0));
   DYNAGG_ASSIGN_OR_RETURN(cfg.rebirth_prob,
-                          ParamNumber(spec, "churn.rebirth_prob", 0.0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.start, ParamInt32(spec, "churn.start", 0));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.end, ParamInt32(spec, "churn.end", -1));
+                          r.Double("churn.rebirth_prob", 0.0, 0.0, 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.start, r.Int<int>("churn.start", 0, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.end, r.Int<int>("churn.end", -1, 0, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(cfg.max_alive,
-                          ParamInt32(spec, "churn.max_alive", -1));
-  if (cfg.initial != -1 && cfg.initial < 1) {
+                          r.Int<int>("churn.max_alive", -1, 1, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
+  if (cfg.end != -1 && cfg.end < cfg.start) {
     return Status::InvalidArgument(
-        "churn.initial must be >= 1 (or omitted for all hosts alive)");
-  }
-  if (cfg.max_alive != -1 && cfg.max_alive < 1) {
-    return Status::InvalidArgument(
-        "churn.max_alive must be >= 1 (or omitted for no cap below hosts)");
-  }
-  // The per-round Poisson draw takes O(rate) uniforms: an infinite or NaN
-  // rate would never finish. The bound by hosts needs the variant's real
-  // size, so ValidateChurnSpec checks it.
-  if (!std::isfinite(cfg.arrival_rate) || cfg.arrival_rate < 0.0) {
-    return Status::InvalidArgument(
-        "churn.arrival_rate must be finite and >= 0");
-  }
-  if (cfg.death_prob < 0.0 || cfg.death_prob > 1.0) {
-    return Status::InvalidArgument("churn.death_prob must be in [0, 1]");
-  }
-  if (cfg.rebirth_prob < 0.0 || cfg.rebirth_prob > 1.0) {
-    return Status::InvalidArgument("churn.rebirth_prob must be in [0, 1]");
-  }
-  if (cfg.start < 0 || (cfg.end != -1 && cfg.end < cfg.start)) {
-    return Status::InvalidArgument(
-        "churn.start must be >= 0 and churn.end >= churn.start (or -1 for "
-        "the full run)");
+        "churn.end must be >= churn.start (or -1 for the full run)");
   }
   return cfg;
 }

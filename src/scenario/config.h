@@ -225,9 +225,9 @@ Result<uint64_t> ChurnStream(const ScenarioSpec& spec, const TrialContext& ctx,
                              int n);
 
 /// Builds the precomputed churn schedule; `rounds` backs the default
-/// window end. The range checks (initial/max_alive vs n) stay here:
-/// ValidateChurnSpec runs them against each cell's hosts, but an
-/// environment-derived size (hosts = 0) is known only once it is built.
+/// window end. ValidateChurnSpec checks initial/max_alive against the size
+/// each cell's environment reports; the checks against the built `n` stay
+/// here for callers that skip validation.
 Result<ChurnPlan> BuildChurnPlan(const ChurnConfig& cfg, int n, int rounds,
                                  Rng& churn_rng);
 

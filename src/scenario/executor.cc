@@ -630,10 +630,11 @@ bool SpecUsesChurn(const ScenarioSpec& spec) {
 
 /// Spec-only validation of the churn.* plan family: churn runs only under
 /// the rounds driver on join-capable swarm protocols, cannot be combined
-/// with failure.kind, and its knob ranges (incl. initial/max_alive vs the
-/// cell's hosts) must hold.
+/// with failure.kind, and its knob ranges (incl. initial/max_alive against
+/// `env_hosts`, the size the cell's environment reports; 0 = known only
+/// once built) must hold.
 Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
-                         const DriverDef& driver) {
+                         const DriverDef& driver, int env_hosts) {
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
   };
@@ -669,22 +670,35 @@ Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
           "deaths via churn.death_prob (and their rebirths RESET host "
           "state, unlike failure churn's silent revives)");
     }
-    if (churn.initial > spec.hosts) {
-      return invalid("churn.initial = " + std::to_string(churn.initial) +
-                     " exceeds hosts = " + std::to_string(spec.hosts));
+    // initial, max_alive and arrival_rate are bounded by the universe.
+    // Arrivals beyond it are clamped anyway, but each one costs a Poisson
+    // uniform: an unbounded rate never finishes its draw.
+    const bool sized = churn.initial != -1 || churn.max_alive != -1 ||
+                       churn.arrival_rate > 0;
+    if (sized && env_hosts == 0) {
+      return invalid("churn.initial, churn.max_alive and churn.arrival_rate "
+                     "are bounded by the population, and environment '" +
+                     spec.environment +
+                     "' knows its size only once its trace file is read; "
+                     "set hosts to the trace's device count");
     }
-    // Arrivals beyond the universe are clamped anyway, but each one costs
-    // a Poisson uniform: an unbounded rate never finishes its draw.
-    if (spec.hosts > 0 && churn.arrival_rate > spec.hosts) {
-      return invalid("churn.arrival_rate exceeds hosts = " +
-                     std::to_string(spec.hosts) +
+    const std::string universe =
+        "hosts = " + std::to_string(env_hosts) +
+        (spec.hosts == 0 ? " (environment '" + spec.environment + "')"
+                         : "");
+    if (churn.initial > env_hosts) {
+      return invalid("churn.initial = " + std::to_string(churn.initial) +
+                     " exceeds " + universe);
+    }
+    if (churn.arrival_rate > env_hosts) {
+      return invalid("churn.arrival_rate exceeds " + universe +
                      " (arrivals per round beyond the universe only cost "
                      "draws)");
     }
-    if (churn.max_alive > spec.hosts) {
+    if (churn.max_alive > env_hosts) {
       return invalid(
           "churn.max_alive = " + std::to_string(churn.max_alive) +
-          " exceeds hosts = " + std::to_string(spec.hosts) +
+          " exceeds " + universe +
           " (the universe is fixed; raise hosts to leave room for growth)");
     }
   }
@@ -779,11 +793,20 @@ Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
   };
-  // Environment knobs (env.* allowlist, ranges, hosts/degree consistency)
-  // are spec-only. Skipped for the rare protocols that never build an
-  // environment.
+  // Environment knobs (env.* ranges and allowlist, hosts/degree
+  // consistency) are spec-only, and so is the size the environment will
+  // build, except a trace file's. Skipped for the rare protocols that
+  // never build an environment.
+  int env_hosts = spec.hosts;
   if (environment.validate && protocol.uses_environment) {
-    DYNAGG_RETURN_IF_ERROR(environment.validate(spec));
+    DYNAGG_ASSIGN_OR_RETURN(const int built, environment.validate(spec));
+    if (built > 0 && spec.hosts > 0 && built != spec.hosts) {
+      return invalid("hosts = " + std::to_string(spec.hosts) +
+                     " does not match the " + std::to_string(built) +
+                     " hosts of environment '" + spec.environment +
+                     "' (set hosts = 0 to derive it)");
+    }
+    if (built > 0) env_hosts = built;
   }
   if (spec.intra_round_threads < 1) {
     return invalid("intra_round_threads must be >= 1");
@@ -794,7 +817,7 @@ Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
                    "' does not support intra_round_threads (no "
                    "data-parallel apply phase)");
   }
-  DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(spec, protocol, driver));
+  DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(spec, protocol, driver, env_hosts));
   if (driver.kind == DriverKind::kMessages) {
     DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol));
   } else if (driver.kind == DriverKind::kTrace) {
@@ -823,7 +846,7 @@ Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
        {RoundStream, WorkloadStream, MessageStream, ChurnStream}) {
     DYNAGG_RETURN_IF_ERROR(stream(spec, ctx, spec.hosts).status());
   }
-  return spec.ParamInt("seeds.failure_stream", 0).status();
+  return FailureStream(spec, FailureConfig()).status();
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 // the protocol's capabilities from the box type. Which time loop runs it —
 // the synchronous round loop, trace playback or message-level ticks — is
 // the driver's business (scenario/drivers.cc, scenario/async_driver.cc),
-// selected by `driver = rounds | trace | async` in the spec. Factories validate their protocol.* parameters and
-// draw the paper's U[0,100) value workload from the trial seed.
+// selected by `driver = rounds | trace | async` in the spec. Each protocol
+// has one parse of its protocol.* keys, shared by the registry's validate
+// hook and the factory, which draws the paper's U[0,100) value workload
+// from the trial seed.
 //
 // Protocols whose trial structure fits no shared driver register a custom
 // whole-trial runner instead: the TAG overlay baseline (tag-tree) owns its
@@ -54,18 +56,18 @@ namespace dynagg {
 namespace scenario {
 namespace {
 
-Result<GossipMode> ParseGossipMode(const ScenarioSpec& spec) {
+Result<GossipMode> ParseGossipMode(ParamReader& r) {
   DYNAGG_ASSIGN_OR_RETURN(const std::string mode,
-                          spec.ParamString("protocol.mode", "pushpull"));
+                          r.String("protocol.mode", "pushpull"));
   if (mode == "push") return GossipMode::kPush;
   if (mode == "pushpull") return GossipMode::kPushPull;
   return Status::InvalidArgument(
       "protocol.mode must be push or pushpull, got '" + mode + "'");
 }
 
-Result<RevertMode> ParseRevertMode(const ScenarioSpec& spec) {
+Result<RevertMode> ParseRevertMode(ParamReader& r) {
   DYNAGG_ASSIGN_OR_RETURN(const std::string revert,
-                          spec.ParamString("protocol.revert", "fixed"));
+                          r.String("protocol.revert", "fixed"));
   if (revert == "fixed") return RevertMode::kFixed;
   if (revert == "adaptive") return RevertMode::kAdaptive;
   return Status::InvalidArgument(
@@ -90,11 +92,14 @@ std::function<Status(const ScenarioSpec&)> SpecValidator(Parse parse) {
 // One parse function per protocol, shared between the SwarmFactory (which
 // needs the values) and the registry's validate hook (which only needs the
 // Status): knob typos and out-of-range values fail `--dry-run` with the
-// same message execution would produce.
+// same message execution would produce. Each parse reads its keys through
+// a ParamReader, whose Finish() rejects the protocol.* keys it did not
+// read.
 
 Result<GossipMode> ParsePushSumSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("protocol.", {"mode"}));
-  DYNAGG_ASSIGN_OR_RETURN(const GossipMode mode, ParseGossipMode(spec));
+  ParamReader r(spec, "protocol.");
+  DYNAGG_ASSIGN_OR_RETURN(const GossipMode mode, ParseGossipMode(r));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   if (spec.driver == "async" && mode != GossipMode::kPush) {
     return Status::InvalidArgument(
         "driver = async requires protocol.mode = push (the pairwise "
@@ -105,17 +110,17 @@ Result<GossipMode> ParsePushSumSpec(const ScenarioSpec& spec) {
 }
 
 Status ParsePushFlowSpec(const ScenarioSpec& spec) {
-  return spec.CheckParams("protocol.", {});
+  return ParamReader(spec, "protocol.").Finish();
 }
 
 Result<PsrParams> ParsePsrSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(
-      spec.CheckParams("protocol.", {"lambda", "mode", "revert"}));
+  ParamReader r(spec, "protocol.");
   PsrParams params;
   DYNAGG_ASSIGN_OR_RETURN(params.lambda,
-                          spec.ParamDouble("protocol.lambda", 0.01));
-  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(spec));
-  DYNAGG_ASSIGN_OR_RETURN(params.revert, ParseRevertMode(spec));
+                          r.Double("protocol.lambda", 0.01, 0.0, 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(r));
+  DYNAGG_ASSIGN_OR_RETURN(params.revert, ParseRevertMode(r));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   return params;
 }
 
@@ -127,27 +132,25 @@ struct EpochSpecParams {
 };
 
 Result<EpochSpecParams> ParseEpochSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "protocol.", {"epoch_length", "mode", "phase_spread", "random_phases",
-                    "phase_stream"}));
+  ParamReader r(spec, "protocol.");
   EpochSpecParams out;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t epoch_length,
-                          spec.ParamInt("protocol.epoch_length", 10));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t phase_spread,
-                          spec.ParamInt("protocol.phase_spread", 0));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.params.epoch_length,
+      r.Int<int>("protocol.epoch_length", 10, 1, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.phase_spread, r.Int<int>("protocol.phase_spread", 0, 0, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(out.random_phases,
-                          spec.ParamBool("protocol.random_phases", false));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t phase_stream,
-                          spec.ParamInt("protocol.phase_stream", 4));
-  DYNAGG_ASSIGN_OR_RETURN(out.params.mode, ParseGossipMode(spec));
-  if (epoch_length < 1) {
-    return Status::InvalidArgument("protocol.epoch_length must be >= 1");
-  }
-  if (phase_spread < 0 || phase_spread > epoch_length) {
+                          r.Bool("protocol.random_phases", false));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.phase_stream,
+      r.Int<uint64_t>("protocol.phase_stream", 4, 0, kInt64Max));
+  DYNAGG_ASSIGN_OR_RETURN(out.params.mode, ParseGossipMode(r));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
+  if (out.phase_spread > out.params.epoch_length) {
     return Status::InvalidArgument(
         "protocol.phase_spread must be in [0, epoch_length]");
   }
-  if (out.random_phases && phase_spread > 0) {
+  if (out.random_phases && out.phase_spread > 0) {
     return Status::InvalidArgument(
         "protocol.random_phases and protocol.phase_spread are exclusive "
         "(random clock skew vs a deterministic phase ramp)");
@@ -156,28 +159,19 @@ Result<EpochSpecParams> ParseEpochSpec(const ScenarioSpec& spec) {
     return Status::InvalidArgument(
         "protocol.phase_stream only applies with protocol.random_phases");
   }
-  out.params.epoch_length = static_cast<int>(epoch_length);
-  out.phase_spread = static_cast<int>(phase_spread);
-  out.phase_stream = static_cast<uint64_t>(phase_stream);
   return out;
 }
 
 Result<FullTransferParams> ParseFullTransferSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(
-      spec.CheckParams("protocol.", {"lambda", "parcels", "window"}));
+  ParamReader r(spec, "protocol.");
   FullTransferParams params;
   DYNAGG_ASSIGN_OR_RETURN(params.lambda,
-                          spec.ParamDouble("protocol.lambda", 0.1));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t parcels,
-                          spec.ParamInt("protocol.parcels", 4));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t window,
-                          spec.ParamInt("protocol.window", 3));
-  if (parcels < 1 || window < 1) {
-    return Status::InvalidArgument(
-        "protocol.parcels and protocol.window must be >= 1");
-  }
-  params.parcels = static_cast<int>(parcels);
-  params.window = static_cast<int>(window);
+                          r.Double("protocol.lambda", 0.1, 0.0, 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(params.parcels,
+                          r.Int<int>("protocol.parcels", 4, 1, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(params.window,
+                          r.Int<int>("protocol.window", 3, 1, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   return params;
 }
 
@@ -288,10 +282,9 @@ struct ExtremesBox {
 };
 
 Result<ExtremeParams> ParseExtremesSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(
-      spec.CheckParams("protocol.", {"kind", "cutoff", "mode"}));
+  ParamReader r(spec, "protocol.");
   DYNAGG_ASSIGN_OR_RETURN(const std::string kind_name,
-                          spec.ParamString("protocol.kind", "max"));
+                          r.String("protocol.kind", "max"));
   ExtremeParams params;
   if (kind_name == "max") {
     params.kind = ExtremeKind::kMaximum;
@@ -301,13 +294,10 @@ Result<ExtremeParams> ParseExtremesSpec(const ScenarioSpec& spec) {
     return Status::InvalidArgument(
         "protocol.kind must be max or min, got '" + kind_name + "'");
   }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t cutoff,
-                          spec.ParamInt("protocol.cutoff", 12));
-  if (cutoff < 0) {
-    return Status::InvalidArgument("protocol.cutoff must be >= 0");
-  }
-  params.cutoff = static_cast<int>(cutoff);
-  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(spec));
+  DYNAGG_ASSIGN_OR_RETURN(params.cutoff,
+                          r.Int<int>("protocol.cutoff", 12, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(r));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   return params;
 }
 
@@ -323,63 +313,62 @@ BoxResult<ExtremesBox> MakeExtremes(const TrialContext& ctx, EnvHandle& env) {
 
 // ---------------------------------------------------- counting protocols ---
 
-/// Validates protocol.multiplicity: a per-host identifier count >= 0, or
-/// the symbolic value `workload` (round(v) for the paper's U[0,100) value
-/// workload — the multiple-insertion summation of the Invert-Average
-/// ablation, Section IV.B).
-Status ValidateMultiplicitySpec(const ScenarioSpec& spec) {
+/// The largest protocol.multiplicity: the counting sketches insert that
+/// many identifiers per host when the swarm is built and again at every
+/// OnJoin, so the cost is per host and per join. The corpus's largest
+/// value is 100.
+constexpr int64_t kMaxMultiplicity = 10000;
+
+/// protocol.multiplicity of the counting sketches: a per-host identifier
+/// count, or the symbolic value `workload` (round(v) for the paper's
+/// U[0,100) value workload — the multiple-insertion summation of the
+/// Invert-Average ablation, Section IV.B).
+struct Multiplicity {
+  bool workload = false;
+  int64_t per_host = 1;
+};
+
+Result<Multiplicity> ParseMultiplicity(ParamReader& r,
+                                       const ScenarioSpec& spec) {
+  Multiplicity out;
   DYNAGG_ASSIGN_OR_RETURN(const std::string text,
-                          spec.ParamString("protocol.multiplicity", "1"));
-  if (text == "workload") {
-    // Workload multiplicities include 0 (values < 0.5); the trace driver's
-    // group estimate divides by the multiplicity.
-    if (spec.driver == "trace") {
-      return Status::InvalidArgument(
-          "driver = trace does not support protocol.multiplicity = "
-          "workload (group sizes are measured in devices)");
-    }
-    return Status::OK();
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t mult,
-                          spec.ParamInt("protocol.multiplicity", 1));
-  if (mult < 0) {
-    return Status::InvalidArgument("protocol.multiplicity must be >= 0");
+                          r.String("protocol.multiplicity", "1"));
+  out.workload = text == "workload";
+  if (!out.workload) {
+    DYNAGG_ASSIGN_OR_RETURN(
+        out.per_host,
+        r.Int("protocol.multiplicity", 1, 0, kMaxMultiplicity));
   }
   // The trace driver's group estimate divides by the multiplicity to
-  // compare counts against group sizes; 0 would silently print inf.
-  if (mult < 1 && spec.driver == "trace") {
+  // compare counts against group sizes; workload multiplicities include 0
+  // (values < 0.5), and 0 would silently print inf.
+  if (spec.driver == "trace" && (out.workload || out.per_host < 1)) {
     return Status::InvalidArgument(
         "driver = trace requires protocol.multiplicity >= 1 (group sizes "
         "are measured in devices)");
   }
-  return Status::OK();
+  return out;
 }
 
-Result<std::vector<int64_t>> Multiplicities(const TrialContext& ctx, int n) {
-  DYNAGG_RETURN_IF_ERROR(ValidateMultiplicitySpec(*ctx.spec));
-  DYNAGG_ASSIGN_OR_RETURN(const std::string text,
-                          ctx.spec->ParamString("protocol.multiplicity", "1"));
-  if (text == "workload") {
-    const std::vector<double> values =
-        UniformWorkloadValues(n, ctx.trial_seed);
-    std::vector<int64_t> mult(n);
-    for (int i = 0; i < n; ++i) {
-      mult[i] = static_cast<int64_t>(values[i] + 0.5);
-    }
-    return mult;
+std::vector<int64_t> Multiplicities(const TrialContext& ctx, int n,
+                                    const Multiplicity& m) {
+  if (!m.workload) return std::vector<int64_t>(n, m.per_host);
+  const std::vector<double> values = UniformWorkloadValues(n, ctx.trial_seed);
+  std::vector<int64_t> mult(n);
+  for (int i = 0; i < n; ++i) {
+    mult[i] = static_cast<int64_t>(values[i] + 0.5);
   }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t mult,
-                          ctx.spec->ParamInt("protocol.multiplicity", 1));
-  return std::vector<int64_t>(n, mult);
+  return mult;
 }
 
-/// Shared bins/levels validation of the sketch protocols.
-Status CheckSketchShape(int64_t bins, int64_t levels) {
-  if (bins < 1 || levels < 1 || levels > kCsrMaxLevels) {
-    return Status::InvalidArgument(
-        "protocol.bins must be >= 1 and protocol.levels in [1, " +
-        std::to_string(kCsrMaxLevels) + "]");
-  }
+/// Reads protocol.bins and protocol.levels, the sketch shape the counting
+/// protocols share, over the given defaults. bins x levels counters per
+/// host stay int-indexed.
+Status ReadSketchShape(ParamReader& r, int* bins, int* levels) {
+  DYNAGG_ASSIGN_OR_RETURN(
+      *bins, r.Int<int>("protocol.bins", *bins, 1, kIntMax / kCsrMaxLevels));
+  DYNAGG_ASSIGN_OR_RETURN(
+      *levels, r.Int<int>("protocol.levels", *levels, 1, kCsrMaxLevels));
   return Status::OK();
 }
 
@@ -392,31 +381,30 @@ double SketchGossipBytes(int bins, int levels, int64_t attributes) {
          (2.0 * (static_cast<double>(bins) * levels + 8.0));
 }
 
-Result<CountSketchParams> ParseCountSketchSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "protocol.", {"bins", "levels", "mode", "multiplicity"}));
-  DYNAGG_RETURN_IF_ERROR(ValidateMultiplicitySpec(spec));
+struct CountSketchSpecParams {
   CountSketchParams params;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t bins,
-                          spec.ParamInt("protocol.bins", params.bins));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t levels,
-                          spec.ParamInt("protocol.levels", params.levels));
-  DYNAGG_RETURN_IF_ERROR(CheckSketchShape(bins, levels));
-  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(spec));
-  params.bins = static_cast<int>(bins);
-  params.levels = static_cast<int>(levels);
-  return params;
+  Multiplicity multiplicity;
+};
+
+Result<CountSketchSpecParams> ParseCountSketchSpec(const ScenarioSpec& spec) {
+  ParamReader r(spec, "protocol.");
+  CountSketchSpecParams out;
+  CountSketchParams& params = out.params;
+  DYNAGG_RETURN_IF_ERROR(ReadSketchShape(r, &params.bins, &params.levels));
+  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(r));
+  DYNAGG_ASSIGN_OR_RETURN(out.multiplicity, ParseMultiplicity(r, spec));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
+  return out;
 }
 
 BoxResult<CountBox<CountSketchSwarm>> MakeCountSketch(const TrialContext& ctx,
                                                       EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const CountSketchParams params,
+  DYNAGG_ASSIGN_OR_RETURN(const CountSketchSpecParams cfg,
                           ParseCountSketchSpec(*ctx.spec));
+  const CountSketchParams& params = cfg.params;
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
-                          Multiplicities(ctx, n));
-  auto box =
-      std::make_shared<CountBox<CountSketchSwarm>>(std::move(mult), params);
+  auto box = std::make_shared<CountBox<CountSketchSwarm>>(
+      Multiplicities(ctx, n, cfg.multiplicity), params);
   // One uint64 bit string per bin.
   box->state_bytes = static_cast<double>(params.bins) * sizeof(uint64_t);
   return box;
@@ -424,8 +412,7 @@ BoxResult<CountBox<CountSketchSwarm>> MakeCountSketch(const TrialContext& ctx,
 
 /// Parses the q list of a `counter_quantiles(q1, q2, ...)` selector (the
 /// per-bit bucketed counter-age quantiles of the spatial ablation), or an
-/// empty list when the spec does not request it. Shared by the CSR spec
-/// validator (--dry-run) and the finish hook.
+/// empty list when the spec does not request it.
 Result<std::vector<double>> ParseCounterQuantilesSpec(
     const ScenarioSpec& spec) {
   std::vector<double> qs;
@@ -450,41 +437,78 @@ Result<std::vector<double>> ParseCounterQuantilesSpec(
   return qs;
 }
 
+/// Count-Sketch-Reset's counter-age records (its extra metrics) and
+/// their record.* knobs.
+struct CsrRecordParams {
+  /// cdf(counter): the clamp bucket of the per-bit counter CDF.
+  bool counter_cdf = false;
+  int max_counter = 12;
+  /// counter_quantiles(q1, ...): the quantiles and the histogram shape
+  /// they are read from; empty when not requested.
+  std::vector<double> quantiles;
+  double hist_max = 64.0;
+  int hist_buckets = 64;
+
+  /// The largest raw counter the records read exactly: the cdf's clamp
+  /// bucket or the quantile histogram's upper edge, 0 when only estimates
+  /// are recorded. Lets the swarm pick its cell width.
+  int ReadCounterMax() const {
+    int read_max = counter_cdf ? max_counter : 0;
+    if (!quantiles.empty()) {
+      const double edge = std::ceil(hist_max);
+      read_max = edge < kCsrCounterCap
+                     ? std::max(read_max, static_cast<int>(edge))
+                     : int{kCsrCounterCap};
+    }
+    return read_max;
+  }
+};
+
 struct CsrSpecParams {
   CsrParams params;
+  Multiplicity multiplicity;
   int64_t attributes = 1;
+  CsrRecordParams records;
 };
 
 Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "protocol.", {"bins", "levels", "cutoff_base", "cutoff_slope",
-                    "cutoff_enabled", "mode", "multiplicity", "attributes"}));
-  DYNAGG_RETURN_IF_ERROR(ValidateMultiplicitySpec(spec));
-  DYNAGG_RETURN_IF_ERROR(ParseCounterQuantilesSpec(spec).status());
+  ParamReader r(spec, "protocol.");
   CsrSpecParams out;
   CsrParams& params = out.params;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t bins,
-                          spec.ParamInt("protocol.bins", params.bins));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t levels,
-                          spec.ParamInt("protocol.levels", params.levels));
-  DYNAGG_RETURN_IF_ERROR(CheckSketchShape(bins, levels));
+  DYNAGG_RETURN_IF_ERROR(ReadSketchShape(r, &params.bins, &params.levels));
+  // f(k) is clamped to the counter range, so any finite cutoff works.
   DYNAGG_ASSIGN_OR_RETURN(
       params.cutoff_base,
-      spec.ParamDouble("protocol.cutoff_base", params.cutoff_base));
+      r.Double("protocol.cutoff_base", params.cutoff_base, -kFiniteMax,
+               kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
       params.cutoff_slope,
-      spec.ParamDouble("protocol.cutoff_slope", params.cutoff_slope));
+      r.Double("protocol.cutoff_slope", params.cutoff_slope, -kFiniteMax,
+               kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
       params.cutoff_enabled,
-      spec.ParamBool("protocol.cutoff_enabled", params.cutoff_enabled));
-  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(spec));
+      r.Bool("protocol.cutoff_enabled", params.cutoff_enabled));
+  DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(r));
+  DYNAGG_ASSIGN_OR_RETURN(out.multiplicity, ParseMultiplicity(r, spec));
   DYNAGG_ASSIGN_OR_RETURN(out.attributes,
-                          spec.ParamInt("protocol.attributes", 1));
-  if (out.attributes < 1) {
-    return Status::InvalidArgument("protocol.attributes must be >= 1");
-  }
-  params.bins = static_cast<int>(bins);
-  params.levels = static_cast<int>(levels);
+                          r.Int("protocol.attributes", 1, 1, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
+  // The record.* knobs of the extra metrics; the rounds driver's record
+  // parse owns that prefix's allowlist (ProtocolDef::extra_record_keys).
+  CsrRecordParams& rec = out.records;
+  rec.counter_cdf = MetricRequested(spec, "cdf(counter)");
+  DYNAGG_ASSIGN_OR_RETURN(
+      rec.max_counter,
+      spec.ParamInt<int>("record.max_counter", rec.max_counter, 1,
+                         kCsrCounterCap));
+  DYNAGG_ASSIGN_OR_RETURN(rec.quantiles, ParseCounterQuantilesSpec(spec));
+  DYNAGG_ASSIGN_OR_RETURN(
+      rec.hist_max, spec.ParamDouble("record.counter_hist_max", rec.hist_max,
+                                     Open(0.0), kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(
+      rec.hist_buckets,
+      spec.ParamInt<int>("record.counter_hist_buckets", rec.hist_buckets, 1,
+                         kIntMax));
   return out;
 }
 
@@ -494,6 +518,7 @@ Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
 struct CsrBox : CountBox<CsrSwarm> {
   using CountBox<CsrSwarm>::CountBox;
   int64_t attributes = 1;
+  CsrRecordParams records;
 
   double GossipBytes() const {
     return SketchGossipBytes(swarm.params().bins, swarm.params().levels,
@@ -516,17 +541,11 @@ struct CsrBox : CountBox<CsrSwarm> {
 /// point per sufficiently-sourced bit (>= n/50 + 1 finite counters, the
 /// legacy convention), quantiles over a bucketed histogram spanning
 /// [0, record.counter_hist_max) with record.counter_hist_buckets buckets.
-Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
+Status CsrBox::Finish(const TrialContext&, Recorder& rec) const {
   const CsrParams& params = swarm.params();
   const int n = swarm.size();
-  if (MetricRequested(*ctx.spec, "cdf(counter)")) {
-    DYNAGG_ASSIGN_OR_RETURN(const int64_t max_counter,
-                            ctx.spec->ParamInt("record.max_counter", 12));
-    if (max_counter < 1 || max_counter >= kCsrInfinity) {
-      return Status::InvalidArgument(
-          "record.max_counter must be in [1, 254]");
-    }
-    const int max_c = static_cast<int>(max_counter);
+  if (records.counter_cdf) {
+    const int max_c = records.max_counter;
     std::vector<std::vector<int64_t>> histograms(
         params.levels, std::vector<int64_t>(max_c + 1, 0));
     for (HostId id = 0; id < n; ++id) {
@@ -550,22 +569,9 @@ Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
       }
     }
   }
-  DYNAGG_ASSIGN_OR_RETURN(const std::vector<double> quantiles,
-                          ParseCounterQuantilesSpec(*ctx.spec));
-  if (!quantiles.empty()) {
-    DYNAGG_ASSIGN_OR_RETURN(
-        const double hist_max,
-        ctx.spec->ParamDouble("record.counter_hist_max", 64.0));
-    DYNAGG_ASSIGN_OR_RETURN(
-        const int64_t hist_buckets,
-        ctx.spec->ParamInt("record.counter_hist_buckets", 64));
-    if (hist_max <= 0 || hist_buckets < 1) {
-      return Status::InvalidArgument(
-          "record.counter_hist_max must be > 0 and "
-          "record.counter_hist_buckets >= 1");
-    }
+  if (!records.quantiles.empty()) {
     for (int k = 0; k < params.levels; ++k) {
-      Histogram hist(0, hist_max, static_cast<int>(hist_buckets));
+      Histogram hist(0, records.hist_max, records.hist_buckets);
       int64_t finite = 0;
       for (HostId id = 0; id < n; ++id) {
         const CsrLevelRow row = swarm.level_row(id, k);
@@ -579,7 +585,7 @@ Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
       // Skip bits that effectively never appear, as the legacy spatial
       // ablation did (quantiles of a near-empty histogram are noise).
       if (finite < n / 50 + 1) continue;
-      for (const double q : quantiles) {
+      for (const double q : records.quantiles) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%g", q * 100.0);
         rec.AddSeriesPoint("bit", "counter_p" + std::string(buf),
@@ -590,42 +596,15 @@ Status CsrBox::Finish(const TrialContext& ctx, Recorder& rec) const {
   return Status::OK();
 }
 
-/// The largest raw counter CsrBox::Finish reads exactly: the cdf's
-/// clamp bucket or the quantile histogram's upper edge, 0 when only
-/// estimates are recorded. Lets the swarm pick its cell width.
-Result<int> CsrReadCounterMax(const ScenarioSpec& spec) {
-  int64_t read_max = 0;
-  if (MetricRequested(spec, "cdf(counter)")) {
-    DYNAGG_ASSIGN_OR_RETURN(const int64_t max_counter,
-                            spec.ParamInt("record.max_counter", 12));
-    read_max = std::max(read_max, max_counter);
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const std::vector<double> quantiles,
-                          ParseCounterQuantilesSpec(spec));
-  if (!quantiles.empty()) {
-    DYNAGG_ASSIGN_OR_RETURN(
-        const double hist_max,
-        spec.ParamDouble("record.counter_hist_max", 64.0));
-    // An edge Finish rejects (NaN, negative) reads every counter exactly.
-    const double edge = std::ceil(hist_max);
-    read_max = edge >= 0 && edge < kCsrCounterCap
-                   ? std::max(read_max, static_cast<int64_t>(edge))
-                   : int64_t{kCsrCounterCap};
-  }
-  return static_cast<int>(std::min<int64_t>(read_max, kCsrCounterCap));
-}
-
 BoxResult<CsrBox> MakeCountSketchReset(const TrialContext& ctx,
                                        EnvHandle& env) {
   DYNAGG_ASSIGN_OR_RETURN(const CsrSpecParams cfg, ParseCsrSpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
-                          Multiplicities(ctx, n));
-  DYNAGG_ASSIGN_OR_RETURN(const int read_counter_max,
-                          CsrReadCounterMax(*ctx.spec));
-  auto box = std::make_shared<CsrBox>(std::move(mult), cfg.params,
-                                      read_counter_max);
+  auto box = std::make_shared<CsrBox>(
+      Multiplicities(ctx, n, cfg.multiplicity), cfg.params,
+      cfg.records.ReadCounterMax());
   box->attributes = cfg.attributes;
+  box->records = cfg.records;
   // The modelled footprint: one byte-sized age counter per (bin, level)
   // slot, the wire payload, whatever cell width the swarm stores.
   box->state_bytes =
@@ -642,33 +621,21 @@ struct InvertAverageSpecParams {
 
 Result<InvertAverageSpecParams> ParseInvertAverageSpec(
     const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "protocol.", {"lambda", "bins", "levels", "multiplicity",
-                    "attributes"}));
+  ParamReader r(spec, "protocol.");
   InvertAverageSpecParams out;
   InvertAverageParams& params = out.params;
   DYNAGG_ASSIGN_OR_RETURN(
       params.psr.lambda,
-      spec.ParamDouble("protocol.lambda", params.psr.lambda));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t bins,
-                          spec.ParamInt("protocol.bins", params.csr.bins));
-  DYNAGG_ASSIGN_OR_RETURN(
-      const int64_t levels,
-      spec.ParamInt("protocol.levels", params.csr.levels));
-  DYNAGG_RETURN_IF_ERROR(CheckSketchShape(bins, levels));
+      r.Double("protocol.lambda", params.psr.lambda, 0.0, 1.0));
+  DYNAGG_RETURN_IF_ERROR(
+      ReadSketchShape(r, &params.csr.bins, &params.csr.levels));
   DYNAGG_ASSIGN_OR_RETURN(
       params.count_multiplicity,
-      spec.ParamInt("protocol.multiplicity", params.count_multiplicity));
-  if (params.count_multiplicity < 1) {
-    return Status::InvalidArgument("protocol.multiplicity must be >= 1");
-  }
+      r.Int("protocol.multiplicity", params.count_multiplicity, 1,
+            kMaxMultiplicity));
   DYNAGG_ASSIGN_OR_RETURN(out.attributes,
-                          spec.ParamInt("protocol.attributes", 1));
-  if (out.attributes < 1) {
-    return Status::InvalidArgument("protocol.attributes must be >= 1");
-  }
-  params.csr.bins = static_cast<int>(bins);
-  params.csr.levels = static_cast<int>(levels);
+                          r.Int("protocol.attributes", 1, 1, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   return out;
 }
 
@@ -770,30 +737,20 @@ struct NodeAggregatorSpecParams {
 
 Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
     const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "protocol.", {"lambda", "bins", "levels", "multiplicity", "metric"}));
+  ParamReader r(spec, "protocol.");
   NodeAggregatorSpecParams out;
   AggregatorConfig& config = out.config;
-  DYNAGG_ASSIGN_OR_RETURN(config.lambda,
-                          spec.ParamDouble("protocol.lambda", config.lambda));
   DYNAGG_ASSIGN_OR_RETURN(
-      const int64_t bins,
-      spec.ParamInt("protocol.bins", config.csr.bins));
-  DYNAGG_ASSIGN_OR_RETURN(
-      const int64_t levels,
-      spec.ParamInt("protocol.levels", config.csr.levels));
+      config.lambda, r.Double("protocol.lambda", config.lambda, 0.0, 1.0));
+  DYNAGG_RETURN_IF_ERROR(
+      ReadSketchShape(r, &config.csr.bins, &config.csr.levels));
   DYNAGG_ASSIGN_OR_RETURN(
       config.count_multiplicity,
-      spec.ParamInt("protocol.multiplicity", config.count_multiplicity));
+      r.Int("protocol.multiplicity", config.count_multiplicity, 1,
+            kMaxMultiplicity));
   DYNAGG_ASSIGN_OR_RETURN(const std::string metric,
-                          spec.ParamString("protocol.metric", "average"));
-  if (config.lambda < 0.0 || config.lambda > 1.0) {
-    return Status::InvalidArgument("protocol.lambda must be in [0, 1]");
-  }
-  DYNAGG_RETURN_IF_ERROR(CheckSketchShape(bins, levels));
-  if (config.count_multiplicity < 1) {
-    return Status::InvalidArgument("protocol.multiplicity must be >= 1");
-  }
+                          r.String("protocol.metric", "average"));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   if (metric == "average") {
     out.metric = FacadeMetric::kAverage;
   } else if (metric == "count") {
@@ -805,8 +762,6 @@ Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
         "protocol.metric must be average, count or sum, got '" + metric +
         "'");
   }
-  config.csr.bins = static_cast<int>(bins);
-  config.csr.levels = static_cast<int>(levels);
   return out;
 }
 
@@ -878,29 +833,24 @@ struct FmAccuracySpecParams {
 };
 
 Result<FmAccuracySpecParams> ParseFmAccuracySpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(
-      spec.CheckParams("protocol.", {"buckets", "levels", "samples", "count"}));
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {}));
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("failure.", {}));
+  DYNAGG_RETURN_IF_ERROR(ParamReader(spec, "failure.").Finish());
   // The default `rms` selector maps onto the protocol's own error scalars,
   // the tag-tree convention for custom runners.
   DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(spec, {"rms"}));
+  ParamReader r(spec, "protocol.");
   FmAccuracySpecParams out;
-  DYNAGG_ASSIGN_OR_RETURN(out.buckets,
-                          spec.ParamInt("protocol.buckets", out.buckets));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.buckets, r.Int("protocol.buckets", out.buckets, 1, kIntMax));
+  // One 64-bit word per bucket holds the levels.
   DYNAGG_ASSIGN_OR_RETURN(out.levels,
-                          spec.ParamInt("protocol.levels", out.levels));
-  DYNAGG_ASSIGN_OR_RETURN(out.samples,
-                          spec.ParamInt("protocol.samples", out.samples));
+                          r.Int("protocol.levels", out.levels, 1, 64));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.samples, r.Int("protocol.samples", out.samples, 1, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(out.count,
-                          spec.ParamInt("protocol.count", out.count));
-  if (out.buckets < 1 || out.levels < 1 || out.samples < 1 ||
-      out.count < 1) {
-    return Status::InvalidArgument(
-        "protocol.buckets, protocol.levels, protocol.samples and "
-        "protocol.count must be >= 1");
-  }
+                          r.Int("protocol.count", out.count, 1, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   return out;
 }
 
@@ -951,23 +901,23 @@ struct TagTreeSpecParams {
 };
 
 Result<TagTreeSpecParams> ParseTagTreeSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("protocol.", {"epochs", "root"}));
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream",
                                                      "failure_stream"}));
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
   DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(spec, {"rms"}));
+  ParamReader r(spec, "protocol.");
   TagTreeSpecParams out;
-  DYNAGG_ASSIGN_OR_RETURN(out.epochs,
-                          spec.ParamInt("protocol.epochs", out.epochs));
-  DYNAGG_ASSIGN_OR_RETURN(out.root, spec.ParamInt("protocol.root", 0));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.epochs, r.Int("protocol.epochs", out.epochs, 1, kIntMax));
+  // Checked against the built population by the runner.
+  DYNAGG_ASSIGN_OR_RETURN(out.root,
+                          r.Int("protocol.root", out.root, 0, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   DYNAGG_ASSIGN_OR_RETURN(out.fail, ParseFailureConfig(spec));
   if (out.fail.kind != FailureConfig::Kind::kNone &&
       out.fail.kind != FailureConfig::Kind::kChurn) {
     return Status::InvalidArgument(
         "tag-tree supports failure.kind none or churn");
-  }
-  if (out.epochs < 1) {
-    return Status::InvalidArgument("protocol.epochs must be >= 1");
   }
   return out;
 }
@@ -985,7 +935,7 @@ Status RunTagTree(const TrialContext& ctx, Recorder& rec) {
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
   const HostId root = static_cast<HostId>(root_id);
-  if (root < 0 || root >= n) {
+  if (root >= n) {
     return Status::InvalidArgument("protocol.root out of range");
   }
   const std::vector<double> values = UniformWorkloadValues(n, ctx.trial_seed);
@@ -1037,57 +987,43 @@ struct ExtremeRecoverySpecParams {
 
 Result<ExtremeRecoverySpecParams> ParseExtremeRecoverySpec(
     const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "protocol.", {"cutoff", "mode", "winner_value", "runner_up_value",
-                    "steady_rounds", "warmup_rounds", "sample_stride",
-                    "recover_rounds", "recover_pct"}));
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("failure.", {}));
+  DYNAGG_RETURN_IF_ERROR(ParamReader(spec, "failure.").Finish());
   // Like the other custom runners, the default `rms` selector stands for
   // the protocol's own scalar records.
   DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(spec, {"rms"}));
+  ParamReader r(spec, "protocol.");
   ExtremeRecoverySpecParams out;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t cutoff,
-                          spec.ParamInt("protocol.cutoff", 12));
-  DYNAGG_ASSIGN_OR_RETURN(out.extreme.mode, ParseGossipMode(spec));
   DYNAGG_ASSIGN_OR_RETURN(
-      out.winner_value,
-      spec.ParamDouble("protocol.winner_value", out.winner_value));
+      out.extreme.cutoff, r.Int<int>("protocol.cutoff", 12, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(out.extreme.mode, ParseGossipMode(r));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.winner_value, r.Double("protocol.winner_value", out.winner_value,
+                                 -kFiniteMax, kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
       out.runner_up_value,
-      spec.ParamDouble("protocol.runner_up_value", out.runner_up_value));
+      r.Double("protocol.runner_up_value", out.runner_up_value, -kFiniteMax,
+               kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
       out.steady_rounds,
-      spec.ParamInt("protocol.steady_rounds", out.steady_rounds));
+      r.Int("protocol.steady_rounds", out.steady_rounds, 1, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(
       out.warmup_rounds,
-      spec.ParamInt("protocol.warmup_rounds", out.warmup_rounds));
+      r.Int("protocol.warmup_rounds", out.warmup_rounds, 0, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(
       out.sample_stride,
-      spec.ParamInt("protocol.sample_stride", out.sample_stride));
+      r.Int("protocol.sample_stride", out.sample_stride, 1, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(
       out.recover_rounds,
-      spec.ParamInt("protocol.recover_rounds", out.recover_rounds));
+      r.Int("protocol.recover_rounds", out.recover_rounds, 1, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(
-      out.recover_pct,
-      spec.ParamInt("protocol.recover_pct", out.recover_pct));
-  if (cutoff < 0) {
-    return Status::InvalidArgument("protocol.cutoff must be >= 0");
-  }
-  if (out.steady_rounds < 1 || out.warmup_rounds < 0 ||
-      out.warmup_rounds >= out.steady_rounds) {
+      out.recover_pct, r.Int("protocol.recover_pct", out.recover_pct, 1, 100));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
+  if (out.warmup_rounds >= out.steady_rounds) {
     return Status::InvalidArgument(
-        "protocol.steady_rounds must be >= 1 and protocol.warmup_rounds in "
-        "[0, steady_rounds)");
+        "protocol.warmup_rounds must be below protocol.steady_rounds");
   }
-  if (out.sample_stride < 1 || out.recover_rounds < 1 ||
-      out.recover_pct < 1 || out.recover_pct > 100) {
-    return Status::InvalidArgument(
-        "protocol.sample_stride and protocol.recover_rounds must be >= 1 "
-        "and protocol.recover_pct in [1, 100]");
-  }
-  out.extreme.cutoff = static_cast<int>(cutoff);
   return out;
 }
 

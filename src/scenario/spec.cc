@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -94,26 +93,49 @@ Result<std::string> ScenarioSpec::ParamString(const std::string& key,
   return it == params.end() ? std::move(def) : it->second;
 }
 
-Result<int64_t> ScenarioSpec::ParamInt(const std::string& key,
-                                       int64_t def) const {
-  const auto it = params.find(key);
-  if (it == params.end()) return def;
-  Result<int64_t> v = ParseInt64(it->second);
+namespace {
+
+Status OutOfRange(const std::string& key, std::string_view text,
+                  const std::string& range, const std::string& sentinel) {
+  return Status::InvalidArgument(
+      key + " = " + std::string(Trim(text)) + " is outside " + range +
+      (sentinel.empty() ? "" : " (or " + sentinel + ", the default)"));
+}
+
+}  // namespace
+
+Result<int64_t> ParseIntIn(const std::string& key, std::string_view text,
+                           int64_t def, int64_t lo, int64_t hi) {
+  Result<int64_t> v = ParseInt64(text);
   if (!v.ok()) {
     return Status::InvalidArgument(key + ": " + v.status().message());
   }
-  return v;
+  if (*v == def || (*v >= lo && *v <= hi)) return v;
+  return OutOfRange(
+      key, text, "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]",
+      def >= lo && def <= hi ? "" : std::to_string(def));
 }
 
-Result<double> ScenarioSpec::ParamDouble(const std::string& key,
-                                         double def) const {
+Result<double> ScenarioSpec::ParamDouble(const std::string& key, double def,
+                                         Bound lo, Bound hi) const {
   const auto it = params.find(key);
   if (it == params.end()) return def;
   Result<double> v = ParseDouble(it->second);
   if (!v.ok()) {
     return Status::InvalidArgument(key + ": " + v.status().message());
   }
-  return v;
+  // Written so NaN, which strtod accepts, fails every comparison.
+  const auto in_range = [&](double x) {
+    return (lo.open ? x > lo.value : x >= lo.value) &&
+           (hi.open ? x < hi.value : x <= hi.value);
+  };
+  if (*v == def || in_range(*v)) return v;
+  char range[80];
+  std::snprintf(range, sizeof(range), "%c%.6g, %.6g%c", lo.open ? '(' : '[',
+                lo.value, hi.value, hi.open ? ')' : ']');
+  char sentinel[32] = "";
+  if (!in_range(def)) std::snprintf(sentinel, sizeof(sentinel), "%g", def);
+  return OutOfRange(key, it->second, range, sentinel);
 }
 
 Result<bool> ScenarioSpec::ParamBool(const std::string& key, bool def) const {
@@ -191,6 +213,32 @@ Status ScenarioSpec::CheckParams(
   return Status::OK();
 }
 
+Result<std::string> ParamReader::String(const std::string& key,
+                                        std::string def) {
+  Note(key);
+  return spec_.ParamString(key, std::move(def));
+}
+
+Result<bool> ParamReader::Bool(const std::string& key, bool def) {
+  Note(key);
+  return spec_.ParamBool(key, def);
+}
+
+Result<double> ParamReader::Double(const std::string& key, double def,
+                                   Bound lo, Bound hi) {
+  Note(key);
+  return spec_.ParamDouble(key, def, lo, hi);
+}
+
+void ParamReader::Note(const std::string& key) {
+  if (key.rfind(prefix_, 0) != 0) return;
+  const std::string suffix = key.substr(prefix_.size());
+  for (const std::string& seen : read_) {
+    if (seen == suffix) return;
+  }
+  read_.push_back(suffix);
+}
+
 namespace {
 
 const char* const kParamPrefixes[] = {"protocol.", "env.", "failure.",
@@ -203,16 +251,6 @@ bool IsNamespacedKey(std::string_view key) {
       return true;
   }
   return false;
-}
-
-/// Rejects a non-negative int64 value above INT_MAX: the spec fields are
-/// int, and a bare cast would wrap (hosts = 4294967328 would run 32 hosts).
-Status CheckFitsInt(const std::string& key, int64_t v) {
-  if (v > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument(key + " = " + std::to_string(v) +
-                                   " is above the int maximum 2147483647");
-  }
-  return Status::OK();
 }
 
 Status AtLine(int line, const Status& st) {
@@ -374,16 +412,6 @@ Status ApplyKey(ScenarioSpec* spec, const std::string& key,
                               key + " must be > 0 (seconds)"));
     }
     (key == "gossip_period" ? spec->gossip_period : spec->sample_period) = *v;
-  } else if (key == "intra_round_threads") {
-    Result<int64_t> v = ParseInt64(value);
-    if (!v.ok()) return AtLine(line, v.status());
-    if (*v < 1) {
-      return AtLine(line, Status::InvalidArgument(
-                              "intra_round_threads must be >= 1"));
-    }
-    const Status fits = CheckFitsInt(key, *v);
-    if (!fits.ok()) return AtLine(line, fits);
-    spec->intra_round_threads = static_cast<int>(*v);
   } else if (key == "telemetry") {
     if (value != "off" && value != "summary" && value != "profile") {
       return AtLine(line, Status::InvalidArgument(
@@ -400,21 +428,20 @@ Status ApplyKey(ScenarioSpec* spec, const std::string& key,
                               Quoted(value)));
     }
     spec->format = value;
-  } else if (key == "hosts" || key == "rounds" || key == "trials") {
-    Result<int64_t> v = ParseInt64(value);
+  } else if (key == "hosts" || key == "rounds" || key == "trials" ||
+             key == "intra_round_threads") {
+    // hosts = 0 derives the size from the environment.
+    const int64_t lo = key == "hosts" ? 0 : 1;
+    Result<int64_t> v = ParseIntIn(key, value, lo, lo, kIntMax);
     if (!v.ok()) return AtLine(line, v.status());
-    if (*v < 0 || (key != "hosts" && *v < 1)) {
-      return AtLine(line,
-                    Status::InvalidArgument(key + " must be positive"));
-    }
-    const Status fits = CheckFitsInt(key, *v);
-    if (!fits.ok()) return AtLine(line, fits);
-    if (key == "hosts") spec->hosts = static_cast<int>(*v);
+    const int n = static_cast<int>(*v);
+    if (key == "hosts") spec->hosts = n;
     if (key == "rounds") {
-      spec->rounds = static_cast<int>(*v);
+      spec->rounds = n;
       spec->rounds_set = true;
     }
-    if (key == "trials") spec->trials = static_cast<int>(*v);
+    if (key == "trials") spec->trials = n;
+    if (key == "intra_round_threads") spec->intra_round_threads = n;
   } else if (key == "seed") {
     Result<int64_t> v = ParseInt64(value);
     if (!v.ok()) return AtLine(line, v.status());

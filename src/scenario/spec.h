@@ -28,18 +28,22 @@
 //
 // Top-level keys are strictly validated (a typo is an error); namespaced
 // keys (protocol.*, env.*, failure.*, record.*, seeds.*, workload.*,
-// net.*) are
-// collected into a parameter map and validated by the protocol /
-// environment factories that consume them (scenario/protocols.cc,
-// scenario/environments.cc, stream/stream_protocols.cc).
+// net.*, churn.*) are collected into a parameter map and parsed once per
+// consumer: each registry entry's parse function (scenario/protocols.cc,
+// scenario/environments.cc, stream/stream_protocols.cc, the config parsers
+// of scenario/config.h) reads every key it uses with a ParamReader, which
+// states the key's default and range in the line that reads it and
+// rejects any key under the parse's prefix that no read touched.
 
 #ifndef DYNAGG_SCENARIO_SPEC_H_
 #define DYNAGG_SCENARIO_SPEC_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -48,10 +52,37 @@
 namespace dynagg {
 namespace scenario {
 
+/// The int ceiling of a ranged integer read whose value is narrowed to int.
+inline constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+/// The ceiling of a ranged integer read that admits any int64, such as a
+/// seed-stream id.
+inline constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+/// The ceiling of a ranged double read that admits any finite value.
+inline constexpr double kFiniteMax = std::numeric_limits<double>::max();
+
+/// One end of a declared numeric range: inclusive, or exclusive when made
+/// with Open(). Implicit from double so closed bounds read as numbers:
+/// ParamDouble(key, 0.05, Open(0.0), 0.5) is (0, 0.5].
+struct Bound {
+  constexpr Bound(double v, bool open = false)  // NOLINT(runtime/explicit)
+      : value(v), open(open) {}
+  double value;
+  bool open;
+};
+constexpr Bound Open(double v) { return Bound(v, true); }
+
 /// Strict numeric/boolean parsers ("12x" is an error, unlike std::stoll).
 Result<int64_t> ParseInt64(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 Result<bool> ParseBool(std::string_view text);
+
+/// Parses `text`, the value of `key`, as an integer in [lo, hi], checked
+/// as int64 before any narrowing. A value equal to `def` passes too, so a
+/// default outside the range is a sentinel that may also be written out
+/// (churn.initial = -1 means every host). The error names the key, the
+/// value and the range.
+Result<int64_t> ParseIntIn(const std::string& key, std::string_view text,
+                           int64_t def, int64_t lo, int64_t hi);
 
 /// Checks that `seconds`, the value of time key `key`, becomes a tick of
 /// the microsecond SimTime clock: a number, inside SimTime's range, and
@@ -149,7 +180,7 @@ struct ScenarioSpec {
   /// Output format: "csv" or "jsonl".
   std::string format = "csv";
   /// Namespaced parameters (protocol.*, env.*, failure.*, record.*,
-  /// seeds.*, workload.*, net.*), consumed by the factories.
+  /// seeds.*, workload.*, net.*, churn.*), read by their consumers' parses.
   std::map<std::string, std::string> params;
 
   bool HasParam(const std::string& key) const {
@@ -159,15 +190,69 @@ struct ScenarioSpec {
   /// absent, a bad value is an InvalidArgument naming the key.
   Result<std::string> ParamString(const std::string& key,
                                   std::string def) const;
-  Result<int64_t> ParamInt(const std::string& key, int64_t def) const;
-  Result<double> ParamDouble(const std::string& key, double def) const;
   Result<bool> ParamBool(const std::string& key, bool def) const;
+  /// Ranged numeric reads with ParseIntIn's rules; an absent key reads as
+  /// `def`. An int is narrowed to T after the int64 check, so [lo, hi] and
+  /// `def` must fit T. A double is never NaN, and +-inf passes only where
+  /// that bound is +-inf.
+  template <typename T = int64_t>
+  Result<T> ParamInt(const std::string& key, int64_t def, int64_t lo,
+                     int64_t hi) const {
+    const auto it = params.find(key);
+    if (it == params.end()) return static_cast<T>(def);
+    Result<int64_t> v = ParseIntIn(key, it->second, def, lo, hi);
+    if (!v.ok()) return v.status();
+    return static_cast<T>(*v);
+  }
+  Result<double> ParamDouble(const std::string& key, double def, Bound lo,
+                             Bound hi) const;
+  /// Unranged integer read, for tools outside the engine that re-read a
+  /// key the engine's own parse has already range-checked.
+  Result<int64_t> ParamInt(const std::string& key, int64_t def) const {
+    return ParamInt(key, def, std::numeric_limits<int64_t>::min(), kInt64Max);
+  }
 
-  /// Rejects any parameter under `prefix` (e.g. "protocol.") whose suffix is
-  /// not in `allowed`: factories call this so typos in namespaced keys fail
-  /// loudly instead of silently using defaults.
+  /// Rejects any parameter under `prefix` (e.g. "record.") whose suffix is
+  /// not in `allowed`. For the prefixes several consumers share (record.*,
+  /// seeds.*); a prefix one parse owns uses ParamReader::Finish instead.
   Status CheckParams(const std::string& prefix,
                      const std::vector<std::string>& allowed) const;
+};
+
+/// One parse's reader of the parameters under `prefix` ("protocol.",
+/// "env.", ...). Each read states its key's default and range (see the
+/// ScenarioSpec accessors) and records the key; Finish() then rejects every
+/// key under the prefix that no read touched, so the allowlist is exactly
+/// the set of keys the parse reads. Read conditional keys unconditionally
+/// and check them after the read. Keys outside the prefix are read but not
+/// recorded. A local object per parse: executor threads parse one shared
+/// cell spec at the same time.
+class ParamReader {
+ public:
+  ParamReader(const ScenarioSpec& spec, std::string prefix)
+      : spec_(spec), prefix_(std::move(prefix)) {}
+
+  Result<std::string> String(const std::string& key, std::string def);
+  Result<bool> Bool(const std::string& key, bool def);
+  template <typename T = int64_t>
+  Result<T> Int(const std::string& key, int64_t def, int64_t lo, int64_t hi) {
+    Note(key);
+    return spec_.ParamInt<T>(key, def, lo, hi);
+  }
+  Result<double> Double(const std::string& key, double def, Bound lo,
+                        Bound hi);
+
+  /// CheckParams against the keys read: "unknown parameter '<key>'
+  /// (allowed: <the keys read>)" for the first unread key under the
+  /// prefix.
+  Status Finish() const { return spec_.CheckParams(prefix_, read_); }
+
+ private:
+  void Note(const std::string& key);
+
+  const ScenarioSpec& spec_;
+  std::string prefix_;
+  std::vector<std::string> read_;  // suffixes, in first-read order
 };
 
 /// The trace and async drivers' gossip tick: gossip_period, or the

@@ -233,7 +233,7 @@ class Recorder {
 
 /// Rejects any spec metric selector not listed in `supported` (canonical
 /// "name" / "name(arg)" spellings). Runners call this first so a typo in
-/// `record = ...` fails loudly, like CheckParams does for parameters.
+/// `record = ...` fails loudly, as unread namespaced keys do.
 Status CheckMetricsSupported(const ScenarioSpec& spec,
                              const std::vector<std::string>& supported);
 
@@ -414,11 +414,12 @@ struct ProtocolDef {
   /// ignore them — and, symmetrically, consuming protocols validate that a
   /// workload.kind is declared.
   bool consumes_workload = false;
-  /// Spec-only validation of the protocol's knobs (protocol.* parameter
-  /// allowlists, value ranges, custom runners' record/seed allowlists) —
-  /// everything checkable without an environment or a swarm. Factories
-  /// share the same parse functions, so `--dry-run` rejects exactly the
-  /// knob/protocol mismatches execution would.
+  /// Spec-only validation of the protocol's knobs: the status of the one
+  /// parse its factory also runs (protocol.* keys read with their ranges,
+  /// the keys read being the allowlist; custom runners' record/seed
+  /// allowlists) — everything checkable without an environment or a
+  /// swarm. So `--dry-run` rejects exactly the knob/protocol mismatches
+  /// execution would.
   std::function<Status(const ScenarioSpec&)> validate;
   /// Extra metric selectors (and their record.* keys) beyond the rounds
   /// driver's catalog, handled by the built swarm's `finish` hook
@@ -461,12 +462,12 @@ struct EnvironmentDef {
   EnvironmentFactory make;
   /// Whether EnvHandle::trace is populated (required by `driver = trace`).
   bool provides_trace = false;
-  /// Spec-only validation of the environment's knobs (env.* parameter
-  /// allowlist, value ranges, hosts/degree consistency) — everything
-  /// checkable without building the environment or touching trace files.
-  /// Factories call the same function, so `--dry-run` rejects exactly the
-  /// env mismatches execution would.
-  std::function<Status(const ScenarioSpec&)> validate;
+  /// Spec-only parse of the environment's env.* keys (ranges, the keys
+  /// read are the allowlist, hosts/degree consistency), returning the
+  /// number of hosts it will build — 0 when only building it tells (a
+  /// trace file's device count). It wraps the same parse `make` consumes,
+  /// so `--dry-run` rejects exactly the env mismatches execution would.
+  std::function<Result<int>(const ScenarioSpec&)> validate;
 };
 
 /// Global registries, with the builtin catalog (push-sum, push-sum-revert,
@@ -497,8 +498,9 @@ inline uint64_t TrialSeed(uint64_t base_seed, int trial) {
              : DeriveSeed(base_seed, 0x74726961ull /* "tria" */ + trial);
 }
 
-/// Instantiates ctx.spec's environment via the registry (factories validate
-/// their env.* parameters and spec.hosts consistency).
+/// Instantiates ctx.spec's environment via the registry (the entry's
+/// parse reads its env.* keys; a built size that differs from a nonzero
+/// spec.hosts is an error).
 Result<EnvHandle> MakeEnvironment(const TrialContext& ctx);
 
 }  // namespace scenario

@@ -24,6 +24,7 @@
 #include "stream/stream_protocols.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -67,8 +68,6 @@ struct StreamWorkloadParams {
 };
 
 Result<StreamWorkloadParams> ParseStreamWorkloadSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "workload.", {"kind", "keys", "batch", "skew", "rounds"}));
   if (!spec.HasParam("workload.kind")) {
     return Status::InvalidArgument(
         "protocol '" + spec.protocol +
@@ -77,9 +76,10 @@ Result<StreamWorkloadParams> ParseStreamWorkloadSpec(const ScenarioSpec& spec) {
         "workload.kind = uniform (see `dynagg_run --list` for the workload "
         "catalog)");
   }
+  ParamReader r(spec, "workload.");
   StreamWorkloadParams out;
   DYNAGG_ASSIGN_OR_RETURN(const std::string kind,
-                          spec.ParamString("workload.kind", "zipf"));
+                          r.String("workload.kind", "zipf"));
   if (kind == "zipf") {
     out.kind = KeyStreamKind::kZipf;
   } else if (kind == "uniform") {
@@ -88,39 +88,23 @@ Result<StreamWorkloadParams> ParseStreamWorkloadSpec(const ScenarioSpec& spec) {
     return Status::InvalidArgument(
         "workload.kind must be zipf or uniform, got '" + kind + "'");
   }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t keys,
-                          spec.ParamInt("workload.keys", 1000000));
-  if (keys < 1) {
-    return Status::InvalidArgument("workload.keys must be >= 1");
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t batch,
-                          spec.ParamInt("workload.batch", 16));
-  if (batch < 1 || batch > 1000000) {
-    return Status::InvalidArgument(
-        "workload.batch must be in [1, 1000000] (arrivals per host per "
-        "round)");
-  }
-  DYNAGG_ASSIGN_OR_RETURN(out.skew, spec.ParamDouble("workload.skew", 1.0));
+  DYNAGG_ASSIGN_OR_RETURN(
+      out.keys, r.Int<uint64_t>("workload.keys", 1000000, 1, kInt64Max));
+  // Arrivals per host per round.
+  DYNAGG_ASSIGN_OR_RETURN(out.batch,
+                          r.Int<int>("workload.batch", 16, 1, 1000000));
+  // The Zipf exponent.
+  DYNAGG_ASSIGN_OR_RETURN(out.skew,
+                          r.Double("workload.skew", 1.0, Open(0.0), 16.0));
+  // Arrival rounds, then gossip-only; -1 = arrivals every round.
+  DYNAGG_ASSIGN_OR_RETURN(out.rounds,
+                          r.Int<int>("workload.rounds", -1, 1, kIntMax));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
   if (out.kind == KeyStreamKind::kUniform &&
       spec.HasParam("workload.skew")) {
     return Status::InvalidArgument(
         "workload.skew only applies to workload.kind = zipf");
   }
-  if (out.kind == KeyStreamKind::kZipf &&
-      (out.skew <= 0.0 || out.skew > 16.0)) {
-    return Status::InvalidArgument(
-        "workload.skew must be in (0, 16] (the Zipf exponent)");
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t rounds,
-                          spec.ParamInt("workload.rounds", -1));
-  if (rounds != -1 && rounds < 1) {
-    return Status::InvalidArgument(
-        "workload.rounds must be >= 1 (arrival rounds, then gossip-only) "
-        "or -1 (arrivals every round)");
-  }
-  out.keys = static_cast<uint64_t>(keys);
-  out.batch = static_cast<int>(batch);
-  out.rounds = static_cast<int>(rounds);
   return out;
 }
 
@@ -178,49 +162,42 @@ struct FreqSketchSpecParams {
 
 Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
                                                  SketchKind kind) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "protocol.", {"epsilon", "delta", "width", "depth"}));
-  DYNAGG_ASSIGN_OR_RETURN(const double epsilon,
-                          spec.ParamDouble("protocol.epsilon", 0.05));
-  DYNAGG_ASSIGN_OR_RETURN(const double delta,
-                          spec.ParamDouble("protocol.delta", 0.05));
-  if (epsilon <= 0.0 || epsilon > 0.5) {
+  ParamReader r(spec, "protocol.");
+  // Additive error as a fraction of the stream mass.
+  DYNAGG_ASSIGN_OR_RETURN(
+      const double epsilon,
+      r.Double("protocol.epsilon", 0.05, Open(0.0), 0.5));
+  // Per-key failure probability.
+  DYNAGG_ASSIGN_OR_RETURN(
+      const double delta,
+      r.Double("protocol.delta", 0.05, Open(0.0), Open(1.0)));
+  // Explicit shape overrides; 0 derives from epsilon / delta.
+  DYNAGG_ASSIGN_OR_RETURN(const int width,
+                          r.Int<int>("protocol.width", 0, 2, 1 << 20));
+  DYNAGG_ASSIGN_OR_RETURN(const int depth,
+                          r.Int<int>("protocol.depth", 0, 1, 64));
+  DYNAGG_RETURN_IF_ERROR(r.Finish());
+  if ((width & (width - 1)) != 0) {
     return Status::InvalidArgument(
-        "protocol.epsilon must be in (0, 0.5] (additive error as a "
-        "fraction of the stream mass)");
+        "protocol.width must be a power of two (or 0 to derive it from "
+        "protocol.epsilon)");
   }
-  if (delta <= 0.0 || delta >= 1.0) {
+  // The width epsilon derives: the power of two at least e / epsilon
+  // (count-min) or e / epsilon^2 (count-sketch), within the explicit cap.
+  const double derived = kind == SketchKind::kCountMin
+                             ? std::exp(1.0) / epsilon
+                             : std::exp(1.0) / (epsilon * epsilon);
+  if (width == 0 && derived > (1 << 20)) {
     return Status::InvalidArgument(
-        "protocol.delta must be in (0, 1) (per-key failure probability)");
+        "protocol.epsilon derives a width above 2^20; raise it or set "
+        "protocol.width");
   }
   FreqSketchSpecParams out;
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t width,
-                          spec.ParamInt("protocol.width", 0));
-  if (width == 0) {
-    out.width = kind == SketchKind::kCountMin
-                    ? stream::CountMinWidthForEpsilon(epsilon)
-                    : stream::CountSketchWidthForEpsilon(epsilon);
-  } else {
-    if (width < 2 || width > (int64_t{1} << 20) ||
-        (width & (width - 1)) != 0) {
-      return Status::InvalidArgument(
-          "protocol.width must be a power of two in [2, 2^20] (or 0 to "
-          "derive it from protocol.epsilon)");
-    }
-    out.width = static_cast<int>(width);
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t depth,
-                          spec.ParamInt("protocol.depth", 0));
-  if (depth == 0) {
-    out.depth = stream::DepthForDelta(delta);
-  } else {
-    if (depth < 1 || depth > 64) {
-      return Status::InvalidArgument(
-          "protocol.depth must be in [1, 64] (or 0 to derive it from "
-          "protocol.delta)");
-    }
-    out.depth = static_cast<int>(depth);
-  }
+  out.width = width != 0 ? width
+              : kind == SketchKind::kCountMin
+                  ? stream::CountMinWidthForEpsilon(epsilon)
+                  : stream::CountSketchWidthForEpsilon(epsilon);
+  out.depth = depth != 0 ? depth : stream::DepthForDelta(delta);
   if (static_cast<int64_t>(out.depth) * out.width > kMaxSketchCells) {
     return Status::InvalidArgument(
         "sketch shape " + std::to_string(out.depth) + " x " +

@@ -5,15 +5,19 @@
 // (DYNAGG_SOURCE_DIR) and requires each name to appear backticked, so
 // registering a new protocol or spec key without documenting it fails CI
 // with the missing name in the message. The protocol catalog must also
-// list each protocol's derived capabilities exactly.
+// list each protocol's derived capabilities exactly, and each protocol's
+// and environment's row every key its parse reads.
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/status.h"
 #include "net/network_model.h"
+#include "scenario/spec.h"
 #include "scenario/trial.h"
 #include "sim/workload.h"
 
@@ -116,6 +120,83 @@ TEST_F(DocDriftTest, EveryNetworkModelIsDocumented) {
 TEST_F(DocDriftTest, EveryAsyncSpecKeyIsDocumented) {
   for (const net::NetCatalogInfo& key : net::AsyncSpecKeyCatalog()) {
     ExpectDocumented(key.name, "async driver spec key");
+  }
+}
+
+/// The keys a parse read, from the "(allowed: a, b)" list of the error it
+/// gives for an unknown key, without their prefix.
+std::vector<std::string> AllowedKeys(const Status& st,
+                                     const std::string& prefix) {
+  std::vector<std::string> keys;
+  const std::string marker = "(allowed: ";
+  const size_t open = st.message().find(marker);
+  EXPECT_NE(open, std::string::npos) << st.ToString();
+  if (open == std::string::npos) return keys;
+  std::string list = st.message().substr(open + marker.size());
+  list = list.substr(0, list.rfind(')'));
+  std::istringstream items(list);
+  std::string key;
+  while (std::getline(items, key, ',')) {
+    key.erase(0, key.find_first_not_of(' '));
+    if (key.empty()) continue;
+    EXPECT_EQ(key.rfind(prefix, 0), 0u) << key;
+    keys.push_back(key.substr(prefix.size()));
+  }
+  return keys;
+}
+
+/// The catalog row of `name` in the table after `section`: the line that
+/// starts with "| `name` |".
+std::string CatalogRow(const std::string& doc, const std::string& section,
+                       const std::string& name) {
+  const size_t table = doc.find(section);
+  EXPECT_NE(table, std::string::npos) << section;
+  const size_t row = doc.find("\n| `" + name + "` |", table);
+  EXPECT_NE(row, std::string::npos) << "no catalog row for '" << name << "'";
+  if (table == std::string::npos || row == std::string::npos) return "";
+  return doc.substr(row + 1, doc.find('\n', row + 1) - row - 1);
+}
+
+// Every key a protocol's parse reads is documented in its catalog row: a
+// spec with one bogus protocol.* key makes the parse list the keys it
+// read, and each must appear backticked in the row.
+TEST_F(DocDriftTest, EveryProtocolKeyIsInItsCatalogRow) {
+  for (const std::string& name : scenario::ProtocolRegistry().Names()) {
+    SCOPED_TRACE(name);
+    const scenario::ProtocolDef def =
+        scenario::ProtocolRegistry().Find(name).value();
+    scenario::ScenarioSpec spec;
+    spec.protocol = name;
+    spec.hosts = 16;
+    spec.params["protocol.zz_bogus"] = "1";
+    const Status st = def.validate(spec);
+    ASSERT_FALSE(st.ok());
+    const std::string row = CatalogRow(*doc_, "## Protocol catalog", name);
+    for (const std::string& key : AllowedKeys(st, "protocol.")) {
+      EXPECT_NE(row.find("`" + key + "`"), std::string::npos)
+          << "protocol." << key << " is missing from the '" << name
+          << "' row of docs/spec_reference.md";
+    }
+  }
+}
+
+TEST_F(DocDriftTest, EveryEnvironmentKeyIsInItsCatalogRow) {
+  for (const std::string& name : scenario::EnvironmentRegistry().Names()) {
+    SCOPED_TRACE(name);
+    const scenario::EnvironmentDef def =
+        scenario::EnvironmentRegistry().Find(name).value();
+    scenario::ScenarioSpec spec;
+    spec.environment = name;
+    spec.hosts = 16;
+    spec.params["env.zz_bogus"] = "1";
+    const Result<int> hosts = def.validate(spec);
+    ASSERT_FALSE(hosts.ok());
+    const std::string row = CatalogRow(*doc_, "## Environments", name);
+    for (const std::string& key : AllowedKeys(hosts.status(), "env.")) {
+      EXPECT_NE(row.find("`" + key + "`"), std::string::npos)
+          << "env." << key << " is missing from the '" << name
+          << "' row of docs/spec_reference.md";
+    }
   }
 }
 

@@ -268,6 +268,43 @@ TEST(ChurnSpecTest, HostsSweepSkipsThePlaceholderButChecksVariants) {
       "exceeds hosts");
 }
 
+// The churn bounds use the size the environment reports, not the spec's
+// hosts field, which is 0 when the environment derives the size.
+TEST(ChurnSpecTest, ChecksInitialAgainstTheEnvironmentsOwnSize) {
+  const std::string grid =
+      "protocol = push-sum\nhosts = 0\nrounds = 5\nrecord = rms\n"
+      "environment = spatial\nenv.width = 10\nenv.height = 10\n";
+  const std::string text = grid + "churn.initial = 50\n";
+  EXPECT_TRUE(DryRun(text).ok()) << DryRun(text).ToString();
+  const auto specs = ParseScenarioFile(text);
+  ASSERT_TRUE(specs.ok()) << specs.status().ToString();
+  const Result<std::vector<ResultTable>> tables =
+      RunExperiment((*specs)[0], /*threads=*/1);
+  EXPECT_TRUE(tables.ok()) << tables.status().ToString();
+  ExpectDryRunError(grid + "churn.initial = 101\n",
+                    "exceeds hosts = 100 (environment 'spatial')");
+  // Haggle dataset 1 has 9 devices.
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 0\nrecord = rms\n"
+      "environment = haggle\nchurn.max_alive = 10\n",
+      "churn.max_alive = 10 exceeds hosts = 9 (environment 'haggle')");
+  // A trace file's device count is known only once the file is read.
+  const Status st = DryRun(
+      "protocol = push-sum\nhosts = 0\nrecord = rms\n"
+      "environment = crawdad\nenv.trace_file = contacts.txt\n"
+      "churn.initial = 5\n");
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("only once its trace file is read"),
+            std::string::npos)
+      << st.message();
+  EXPECT_EQ(st.message().find("exceeds hosts = 0"), std::string::npos);
+  // A hosts value the environment cannot build fails up front too.
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 50\nrecord = rms\n"
+      "environment = spatial\nenv.width = 10\nenv.height = 10\n",
+      "hosts = 50 does not match the 100 hosts of environment 'spatial'");
+}
+
 // --------------------------------------------------------- determinism ---
 
 TEST(ChurnSpecTest, ChurnedRunIsByteIdenticalAcrossThreads) {

@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -71,7 +72,8 @@ TEST(SpecParseTest, FullFileWithCommentsAndParams) {
   EXPECT_EQ(spec.rounds, 60);
   EXPECT_EQ(spec.trials, 5);
   EXPECT_EQ(spec.seed, 20090401u);
-  EXPECT_DOUBLE_EQ(spec.ParamDouble("protocol.lambda", 0).value(), 0.05);
+  EXPECT_DOUBLE_EQ(spec.ParamDouble("protocol.lambda", 0, 0.0, 1.0).value(),
+                   0.05);
   EXPECT_EQ(spec.ParamInt("env.width", 0).value(), 32);
   EXPECT_EQ(spec.ParamString("failure.kind", "").value(), "churn");
   EXPECT_EQ(spec.ParamInt("seeds.round_stream", 1).value(), 77);
@@ -99,12 +101,14 @@ TEST(SpecParseTest, SectionsInheritAndOverrideGlobals) {
   EXPECT_EQ((*specs)[0].name, "base/a");
   EXPECT_EQ((*specs)[0].hosts, 100);
   EXPECT_EQ((*specs)[0].seed, 7u);
-  EXPECT_DOUBLE_EQ((*specs)[0].ParamDouble("protocol.lambda", 0).value(),
-                   0.5);
+  EXPECT_DOUBLE_EQ(
+      (*specs)[0].ParamDouble("protocol.lambda", 0, 0.0, 1.0).value(),
+      0.5);
   EXPECT_EQ((*specs)[1].name, "base/b");
   EXPECT_EQ((*specs)[1].hosts, 200);
-  EXPECT_DOUBLE_EQ((*specs)[1].ParamDouble("protocol.lambda", 0).value(),
-                   0.9);
+  EXPECT_DOUBLE_EQ(
+      (*specs)[1].ParamDouble("protocol.lambda", 0, 0.0, 1.0).value(),
+      0.9);
 }
 
 TEST(SpecParseTest, SweepParses) {
@@ -186,7 +190,7 @@ TEST(SpecParseTest, BadParamValueSurfacesKeyName) {
   const auto specs =
       ParseScenarioFile("protocol = p\nprotocol.lambda = abc\n");
   ASSERT_TRUE(specs.ok());  // stored as string; typed access fails
-  const auto lambda = (*specs)[0].ParamDouble("protocol.lambda", 0);
+  const auto lambda = (*specs)[0].ParamDouble("protocol.lambda", 0, 0.0, 1.0);
   ASSERT_FALSE(lambda.ok());
   EXPECT_NE(lambda.status().message().find("protocol.lambda"),
             std::string::npos);
@@ -265,6 +269,64 @@ TEST(SpecParseTest, CheckParamsRejectsUnknownSuffix) {
   EXPECT_NE(st.message().find("protocol.lamda"), std::string::npos);
   // Other prefixes are not this factory's concern.
   EXPECT_TRUE((*specs)[0].CheckParams("env.", {}).ok());
+}
+
+/// The message of `r`'s error, or "" when it holds a value.
+template <typename T>
+std::string ErrorOf(const Result<T>& r) {
+  return r.ok() ? "" : r.status().message();
+}
+
+TEST(SpecParseTest, RangedReadsNameKeyValueAndRange) {
+  ScenarioSpec spec;
+  spec.params = {{"protocol.parcels", "4294967297"},
+                 {"protocol.lambda", "nan"},
+                 {"protocol.epsilon", "0"},
+                 {"workload.skew", "inf"},
+                 {"churn.initial", "-1"}};
+  // Range-checked as int64 before any narrowing: 2^32 + 1 does not wrap.
+  EXPECT_EQ(ErrorOf(spec.ParamInt("protocol.parcels", 4, 1, kIntMax)),
+            "protocol.parcels = 4294967297 is outside [1, 2147483647]");
+  EXPECT_EQ(ErrorOf(spec.ParamDouble("protocol.lambda", 0.01, 0.0, 1.0)),
+            "protocol.lambda = nan is outside [0, 1]");
+  EXPECT_EQ(
+      ErrorOf(spec.ParamDouble("protocol.epsilon", 0.05, Open(0.0), 0.5)),
+      "protocol.epsilon = 0 is outside (0, 0.5]");
+  // inf passes only where that bound is inf.
+  EXPECT_FALSE(spec.ParamDouble("workload.skew", 1.0, 0.0, kFiniteMax).ok());
+  EXPECT_EQ(spec.ParamDouble("workload.skew", 1.0, 0.0,
+                             std::numeric_limits<double>::infinity())
+                .value(),
+            std::numeric_limits<double>::infinity());
+  // A default outside the range is a sentinel that may be written out.
+  EXPECT_EQ(spec.ParamInt("churn.initial", -1, 1, kIntMax).value(), -1);
+  EXPECT_EQ(ErrorOf(spec.ParamInt("churn.initial", 7, 1, kIntMax)),
+            "churn.initial = -1 is outside [1, 2147483647]");
+  spec.params["churn.initial"] = "0";
+  EXPECT_EQ(ErrorOf(spec.ParamInt("churn.initial", -1, 1, kIntMax)),
+            "churn.initial = 0 is outside [1, 2147483647] (or -1, the "
+            "default)");
+  // Absent keys return the default without a check.
+  EXPECT_EQ(spec.ParamInt("protocol.window", 3, 1, kIntMax).value(), 3);
+}
+
+TEST(SpecParseTest, ParamReaderAllowsExactlyTheKeysItRead) {
+  ScenarioSpec spec;
+  spec.params = {{"protocol.mode", "push"},
+                 {"protocol.lamda", "0.5"},
+                 {"env.width", "4"}};
+  ParamReader r(spec, "protocol.");
+  EXPECT_EQ(r.String("protocol.mode", "pushpull").value(), "push");
+  EXPECT_DOUBLE_EQ(r.Double("protocol.lambda", 0.01, 0.0, 1.0).value(),
+                   0.01);
+  // Keys outside the prefix are not this parse's concern.
+  EXPECT_EQ(r.Int("env.width", 0, 1, kIntMax).value(), 4);
+  EXPECT_EQ(r.Finish().message(),
+            "unknown parameter 'protocol.lamda' (allowed: protocol.mode, "
+            "protocol.lambda)");
+  spec.params.erase("protocol.lamda");
+  EXPECT_TRUE(r.Finish().ok());
+  EXPECT_TRUE(ParamReader(spec, "net.").Finish().ok());
 }
 
 }  // namespace

@@ -77,6 +77,66 @@ TEST(DryRunValidationTest, RejectsOutOfRangeKnobs) {
       "protocol = extreme-recovery\nhosts = 16\n"
       "protocol.recover_pct = 101\n",
       "protocol.recover_pct");
+  // Each of these used to pass --dry-run and then abort the run on an
+  // internal check, run with a wrapped value, or never finish.
+  const struct {
+    const char* spec;
+    const char* key;
+  } kProbes[] = {
+      {"protocol = push-sum-revert\nprotocol.lambda = nan\n",
+       "protocol.lambda"},
+      {"protocol = push-sum-revert\nprotocol.lambda = -5\n",
+       "protocol.lambda"},
+      {"protocol = push-sum-revert\nprotocol.lambda = 1e300\n",
+       "protocol.lambda"},
+      {"protocol = push-sum-revert\nsweep = protocol.lambda: 0.1, 2\n",
+       "protocol.lambda"},
+      {"protocol = full-transfer\nprotocol.lambda = 1.5\n",
+       "protocol.lambda"},
+      {"protocol = count-min\nworkload.kind = zipf\nworkload.skew = nan\n",
+       "workload.skew"},
+      {"protocol = count-min\nworkload.kind = zipf\n"
+       "protocol.epsilon = nan\n",
+       "protocol.epsilon"},
+      {"protocol = push-sum-revert\nhosts = 0\nenvironment = haggle\n"
+       "env.group_window_minutes = nan\n",
+       "env.group_window_minutes"},
+      {"protocol = push-sum-revert\nhosts = 0\nenvironment = haggle\n"
+       "env.group_window_minutes = -5\n",
+       "env.group_window_minutes"},
+      {"protocol = count-sketch-reset\nrecord = counter_quantiles(0.5)\n"
+       "record.counter_hist_max = nan\n",
+       "record.counter_hist_max"},
+      {"protocol = full-transfer\nprotocol.parcels = 4294967297\n",
+       "protocol.parcels"},
+      {"protocol = count-sketch\nprotocol.bins = 4294967297\n",
+       "protocol.bins"},
+      {"protocol = epoch-push-sum\nprotocol.epoch_length = 4294967297\n",
+       "protocol.epoch_length"},
+      {"protocol = push-sum\nhosts = 0\nenvironment = spatial\n"
+       "env.width = 4294967297\nenv.height = 4\n",
+       "env.width"},
+      {"protocol = count-sketch-reset\nprotocol.cutoff_base = nan\n",
+       "protocol.cutoff_base"},
+      {"protocol = count-sketch\nprotocol.multiplicity = 4294967297\n",
+       "protocol.multiplicity"},
+      {"protocol = count-sketch-reset\nrecord = cdf(counter)\n"
+       "record.max_counter = 0\n",
+       "record.max_counter"},
+      // Aborted --dry-run itself, deriving the sketch width.
+      {"protocol = count-sketch-freq\nworkload.kind = zipf\n"
+       "protocol.epsilon = 1e-5\n",
+       "protocol.epsilon"},
+      {"protocol = fm-accuracy\nprotocol.levels = 65\n", "protocol.levels"},
+  };
+  for (const auto& probe : kProbes) {
+    SCOPED_TRACE(probe.spec);
+    const std::string text =
+        std::string(probe.spec).find("hosts") == std::string::npos
+            ? std::string("hosts = 16\n") + probe.spec
+            : probe.spec;
+    ExpectDryRunError(text, probe.key);
+  }
 }
 
 TEST(DryRunValidationTest, RejectsConflictingEpochPhaseKnobs) {
@@ -304,9 +364,10 @@ TEST(DryRunValidationTest, ResolvesSeedStreamsPerCell) {
   EXPECT_TRUE(DryRun(base + "sweep = hosts: 16, 32\n"
                             "seeds.round_stream = hosts+sweep\n")
                   .ok());
-  // A negative swept value makes only its own cell's term negative.
+  // A negative swept value makes only its own cell's term negative (the
+  // convergence threshold is a key whose range admits one).
   ExpectDryRunError("protocol = push-sum-revert\nhosts = 16\n"
-                    "sweep = protocol.lambda: 0.1, -0.1\n"
+                    "sweep = record.threshold: 0.1, -0.1\n"
                     "seeds.round_stream = sweepval*10\n",
                     "negative for sweep value");
 }
@@ -409,7 +470,8 @@ TEST(TimeValueValidationTest, RejectsTraceHorizonThatOverflowsSimTime) {
       "protocol = push-sum-revert\ndriver = trace\nenvironment = haggle\n";
   for (const char* hours : {"1e99", "nan"}) {
     ExpectDryRunError(base + "env.hours = " + hours + "\n",
-                      "env.hours overflows simulated time");
+                      std::string("env.hours = ") + hours +
+                          " is outside [0, 2.5e+09]");
   }
   EXPECT_TRUE(DryRun(base + "env.hours = 2\n").ok());
 }

@@ -22,9 +22,11 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # Spec-grammar fuzzer, fixed corpus: 500 generated/mutated specs, each of
 # which must either fail --dry-run with an actionable diagnostic or
 # execute clean — any runtime-only rejection is a validation gap and dumps
-# a fuzz_repro_*.scenario artifact.
+# a fuzz_repro_*.scenario artifact. The timeout turns a validated spec that
+# hangs into a failure (its repro is written before it runs) instead of a
+# stalled gate; the corpus takes seconds.
 mkdir -p "$BUILD_DIR/fuzz"
-"$BUILD_DIR"/dynagg_fuzz --seed-corpus --out-dir="$BUILD_DIR/fuzz"
+timeout 600 "$BUILD_DIR"/dynagg_fuzz --seed-corpus --out-dir="$BUILD_DIR/fuzz"
 echo "check.sh: fuzz seed corpus clean"
 # Perf smoke: the round-kernel microbenchmarks must still run and the
 # 100k-host scale spec must validate. The full perf snapshot

@@ -21,8 +21,10 @@
 // A spec that passes validation but fails at execution is exactly the bug
 // class `--dry-run` promises cannot exist, so each one is dumped as a
 // repro artifact (<out-dir>/fuzz_repro_<seed>_<index>.scenario with the
-// error in a comment header) and the run exits nonzero. CI runs the fixed
-// seed corpus plus a rolling random batch under ASan/UBSan (see
+// error in a comment header) and the run exits nonzero. Each accepted
+// spec's repro is written before it executes and removed once it passes,
+// so one that aborts the process or hangs leaves its repro too. CI runs
+// the fixed seed corpus plus a rolling random batch under ASan/UBSan (see
 // .github/workflows/ci.yml), so "executes clean" also means "no sanitizer
 // findings".
 //
@@ -281,12 +283,19 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
 
 // ------------------------------------------------------------- mutation ---
 
-const char* const kJunkValues[] = {"", "banana", "-3", "1e99", "0x",
-                                   "true false", "nan", "2,", "  "};
+const char* const kJunkValues[] = {"",     "banana", "-3",   "1e99",
+                                   "0x",   "true false", "nan", "2,",
+                                   "  ",   "inf",    "-inf",
+                                   "2147483648", "4294967297"};
 
 /// Applies one random near-valid mutation to `lines`. Mutants must stay
-/// CHEAP when they survive validation: mutations corrupt or add keys, they
-/// never synthesize large numeric values.
+/// CHEAP when they survive validation: mutations corrupt or add keys and
+/// draw junk values, and even the boundary draws (inf, 2^31, 2^32 + 1)
+/// are cheap because every namespaced numeric key declares its range where
+/// its parse reads it, so a value that survives is one the range admits.
+/// The top-level sizes are int-checked by the parser, and
+/// intra_round_threads stays capped by the visible CPUs in the worker
+/// pool.
 void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
   const auto pick_line = [&rng, lines]() -> SpecLine* {
     if (lines->empty()) return nullptr;
@@ -410,14 +419,19 @@ bool WithinExecutionBudget(const ScenarioSpec& spec) {
          sweeps <= 16;
 }
 
-void DumpRepro(const std::string& out_dir, uint64_t seed, int index,
-               const std::string& text, const std::string& error) {
-  const std::string path = out_dir + "/fuzz_repro_" + std::to_string(seed) +
-                           "_" + std::to_string(index) + ".scenario";
+std::string ReproPath(const std::string& out_dir, uint64_t seed, int index) {
+  return out_dir + "/fuzz_repro_" + std::to_string(seed) + "_" +
+         std::to_string(index) + ".scenario";
+}
+
+/// Writes the repro file of spec `index`: `text` under a comment header
+/// naming the violation. Returns false (after saying so) when it cannot.
+bool WriteRepro(const std::string& path, uint64_t seed, int index,
+                const std::string& text, const std::string& error) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     std::fprintf(stderr, "dynagg_fuzz: cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(f,
                "# dynagg_fuzz repro (seed %" PRIu64 ", spec %d)\n"
@@ -425,7 +439,15 @@ void DumpRepro(const std::string& out_dir, uint64_t seed, int index,
                seed, index, error.c_str());
   std::fwrite(text.data(), 1, text.size(), f);
   std::fclose(f);
-  std::fprintf(stderr, "dynagg_fuzz: repro written to %s\n", path.c_str());
+  return true;
+}
+
+void DumpRepro(const std::string& out_dir, uint64_t seed, int index,
+               const std::string& text, const std::string& error) {
+  const std::string path = ReproPath(out_dir, seed, index);
+  if (WriteRepro(path, seed, index, text, error)) {
+    std::fprintf(stderr, "dynagg_fuzz: repro written to %s\n", path.c_str());
+  }
 }
 
 /// Generates and checks `count` specs from one seed. Returns stats;
@@ -491,6 +513,13 @@ FuzzStats FuzzBatch(uint64_t seed, int count, const std::string& out_dir,
                      i);
         continue;
       }
+      // The repro is written before the run and removed once the run
+      // passes, so a spec that aborts the process (an internal check) or
+      // hangs until a timeout kills it still leaves its repro behind.
+      const std::string repro = ReproPath(out_dir, seed, i);
+      WriteRepro(repro, seed, i, text,
+                 "dry-run accepted; execution did not return (aborted or "
+                 "hung)");
       const Result<std::vector<scenario::ResultTable>> tables =
           scenario::RunExperiment(spec, /*threads=*/2);
       if (!tables.ok()) {
@@ -499,6 +528,7 @@ FuzzStats FuzzBatch(uint64_t seed, int count, const std::string& out_dir,
                   "dry-run accepted but execution failed: " +
                       tables.status().ToString());
       } else {
+        std::remove(repro.c_str());
         ++stats.executed;
         if (verbose) std::fprintf(stderr, "[%d] executed clean\n", i);
       }
