@@ -19,21 +19,39 @@ namespace dynagg {
 namespace scenario {
 namespace {
 
-/// The async driver's record.* knobs: record.from / record.every thin the
-/// per-tick series (and from starts the rms_tail_mean window).
-struct AsyncRecordWindow {
-  int from = 0;
-  int every = 1;
+/// The async driver's record parse. The per-tick samples (the rms series
+/// and the rms_tail_mean window, thinned by record.from / record.every)
+/// follow the rounds driver's RoundIsRead rule; the rest is measured once
+/// the network has settled.
+struct AsyncRecord {
+  MetricFlags sampled;  // rms, tail_mean
+  RecordConfig window;  // from, every
+  bool final_rms = false;
+  bool bandwidth = false;
+  bool gossip_bytes = false;
+  bool delivery_rate = false;
 };
 
-Result<AsyncRecordWindow> ParseAsyncRecordWindow(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {"from", "every"}));
-  AsyncRecordWindow w;
-  DYNAGG_ASSIGN_OR_RETURN(w.from,
-                          spec.ParamInt<int>("record.from", 0, 0, kIntMax));
-  DYNAGG_ASSIGN_OR_RETURN(w.every,
-                          spec.ParamInt<int>("record.every", 1, 1, kIntMax));
-  return w;
+Result<AsyncRecord> ParseAsyncRecord(const ScenarioSpec& spec,
+                                     RecordReader& r) {
+  AsyncRecord out;
+  out.sampled.rms = r.Want("rms");
+  out.sampled.tail_mean = r.Want("rms_tail_mean");
+  out.final_rms = r.Want("final_rms");
+  out.bandwidth = r.Want("bandwidth");
+  out.gossip_bytes = r.Want("gossip_bytes");
+  out.delivery_rate = r.Want("delivery_rate");
+  DYNAGG_ASSIGN_OR_RETURN(out.window.from,
+                          r.Int<int>("record.from", 0, 0, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(out.window.every,
+                          r.Int<int>("record.every", 1, 1, kIntMax));
+  if (out.sampled.tail_mean && out.window.from >= spec.rounds) {
+    return Status::InvalidArgument(
+        "driver = async: record.from = " + std::to_string(out.window.from) +
+        " leaves no ticks to average (rounds = " +
+        std::to_string(spec.rounds) + ")");
+  }
+  return out;
 }
 
 Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
@@ -46,15 +64,11 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   const ScenarioSpec& spec = *ctx.spec;
   DYNAGG_ASSIGN_OR_RETURN(const net::NetworkParams net_params,
                           ParseNetworkParams(spec));
-  DYNAGG_ASSIGN_OR_RETURN(const AsyncRecordWindow record,
-                          ParseAsyncRecordWindow(spec));
-
-  const bool want_rms = MetricRequested(spec, "rms");
-  const bool want_tail = MetricRequested(spec, "rms_tail_mean");
-  const bool want_final = MetricRequested(spec, "final_rms");
-  const bool want_bandwidth = MetricRequested(spec, "bandwidth");
-  const bool want_gossip_bytes = MetricRequested(spec, "gossip_bytes");
-  const bool want_delivery = MetricRequested(spec, "delivery_rate");
+  RecordReader records(spec);
+  DYNAGG_ASSIGN_OR_RETURN(const AsyncRecord want,
+                          ParseAsyncRecord(spec, records));
+  const int from = want.window.from;
+  const int every = want.window.every;
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
   // The async capability is derived from the hooks MakeSwarmHandle sets,
@@ -92,16 +106,8 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
 
   // Declare the series up front so batches stay structurally identical
   // even when the recording window is empty.
-  if (want_rms) rec.MutableSeries("round", "rms");
+  if (want.sampled.rms) rec.MutableSeries("round", "rms");
   RunningStat tail;
-  // The sampler evaluates only the samples a series point or the tail
-  // reads, by the rounds driver's rule.
-  MetricFlags sampled;
-  sampled.rms = want_rms;
-  sampled.tail_mean = want_tail;
-  RecordConfig window;
-  window.from = record.from;
-  window.every = record.every;
 
   const auto rms_now = [&]() {
     return swarm.rms_deviation(pop, swarm.truth(pop));
@@ -129,14 +135,14 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
       inflight.Push(t + d.delay, m);
     }
     drain_due(t);
-    if (RoundIsRead(sampled, window, ticks, k)) {
+    // Only the samples a series point or the tail reads are evaluated.
+    if (RoundIsRead(want.sampled, want.window, ticks, k)) {
       obs::ScopedPhase record_span(obs::Phase::kRecord);
       const double rms = rms_now();
-      if (want_rms && k >= record.from &&
-          (k - record.from) % record.every == 0) {
+      if (want.sampled.rms && k >= from && (k - from) % every == 0) {
         rec.AddSeriesPoint("round", "rms", static_cast<double>(k + 1), rms);
       }
-      if (want_tail && k >= record.from) tail.Add(rms);
+      if (want.sampled.tail_mean && k >= from) tail.Add(rms);
     }
   }
   // Drain the messages still in flight after the last tick in (due, send)
@@ -150,20 +156,20 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
              static_cast<int64_t>(rng.draw_count()) + model.rng_draws());
   obs::ScopedPhase record_span(obs::Phase::kRecord);
 
-  if (want_tail) rec.AddScalar("rms_tail_mean", tail.mean());
-  if (want_final) rec.AddScalar("final_rms", rms_now());
-  if (want_delivery) {
+  if (want.sampled.tail_mean) rec.AddScalar("rms_tail_mean", tail.mean());
+  if (want.final_rms) rec.AddScalar("final_rms", rms_now());
+  if (want.delivery_rate) {
     rec.AddScalar("delivery_rate",
                   sent > 0 ? static_cast<double>(delivered) /
                                  static_cast<double>(sent)
                            : 1.0);
   }
   const double denom = static_cast<double>(n) * ticks;
-  if (want_gossip_bytes) {
+  if (want.gossip_bytes) {
     rec.AddScalar("gossip_bytes",
                   static_cast<double>(sent) * swarm.message_bytes / denom);
   }
-  if (want_bandwidth) {
+  if (want.bandwidth) {
     rec.SetBandwidth(static_cast<double>(sent) / denom,
                      static_cast<double>(sent) * swarm.message_bytes / denom,
                      swarm.state_bytes);
@@ -218,7 +224,8 @@ Result<net::NetworkParams> ParseNetworkParams(const ScenarioSpec& spec) {
   return p;
 }
 
-Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
+Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def,
+                         RecordReader& records) {
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("driver = async: " + what);
   };
@@ -271,17 +278,8 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
   }
   DYNAGG_RETURN_IF_ERROR(
       spec.CheckParams("seeds.", {"round_stream", "message_stream"}));
-  DYNAGG_ASSIGN_OR_RETURN(const AsyncRecordWindow record,
-                          ParseAsyncRecordWindow(spec));
-  if (MetricRequested(spec, "rms_tail_mean") && record.from >= spec.rounds) {
-    return invalid("record.from = " + std::to_string(record.from) +
-                   " leaves no ticks to average (rounds = " +
-                   std::to_string(spec.rounds) + ")");
-  }
-  DYNAGG_RETURN_IF_ERROR(ParseNetworkParams(spec).status());
-  return CheckMetricsSupported(
-      spec, {"rms", "rms_tail_mean", "final_rms", "bandwidth", "gossip_bytes",
-             "delivery_rate"});
+  DYNAGG_RETURN_IF_ERROR(ParseAsyncRecord(spec, records).status());
+  return ParseNetworkParams(spec).status();
 }
 
 namespace internal {

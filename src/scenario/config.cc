@@ -1,5 +1,6 @@
 #include "scenario/config.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -8,235 +9,152 @@ namespace scenario {
 
 namespace {
 
-/// Parses the argument of a `quantile(metric, q)` selector against the
-/// rounds driver's per-host sample catalog (currently: final_error).
-Result<double> ParseFinalErrorQuantileArg(const MetricSpec& m) {
-  const std::string bad =
-      "metric '" + m.ToString() +
-      "': the rounds driver supports quantile(final_error, q) with q in "
-      "[0, 1]";
+/// The number in the "<series>, <number>" argument of `m`
+/// (quantile(final_error, q), rounds_below(rms, T)); NaN when the argument
+/// has another shape or names another series.
+double SeriesArg(const MetricSpec& m, const char* series) {
   const size_t comma = m.arg.find(',');
-  if (comma == std::string::npos) return Status::InvalidArgument(bad);
-  if (m.arg.substr(0, comma) != "final_error" ||
+  if (comma == std::string::npos || m.arg.compare(0, comma, series) != 0 ||
       m.arg.find(',', comma + 1) != std::string::npos) {
-    return Status::InvalidArgument(bad);
+    return std::nan("");
   }
-  const Result<double> q = ParseDouble(m.arg.substr(comma + 1));
-  // Negated form so NaN (which strtod accepts) fails the range check too.
-  if (!q.ok() || !(*q >= 0.0 && *q <= 1.0)) {
-    return Status::InvalidArgument(bad);
-  }
-  return *q;
+  const Result<double> v = ParseDouble(m.arg.substr(comma + 1));
+  return v.ok() ? *v : std::nan("");
 }
 
-/// Parses the argument of an `rms_at(R)` selector: the series-x round
-/// number (round index + 1, matching the rms series' x column), a positive
-/// integer.
-Result<double> ParseRmsAtArg(const MetricSpec& m) {
-  const Result<double> r = ParseDouble(m.arg);
-  if (!r.ok() || !(*r >= 1.0) || *r != std::floor(*r)) {
-    return Status::InvalidArgument(
-        "metric '" + m.ToString() +
-        "': rms_at(R) takes the 1-based round number R of the rms series "
-        "(a positive integer)");
-  }
-  return *r;
+Status BadArg(const MetricSpec& m, const std::string& usage) {
+  return Status::InvalidArgument("metric '" + m.ToString() + "': " + usage);
 }
 
-/// Parses the argument of a `rounds_below(rms, T)` selector: the watched
-/// series (only `rms`) and a finite absolute threshold.
-Result<double> ParseRoundsBelowArg(const MetricSpec& m) {
-  const std::string bad =
-      "metric '" + m.ToString() +
-      "': the rounds driver supports rounds_below(rms, T) with a finite "
-      "threshold T (the first round from which the rms series stays below "
-      "T; -1 = never)";
-  const size_t comma = m.arg.find(',');
-  if (comma == std::string::npos) return Status::InvalidArgument(bad);
-  if (m.arg.substr(0, comma) != "rms" ||
-      m.arg.find(',', comma + 1) != std::string::npos) {
-    return Status::InvalidArgument(bad);
+/// Appends `v`, the parsed argument of selector `m`, unless an earlier
+/// selector of its family parsed to the same value: ValidateMetricList only
+/// dedups spellings, and "0.5" and "0.50" must fail here, not abort in the
+/// Recorder.
+template <typename T>
+Status AppendUnique(const MetricSpec& m, T v, const char* what,
+                    std::vector<T>* out) {
+  if (std::find(out->begin(), out->end(), v) != out->end()) {
+    return Status::InvalidArgument("metric '" + m.ToString() +
+                                   "' requests a duplicate " + what);
   }
-  const Result<double> t = ParseDouble(m.arg.substr(comma + 1));
-  if (!t.ok() || !std::isfinite(*t)) return Status::InvalidArgument(bad);
-  return *t;
-}
-
-/// Parses the argument of a `final_rel_error(H)` selector: a host id
-/// (range-checked against the population at execution time).
-Result<int> ParseRelErrorArg(const MetricSpec& m) {
-  const Result<int64_t> h = ParseInt64(m.arg);
-  if (!h.ok() || *h < 0) {
-    return Status::InvalidArgument(
-        "metric '" + m.ToString() +
-        "': final_rel_error(H) takes a host id H >= 0");
-  }
-  return static_cast<int>(*h);
+  out->push_back(v);
+  return Status::OK();
 }
 
 }  // namespace
 
-Result<MetricFlags> ClassifyDriverMetrics(
-    const ScenarioSpec& spec, const std::vector<std::string>& extra) {
-  std::vector<std::string> supported = {
-      "rms",       "rms_tail_mean", "rounds_to_converge",
-      "bandwidth", "cdf(final_error)", "final_rms",
-      "gossip_bytes", "recovery_rounds(rms)"};
-  supported.insert(supported.end(), extra.begin(), extra.end());
-  // Consume the parametrized selectors first, then validate the rest
-  // against the fixed catalog. The "name(arg-shape)" entries pushed below
-  // only document the families in the diagnostic — real selectors carry
-  // numbers and never match them literally.
-  MetricFlags flags;
-  std::vector<MetricSpec> rest;
-  for (const MetricSpec& m : spec.metrics) {
-    if (m.name == "quantile") {
-      DYNAGG_ASSIGN_OR_RETURN(const double q, ParseFinalErrorQuantileArg(m));
-      // ValidateMetricList only dedups selector spellings; "0.5" and
-      // "0.50" parse to the same quantile and must fail here, not abort
-      // in the Recorder.
-      for (const double seen : flags.final_error_quantiles) {
-        if (seen == q) {
-          return Status::InvalidArgument(
-              "metric '" + m.ToString() + "' requests a duplicate quantile");
-        }
-      }
-      flags.final_error_quantiles.push_back(q);
-    } else if (m.name == "rms_at") {
-      DYNAGG_ASSIGN_OR_RETURN(const double r, ParseRmsAtArg(m));
-      for (const double seen : flags.rms_at) {
-        if (seen == r) {
-          return Status::InvalidArgument(
-              "metric '" + m.ToString() + "' requests a duplicate round");
-        }
-      }
-      flags.rms_at.push_back(r);
-    } else if (m.name == "rounds_below") {
-      DYNAGG_ASSIGN_OR_RETURN(const double t, ParseRoundsBelowArg(m));
-      for (const double seen : flags.rounds_below) {
-        if (seen == t) {
-          return Status::InvalidArgument(
-              "metric '" + m.ToString() +
-              "' requests a duplicate threshold");
-        }
-      }
-      flags.rounds_below.push_back(t);
-    } else if (m.name == "final_rel_error") {
-      DYNAGG_ASSIGN_OR_RETURN(const int h, ParseRelErrorArg(m));
-      for (const int seen : flags.rel_error_hosts) {
-        if (seen == h) {
-          return Status::InvalidArgument(
-              "metric '" + m.ToString() + "' requests a duplicate host");
-        }
-      }
-      flags.rel_error_hosts.push_back(h);
-    } else {
-      rest.push_back(m);
-    }
-  }
-  supported.push_back("quantile(final_error,q)");
-  supported.push_back("rms_at(R)");
-  supported.push_back("rounds_below(rms,T)");
-  supported.push_back("final_rel_error(H)");
-  DYNAGG_RETURN_IF_ERROR(
-      CheckMetricsSupported(spec.protocol, rest, supported));
-  flags.rms = MetricRequested(spec, "rms");
-  flags.tail_mean = MetricRequested(spec, "rms_tail_mean");
-  flags.convergence = MetricRequested(spec, "rounds_to_converge");
-  flags.bandwidth = MetricRequested(spec, "bandwidth");
-  flags.final_error_cdf = MetricRequested(spec, "cdf(final_error)");
-  flags.final_rms = MetricRequested(spec, "final_rms");
-  flags.gossip_bytes = MetricRequested(spec, "gossip_bytes");
-  flags.recovery = MetricRequested(spec, "recovery_rounds(rms)");
-  for (const std::string& selector : extra) {
-    for (const MetricSpec& m : spec.metrics) {
-      flags.extra = flags.extra || SelectorMatches(selector, m);
-    }
-  }
-  return flags;
-}
-
-Result<RecordConfig> ParseRecordConfig(
-    const ScenarioSpec& spec, const std::vector<std::string>& extra_keys) {
+Result<RoundsRecord> ParseRoundsRecord(const ScenarioSpec& spec,
+                                       RecordReader& r) {
   if (spec.HasParam("record.kind")) {
     return Status::InvalidArgument(
         "record.kind was replaced by the top-level metric list: use "
         "'record = rms' (per_round), 'record = rms_tail_mean' (tail_mean) "
         "or 'record = rounds_to_converge' (convergence)");
   }
-  std::vector<std::string> allowed = {
-      "from",          "every",         "threshold",
-      "threshold_relative", "cdf_lo",   "cdf_hi",
-      "cdf_buckets",   "relative",      "recovery_from",
-      "recovery_mult", "recovery_add",  "recovery_min"};
-  allowed.insert(allowed.end(), extra_keys.begin(), extra_keys.end());
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", allowed));
-  RecordConfig cfg;
-  DYNAGG_ASSIGN_OR_RETURN(cfg.from,
-                          spec.ParamInt<int>("record.from", 0, 0, kIntMax));
+  RoundsRecord out;
+  MetricFlags& m = out.metrics;
+  m.rms = r.Want("rms");
+  m.tail_mean = r.Want("rms_tail_mean");
+  m.convergence = r.Want("rounds_to_converge");
+  m.bandwidth = r.Want("bandwidth");
+  m.final_error_cdf = r.Want("cdf(final_error)");
+  m.final_rms = r.Want("final_rms");
+  m.gossip_bytes = r.Want("gossip_bytes");
+  m.recovery = r.Want("recovery_rounds(rms)");
+  // The parametrized families; NaN fails every range check.
+  for (const MetricSpec& s : r.Family("quantile")) {
+    const double q = SeriesArg(s, "final_error");
+    if (!(q >= 0.0 && q <= 1.0)) {
+      return BadArg(s, "the rounds driver supports quantile(final_error, q) "
+                       "with q in [0, 1]");
+    }
+    DYNAGG_RETURN_IF_ERROR(
+        AppendUnique(s, q, "quantile", &m.final_error_quantiles));
+  }
+  // R is the rms series' x: the round index + 1.
+  for (const MetricSpec& s : r.Family("rms_at")) {
+    const Result<double> at = ParseDouble(s.arg);
+    if (!at.ok() || !(*at >= 1.0 && *at <= kIntMax) ||
+        *at != std::floor(*at)) {
+      return BadArg(s, "rms_at(R) takes the 1-based round number R of the "
+                       "rms series (an integer in [1, 2147483647])");
+    }
+    DYNAGG_RETURN_IF_ERROR(AppendUnique(s, *at, "round", &m.rms_at));
+  }
+  for (const MetricSpec& s : r.Family("rounds_below")) {
+    const double t = SeriesArg(s, "rms");
+    if (!std::isfinite(t)) {
+      return BadArg(s, "the rounds driver supports rounds_below(rms, T) with "
+                       "a finite threshold T (the first round from which "
+                       "the rms series stays below T; -1 = never)");
+    }
+    DYNAGG_RETURN_IF_ERROR(AppendUnique(s, t, "threshold", &m.rounds_below));
+  }
+  // H is checked against the built population by the driver.
+  for (const MetricSpec& s : r.Family("final_rel_error")) {
+    const Result<int64_t> h = ParseInt64(s.arg);
+    if (!h.ok() || *h < 0 || *h > kIntMax) {
+      return BadArg(s, "final_rel_error(H) takes a host id H in "
+                       "[0, 2147483647]");
+    }
+    DYNAGG_RETURN_IF_ERROR(
+        AppendUnique(s, static_cast<int>(*h), "host", &m.rel_error_hosts));
+  }
+
+  RecordConfig& cfg = out.cfg;
+  DYNAGG_ASSIGN_OR_RETURN(cfg.from, r.Int<int>("record.from", 0, 0, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(cfg.every,
-                          spec.ParamInt<int>("record.every", 1, 1, kIntMax));
+                          r.Int<int>("record.every", 1, 1, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(
       cfg.threshold,
-      spec.ParamDouble("record.threshold", 1.0, -kFiniteMax, kFiniteMax));
+      r.Double("record.threshold", 1.0, -kFiniteMax, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.threshold_relative,
+                          r.Bool("record.threshold_relative", false));
   DYNAGG_ASSIGN_OR_RETURN(
-      cfg.threshold_relative,
-      spec.ParamBool("record.threshold_relative", false));
+      cfg.cdf_lo, r.Double("record.cdf_lo", 0.0, -kFiniteMax, kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
-      cfg.cdf_lo,
-      spec.ParamDouble("record.cdf_lo", 0.0, -kFiniteMax, kFiniteMax));
-  DYNAGG_ASSIGN_OR_RETURN(
-      cfg.cdf_hi,
-      spec.ParamDouble("record.cdf_hi", 0.0, -kFiniteMax, kFiniteMax));
-  DYNAGG_ASSIGN_OR_RETURN(
-      cfg.cdf_buckets,
-      spec.ParamInt<int>("record.cdf_buckets", 20, 1, kIntMax));
-  DYNAGG_ASSIGN_OR_RETURN(cfg.relative,
-                          spec.ParamBool("record.relative", false));
+      cfg.cdf_hi, r.Double("record.cdf_hi", 0.0, -kFiniteMax, kFiniteMax));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.cdf_buckets,
+                          r.Int<int>("record.cdf_buckets", 20, 1, kIntMax));
+  DYNAGG_ASSIGN_OR_RETURN(cfg.relative, r.Bool("record.relative", false));
   DYNAGG_ASSIGN_OR_RETURN(
       cfg.recovery_from,
-      spec.ParamInt<int>("record.recovery_from", 0, 0, kIntMax));
+      r.Int<int>("record.recovery_from", 0, 0, kIntMax));
   DYNAGG_ASSIGN_OR_RETURN(
       cfg.recovery_mult,
-      spec.ParamDouble("record.recovery_mult", 2.0, 0.0, kFiniteMax));
+      r.Double("record.recovery_mult", 2.0, 0.0, kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
-      cfg.recovery_add,
-      spec.ParamDouble("record.recovery_add", 0.0, 0.0, kFiniteMax));
+      cfg.recovery_add, r.Double("record.recovery_add", 0.0, 0.0, kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
-      cfg.recovery_min,
-      spec.ParamDouble("record.recovery_min", 0.0, 0.0, kFiniteMax));
-  return cfg;
-}
+      cfg.recovery_min, r.Double("record.recovery_min", 0.0, 0.0, kFiniteMax));
 
-Status CheckRecordWindows(const ScenarioSpec& spec, const MetricFlags& metrics,
-                          const RecordConfig& cfg) {
-  if (metrics.tail_mean && cfg.from >= spec.rounds) {
+  if (m.tail_mean && cfg.from >= spec.rounds) {
     // An empty averaging window would fabricate a perfect score of 0.
     return Status::InvalidArgument(
         "record.from = " + std::to_string(cfg.from) +
         " leaves no rounds to average (rounds = " +
         std::to_string(spec.rounds) + ")");
   }
-  if (metrics.recovery && cfg.recovery_from >= spec.rounds) {
+  if (m.recovery && cfg.recovery_from >= spec.rounds) {
     // An empty window has no floor to derive the threshold from.
     return Status::InvalidArgument(
         "record.recovery_from = " + std::to_string(cfg.recovery_from) +
         " leaves no rounds to watch for recovery (rounds = " +
         std::to_string(spec.rounds) + ")");
   }
-  for (const double r : metrics.rms_at) {
-    if (r > spec.rounds) {
+  for (const double at : m.rms_at) {
+    if (at > spec.rounds) {
       return Status::InvalidArgument(
-          "rms_at(" + std::to_string(static_cast<int>(r)) +
+          "rms_at(" + std::to_string(static_cast<int>(at)) +
           ") is past the last round (rounds = " +
           std::to_string(spec.rounds) + ")");
     }
   }
-  if (metrics.final_error_cdf && cfg.cdf_hi <= cfg.cdf_lo) {
+  if (m.final_error_cdf && cfg.cdf_hi <= cfg.cdf_lo) {
     return Status::InvalidArgument(
         "cdf(final_error) needs record.cdf_hi > record.cdf_lo");
   }
-  return Status::OK();
+  return out;
 }
 
 bool RoundIsRead(const MetricFlags& metrics, const RecordConfig& cfg,
@@ -250,8 +168,8 @@ bool RoundIsRead(const MetricFlags& metrics, const RecordConfig& cfg,
     return true;
   }
   if (metrics.tail_mean && round >= cfg.from) return true;
-  // Early stop only happens under OnlyConvergence(), so with final_rms the
-  // last executed round is always rounds - 1.
+  // Early stop only happens when rounds_to_converge is the only selector,
+  // so with final_rms the last executed round is always rounds - 1.
   if (metrics.final_rms && round == rounds - 1) return true;
   for (const double r : metrics.rms_at) {
     if (r == round + 1) return true;
@@ -487,12 +405,6 @@ Status CheckValueBacked(const FailureConfig& cfg, bool value_backed) {
   }
   return Status::InvalidArgument(
       "failure.kind = kill_top_fraction requires a value-based protocol");
-}
-
-Status CheckMetered(const ScenarioSpec& spec, bool metered) {
-  if (metered || !MetricRequested(spec, "bandwidth")) return Status::OK();
-  return Status::InvalidArgument("protocol '" + spec.protocol +
-                                 "' does not support the bandwidth metric");
 }
 
 Result<FailurePlan> BuildFailurePlan(const FailureConfig& cfg, int n,

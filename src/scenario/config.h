@@ -62,28 +62,12 @@ struct MetricFlags {
   /// quantiles of the per-host |estimate - truth| distribution after the
   /// last round, emitted as QuantileRecords.
   std::vector<double> final_error_quantiles;
-  /// Any selector the swarm listed as extra (handled by its finish hook).
-  bool extra = false;
 
   bool NeedsRoundEvaluation() const {
     return rms || tail_mean || convergence || final_rms || recovery ||
            !rms_at.empty() || !rounds_below.empty();
   }
-  /// Early convergence stop is only sound when no other metric needs the
-  /// remaining rounds.
-  bool OnlyConvergence() const {
-    return convergence && !rms && !tail_mean && !bandwidth &&
-           !final_error_cdf && !final_rms && !recovery && !gossip_bytes &&
-           rms_at.empty() && rounds_below.empty() &&
-           rel_error_hosts.empty() && final_error_quantiles.empty() && !extra;
-  }
 };
-
-/// Validates the spec's metric list against the rounds driver's catalog
-/// plus the swarm's `extra` selectors and flags what is requested.
-Result<MetricFlags> ClassifyDriverMetrics(const ScenarioSpec& spec,
-                                          const std::vector<std::string>&
-                                              extra);
 
 /// The record.* knobs of the rounds driver's metrics.
 struct RecordConfig {
@@ -106,16 +90,19 @@ struct RecordConfig {
   double recovery_min = 0.0;
 };
 
-Result<RecordConfig> ParseRecordConfig(
-    const ScenarioSpec& spec, const std::vector<std::string>& extra_keys);
+/// What the rounds driver records, and with which knobs.
+struct RoundsRecord {
+  MetricFlags metrics;
+  RecordConfig cfg;
+};
 
-/// Spec-only window checks for the rounds driver's metrics: every windowed
-/// selector must leave at least one round inside its window, and the cdf
-/// histogram must be well-formed. --dry-run applies them to every cell of
-/// the sweep grid (a rounds sweep can empty a window the base spec
-/// satisfies).
-Status CheckRecordWindows(const ScenarioSpec& spec, const MetricFlags& metrics,
-                          const RecordConfig& cfg);
+/// The rounds driver's record parse: its selectors and record.* keys, read
+/// through `r`, plus the spec-only window checks (every windowed selector
+/// must leave at least one round inside its window, and the cdf histogram
+/// must be well-formed). ValidateExperiment runs it on every cell of the
+/// sweep grid (a rounds sweep can empty a window the base spec satisfies).
+Result<RoundsRecord> ParseRoundsRecord(const ScenarioSpec& spec,
+                                       RecordReader& r);
 
 /// Whether some requested metric consumes round `round`'s RMS evaluation
 /// (0-based, of `rounds`): the rms series window (record.from/every), the
@@ -179,18 +166,14 @@ Result<uint64_t> MessageStream(const ScenarioSpec& spec,
 /// as the guard before it reads the built swarm's values.
 Status CheckValueBacked(const FailureConfig& cfg, bool value_backed);
 
-/// Rejects `record = bandwidth` on protocols that cannot meter their
-/// traffic (Capability::kMetered): the rounds driver measures it through
-/// the swarm's traffic meter.
-Status CheckMetered(const ScenarioSpec& spec, bool metered);
-
 /// Spec-only validation of a `driver = trace` experiment: protocol
-/// capability, no rounds / failure.* / churn.* / record.* keys, the
-/// seeds.* allowlist and the metric catalog (rms, avg_group_size); the
-/// counterpart of ValidateAsyncSpec. Whether the environment provides a
-/// trace is checked against its registry entry (dry run) and the built
+/// capability, no rounds / failure.* / churn.* keys, the seeds.* allowlist
+/// and the driver's selectors (rms, avg_group_size) read into `records`;
+/// the counterpart of ValidateAsyncSpec. Whether the environment provides
+/// a trace is checked against its registry entry (dry run) and the built
 /// environment (driver).
-Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def);
+Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def,
+                         RecordReader& records);
 
 /// Builds the scripted plan. `values` backs kill_top_fraction and may be
 /// null for protocols without per-host scalar values.

@@ -11,7 +11,7 @@
 //             - rounds_to_converge  first round with RMS < record.threshold
 //             - bandwidth           measured traffic via TrafficMeter
 //             - cdf(final_error)    per-host |estimate - truth| CDF
-//           plus any extra selectors the swarm's finish hook handles.
+//           plus the selectors the protocol's own finish hook records.
 //   trace   Contact-trace playback: one time loop over the environment's
 //           ContactTrace that merges a gossip tick every gossip_period
 //           seconds with a metric sample every sample_period seconds (the
@@ -75,23 +75,22 @@ std::string SuffixedScalarName(const char* base, double v) {
 
 /// Drives the swarm for spec.rounds rounds under the spec's environment,
 /// failure plan and requested metrics, recording everything in one pass.
-/// `def` carries the protocol's statically declared extra selectors (the
-/// built swarm's finish hook interprets them). The spec-only checks ran in
-/// ValidateExperiment on this exact spec; only the checks that need the
-/// built environment or the run's data remain here.
-Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
-                   EnvHandle& env, const SwarmHandle& swarm, Recorder& rec) {
+/// The spec-only checks ran in ValidateExperiment on this exact spec; only
+/// the checks that need the built environment or the run's data remain
+/// here.
+Status DriveRounds(const TrialContext& ctx, EnvHandle& env,
+                   const SwarmHandle& swarm, Recorder& rec) {
   // Everything up to the round loop — config parsing, the failure plan,
   // the population — is trial setup (the caller's env/swarm construction
   // accumulated into the same phase already).
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_ASSIGN_OR_RETURN(
-      const MetricFlags metrics,
-      ClassifyDriverMetrics(spec, def.extra_metrics));
-  DYNAGG_ASSIGN_OR_RETURN(const RecordConfig cfg,
-                          ParseRecordConfig(spec, def.extra_record_keys));
+  RecordReader records(spec);
+  DYNAGG_ASSIGN_OR_RETURN(const RoundsRecord parsed,
+                          ParseRoundsRecord(spec, records));
+  const MetricFlags& metrics = parsed.metrics;
+  const RecordConfig& cfg = parsed.cfg;
   DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
   const int n = env.env->num_hosts();
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t round_stream,
@@ -131,7 +130,10 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   std::vector<double> rms_at_values(metrics.rms_at.size(), 0.0);
   std::vector<double> full_series;      // backs rounds_below
   std::vector<double> recovery_window;  // backs recovery_rounds
-  const bool early_stop = metrics.OnlyConvergence();
+  // Early convergence stop is only sound when no other selector needs the
+  // remaining rounds: every selector is read and none is listed twice, so
+  // that is when rounds_to_converge is the only one.
+  const bool early_stop = metrics.convergence && spec.metrics.size() == 1;
   // Declare the series up front: a unit whose recording window is empty
   // (record.from >= its rounds under a rounds sweep) must still carry the
   // series so batches stay structurally identical across units.
@@ -336,10 +338,19 @@ Status RunRoundsDriver(const TrialContext& ctx, const ProtocolDef& def,
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
   DYNAGG_ASSIGN_OR_RETURN(SwarmHandle swarm, def.make_swarm(ctx, env));
   setup_span.reset();
-  return DriveRounds(ctx, def, env, swarm, rec);
+  return DriveRounds(ctx, env, swarm, rec);
 }
 
 // ------------------------------------------------------------ trace ---
+
+/// The trace driver's selectors: the group-relative rms series and the
+/// mean group size, one point per sample instant.
+struct TraceRecord {
+  explicit TraceRecord(RecordReader& r)
+      : rms(r.Want("rms")), group_size(r.Want("avg_group_size")) {}
+  bool rms;
+  bool group_size;
+};
 
 Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
                       Recorder& rec) {
@@ -347,8 +358,8 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  const bool want_rms = MetricRequested(spec, "rms");
-  const bool want_group_size = MetricRequested(spec, "avg_group_size");
+  RecordReader records(spec);
+  const TraceRecord want(records);
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
   // The trace environments build a TraceEnvironment over env.trace; the
@@ -379,12 +390,12 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   Rng rng(DeriveSeed(ctx.trial_seed, round_stream));
   // Declare both series before the run: a trace shorter than one sample
   // period must still emit the (empty) series for structural consistency.
-  if (want_rms) rec.MutableSeries("hour", "rms");
-  if (want_group_size) rec.MutableSeries("hour", "avg_group_size");
+  if (want.rms) rec.MutableSeries("hour", "rms");
+  if (want.group_size) rec.MutableSeries("hour", "avg_group_size");
   std::vector<int> labels;
   const auto sample = [&](SimTime t) {
     const double hour = ToHours(t);
-    if (want_rms) {
+    if (want.rms) {
       labels = trace_env->CurrentGroups();
       const std::vector<int> sizes = ComponentSizes(labels);
       const std::vector<double> truths = swarm.group_truths(labels, sizes);
@@ -394,7 +405,7 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
               pop, [&](HostId id) { return truths[labels[id]]; },
               estimate));
     }
-    if (want_group_size) {
+    if (want.group_size) {
       rec.AddSeriesPoint("hour", "avg_group_size", hour,
                          trace_env->AverageGroupSize());
     }
@@ -428,7 +439,8 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
 
 }  // namespace
 
-Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
+Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def,
+                         RecordReader& records) {
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("driver = trace: " + what);
   };
@@ -447,11 +459,10 @@ Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
         "rounds does not apply (the trace horizon and gossip_period govern "
         "the run length)");
   }
-  // Failure and churn plans are round-indexed and record.* knobs select
-  // rounds; the trace timeline has no rounds.
+  // Failure and churn plans are round-indexed; the trace timeline has no
+  // rounds. Nor does it read a record.* key, so the reader rejects those.
   for (const auto& [key, value] : spec.params) {
-    if (key.rfind("failure.", 0) == 0 || key.rfind("churn.", 0) == 0 ||
-        key.rfind("record.", 0) == 0) {
+    if (key.rfind("failure.", 0) == 0 || key.rfind("churn.", 0) == 0) {
       return invalid("'" + key +
                      "' does not apply (it is round-indexed; the trace "
                      "timeline has no rounds)");
@@ -460,7 +471,8 @@ Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
   DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("gossip_period", spec.gossip_period));
   DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("sample_period", spec.sample_period));
-  return CheckMetricsSupported(spec, {"rms", "avg_group_size"});
+  TraceRecord{records};  // reads the driver's selectors into `records`
+  return Status::OK();
 }
 
 namespace internal {

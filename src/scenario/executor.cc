@@ -756,31 +756,32 @@ Status CheckRelativeSurvivors(const ScenarioSpec& spec,
 }
 
 /// Spec-only preflight of the plain rounds driver: its seeds.* allowlist,
-/// metric catalog, record.* knobs, failure plan and metric windows, so
-/// DriveRounds itself only parses them.
+/// record parse (into `records`), the capabilities its selectors need and
+/// the failure plan, so DriveRounds itself only parses them.
 Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
-                                const ProtocolDef& protocol) {
+                                const ProtocolDef& protocol,
+                                RecordReader& records) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "seeds.",
       {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
-  DYNAGG_ASSIGN_OR_RETURN(const MetricFlags metrics,
-                          ClassifyDriverMetrics(spec, protocol.extra_metrics));
-  if (metrics.gossip_bytes &&
+  DYNAGG_ASSIGN_OR_RETURN(const RoundsRecord rec,
+                          ParseRoundsRecord(spec, records));
+  if (rec.metrics.gossip_bytes &&
       !protocol.capabilities.Has(Capability::kGossipBytes)) {
     return Status::InvalidArgument(
         "experiment '" + spec.name + "': protocol '" + spec.protocol +
         "' does not model the gossip_bytes metric");
   }
-  DYNAGG_RETURN_IF_ERROR(
-      CheckMetered(spec, protocol.capabilities.Has(Capability::kMetered)));
-  DYNAGG_ASSIGN_OR_RETURN(
-      const RecordConfig cfg,
-      ParseRecordConfig(spec, protocol.extra_record_keys));
+  // The rounds driver measures bandwidth through the swarm's traffic meter.
+  if (rec.metrics.bandwidth &&
+      !protocol.capabilities.Has(Capability::kMetered)) {
+    return Status::InvalidArgument("protocol '" + spec.protocol +
+                                   "' does not support the bandwidth metric");
+  }
   DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
   DYNAGG_RETURN_IF_ERROR(CheckValueBacked(
       fail, protocol.capabilities.Has(Capability::kValueBacked)));
-  DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
-  return CheckRelativeSurvivors(spec, metrics, cfg, fail);
+  return CheckRelativeSurvivors(spec, rec.metrics, rec.cfg, fail);
 }
 
 /// The per-spec checks, run on the exact spec and context one cell of the
@@ -818,8 +819,12 @@ Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
                    "data-parallel apply phase)");
   }
   DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(spec, protocol, driver, env_hosts));
+  // The driver's record parse and the protocol's read this cell's
+  // selectors and record.* keys into one reader; what neither reads fails
+  // its Finish below.
+  RecordReader records(spec);
   if (driver.kind == DriverKind::kMessages) {
-    DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol));
+    DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol, records));
   } else if (driver.kind == DriverKind::kTrace) {
     if (!environment.provides_trace) {
       return invalid("driver = " + spec.driver +
@@ -828,16 +833,26 @@ Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
                      "' does not provide one (use haggle or another trace "
                      "environment)");
     }
-    DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, protocol));
+    DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, protocol, records));
   } else if (spec.gossip_period > 0 || spec.sample_period > 0) {
     return invalid(
         "gossip_period / sample_period configure the event-driven drivers "
         "(trace, async); driver = " +
         spec.driver + " advances in rounds");
   } else if (protocol.make_swarm) {
-    DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(spec, protocol));
+    DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(spec, protocol, records));
+  } else {
+    // A whole-trial runner's own scalar records answer the default `rms`.
+    records.Want("rms");
   }
-  if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(spec));
+  if (protocol.validate) {
+    // Only the rounds driver runs the swarm's finish hook, so the
+    // protocol's record reads count only there.
+    RecordReader unused(spec);
+    DYNAGG_RETURN_IF_ERROR(protocol.validate(
+        spec, driver.kind == DriverKind::kRounds ? records : unused));
+  }
+  DYNAGG_RETURN_IF_ERROR(records.Finish());
   // Each seeds.* stream expression resolves against this cell's axes,
   // with the `hosts` term at the cell's size (the drivers use the built
   // environment's, which only differs when hosts = 0 derives it). The

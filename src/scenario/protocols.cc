@@ -80,11 +80,15 @@ Result<int> CheckedHosts(const EnvHandle& env) {
   return n;
 }
 
-/// Adapts a Result<Params>-returning spec parser into the ProtocolDef's
-/// validate hook, so `--dry-run` runs exactly the parse execution would.
+/// Adapts a Result<Params>-returning spec parser that records nothing of
+/// its own into the ProtocolDef's validate hook, so `--dry-run` runs
+/// exactly the parse execution would.
 template <typename Parse>
-std::function<Status(const ScenarioSpec&)> SpecValidator(Parse parse) {
-  return [parse](const ScenarioSpec& spec) { return parse(spec).status(); };
+std::function<Status(const ScenarioSpec&, RecordReader&)> SpecValidator(
+    Parse parse) {
+  return [parse](const ScenarioSpec& spec, RecordReader&) {
+    return parse(spec).status();
+  };
 }
 
 // ----------------------------------------------- spec parameter parsing ---
@@ -410,14 +414,13 @@ BoxResult<CountBox<CountSketchSwarm>> MakeCountSketch(const TrialContext& ctx,
   return box;
 }
 
-/// Parses the q list of a `counter_quantiles(q1, q2, ...)` selector (the
-/// per-bit bucketed counter-age quantiles of the spatial ablation), or an
-/// empty list when the spec does not request it.
-Result<std::vector<double>> ParseCounterQuantilesSpec(
-    const ScenarioSpec& spec) {
+/// Parses the q lists of the `counter_quantiles(q1, q2, ...)` selectors
+/// (the per-bit bucketed counter-age quantiles of the spatial ablation),
+/// or an empty list when the spec does not request them.
+Result<std::vector<double>> ParseCounterQuantiles(
+    const std::vector<MetricSpec>& selectors) {
   std::vector<double> qs;
-  for (const MetricSpec& m : spec.metrics) {
-    if (m.name != "counter_quantiles") continue;
+  for (const MetricSpec& m : selectors) {
     const std::string bad =
         "metric '" + m.ToString() +
         "': counter_quantiles takes a comma-separated list of quantiles "
@@ -437,8 +440,8 @@ Result<std::vector<double>> ParseCounterQuantilesSpec(
   return qs;
 }
 
-/// Count-Sketch-Reset's counter-age records (its extra metrics) and
-/// their record.* knobs.
+/// Count-Sketch-Reset's own counter-age records and their record.* knobs,
+/// emitted by its finish hook.
 struct CsrRecordParams {
   /// cdf(counter): the clamp bucket of the per-bit counter CDF.
   bool counter_cdf = false;
@@ -471,7 +474,8 @@ struct CsrSpecParams {
   CsrRecordParams records;
 };
 
-Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
+Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec,
+                                   RecordReader& records) {
   ParamReader r(spec, "protocol.");
   CsrSpecParams out;
   CsrParams& params = out.params;
@@ -493,22 +497,30 @@ Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
   DYNAGG_ASSIGN_OR_RETURN(out.attributes,
                           r.Int("protocol.attributes", 1, 1, kIntMax));
   DYNAGG_RETURN_IF_ERROR(r.Finish());
-  // The record.* knobs of the extra metrics; the rounds driver's record
-  // parse owns that prefix's allowlist (ProtocolDef::extra_record_keys).
   CsrRecordParams& rec = out.records;
-  rec.counter_cdf = MetricRequested(spec, "cdf(counter)");
+  rec.counter_cdf = records.Want("cdf(counter)");
   DYNAGG_ASSIGN_OR_RETURN(
       rec.max_counter,
-      spec.ParamInt<int>("record.max_counter", rec.max_counter, 1,
-                         kCsrCounterCap));
-  DYNAGG_ASSIGN_OR_RETURN(rec.quantiles, ParseCounterQuantilesSpec(spec));
+      records.Int<int>("record.max_counter", rec.max_counter, 1,
+                       kCsrCounterCap));
   DYNAGG_ASSIGN_OR_RETURN(
-      rec.hist_max, spec.ParamDouble("record.counter_hist_max", rec.hist_max,
-                                     Open(0.0), kFiniteMax));
+      rec.quantiles,
+      ParseCounterQuantiles(records.Family("counter_quantiles")));
+  // An experiment renders one series table, and these series run over
+  // bits where the rounds driver's rms series runs over rounds.
+  if (!rec.quantiles.empty() && records.Want("rms")) {
+    return Status::InvalidArgument(
+        "counter_quantiles(...) is a series over bits and cannot share the "
+        "series table with rms, a series over rounds; record them in "
+        "separate experiments");
+  }
+  DYNAGG_ASSIGN_OR_RETURN(
+      rec.hist_max, records.Double("record.counter_hist_max", rec.hist_max,
+                                   Open(0.0), kFiniteMax));
   DYNAGG_ASSIGN_OR_RETURN(
       rec.hist_buckets,
-      spec.ParamInt<int>("record.counter_hist_buckets", rec.hist_buckets, 1,
-                         kIntMax));
+      records.Int<int>("record.counter_hist_buckets", rec.hist_buckets, 1,
+                       kIntMax));
   return out;
 }
 
@@ -536,7 +548,7 @@ struct CsrBox : CountBox<CsrSwarm> {
 /// in the legacy harness) are suppressed at assembly via min_key_total —
 /// after cross-trial pooling when aggregating.
 ///
-/// The second extra selector, counter_quantiles(q1, q2, ...), reports the
+/// The second selector, counter_quantiles(q1, q2, ...), reports the
 /// spatial ablation's per-bit counter-age quantiles instead: one series
 /// point per sufficiently-sourced bit (>= n/50 + 1 finite counters, the
 /// legacy convention), quantiles over a bucketed histogram spanning
@@ -598,7 +610,9 @@ Status CsrBox::Finish(const TrialContext&, Recorder& rec) const {
 
 BoxResult<CsrBox> MakeCountSketchReset(const TrialContext& ctx,
                                        EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const CsrSpecParams cfg, ParseCsrSpec(*ctx.spec));
+  RecordReader records(*ctx.spec);
+  DYNAGG_ASSIGN_OR_RETURN(const CsrSpecParams cfg,
+                          ParseCsrSpec(*ctx.spec, records));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
   auto box = std::make_shared<CsrBox>(
       Multiplicities(ctx, n, cfg.multiplicity), cfg.params,
@@ -834,11 +848,7 @@ struct FmAccuracySpecParams {
 
 Result<FmAccuracySpecParams> ParseFmAccuracySpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
   DYNAGG_RETURN_IF_ERROR(ParamReader(spec, "failure.").Finish());
-  // The default `rms` selector maps onto the protocol's own error scalars,
-  // the tag-tree convention for custom runners.
-  DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(spec, {"rms"}));
   ParamReader r(spec, "protocol.");
   FmAccuracySpecParams out;
   DYNAGG_ASSIGN_OR_RETURN(
@@ -903,8 +913,6 @@ struct TagTreeSpecParams {
 Result<TagTreeSpecParams> ParseTagTreeSpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream",
                                                      "failure_stream"}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
-  DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(spec, {"rms"}));
   ParamReader r(spec, "protocol.");
   TagTreeSpecParams out;
   DYNAGG_ASSIGN_OR_RETURN(
@@ -988,11 +996,7 @@ struct ExtremeRecoverySpecParams {
 Result<ExtremeRecoverySpecParams> ParseExtremeRecoverySpec(
     const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
   DYNAGG_RETURN_IF_ERROR(ParamReader(spec, "failure.").Finish());
-  // Like the other custom runners, the default `rms` selector stands for
-  // the protocol's own scalar records.
-  DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(spec, {"rms"}));
   ParamReader r(spec, "protocol.");
   ExtremeRecoverySpecParams out;
   DYNAGG_ASSIGN_OR_RETURN(
@@ -1113,7 +1117,8 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
     DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
   };
   const auto custom = [&add](const std::string& name, ProtocolRunner run,
-                             std::function<Status(const ScenarioSpec&)>
+                             std::function<Status(const ScenarioSpec&,
+                                                  RecordReader&)>
                                  validate,
                              bool uses_environment = true) {
     ProtocolDef def;
@@ -1123,7 +1128,11 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
     add(name, std::move(def));
   };
   add("push-sum", SwarmProtocol(MakePushSum, SpecValidator(ParsePushSumSpec)));
-  add("push-flow", SwarmProtocol(MakePushFlow, ParsePushFlowSpec));
+  add("push-flow",
+      SwarmProtocol(MakePushFlow, [](const ScenarioSpec& spec,
+                                     RecordReader&) {
+        return ParsePushFlowSpec(spec);
+      }));
   add("push-sum-revert",
       SwarmProtocol(MakePushSumRevert, SpecValidator(ParsePsrSpec)));
   add("epoch-push-sum",
@@ -1133,12 +1142,11 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
   add("extremes", SwarmProtocol(MakeExtremes, SpecValidator(ParseExtremesSpec)));
   add("count-sketch",
       SwarmProtocol(MakeCountSketch, SpecValidator(ParseCountSketchSpec)));
-  ProtocolDef csr =
-      SwarmProtocol(MakeCountSketchReset, SpecValidator(ParseCsrSpec));
-  csr.extra_metrics = {"cdf(counter)", "counter_quantiles(*)"};
-  csr.extra_record_keys = {"max_counter", "counter_hist_max",
-                           "counter_hist_buckets"};
-  add("count-sketch-reset", std::move(csr));
+  add("count-sketch-reset",
+      SwarmProtocol(MakeCountSketchReset,
+                    [](const ScenarioSpec& spec, RecordReader& records) {
+                      return ParseCsrSpec(spec, records).status();
+                    }));
   add("invert-average",
       SwarmProtocol(MakeInvertAverage, SpecValidator(ParseInvertAverageSpec)));
   // The serialized facade has no state-reset wire message yet, so its swarm

@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -22,7 +23,16 @@ std::string_view Trim(std::string_view s) {
 }
 
 std::string Quoted(std::string_view s) {
-  return "'" + std::string(s) + "'";
+  // reserve + append: GCC 12 at -O3 reports a false -Wrestrict inside the
+  // operator+ chain.
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.append(1, '\'').append(s).append(1, '\'');
+  return out;
+}
+
+bool Contains(const std::vector<std::string>& list, const std::string& s) {
+  return std::find(list.begin(), list.end(), s) != list.end();
 }
 
 }  // namespace
@@ -192,15 +202,7 @@ Status ScenarioSpec::CheckParams(
     const std::vector<std::string>& allowed) const {
   for (const auto& [key, value] : params) {
     if (key.rfind(prefix, 0) != 0) continue;
-    const std::string suffix = key.substr(prefix.size());
-    bool ok = false;
-    for (const auto& a : allowed) {
-      if (suffix == a) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
+    if (!Contains(allowed, key.substr(prefix.size()))) {
       std::string msg = "unknown parameter " + Quoted(key) + " (allowed: ";
       for (size_t i = 0; i < allowed.size(); ++i) {
         if (i) msg += ", ";
@@ -233,10 +235,47 @@ Result<double> ParamReader::Double(const std::string& key, double def,
 void ParamReader::Note(const std::string& key) {
   if (key.rfind(prefix_, 0) != 0) return;
   const std::string suffix = key.substr(prefix_.size());
-  for (const std::string& seen : read_) {
-    if (seen == suffix) return;
+  if (!Contains(read_, suffix)) read_.push_back(suffix);
+}
+
+bool RecordReader::Want(const std::string& selector) {
+  if (!Contains(selectors_, selector)) selectors_.push_back(selector);
+  for (const MetricSpec& m : spec_.metrics) {
+    if (m.ToString() == selector) return true;
   }
-  read_.push_back(suffix);
+  return false;
+}
+
+std::vector<MetricSpec> RecordReader::Family(const std::string& name) {
+  if (!Contains(families_, name)) families_.push_back(name);
+  std::vector<MetricSpec> out;
+  for (const MetricSpec& m : spec_.metrics) {
+    if (m.name == name) out.push_back(m);
+  }
+  return out;
+}
+
+Status RecordReader::Finish() const {
+  for (const MetricSpec& m : spec_.metrics) {
+    if (Contains(selectors_, m.ToString()) || Contains(families_, m.name)) {
+      continue;
+    }
+    std::string msg = "protocol " + Quoted(spec_.protocol) +
+                      " under driver = " + spec_.driver +
+                      " does not record metric " + Quoted(m.ToString()) +
+                      " (allowed: ";
+    std::string sep;
+    for (const std::string& s : selectors_) {
+      msg += sep + s;
+      sep = ", ";
+    }
+    for (const std::string& f : families_) {
+      msg += sep + f + "(...)";
+      sep = ", ";
+    }
+    return Status::InvalidArgument(msg + ")");
+  }
+  return ParamReader::Finish();
 }
 
 namespace {

@@ -33,7 +33,10 @@
 // scenario/environments.cc, stream/stream_protocols.cc, the config parsers
 // of scenario/config.h) reads every key it uses with a ParamReader, which
 // states the key's default and range in the line that reads it and
-// rejects any key under the parse's prefix that no read touched.
+// rejects any key under the parse's prefix that no read touched. The
+// `record = ...` selectors and the record.* keys go through a RecordReader
+// in the same way: the driver's and the protocol's record parses share one
+// per sweep cell.
 
 #ifndef DYNAGG_SCENARIO_SPEC_H_
 #define DYNAGG_SCENARIO_SPEC_H_
@@ -92,8 +95,8 @@ Status CheckTickSeconds(const std::string& key, double seconds);
 
 /// One entry of the `record =` metric list: a metric name plus an optional
 /// parenthesised argument — `rms`, `bandwidth`, `cdf(final_error)`. Which
-/// selectors exist is decided by the protocol runner that executes the
-/// trial; the spec layer only carries the grammar.
+/// selectors exist is decided by the parses that read them through a
+/// RecordReader; the spec layer only carries the grammar.
 struct MetricSpec {
   std::string name;
   std::string arg;  // "" when no (...) argument was given
@@ -158,9 +161,9 @@ struct ScenarioSpec {
   std::string sweep2_key;
   std::vector<double> sweep2_values;
   /// Metrics recorded in one pass per trial (`record = rms, bandwidth,
-  /// cdf(final_error)`). The protocol runner decides which selectors it
-  /// supports and errors on unknown ones. Defaults to the paper's per-round
-  /// RMS-deviation series.
+  /// cdf(final_error)`). A selector that neither the driver's nor the
+  /// protocol's record parse reads is an error. Defaults to the paper's
+  /// per-round RMS-deviation series.
   std::vector<MetricSpec> metrics = {{"rms", ""}};
   /// Cross-trial aggregation (`aggregate = mean, stddev`): when non-empty,
   /// the executor collapses the trial axis and reports, per metric column,
@@ -212,9 +215,9 @@ struct ScenarioSpec {
     return ParamInt(key, def, std::numeric_limits<int64_t>::min(), kInt64Max);
   }
 
-  /// Rejects any parameter under `prefix` (e.g. "record.") whose suffix is
-  /// not in `allowed`. For the prefixes several consumers share (record.*,
-  /// seeds.*); a prefix one parse owns uses ParamReader::Finish instead.
+  /// Rejects any parameter under `prefix` (e.g. "seeds.") whose suffix is
+  /// not in `allowed`. For seeds.*, which the drivers and custom runners
+  /// list by hand; every other prefix is checked by a reader's Finish.
   Status CheckParams(const std::string& prefix,
                      const std::vector<std::string>& allowed) const;
 };
@@ -253,6 +256,38 @@ class ParamReader {
   const ScenarioSpec& spec_;
   std::string prefix_;
   std::vector<std::string> read_;  // suffixes, in first-read order
+};
+
+/// One cell's reader of the `record = ...` selectors and the record.*
+/// keys, a ParamReader over "record." that also reads selectors: the
+/// parses that record something ask for their selectors (Want for exact
+/// ones, Family for parametrized ones) and read their record.* keys with
+/// their ranges; Finish() then rejects the first selector and the first
+/// record.* key no read touched, so the selectors and keys read are the
+/// allowlist. ValidateExperiment runs the driver's record parse and the
+/// protocol's parse into one reader per cell and calls Finish(); a driver
+/// or factory that re-parses at run time uses a local reader and skips it.
+class RecordReader : public ParamReader {
+ public:
+  explicit RecordReader(const ScenarioSpec& spec)
+      : ParamReader(spec, "record."), spec_(spec) {}
+
+  /// Whether the spec lists exact selector `selector`, in its canonical
+  /// spelling ("rms", "cdf(counter)").
+  bool Want(const std::string& selector);
+  /// The spec's selectors named `name`, whatever their argument
+  /// (quantile(final_error, 0.5), rms_at(25)), in spec order.
+  std::vector<MetricSpec> Family(const std::string& name);
+
+  /// "protocol '<p>' under driver = <d> does not record metric '<m>'
+  /// (allowed: <the selectors read>)" for the first unread selector, then
+  /// ParamReader::Finish over the record.* keys.
+  Status Finish() const;
+
+ private:
+  const ScenarioSpec& spec_;
+  std::vector<std::string> selectors_;  // exact selectors, first-read order
+  std::vector<std::string> families_;   // family names, first-read order
 };
 
 /// The trace and async drivers' gossip tick: gossip_period, or the

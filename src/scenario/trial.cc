@@ -97,53 +97,6 @@ void Recorder::SetBandwidth(double msgs_per_host_round,
   batch_.bandwidth = {msgs_per_host_round, bytes_per_host_round, state_bytes};
 }
 
-bool SelectorMatches(const std::string& supported, const MetricSpec& m) {
-  constexpr std::string_view kWildcard = "(*)";
-  if (supported.size() > kWildcard.size() &&
-      supported.compare(supported.size() - kWildcard.size(),
-                        kWildcard.size(), kWildcard) == 0) {
-    return m.name == supported.substr(0, supported.size() - kWildcard.size()) &&
-           !m.arg.empty();
-  }
-  return m.ToString() == supported;
-}
-
-Status CheckMetricsSupported(const std::string& protocol,
-                             const std::vector<MetricSpec>& metrics,
-                             const std::vector<std::string>& supported) {
-  for (const MetricSpec& m : metrics) {
-    const std::string selector = m.ToString();
-    bool ok = false;
-    for (const std::string& s : supported) {
-      if (SelectorMatches(s, m)) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      std::string msg = "protocol '" + protocol +
-                        "' does not support metric '" + selector +
-                        "' (supported:";
-      for (const std::string& s : supported) msg += " " + s;
-      msg += ")";
-      return Status::InvalidArgument(msg);
-    }
-  }
-  return Status::OK();
-}
-
-Status CheckMetricsSupported(const ScenarioSpec& spec,
-                             const std::vector<std::string>& supported) {
-  return CheckMetricsSupported(spec.protocol, spec.metrics, supported);
-}
-
-bool MetricRequested(const ScenarioSpec& spec, const std::string& selector) {
-  for (const MetricSpec& m : spec.metrics) {
-    if (m.ToString() == selector) return true;
-  }
-  return false;
-}
-
 const std::vector<RecordTypeInfo>& RecordTypeCatalog() {
   static const std::vector<RecordTypeInfo> types = {
       {"scalar", "one named value per trial (rms_tail_mean, final_rms, "

@@ -163,8 +163,8 @@ struct RecordBatch {
 
 /// The handle through which a trial emits its records. Purely a collector:
 /// which metrics to record is declared in the spec (`record = ...`) and
-/// interpreted by the runner, which must reject selectors it does not
-/// support (see CheckMetricsSupported).
+/// read by the driver's and the protocol's record parses (RecordReader in
+/// scenario/spec.h), which reject the selectors no parse reads.
 ///
 /// Pointer validity: MutableSeries / MutableHistogram return pointers into
 /// the batch's growable storage — they are invalidated by the next
@@ -230,29 +230,6 @@ class Recorder {
  private:
   RecordBatch batch_;
 };
-
-/// Rejects any spec metric selector not listed in `supported` (canonical
-/// "name" / "name(arg)" spellings). Runners call this first so a typo in
-/// `record = ...` fails loudly, as unread namespaced keys do.
-Status CheckMetricsSupported(const ScenarioSpec& spec,
-                             const std::vector<std::string>& supported);
-
-/// Same check over an explicit selector list — for callers that consume
-/// some selectors themselves (the rounds driver's parametrized
-/// quantile(...)) and validate only the rest. `protocol` names the
-/// protocol in the diagnostic.
-Status CheckMetricsSupported(const std::string& protocol,
-                             const std::vector<MetricSpec>& metrics,
-                             const std::vector<std::string>& supported);
-
-/// Whether the spec requests metric `selector` (canonical spelling).
-bool MetricRequested(const ScenarioSpec& spec, const std::string& selector);
-
-/// Whether metric `m` matches catalog entry `supported`: an exact
-/// canonical-spelling match, or — for entries ending in "(*)" — a name
-/// match with any non-empty argument (parametrized selector families like
-/// counter_quantiles(0.5, 0.95)).
-bool SelectorMatches(const std::string& supported, const MetricSpec& m);
 
 /// Runs one whole trial to completion, emitting its records through `rec`.
 /// Since Driver API v1 this is the escape hatch for protocols whose trial
@@ -376,9 +353,9 @@ struct SwarmHandle {
   /// Over-the-air bytes of one async message (metered at send time, so
   /// dropped messages still count as sent bandwidth).
   double message_bytes = 0.0;
-  /// Post-loop hook emitting the protocol's extra metrics (rounds driver
-  /// only; the selectors and record.* keys it handles are declared
-  /// statically on the ProtocolDef so `--dry-run` can validate them).
+  /// Post-loop hook emitting the protocol's own metrics (rounds driver
+  /// only; the selectors and record.* keys it handles are read by the
+  /// protocol's parse, which `--dry-run` runs through ProtocolDef::validate).
   std::function<Status(const TrialContext&, Recorder&)> finish;
   /// Owns the swarm and whatever storage the callbacks point into.
   std::shared_ptr<void> keepalive;
@@ -416,17 +393,14 @@ struct ProtocolDef {
   bool consumes_workload = false;
   /// Spec-only validation of the protocol's knobs: the status of the one
   /// parse its factory also runs (protocol.* keys read with their ranges,
-  /// the keys read being the allowlist; custom runners' record/seed
-  /// allowlists) — everything checkable without an environment or a
-  /// swarm. So `--dry-run` rejects exactly the knob/protocol mismatches
-  /// execution would.
-  std::function<Status(const ScenarioSpec&)> validate;
-  /// Extra metric selectors (and their record.* keys) beyond the rounds
-  /// driver's catalog, handled by the built swarm's `finish` hook
-  /// (count-sketch-reset's cdf(counter) / counter_quantiles(...)). An
-  /// entry ending in "(*)" matches any argument (see SelectorMatches).
-  std::vector<std::string> extra_metrics;
-  std::vector<std::string> extra_record_keys;
+  /// the keys read being the allowlist; custom runners' seed allowlists)
+  /// — everything checkable without an environment or a swarm. So
+  /// `--dry-run` rejects exactly the knob/protocol mismatches execution
+  /// would. The parse reads the selectors and record.* keys its `finish`
+  /// hook records (count-sketch-reset's cdf(counter), the stream sketches'
+  /// hh_*) into `records`; ValidateExperiment counts those reads only
+  /// under `driver = rounds`, the one driver that runs the hook.
+  std::function<Status(const ScenarioSpec&, RecordReader& records)> validate;
 };
 
 /// Advances simulated time for one trial: builds the environment, obtains

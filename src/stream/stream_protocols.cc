@@ -14,7 +14,8 @@
 //   seeds.workload_stream               workload RNG stream (term-sum
 //                                       grammar, default 3)
 //
-// Heavy-hitter records (finish hook): hh_precision(k) / hh_recall(k)
+// Heavy-hitter records (read by the protocol's parse, emitted by the finish
+// hook under driver = rounds): hh_precision(k) / hh_recall(k)
 // against the tie-inclusive true heavy-hitter set, hh_weighted_err(k) over
 // the true top-k, hh_frontier (whole-stream relative L1 error — the
 // y axis of the sketch-bytes-vs-error frontier), and sketch_bytes (the
@@ -58,6 +59,21 @@ constexpr uint64_t kSketchHashStream = 7;
 /// Hard cap on counters per sketch: depth * width. A runaway epsilon
 /// (protocol.epsilon = 1e-6) would otherwise allocate gigabytes per host.
 constexpr int64_t kMaxSketchCells = int64_t{1} << 22;
+
+/// Hard cap on the whole swarm's state (StreamSketchSwarm::StateBytes).
+constexpr uint64_t kMaxSwarmBytes = uint64_t{1} << 33;
+
+Status CheckSwarmBytes(int hosts, int depth, int width) {
+  const uint64_t bytes = StreamSketchSwarm::StateBytes(hosts, depth, width);
+  if (bytes <= kMaxSwarmBytes) return Status::OK();
+  return Status::InvalidArgument(
+      "stream swarm state would need " + std::to_string(bytes) +
+      " bytes (" + std::to_string(hosts) + " hosts x " +
+      std::to_string(depth) + " x " + std::to_string(width) +
+      " sketch cells, plus one spare block per host), above the " +
+      std::to_string(kMaxSwarmBytes) +
+      " cap; shrink the sketch or the population");
+}
 
 struct StreamWorkloadParams {
   KeyStreamKind kind = KeyStreamKind::kZipf;
@@ -110,26 +126,34 @@ Result<StreamWorkloadParams> ParseStreamWorkloadSpec(const ScenarioSpec& spec) {
 
 /// One heavy-hitter metric selector, e.g. hh_precision(16).
 struct HhSelector {
-  std::string name;  // hh_precision | hh_recall | hh_weighted_err
+  MetricSpec metric;
   int k = 0;
 };
 
-Result<std::vector<HhSelector>> ParseHhSelectors(const ScenarioSpec& spec) {
-  std::vector<HhSelector> out;
-  for (const MetricSpec& m : spec.metrics) {
-    if (m.name != "hh_precision" && m.name != "hh_recall" &&
-        m.name != "hh_weighted_err") {
-      continue;
+/// The stream sketches' own records, emitted by the finish hook.
+struct HhRecords {
+  /// hh_precision(k), hh_recall(k) and hh_weighted_err(k), by family.
+  std::vector<HhSelector> selectors;
+  bool frontier = false;
+  bool sketch_bytes = false;
+};
+
+Result<HhRecords> ParseHhRecords(RecordReader& r) {
+  HhRecords out;
+  for (const char* family : {"hh_precision", "hh_recall", "hh_weighted_err"}) {
+    for (const MetricSpec& m : r.Family(family)) {
+      const Result<int64_t> k = ParseInt64(m.arg);
+      if (!k.ok() || *k < 1 || *k > 1000000 ||
+          m.arg != std::to_string(*k)) {
+        return Status::InvalidArgument(
+            m.ToString() + ": the argument must be a plain top-k size in "
+            "[1, 1000000], e.g. " + m.name + "(16)");
+      }
+      out.selectors.push_back({m, static_cast<int>(*k)});
     }
-    const Result<int64_t> k = ParseInt64(m.arg);
-    if (!k.ok() || *k < 1 || *k > 1000000 ||
-        m.arg != std::to_string(*k)) {
-      return Status::InvalidArgument(
-          m.ToString() + ": the argument must be a plain top-k size in "
-          "[1, 1000000], e.g. " + m.name + "(16)");
-    }
-    out.push_back({m.name, static_cast<int>(*k)});
   }
+  out.frontier = r.Want("hh_frontier");
+  out.sketch_bytes = r.Want("sketch_bytes");
   return out;
 }
 
@@ -158,10 +182,12 @@ struct FreqSketchSpecParams {
   int depth = 0;
   int width = 0;
   StreamWorkloadParams workload;
+  HhRecords records;
 };
 
 Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
-                                                 SketchKind kind) {
+                                                 SketchKind kind,
+                                                 RecordReader& records) {
   ParamReader r(spec, "protocol.");
   // Additive error as a fraction of the stream mass.
   DYNAGG_ASSIGN_OR_RETURN(
@@ -206,10 +232,14 @@ Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
         " counters per host; raise protocol.epsilon / protocol.delta or "
         "set protocol.width / protocol.depth explicitly");
   }
+  // With hosts = 0 only the built environment knows the size; the factory
+  // checks it then.
+  if (spec.hosts > 0) {
+    DYNAGG_RETURN_IF_ERROR(CheckSwarmBytes(spec.hosts, out.depth, out.width));
+  }
   DYNAGG_ASSIGN_OR_RETURN(out.workload, ParseStreamWorkloadSpec(spec));
-  DYNAGG_ASSIGN_OR_RETURN(const std::vector<HhSelector> selectors,
-                          ParseHhSelectors(spec));
-  if (!selectors.empty() || MetricRequested(spec, "hh_frontier")) {
+  DYNAGG_ASSIGN_OR_RETURN(out.records, ParseHhRecords(records));
+  if (!out.records.selectors.empty() || out.records.frontier) {
     DYNAGG_RETURN_IF_ERROR(CheckStaticMembership(spec));
   }
   return out;
@@ -220,14 +250,13 @@ Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
 /// Emits the requested hh_* / sketch_bytes / hh_frontier scalars from the
 /// swarm's final state against the workload generator's exact counts.
 Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
-                          const TrialContext& ctx, Recorder& rec) {
-  const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_ASSIGN_OR_RETURN(const std::vector<HhSelector> selectors,
-                          ParseHhSelectors(spec));
-  if (MetricRequested(spec, "sketch_bytes")) {
+                          const HhRecords& records, const ScenarioSpec& spec,
+                          Recorder& rec) {
+  const std::vector<HhSelector>& selectors = records.selectors;
+  if (records.sketch_bytes) {
     rec.AddScalar("sketch_bytes", static_cast<double>(swarm.sketch_bytes()));
   }
-  const bool want_frontier = MetricRequested(spec, "hh_frontier");
+  const bool want_frontier = records.frontier;
   if (selectors.empty() && !want_frontier) return Status::OK();
 
   // Exact counts, sorted by (count desc, key asc) for a deterministic
@@ -270,7 +299,7 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
   // just the largest k any of them asks for (weighted error reads none).
   int ranked = 0;
   for (const HhSelector& sel : selectors) {
-    if (sel.name != "hh_weighted_err") {
+    if (sel.metric.name != "hh_weighted_err") {
       ranked = std::max(ranked, std::min(sel.k, m));
     }
   }
@@ -321,7 +350,7 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
                         });
       for (size_t s = 0; s < selectors.size(); ++s) {
         const int k = std::min(selectors[s].k, m);
-        if (selectors[s].name == "hh_weighted_err") {
+        if (selectors[s].metric.name == "hh_weighted_err") {
           double err = 0.0;
           double mass = 0.0;
           for (int j = 0; j < k; ++j) {
@@ -341,7 +370,7 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
         for (int j = 0; j < k; ++j) {
           if (order[j] < t_size) ++inter;
         }
-        sum[s] += selectors[s].name == "hh_precision"
+        sum[s] += selectors[s].metric.name == "hh_precision"
                       ? static_cast<double>(inter) / k
                       : static_cast<double>(inter) / t_size;
       }
@@ -349,16 +378,14 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
   }
   // Emission order follows the spec's record list, so column order is
   // spec-declared like every other selector family.
-  size_t next = 0;
   for (const MetricSpec& metric : spec.metrics) {
-    if (metric.name == "hh_precision" || metric.name == "hh_recall" ||
-        metric.name == "hh_weighted_err") {
-      // ParseHhSelectors collected the hh_* metrics in this same order.
-      rec.AddScalar(selectors[next].name + "_" +
-                        std::to_string(selectors[next].k),
-                    sum[next] / n);
-      ++next;
-    } else if (want_frontier && metric.name == "hh_frontier") {
+    for (size_t s = 0; s < selectors.size(); ++s) {
+      if (selectors[s].metric == metric) {
+        rec.AddScalar(metric.name + "_" + std::to_string(selectors[s].k),
+                      sum[s] / n);
+      }
+    }
+    if (want_frontier && metric.name == "hh_frontier") {
       rec.AddScalar("hh_frontier", frontier_sum / n);
     }
   }
@@ -378,10 +405,13 @@ Result<int> CheckedStreamHosts(const EnvHandle& env) {
 struct StreamBox {
   StreamSketchSwarm swarm;
   double state_bytes;
+  HhRecords records;
 
-  StreamBox(int n, const StreamSwarmParams& params, const KeyedStreamGen& gen)
+  StreamBox(int n, const StreamSwarmParams& params, const KeyedStreamGen& gen,
+            HhRecords hh)
       : swarm(n, params, gen),
-        state_bytes(static_cast<double>(swarm.message_bytes())) {}
+        state_bytes(static_cast<double>(swarm.message_bytes())),
+        records(std::move(hh)) {}
 
   double Estimate(HostId id) const { return swarm.Estimate(id); }
   double Truth(const Population&) const { return swarm.TruthTotal(); }
@@ -389,24 +419,18 @@ struct StreamBox {
     return static_cast<double>(swarm.message_bytes());
   }
   Status Finish(const TrialContext& ctx, Recorder& rec) const {
-    return FinishHeavyHitters(swarm, ctx, rec);
+    return FinishHeavyHitters(swarm, records, *ctx.spec, rec);
   }
 };
 
 template <SketchKind kKind>
 BoxResult<StreamBox> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env) {
+  RecordReader records(*ctx.spec);
   DYNAGG_ASSIGN_OR_RETURN(const FreqSketchSpecParams cfg,
-                          ParseFreqSketchSpec(*ctx.spec, kKind));
+                          ParseFreqSketchSpec(*ctx.spec, kKind, records));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedStreamHosts(env));
-  const int64_t total_bytes = int64_t{2} * n *
-                              (int64_t{cfg.depth} * cfg.width + 2) *
-                              static_cast<int64_t>(sizeof(double));
-  if (total_bytes > (int64_t{1} << 33)) {
-    return Status::InvalidArgument(
-        "stream swarm state would need " + std::to_string(total_bytes) +
-        " bytes (hosts x sketch cells x 2 arrays); shrink the sketch or "
-        "the population");
-  }
+  // The size the environment built (hosts = 0 derives it).
+  DYNAGG_RETURN_IF_ERROR(CheckSwarmBytes(n, cfg.depth, cfg.width));
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t workload_stream,
                           WorkloadStream(*ctx.spec, ctx, n));
   StreamSwarmParams params;
@@ -419,18 +443,17 @@ BoxResult<StreamBox> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env) {
   const KeyedStreamGen gen(cfg.workload.kind, cfg.workload.keys,
                            cfg.workload.skew,
                            DeriveSeed(ctx.trial_seed, workload_stream));
-  return std::make_shared<StreamBox>(n, params, gen);
+  return std::make_shared<StreamBox>(n, params, gen, cfg.records);
 }
 
 template <SketchKind kKind>
 ProtocolDef FreqSketchProtocol() {
   ProtocolDef def = SwarmProtocol(
-      MakeFreqSketch<kKind>, [](const ScenarioSpec& spec) {
-        return ParseFreqSketchSpec(spec, kKind).status();
+      MakeFreqSketch<kKind>,
+      [](const ScenarioSpec& spec, RecordReader& records) {
+        return ParseFreqSketchSpec(spec, kKind, records).status();
       });
   def.consumes_workload = true;
-  def.extra_metrics = {"hh_precision(*)", "hh_recall(*)",
-                       "hh_weighted_err(*)", "sketch_bytes", "hh_frontier"};
   return def;
 }
 

@@ -107,19 +107,11 @@ StreamSketchSwarm::StreamSketchSwarm(int num_hosts,
       stride_(hash_.cells() + 2) {
   DYNAGG_CHECK_GE(n_, 1);
   static_assert(kBlockLanes % kLineDoubles == 0);
-  const size_t n = static_cast<size_t>(n_);
   const size_t blocks = (stride_ + kBlockLanes - 1) / kBlockLanes;
-  const size_t tail = stride_ % kBlockLanes;
-  // Carve the regions, then the spares, each starting on a cache line.
   std::vector<size_t> offsets;
-  size_t total = 0;
-  const auto carve = [&](size_t width) {
-    offsets.push_back(total);
-    total += (n * width + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
-  };
-  for (size_t b = 0; b < blocks; ++b) carve(BlockWidth(b));
-  carve(stride_ >= kBlockLanes ? kBlockLanes : 0);
-  carve(tail);
+  const size_t total =
+      CarveArena(static_cast<size_t>(n_), stride_, &offsets);
+  // Spare doubles to align the base on a cache line.
   arena_.assign(total + kLineDoubles - 1, 0.0);
   const size_t misalign =
       reinterpret_cast<uintptr_t>(arena_.data()) % 64 / sizeof(double);
@@ -130,6 +122,27 @@ StreamSketchSwarm::StreamSketchSwarm(int num_hosts,
   tail_spare_ = base + offsets[blocks + 1];
   // Push-sum init: weight 1, no mass, empty sketch.
   for (int i = 0; i < n_; ++i) Cell(i, hash_.cells()) = 1.0;
+}
+
+size_t StreamSketchSwarm::CarveArena(size_t n, size_t stride,
+                                     std::vector<size_t>* offsets) {
+  size_t total = 0;
+  const auto carve = [&](size_t width) {
+    if (offsets != nullptr) offsets->push_back(total);
+    total += (n * width + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
+  };
+  const size_t blocks = (stride + kBlockLanes - 1) / kBlockLanes;
+  for (size_t b = 0; b < blocks; ++b) carve(BlockWidth(stride, b));
+  carve(stride >= kBlockLanes ? kBlockLanes : 0);
+  carve(stride % kBlockLanes);
+  return total;
+}
+
+uint64_t StreamSketchSwarm::StateBytes(int num_hosts, int depth, int width) {
+  const size_t stride = static_cast<size_t>(depth) * width + 2;
+  return (CarveArena(static_cast<size_t>(num_hosts), stride, nullptr) +
+          kLineDoubles - 1) *
+         sizeof(double);
 }
 
 void StreamSketchSwarm::ReadHost(HostId id, std::span<double> out) const {

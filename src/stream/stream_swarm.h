@@ -83,6 +83,12 @@ class StreamSketchSwarm {
 
   StreamSketchSwarm(int num_hosts, const StreamSwarmParams& params,
                     const KeyedStreamGen& gen);
+
+  /// Bytes the swarm allocates for `num_hosts` hosts of a depth x width
+  /// sketch: every host's stride (cells + weight + mass), one n x
+  /// kBlockLanes spare, one n x tail spare and the cache-line padding.
+  static uint64_t StateBytes(int num_hosts, int depth, int width);
+
   // region_ points into arena_: moving keeps the buffer, copying would not.
   StreamSketchSwarm(StreamSketchSwarm&&) = default;
   StreamSketchSwarm& operator=(StreamSketchSwarm&&) = default;
@@ -142,10 +148,18 @@ class StreamSketchSwarm {
 
  private:
   void AbsorbArrivals(const Population& pop);
-  /// Width of block b: kBlockLanes, or less for the stride's last block.
-  size_t BlockWidth(size_t b) const {
-    return std::min(kBlockLanes, stride_ - b * kBlockLanes);
+  /// Width of block b of a `stride`-wide host: kBlockLanes, or less for
+  /// the stride's last block.
+  static size_t BlockWidth(size_t stride, size_t b) {
+    return std::min(kBlockLanes, stride - b * kBlockLanes);
   }
+  size_t BlockWidth(size_t b) const { return BlockWidth(stride_, b); }
+  /// The arena layout for n hosts of `stride` doubles: the offset of every
+  /// block region, then of the full-block spare and the tail spare, each
+  /// on a cache line (appended to `offsets` when non-null); returns the
+  /// doubles they span.
+  static size_t CarveArena(size_t n, size_t stride,
+                           std::vector<size_t>* offsets);
   /// Host `id`'s block b (BlockWidth(b) doubles).
   double* HostBlock(HostId id, size_t b) const {
     return region_[b] + static_cast<size_t>(id) * BlockWidth(b);

@@ -5,8 +5,9 @@
 // (DYNAGG_SOURCE_DIR) and requires each name to appear backticked, so
 // registering a new protocol or spec key without documenting it fails CI
 // with the missing name in the message. The protocol catalog must also
-// list each protocol's derived capabilities exactly, and each protocol's
-// and environment's row every key its parse reads.
+// list each protocol's derived capabilities exactly, each protocol's and
+// environment's row every key its parse reads, and the record.* table
+// every record.* key a cell's parses read.
 
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 
 #include "common/status.h"
 #include "net/network_model.h"
+#include "scenario/executor.h"
 #include "scenario/spec.h"
 #include "scenario/trial.h"
 #include "sim/workload.h"
@@ -169,7 +171,8 @@ TEST_F(DocDriftTest, EveryProtocolKeyIsInItsCatalogRow) {
     spec.protocol = name;
     spec.hosts = 16;
     spec.params["protocol.zz_bogus"] = "1";
-    const Status st = def.validate(spec);
+    scenario::RecordReader records(spec);
+    const Status st = def.validate(spec, records);
     ASSERT_FALSE(st.ok());
     const std::string row = CatalogRow(*doc_, "## Protocol catalog", name);
     for (const std::string& key : AllowedKeys(st, "protocol.")) {
@@ -196,6 +199,59 @@ TEST_F(DocDriftTest, EveryEnvironmentKeyIsInItsCatalogRow) {
       EXPECT_NE(row.find("`" + key + "`"), std::string::npos)
           << "env." << key << " is missing from the '" << name
           << "' row of docs/spec_reference.md";
+    }
+  }
+}
+
+// Every record.* key a cell's parses read is documented: for each
+// (driver, protocol) pair the registry admits, a spec with one bogus
+// record.* key makes the cell's record reader list the keys the driver's
+// and (under driver = rounds) the protocol's parse read, and each must
+// appear backticked in the manual's `record.*` table.
+TEST_F(DocDriftTest, EveryRecordKeyIsInTheRecordTable) {
+  const size_t begin = doc_->find("## `record.*` keys");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string table =
+      doc_->substr(begin, doc_->find("\n## ", begin + 1) - begin);
+  for (const std::string& driver : scenario::DriverRegistry().Names()) {
+    const scenario::DriverDef driver_def =
+        scenario::DriverRegistry().Find(driver).value();
+    for (const std::string& name : scenario::ProtocolRegistry().Names()) {
+      const scenario::ProtocolDef def =
+          scenario::ProtocolRegistry().Find(name).value();
+      const bool admitted =
+          driver_def.kind == scenario::DriverKind::kRounds ||
+          (driver_def.kind == scenario::DriverKind::kTrace &&
+           def.capabilities.Has(scenario::Capability::kTrace)) ||
+          (driver_def.kind == scenario::DriverKind::kMessages &&
+           def.capabilities.Has(scenario::Capability::kAsync));
+      if (!admitted) continue;
+      SCOPED_TRACE(driver + " x " + name);
+      scenario::ScenarioSpec spec;
+      spec.protocol = name;
+      spec.driver = driver;
+      spec.hosts = 16;
+      if (driver_def.kind == scenario::DriverKind::kTrace) {
+        spec.environment = "haggle";
+        spec.hosts = 0;
+      }
+      if (def.consumes_workload) spec.params["workload.kind"] = "zipf";
+      if (!scenario::ValidateExperiment(spec).ok()) {
+        // Pairwise exchanges cannot be split into messages: the protocols
+        // with a protocol.mode run message-level in push mode only.
+        spec.params["protocol.mode"] = "push";
+      }
+      ASSERT_TRUE(scenario::ValidateExperiment(spec).ok());
+      spec.params["record.zz_bogus"] = "1";
+      const Status st = scenario::ValidateExperiment(spec);
+      ASSERT_FALSE(st.ok());
+      for (const std::string& key : AllowedKeys(st, "record.")) {
+        EXPECT_NE(table.find("`record." + key + "`"), std::string::npos)
+            << "record." << key << " (read under driver = " << driver
+            << " with protocol '" << name
+            << "') is missing from the record.* table of "
+               "docs/spec_reference.md";
+      }
     }
   }
 }

@@ -108,7 +108,6 @@ TEST(RoundIsReadTest, NoRoundMetricReadsNoRound) {
   none.gossip_bytes = true;
   none.rel_error_hosts = {0};
   none.final_error_quantiles = {0.5};
-  none.extra = true;
   RecordConfig relative;
   relative.relative = true;
   EXPECT_TRUE(ReadRounds(none, RecordConfig(), kRounds).empty());

@@ -329,6 +329,33 @@ TEST(SpecParseTest, ParamReaderAllowsExactlyTheKeysItRead) {
   EXPECT_TRUE(ParamReader(spec, "net.").Finish().ok());
 }
 
+TEST(SpecParseTest, RecordReaderAllowsExactlyTheSelectorsAndKeysItRead) {
+  ScenarioSpec spec;
+  spec.protocol = "push-sum";
+  spec.metrics = {{"rms", ""},
+                  {"rms_at", "3"},
+                  {"cdf", "counter"},
+                  {"rms_at", "5"}};
+  spec.params = {{"record.from", "2"}, {"record.frm", "1"}};
+  RecordReader r(spec);
+  EXPECT_TRUE(r.Want("rms"));
+  EXPECT_FALSE(r.Want("final_rms"));
+  // A family returns its selectors in spec order.
+  EXPECT_EQ(r.Family("rms_at"),
+            (std::vector<MetricSpec>{{"rms_at", "3"}, {"rms_at", "5"}}));
+  EXPECT_EQ(r.Int<int>("record.from", 0, 0, kIntMax).value(), 2);
+  EXPECT_EQ(r.Finish().message(),
+            "protocol 'push-sum' under driver = rounds does not record "
+            "metric 'cdf(counter)' (allowed: rms, final_rms, rms_at(...))");
+  EXPECT_TRUE(r.Want("cdf(counter)"));
+  EXPECT_EQ(r.Finish().message(),
+            "unknown parameter 'record.frm' (allowed: record.from)");
+  spec.params.erase("record.frm");
+  EXPECT_TRUE(r.Finish().ok());
+  // A reader that reads nothing allows nothing, not even the default rms.
+  EXPECT_FALSE(RecordReader(ScenarioSpec()).Finish().ok());
+}
+
 }  // namespace
 }  // namespace scenario
 }  // namespace dynagg

@@ -139,6 +139,20 @@ TEST(DryRunValidationTest, RejectsOutOfRangeKnobs) {
   }
 }
 
+// The swarm's whole state (StreamSketchSwarm::StateBytes: every host's
+// stride plus the rotating spare blocks) is checked against its cap from
+// the cell's hosts, so a shape that fits per host but not per swarm fails
+// --dry-run instead of the run.
+TEST(DryRunValidationTest, RejectsStreamStateAboveTheCap) {
+  const std::string spec =
+      "protocol = count-min\nprotocol.width = 1048576\nprotocol.depth = 4\n"
+      "workload.kind = zipf\nrecord = sketch_bytes\n";
+  ExpectDryRunError("hosts = 1000\n" + spec, "stream swarm state");
+  ExpectDryRunError("hosts = 16\nsweep = hosts: 16, 1000\n" + spec,
+                    "stream swarm state");
+  EXPECT_TRUE(DryRun("hosts = 16\n" + spec).ok());
+}
+
 TEST(DryRunValidationTest, RejectsConflictingEpochPhaseKnobs) {
   ExpectDryRunError(
       "protocol = epoch-push-sum\nhosts = 16\n"
@@ -199,6 +213,15 @@ TEST(DryRunValidationTest, RejectsMalformedRmsAtAndRelErrorArgs) {
   ExpectDryRunError(
       "protocol = push-sum\nhosts = 16\nrecord = final_rel_error(-1)\n",
       "final_rel_error");
+  // Past int: the window check cast 1e300 to int, and the host id wrapped
+  // to 1 and ran.
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 16\nrecord = rms_at(1e300)\n",
+      "rms_at(R)");
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 16\n"
+      "record = final_rel_error(4294967297)\n",
+      "final_rel_error(H)");
 }
 
 TEST(DryRunValidationTest, RejectsRecoveryRoundsOnForeignSeries) {
@@ -224,6 +247,56 @@ TEST(DryRunValidationTest, RejectsCounterQuantilesOutsideUnitInterval) {
       "protocol = push-sum\nhosts = 16\n"
       "record = counter_quantiles(0.5)\n",
       "counter_quantiles");
+}
+
+// Each selector and record.* key is allowed by the parse that reads it:
+// the driver's record parse, and the protocol's under driver = rounds
+// only. Whatever no parse reads fails --dry-run, naming it and listing what
+// the cell's parses read.
+TEST(DryRunValidationTest, RejectsSelectorsAndRecordKeysNoParseReads) {
+  const struct {
+    const char* spec;
+    const char* needle;
+  } kProbes[] = {
+      {"protocol = push-sum\nrecord = cdf(counter)\n", "'cdf(counter)'"},
+      {"protocol = count-sketch-reset\ndriver = trace\nhosts = 0\n"
+       "environment = haggle\nrecord = cdf(counter)\n",
+       "'cdf(counter)'"},
+      {"protocol = push-flow\ndriver = async\nrecord.threshold = 2\n",
+       "'record.threshold'"},
+      {"protocol = count-sketch-reset\nrecord = hh_precision(4)\n",
+       "'hh_precision(4)'"},
+      {"protocol = push-sum\nrecord = delivery_rate\n", "'delivery_rate'"},
+  };
+  for (const auto& probe : kProbes) {
+    SCOPED_TRACE(probe.spec);
+    const std::string text =
+        std::string(probe.spec).find("hosts") == std::string::npos
+            ? std::string("hosts = 16\n") + probe.spec
+            : probe.spec;
+    ExpectDryRunError(text, probe.needle);
+    ExpectDryRunError(text, "(allowed: ");
+  }
+  // The same selectors and keys where a parse reads them.
+  EXPECT_TRUE(DryRun("protocol = count-sketch-reset\nhosts = 16\n"
+                     "record = cdf(counter)\n")
+                  .ok());
+  EXPECT_TRUE(DryRun("protocol = push-flow\ndriver = async\nhosts = 16\n"
+                     "record = delivery_rate\nrecord.from = 2\n")
+                  .ok());
+}
+
+// counter_quantiles(...) is a series over bits and rms one over rounds; an
+// experiment renders one series table, so the pair used to pass --dry-run
+// and fail once the trial ran (found by the fuzzer's record mutation).
+TEST(DryRunValidationTest, RejectsCounterQuantilesBesideRms) {
+  ExpectDryRunError(
+      "protocol = count-sketch-reset\nhosts = 16\n"
+      "record = rms, counter_quantiles(0.5)\n",
+      "counter_quantiles");
+  EXPECT_TRUE(DryRun("protocol = count-sketch-reset\nhosts = 16\n"
+                     "record = final_rms, counter_quantiles(0.5)\n")
+                  .ok());
 }
 
 // ------------------------------------------- driver-compatibility paths ---

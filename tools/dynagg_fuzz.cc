@@ -9,7 +9,8 @@
 // near-valid mutants (typoed keys, junk values, dropped lines, forbidden
 // key combinations, unknown namespaced knobs, capability probes that ask
 // any protocol for bandwidth, gossip_bytes, kill_top_fraction, threads or
-// churn, seeds.* stream terms). Valid specs include two-axis sweep grids
+// churn, seeds.* stream terms, a selector or record.* key from every
+// family). Valid specs include two-axis sweep grids
 // whose second axis is checked against the first (hosts x churn.initial /
 // churn.max_alive / env.degree, rounds x record.from), so a cell that
 // combines two valid axis values can still be invalid. Every generated
@@ -301,7 +302,7 @@ void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
     if (lines->empty()) return nullptr;
     return &(*lines)[rng.UniformInt(lines->size())];
   };
-  switch (rng.UniformInt(14)) {
+  switch (rng.UniformInt(15)) {
     case 0: {  // typo a key: drop one character
       SpecLine* line = pick_line();
       if (line != nullptr && !line->key.empty()) {
@@ -385,6 +386,35 @@ void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
           {std::string("seeds.") +
                kStreams[rng.UniformInt(std::size(kStreams))],
            kTerms[rng.UniformInt(std::size(kTerms))]});
+      break;
+    }
+    case 14: {  // one selector or record.* key, from every family
+      static const SpecLine kRecords[] = {
+          {"record", "cdf(counter)"},
+          {"record", "counter_quantiles(0.5)"},
+          {"record", "hh_precision(4)"},
+          {"record", "sketch_bytes"},
+          {"record", "delivery_rate"},
+          {"record", "avg_group_size"},
+          {"record", "quantile(final_error, 0.5)"},
+          {"record", "rms_at(1)"},
+          {"record.max_counter", "6"},
+          {"record.threshold", "2"}};
+      const SpecLine& add = kRecords[rng.UniformInt(std::size(kRecords))];
+      if (add.key != "record") {
+        lines->push_back(add);
+        break;
+      }
+      // Appended to the spec's selector list (the last record line wins).
+      SpecLine* list = nullptr;
+      for (SpecLine& line : *lines) {
+        if (line.key == "record") list = &line;
+      }
+      if (list != nullptr) {
+        list->value += ", " + add.value;
+      } else {
+        lines->push_back({"record", "rms, " + add.value});
+      }
       break;
     }
   }
