@@ -57,8 +57,8 @@ Result<AsyncRecord> ParseAsyncRecord(const ScenarioSpec& spec,
 Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
                       Recorder& rec) {
   // Setup phase: config parsing, environment/swarm construction. The
-  // spec-only checks (ValidateAsyncSpec) ran in ValidateExperiment on this
-  // exact spec.
+  // spec-only checks (ValidateAsyncDriver) ran in ValidateExperiment on
+  // this exact spec.
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
@@ -177,6 +177,52 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   return Status::OK();
 }
 
+/// The async driver's validate: RunAsyncDriver's parses (record, network
+/// model, round and message streams) and checks, then the protocol's parse
+/// (whose record reads do not count: the driver runs no finish hook). It
+/// reads no failure.* or churn.* key: a departure or arrival under
+/// message-level time would be an event in the in-flight timeline, which
+/// is not implemented yet.
+Status ValidateAsyncDriver(const TrialContext& ctx,
+                           const ProtocolDef& protocol, const EnvironmentDef&,
+                           int env_hosts, RecordReader& records) {
+  const ScenarioSpec& spec = *ctx.spec;
+  const auto invalid = [&](const std::string& what) {
+    return Status::InvalidArgument("driver = async: " + what);
+  };
+  // A custom runner owns its whole trial loop and has no capabilities.
+  if (!protocol.capabilities.Has(Capability::kAsync)) {
+    return invalid("protocol '" + spec.protocol +
+                   "' does not support message-level gossip (async-capable "
+                   "protocols declare send/deliver hooks — see `dynagg_run "
+                   "--list`)");
+  }
+  if (spec.intra_round_threads > 1) {
+    return invalid(
+        "message-level delivery is inherently sequential; "
+        "intra_round_threads does not apply");
+  }
+  if (spec.sample_period > 0) {
+    return invalid(
+        "sample_period does not apply (metrics are sampled once per gossip "
+        "tick; thin the series with record.from / record.every)");
+  }
+  // Tick k fires at (k + 1) * gossip_period: the last one must fit too.
+  DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("gossip_period", spec.gossip_period));
+  const SimTime period = GossipPeriod(spec);
+  if (spec.rounds > kSimTimeMax / period) {
+    return invalid("rounds = " + std::to_string(spec.rounds) +
+                   " ticks of gossip_period overflow simulated time "
+                   "(64-bit microseconds)");
+  }
+  DYNAGG_RETURN_IF_ERROR(ParseAsyncRecord(spec, records).status());
+  DYNAGG_RETURN_IF_ERROR(ParseNetworkParams(spec).status());
+  DYNAGG_RETURN_IF_ERROR(RoundStream(spec, ctx, env_hosts).status());
+  DYNAGG_RETURN_IF_ERROR(MessageStream(spec, ctx, env_hosts).status());
+  RecordReader unused(spec);
+  return protocol.validate(ctx, unused);
+}
+
 }  // namespace
 
 Result<net::NetworkParams> ParseNetworkParams(const ScenarioSpec& spec) {
@@ -224,69 +270,11 @@ Result<net::NetworkParams> ParseNetworkParams(const ScenarioSpec& spec) {
   return p;
 }
 
-Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def,
-                         RecordReader& records) {
-  const auto invalid = [&](const std::string& what) {
-    return Status::InvalidArgument("driver = async: " + what);
-  };
-  if (!def.make_swarm) {
-    return invalid("protocol '" + spec.protocol +
-                   "' owns its whole trial loop and cannot run "
-                   "message-level");
-  }
-  if (!def.capabilities.Has(Capability::kAsync)) {
-    return invalid("protocol '" + spec.protocol +
-                   "' does not support message-level gossip (async-capable "
-                   "protocols declare send/deliver hooks — see `dynagg_run "
-                   "--list`)");
-  }
-  if (spec.intra_round_threads > 1) {
-    return invalid(
-        "message-level delivery is inherently sequential; "
-        "intra_round_threads does not apply");
-  }
-  if (spec.sample_period > 0) {
-    return invalid(
-        "sample_period does not apply (metrics are sampled once per gossip "
-        "tick; thin the series with record.from / record.every)");
-  }
-  // Tick k fires at (k + 1) * gossip_period: the last one must fit too.
-  DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("gossip_period", spec.gossip_period));
-  const SimTime period = GossipPeriod(spec);
-  if (spec.rounds > kSimTimeMax / period) {
-    return invalid("rounds = " + std::to_string(spec.rounds) +
-                   " ticks of gossip_period overflow simulated time "
-                   "(64-bit microseconds)");
-  }
-  // Failure and churn plans are round-indexed membership scripts built
-  // for the synchronous drivers. Under message-level time there is no
-  // round boundary to apply them at: a host's departure/arrival would
-  // have to be an event indexed into the in-flight delivery timeline
-  // (invalidating queued messages to and from it), which is not
-  // implemented yet. Point at the limitation rather than a bare reject
-  // so the fix is actionable from the error alone.
-  for (const auto& [key, value] : spec.params) {
-    if (key.rfind("failure.", 0) == 0 || key.rfind("churn.", 0) == 0) {
-      return invalid(
-          "'" + key +
-          "' does not apply: failure/churn plans are round-indexed and "
-          "the async driver has no rounds — membership dynamics under "
-          "message-level time need event-indexed plans, which are not "
-          "implemented yet (run the plan under driver = rounds, or see "
-          "docs/spec_reference.md \"Driver compatibility\")");
-    }
-  }
-  DYNAGG_RETURN_IF_ERROR(
-      spec.CheckParams("seeds.", {"round_stream", "message_stream"}));
-  DYNAGG_RETURN_IF_ERROR(ParseAsyncRecord(spec, records).status());
-  return ParseNetworkParams(spec).status();
-}
-
 namespace internal {
 
 void RegisterAsyncDriver(Registry<DriverDef>& registry) {
   DYNAGG_CHECK(
-      registry.Register("async", {RunAsyncDriver, DriverKind::kMessages})
+      registry.Register("async", {RunAsyncDriver, ValidateAsyncDriver})
           .ok());
 }
 

@@ -29,14 +29,6 @@
 namespace dynagg {
 namespace scenario {
 
-/// Spec-only validation of a `driver = async` experiment: protocol
-/// capability, the net.* / seeds.* allowlists and value ranges, the keys
-/// the driver does not consume, and the driver's record parse (its
-/// selectors and record.from / record.every) read into `records`.
-/// ValidateExperiment runs it on every cell of the sweep grid.
-Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def,
-                         RecordReader& records);
-
 /// Parses and range-checks the net.* keys (defaults: a perfect network —
 /// fixed zero latency, no loss, no jitter).
 Result<net::NetworkParams> ParseNetworkParams(const ScenarioSpec& spec);

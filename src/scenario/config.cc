@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 
 namespace dynagg {
 namespace scenario {
@@ -279,9 +280,15 @@ Result<uint64_t> StreamExprTerm(const std::string& key,
       scale = *m;
     }
     const double scaled = value * static_cast<double>(scale);
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%g", value);
     if (!(scaled >= 0)) {
-      return bad("'" + name + "' term is negative for sweep value " +
-                 std::to_string(value));
+      return bad("'" + name + "' term is negative for sweep value " + shown);
+    }
+    // The cast to uint64_t is defined below 2^64 only.
+    if (!(scaled < 0x1p64)) {
+      return bad("'" + name + "' term is at or above 2^64 for sweep value " +
+                 shown);
     }
     return static_cast<uint64_t>(scaled);
   }
@@ -341,14 +348,11 @@ Result<uint64_t> MessageStream(const ScenarioSpec& spec,
 Result<ChurnConfig> ParseChurnConfig(const ScenarioSpec& spec) {
   ParamReader r(spec, "churn.");
   ChurnConfig cfg;
-  for (const auto& [key, value] : spec.params) {
-    cfg.enabled = cfg.enabled || key.rfind("churn.", 0) == 0;
-  }
   DYNAGG_ASSIGN_OR_RETURN(cfg.initial,
                           r.Int<int>("churn.initial", -1, 1, kIntMax));
   // The per-round Poisson draw takes O(rate) uniforms, so the rate must
-  // be finite; the bound by hosts needs the cell's real size, so
-  // ValidateChurnSpec checks it.
+  // be finite; the bound by hosts needs the cell's real size, so the
+  // rounds driver's validate checks it.
   DYNAGG_ASSIGN_OR_RETURN(
       cfg.arrival_rate,
       r.Double("churn.arrival_rate", 0.0, 0.0, kFiniteMax));
@@ -361,6 +365,8 @@ Result<ChurnConfig> ParseChurnConfig(const ScenarioSpec& spec) {
   DYNAGG_ASSIGN_OR_RETURN(cfg.max_alive,
                           r.Int<int>("churn.max_alive", -1, 1, kIntMax));
   DYNAGG_RETURN_IF_ERROR(r.Finish());
+  cfg.first_key = r.FirstSet();
+  cfg.enabled = !cfg.first_key.empty();
   if (cfg.end != -1 && cfg.end < cfg.start) {
     return Status::InvalidArgument(
         "churn.end must be >= churn.start (or -1 for the full run)");
@@ -427,6 +433,41 @@ Result<FailurePlan> BuildFailurePlan(const FailureConfig& cfg, int n,
     }
   }
   return Status::InvalidArgument("unreachable failure kind");
+}
+
+Status CheckKeysRead(const ScenarioSpec& spec, const ProtocolDef& protocol,
+                     const KeyReads& reads) {
+  // Who reads each prefix (docs/spec_reference.md has the details).
+  static constexpr const char* kReaders[][2] = {
+      {"net.", "driver = async (its network model)"},
+      {"workload.", "the stream sketches (count-min, count-sketch-freq)"},
+      {"failure.", "driver = rounds and tag-tree (round-indexed plans)"},
+      {"churn.", "the rounds driver on join-capable swarm protocols "
+                 "(round-indexed plans; event-indexed ones for driver = "
+                 "async are not implemented yet)"},
+      {"env.", "the environment's parse, when the protocol builds one"},
+      {"seeds.", "the parses deriving that stream: round_stream every "
+                 "swarm driver and extreme-recovery, failure_stream driver "
+                 "= rounds and tag-tree, churn_stream driver = rounds, "
+                 "workload_stream the stream sketches, message_stream "
+                 "driver = async"},
+  };
+  for (const auto& [key, value] : spec.params) {
+    if (reads.Read(key) || key.rfind("record.", 0) == 0) continue;
+    std::string msg = "experiment '" + spec.name + "': '" + key +
+                      "' is read by no parse of this cell (driver = " +
+                      spec.driver + ", protocol '" + spec.protocol + "'";
+    if (!protocol.make_swarm) msg += ", which owns its whole trial loop";
+    msg += ")";
+    for (const auto& [prefix, readers] : kReaders) {
+      if (key.rfind(prefix, 0) == 0) {
+        msg = msg + "; " + prefix + "* keys are read by " + readers;
+        break;
+      }
+    }
+    return Status::InvalidArgument(msg);
+  }
+  return Status::OK();
 }
 
 }  // namespace scenario

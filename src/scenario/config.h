@@ -166,15 +166,6 @@ Result<uint64_t> MessageStream(const ScenarioSpec& spec,
 /// as the guard before it reads the built swarm's values.
 Status CheckValueBacked(const FailureConfig& cfg, bool value_backed);
 
-/// Spec-only validation of a `driver = trace` experiment: protocol
-/// capability, no rounds / failure.* / churn.* keys, the seeds.* allowlist
-/// and the driver's selectors (rms, avg_group_size) read into `records`;
-/// the counterpart of ValidateAsyncSpec. Whether the environment provides
-/// a trace is checked against its registry entry (dry run) and the built
-/// environment (driver).
-Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def,
-                         RecordReader& records);
-
 /// Builds the scripted plan. `values` backs kill_top_fraction and may be
 /// null for protocols without per-host scalar values.
 Result<FailurePlan> BuildFailurePlan(const FailureConfig& cfg, int n,
@@ -189,6 +180,7 @@ Result<FailurePlan> BuildFailurePlan(const FailureConfig& cfg, int n,
 /// on_join hook.
 struct ChurnConfig {
   bool enabled = false;      // any churn.* key present
+  std::string first_key;     // the first of them read; "" = none
   int initial = -1;          // hosts alive at round 0; -1 = spec.hosts
   double arrival_rate = 0;   // expected first-time arrivals per round
   double death_prob = 0;     // per-round death probability per alive host
@@ -208,11 +200,19 @@ Result<uint64_t> ChurnStream(const ScenarioSpec& spec, const TrialContext& ctx,
                              int n);
 
 /// Builds the precomputed churn schedule; `rounds` backs the default
-/// window end. ValidateChurnSpec checks initial/max_alive against the size
-/// each cell's environment reports; the checks against the built `n` stay
-/// here for callers that skip validation.
+/// window end. The rounds driver's validate checks initial/max_alive
+/// against the size each cell's environment reports; the checks against
+/// the built `n` stay here for callers that skip validation.
 Result<ChurnPlan> BuildChurnPlan(const ChurnConfig& cfg, int n, int rounds,
                                  Rng& churn_rng);
+
+/// The one check after a cell's parses: rejects the first key of
+/// spec.params outside record.* (which the cell's RecordReader checks) that
+/// no parse marked in `reads`, naming the key, the driver, the protocol
+/// (and that it owns its whole trial loop, for a custom runner) and who
+/// does read the key's prefix.
+Status CheckKeysRead(const ScenarioSpec& spec, const ProtocolDef& protocol,
+                     const KeyReads& reads);
 
 }  // namespace scenario
 }  // namespace dynagg

@@ -341,6 +341,158 @@ Status RunRoundsDriver(const TrialContext& ctx, const ProtocolDef& def,
   return DriveRounds(ctx, env, swarm, rec);
 }
 
+/// The churn plan's spec-only checks: a join-capable protocol, no
+/// failure.kind beside it, and initial / max_alive / arrival_rate within
+/// `env_hosts`, the size the cell's environment reports (0 = known only
+/// once built).
+Status CheckChurn(const ScenarioSpec& spec, const ProtocolDef& protocol,
+                  const ChurnConfig& churn, const FailureConfig& fail,
+                  int env_hosts) {
+  const auto invalid = [&](const std::string& what) {
+    return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
+  };
+  if (!churn.enabled) return Status::OK();
+  if (!protocol.capabilities.Has(Capability::kJoin)) {
+    return invalid("protocol '" + spec.protocol +
+                   "' cannot admit hosts (no on_join reset hook); churn.* "
+                   "keys require a join-capable protocol — see `dynagg_run "
+                   "--list`");
+  }
+  if (fail.kind != FailureConfig::Kind::kNone) {
+    return invalid(
+        "churn.* and failure.kind cannot be combined: churn plans cover "
+        "deaths via churn.death_prob (and their rebirths RESET host "
+        "state, unlike failure churn's silent revives)");
+  }
+  // initial, max_alive and arrival_rate are bounded by the universe.
+  // Arrivals beyond it are clamped anyway, but each one costs a Poisson
+  // uniform: an unbounded rate never finishes its draw.
+  const bool sized = churn.initial != -1 || churn.max_alive != -1 ||
+                     churn.arrival_rate > 0;
+  if (sized && env_hosts == 0) {
+    return invalid("churn.initial, churn.max_alive and churn.arrival_rate "
+                   "are bounded by the population, and environment '" +
+                   spec.environment +
+                   "' knows its size only once its trace file is read; "
+                   "set hosts to the trace's device count");
+  }
+  const std::string universe =
+      "hosts = " + std::to_string(env_hosts) +
+      (spec.hosts == 0 ? " (environment '" + spec.environment + "')" : "");
+  if (churn.initial > env_hosts) {
+    return invalid("churn.initial = " + std::to_string(churn.initial) +
+                   " exceeds " + universe);
+  }
+  if (churn.arrival_rate > env_hosts) {
+    return invalid("churn.arrival_rate exceeds " + universe +
+                   " (arrivals per round beyond the universe only cost "
+                   "draws)");
+  }
+  if (churn.max_alive > env_hosts) {
+    return invalid(
+        "churn.max_alive = " + std::to_string(churn.max_alive) +
+        " exceeds " + universe +
+        " (the universe is fixed; raise hosts to leave room for growth)");
+  }
+  return Status::OK();
+}
+
+/// record.relative divides every evaluated rms by the live truth, which is
+/// 0 once no host is alive, so DriveRounds fails at that round. Two plans
+/// leave nobody alive by construction (only failure.pin_alive revives):
+/// a kill_* plan whose kill count rounds to every one of `env_hosts`, from
+/// failure.round on, and churn with failure.death_prob = 1, after
+/// failure.start. Reject them up front. With a size known only once built
+/// (env_hosts = 0) only fraction = 1 is certain to kill every host.
+Status CheckRelativeSurvivors(const ScenarioSpec& spec,
+                              const RoundsRecord& rec,
+                              const FailureConfig& fail, int env_hosts) {
+  if (!rec.cfg.relative || !rec.metrics.NeedsRoundEvaluation() ||
+      fail.pin_alive != kInvalidHost) {
+    return Status::OK();
+  }
+  int empty_round = -1;  // the first round after which no host is alive
+  std::string knob;
+  switch (fail.kind) {
+    case FailureConfig::Kind::kKillRandomFraction:
+    case FailureConfig::Kind::kKillTopFraction: {
+      // The kill count of FailurePlan::KillRandomFraction / KillTopFraction.
+      const bool kills_all =
+          env_hosts > 0
+              ? static_cast<size_t>(fail.fraction * env_hosts + 0.5) >=
+                    static_cast<size_t>(env_hosts)
+              : fail.fraction >= 1.0;
+      if (kills_all) empty_round = fail.round;
+      knob = "failure.fraction";
+      break;
+    }
+    case FailureConfig::Kind::kChurn: {
+      const int end = fail.end >= 0 ? fail.end : spec.rounds;
+      if (fail.death_prob >= 1.0 && fail.start < end) {
+        empty_round = fail.start;
+      }
+      knob = "failure.death_prob";
+      break;
+    }
+    case FailureConfig::Kind::kNone:
+      break;
+  }
+  if (empty_round < 0 || empty_round >= spec.rounds) return Status::OK();
+  return Status::InvalidArgument(
+      "experiment '" + spec.name + "': record.relative: " + knob +
+      " leaves no host alive after round " + std::to_string(empty_round) +
+      ", where the truth is 0 and the relative error is undefined (set "
+      "failure.pin_alive to keep one host alive, lower " +
+      knob + ", or drop record.relative)");
+}
+
+/// The rounds driver's validate: DriveRounds' parses (record, failure and
+/// churn plans, round, failure and churn streams) and the capabilities
+/// they need, then the protocol's parse, whose record reads count since
+/// DriveRounds runs the finish hook. A custom runner's parse is all.
+Status ValidateRoundsDriver(const TrialContext& ctx,
+                            const ProtocolDef& protocol,
+                            const EnvironmentDef&, int env_hosts,
+                            RecordReader& records) {
+  const ScenarioSpec& spec = *ctx.spec;
+  if (spec.gossip_period > 0 || spec.sample_period > 0) {
+    return Status::InvalidArgument(
+        "experiment '" + spec.name +
+        "': gossip_period / sample_period configure the event-driven "
+        "drivers (trace, async); driver = " +
+        spec.driver + " advances in rounds");
+  }
+  if (!protocol.make_swarm) {
+    // A whole-trial runner's own scalar records answer the default `rms`.
+    records.Want("rms");
+    return protocol.validate(ctx, records);
+  }
+  DYNAGG_ASSIGN_OR_RETURN(const RoundsRecord rec,
+                          ParseRoundsRecord(spec, records));
+  if (rec.metrics.gossip_bytes &&
+      !protocol.capabilities.Has(Capability::kGossipBytes)) {
+    return Status::InvalidArgument(
+        "experiment '" + spec.name + "': protocol '" + spec.protocol +
+        "' does not model the gossip_bytes metric");
+  }
+  // The rounds driver measures bandwidth through the swarm's traffic meter.
+  if (rec.metrics.bandwidth &&
+      !protocol.capabilities.Has(Capability::kMetered)) {
+    return Status::InvalidArgument("protocol '" + spec.protocol +
+                                   "' does not support the bandwidth metric");
+  }
+  DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
+  DYNAGG_RETURN_IF_ERROR(CheckValueBacked(
+      fail, protocol.capabilities.Has(Capability::kValueBacked)));
+  DYNAGG_ASSIGN_OR_RETURN(const ChurnConfig churn, ParseChurnConfig(spec));
+  DYNAGG_RETURN_IF_ERROR(CheckChurn(spec, protocol, churn, fail, env_hosts));
+  DYNAGG_RETURN_IF_ERROR(CheckRelativeSurvivors(spec, rec, fail, env_hosts));
+  DYNAGG_RETURN_IF_ERROR(RoundStream(spec, ctx, env_hosts).status());
+  DYNAGG_RETURN_IF_ERROR(FailureStream(spec, fail).status());
+  DYNAGG_RETURN_IF_ERROR(ChurnStream(spec, ctx, env_hosts).status());
+  return protocol.validate(ctx, records);
+}
+
 // ------------------------------------------------------------ trace ---
 
 /// The trace driver's selectors: the group-relative rms series and the
@@ -437,21 +589,27 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   return Status::OK();
 }
 
-}  // namespace
-
-Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def,
-                         RecordReader& records) {
+/// The trace driver's validate: RunTraceDriver's parses (selectors, tick
+/// periods, round stream) and checks, then the protocol's parse (whose
+/// record reads do not count: the driver runs no finish hook).
+Status ValidateTraceDriver(const TrialContext& ctx,
+                           const ProtocolDef& protocol,
+                           const EnvironmentDef& environment, int env_hosts,
+                           RecordReader& records) {
+  const ScenarioSpec& spec = *ctx.spec;
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("driver = trace: " + what);
   };
-  if (!def.make_swarm) {
-    return invalid("protocol '" + spec.protocol +
-                   "' owns its whole trial loop and cannot replay a trace");
+  if (!environment.provides_trace) {
+    return Status::InvalidArgument(
+        "experiment '" + spec.name + "': driver = " + spec.driver +
+        " replays a contact trace, but environment '" + spec.environment +
+        "' does not provide one (use haggle or another trace environment)");
   }
-  if (!def.capabilities.Has(Capability::kTrace)) {
+  // A custom runner owns its whole trial loop and has no capabilities.
+  if (!protocol.capabilities.Has(Capability::kTrace)) {
     return invalid("protocol '" + spec.protocol +
-                   "' does not support the trace driver (no group-truth "
-                   "hooks)");
+                   "' cannot replay a trace (no group-truth hooks)");
   }
   if (spec.rounds_set || spec.sweep_key == "rounds" ||
       spec.sweep2_key == "rounds") {
@@ -459,30 +617,24 @@ Status ValidateTraceSpec(const ScenarioSpec& spec, const ProtocolDef& def,
         "rounds does not apply (the trace horizon and gossip_period govern "
         "the run length)");
   }
-  // Failure and churn plans are round-indexed; the trace timeline has no
-  // rounds. Nor does it read a record.* key, so the reader rejects those.
-  for (const auto& [key, value] : spec.params) {
-    if (key.rfind("failure.", 0) == 0 || key.rfind("churn.", 0) == 0) {
-      return invalid("'" + key +
-                     "' does not apply (it is round-indexed; the trace "
-                     "timeline has no rounds)");
-    }
-  }
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
   DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("gossip_period", spec.gossip_period));
   DYNAGG_RETURN_IF_ERROR(CheckTickSeconds("sample_period", spec.sample_period));
   TraceRecord{records};  // reads the driver's selectors into `records`
-  return Status::OK();
+  DYNAGG_RETURN_IF_ERROR(RoundStream(spec, ctx, env_hosts).status());
+  RecordReader unused(spec);
+  return protocol.validate(ctx, unused);
 }
+
+}  // namespace
 
 namespace internal {
 
 void RegisterBuiltinDrivers(Registry<DriverDef>& registry) {
   DYNAGG_CHECK(
-      registry.Register("rounds", {RunRoundsDriver, DriverKind::kRounds})
+      registry.Register("rounds", {RunRoundsDriver, ValidateRoundsDriver})
           .ok());
   DYNAGG_CHECK(
-      registry.Register("trace", {RunTraceDriver, DriverKind::kTrace})
+      registry.Register("trace", {RunTraceDriver, ValidateTraceDriver})
           .ok());
   RegisterAsyncDriver(registry);
 }

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "scenario/async_driver.h"
 #include "scenario/config.h"
 #include "scenario/trial.h"
 
@@ -619,171 +618,6 @@ ResultTable AssembleTelemetrySummary(
   return ResultTable{"telemetry", std::move(table)};
 }
 
-/// Whether `spec` declares any churn.* key (parameter or sweep axis).
-bool SpecUsesChurn(const ScenarioSpec& spec) {
-  for (const auto& [key, value] : spec.params) {
-    if (key.rfind("churn.", 0) == 0) return true;
-  }
-  return spec.sweep_key.rfind("churn.", 0) == 0 ||
-         spec.sweep2_key.rfind("churn.", 0) == 0;
-}
-
-/// Spec-only validation of the churn.* plan family: churn runs only under
-/// the rounds driver on join-capable swarm protocols, cannot be combined
-/// with failure.kind, and its knob ranges (incl. initial/max_alive against
-/// `env_hosts`, the size the cell's environment reports; 0 = known only
-/// once built) must hold.
-Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
-                         const DriverDef& driver, int env_hosts) {
-  const auto invalid = [&](const std::string& what) {
-    return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
-  };
-  if (!SpecUsesChurn(spec)) return Status::OK();
-  if (driver.kind != DriverKind::kRounds) {
-    return invalid(
-        "churn.* plans are round-indexed and only the rounds driver "
-        "executes them; driver = " +
-        spec.driver +
-        (driver.kind == DriverKind::kMessages
-             ? " needs event-indexed membership plans, which are not "
-               "implemented yet (see docs/spec_reference.md)"
-             : " has no rounds"));
-  }
-  if (!protocol.make_swarm) {
-    return invalid("protocol '" + spec.protocol +
-                   "' owns its whole trial loop and does not execute "
-                   "churn.* plans");
-  }
-  if (!protocol.capabilities.Has(Capability::kJoin)) {
-    return invalid("protocol '" + spec.protocol +
-                   "' cannot admit hosts (no on_join reset hook); churn.* "
-                   "keys require a join-capable protocol — see `dynagg_run "
-                   "--list`");
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const ChurnConfig churn, ParseChurnConfig(spec));
-  if (churn.enabled) {
-    DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail,
-                            ParseFailureConfig(spec));
-    if (fail.kind != FailureConfig::Kind::kNone) {
-      return invalid(
-          "churn.* and failure.kind cannot be combined: churn plans cover "
-          "deaths via churn.death_prob (and their rebirths RESET host "
-          "state, unlike failure churn's silent revives)");
-    }
-    // initial, max_alive and arrival_rate are bounded by the universe.
-    // Arrivals beyond it are clamped anyway, but each one costs a Poisson
-    // uniform: an unbounded rate never finishes its draw.
-    const bool sized = churn.initial != -1 || churn.max_alive != -1 ||
-                       churn.arrival_rate > 0;
-    if (sized && env_hosts == 0) {
-      return invalid("churn.initial, churn.max_alive and churn.arrival_rate "
-                     "are bounded by the population, and environment '" +
-                     spec.environment +
-                     "' knows its size only once its trace file is read; "
-                     "set hosts to the trace's device count");
-    }
-    const std::string universe =
-        "hosts = " + std::to_string(env_hosts) +
-        (spec.hosts == 0 ? " (environment '" + spec.environment + "')"
-                         : "");
-    if (churn.initial > env_hosts) {
-      return invalid("churn.initial = " + std::to_string(churn.initial) +
-                     " exceeds " + universe);
-    }
-    if (churn.arrival_rate > env_hosts) {
-      return invalid("churn.arrival_rate exceeds " + universe +
-                     " (arrivals per round beyond the universe only cost "
-                     "draws)");
-    }
-    if (churn.max_alive > env_hosts) {
-      return invalid(
-          "churn.max_alive = " + std::to_string(churn.max_alive) +
-          " exceeds " + universe +
-          " (the universe is fixed; raise hosts to leave room for growth)");
-    }
-  }
-  return Status::OK();
-}
-
-/// record.relative divides every evaluated rms by the live truth, which is
-/// 0 once no host is alive, so DriveRounds fails at that round. Two plans
-/// leave nobody alive by construction (only failure.pin_alive revives):
-/// a kill_* plan whose kill count rounds to every host, from failure.round
-/// on, and churn with failure.death_prob = 1, after failure.start. Reject
-/// them up front. With an environment-derived size (hosts = 0) only
-/// fraction = 1 is certain to kill every host.
-Status CheckRelativeSurvivors(const ScenarioSpec& spec,
-                              const MetricFlags& metrics,
-                              const RecordConfig& cfg,
-                              const FailureConfig& fail) {
-  if (!cfg.relative || !metrics.NeedsRoundEvaluation() ||
-      fail.pin_alive != kInvalidHost) {
-    return Status::OK();
-  }
-  int empty_round = -1;  // the first round after which no host is alive
-  std::string knob;
-  switch (fail.kind) {
-    case FailureConfig::Kind::kKillRandomFraction:
-    case FailureConfig::Kind::kKillTopFraction: {
-      // The kill count of FailurePlan::KillRandomFraction / KillTopFraction.
-      const bool kills_all =
-          spec.hosts > 0
-              ? static_cast<size_t>(fail.fraction * spec.hosts + 0.5) >=
-                    static_cast<size_t>(spec.hosts)
-              : fail.fraction >= 1.0;
-      if (kills_all) empty_round = fail.round;
-      knob = "failure.fraction";
-      break;
-    }
-    case FailureConfig::Kind::kChurn: {
-      const int end = fail.end >= 0 ? fail.end : spec.rounds;
-      if (fail.death_prob >= 1.0 && fail.start < end) {
-        empty_round = fail.start;
-      }
-      knob = "failure.death_prob";
-      break;
-    }
-    case FailureConfig::Kind::kNone:
-      break;
-  }
-  if (empty_round < 0 || empty_round >= spec.rounds) return Status::OK();
-  return Status::InvalidArgument(
-      "experiment '" + spec.name + "': record.relative: " + knob +
-      " leaves no host alive after round " + std::to_string(empty_round) +
-      ", where the truth is 0 and the relative error is undefined (set "
-      "failure.pin_alive to keep one host alive, lower " +
-      knob + ", or drop record.relative)");
-}
-
-/// Spec-only preflight of the plain rounds driver: its seeds.* allowlist,
-/// record parse (into `records`), the capabilities its selectors need and
-/// the failure plan, so DriveRounds itself only parses them.
-Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
-                                const ProtocolDef& protocol,
-                                RecordReader& records) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "seeds.",
-      {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
-  DYNAGG_ASSIGN_OR_RETURN(const RoundsRecord rec,
-                          ParseRoundsRecord(spec, records));
-  if (rec.metrics.gossip_bytes &&
-      !protocol.capabilities.Has(Capability::kGossipBytes)) {
-    return Status::InvalidArgument(
-        "experiment '" + spec.name + "': protocol '" + spec.protocol +
-        "' does not model the gossip_bytes metric");
-  }
-  // The rounds driver measures bandwidth through the swarm's traffic meter.
-  if (rec.metrics.bandwidth &&
-      !protocol.capabilities.Has(Capability::kMetered)) {
-    return Status::InvalidArgument("protocol '" + spec.protocol +
-                                   "' does not support the bandwidth metric");
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
-  DYNAGG_RETURN_IF_ERROR(CheckValueBacked(
-      fail, protocol.capabilities.Has(Capability::kValueBacked)));
-  return CheckRelativeSurvivors(spec, rec.metrics, rec.cfg, fail);
-}
-
 /// The per-spec checks, run on the exact spec and context one cell of the
 /// sweep grid executes: everything that reads a value a sweep axis can
 /// write (hosts, rounds, intra_round_threads, any namespaced knob).
@@ -794,12 +628,15 @@ Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
   };
+  // Every namespaced key the parses below read is marked here; the first
+  // one none of them read fails CheckKeysRead at the end.
+  const KeyReads reads;
   // Environment knobs (env.* ranges and allowlist, hosts/degree
   // consistency) are spec-only, and so is the size the environment will
   // build, except a trace file's. Skipped for the rare protocols that
   // never build an environment.
   int env_hosts = spec.hosts;
-  if (environment.validate && protocol.uses_environment) {
+  if (protocol.uses_environment) {
     DYNAGG_ASSIGN_OR_RETURN(const int built, environment.validate(spec));
     if (built > 0 && spec.hosts > 0 && built != spec.hosts) {
       return invalid("hosts = " + std::to_string(spec.hosts) +
@@ -818,50 +655,13 @@ Status ValidateCell(const TrialContext& ctx, const ProtocolDef& protocol,
                    "' does not support intra_round_threads (no "
                    "data-parallel apply phase)");
   }
-  DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(spec, protocol, driver, env_hosts));
-  // The driver's record parse and the protocol's read this cell's
-  // selectors and record.* keys into one reader; what neither reads fails
-  // its Finish below.
+  // The driver's parses and the protocol's read this cell's selectors and
+  // record.* keys into one reader; what none reads fails its Finish.
   RecordReader records(spec);
-  if (driver.kind == DriverKind::kMessages) {
-    DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol, records));
-  } else if (driver.kind == DriverKind::kTrace) {
-    if (!environment.provides_trace) {
-      return invalid("driver = " + spec.driver +
-                     " replays a contact trace, but environment '" +
-                     spec.environment +
-                     "' does not provide one (use haggle or another trace "
-                     "environment)");
-    }
-    DYNAGG_RETURN_IF_ERROR(ValidateTraceSpec(spec, protocol, records));
-  } else if (spec.gossip_period > 0 || spec.sample_period > 0) {
-    return invalid(
-        "gossip_period / sample_period configure the event-driven drivers "
-        "(trace, async); driver = " +
-        spec.driver + " advances in rounds");
-  } else if (protocol.make_swarm) {
-    DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(spec, protocol, records));
-  } else {
-    // A whole-trial runner's own scalar records answer the default `rms`.
-    records.Want("rms");
-  }
-  if (protocol.validate) {
-    // Only the rounds driver runs the swarm's finish hook, so the
-    // protocol's record reads count only there.
-    RecordReader unused(spec);
-    DYNAGG_RETURN_IF_ERROR(protocol.validate(
-        spec, driver.kind == DriverKind::kRounds ? records : unused));
-  }
+  DYNAGG_RETURN_IF_ERROR(
+      driver.validate(ctx, protocol, environment, env_hosts, records));
   DYNAGG_RETURN_IF_ERROR(records.Finish());
-  // Each seeds.* stream expression resolves against this cell's axes,
-  // with the `hosts` term at the cell's size (the drivers use the built
-  // environment's, which only differs when hosts = 0 derives it). The
-  // failure stream is a plain integer.
-  for (const auto stream :
-       {RoundStream, WorkloadStream, MessageStream, ChurnStream}) {
-    DYNAGG_RETURN_IF_ERROR(stream(spec, ctx, spec.hosts).status());
-  }
-  return FailureStream(spec, FailureConfig()).status();
+  return CheckKeysRead(spec, protocol, reads);
 }
 
 }  // namespace
@@ -894,51 +694,6 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
       spec.telemetry != "summary" && spec.telemetry != "profile") {
     return invalid("telemetry must be off, summary or profile, got '" +
                    spec.telemetry + "'");
-  }
-  // Keyed stream workloads feed the stream sketch protocols only; a
-  // workload key on any other protocol would be silently ignored. The
-  // reverse direction — a consuming protocol without a workload.kind — is
-  // rejected by the protocol's own validate hook.
-  if (!protocol.consumes_workload) {
-    for (const auto& [key, value] : spec.params) {
-      if (key.rfind("workload.", 0) == 0 || key == "seeds.workload_stream") {
-        return invalid(
-            "'" + key + "' does not apply to protocol '" + spec.protocol +
-            "' (keyed stream workloads feed the stream sketch protocols "
-            "only, e.g. count-min / count-sketch-freq — see `dynagg_run "
-            "--list`)");
-      }
-    }
-    for (const std::string& key : {spec.sweep_key, spec.sweep2_key}) {
-      if (key.rfind("workload.", 0) == 0) {
-        return invalid(
-            "sweep key '" + key + "' does not apply to protocol '" +
-            spec.protocol +
-            "' (keyed stream workloads feed the stream sketch protocols "
-            "only, e.g. count-min / count-sketch-freq)");
-      }
-    }
-  }
-  // The net.* keys and the per-message seed stream configure the async
-  // driver's network model; on any other driver they would be silently
-  // ignored. Mirrors the workload rejection above.
-  if (driver.kind != DriverKind::kMessages) {
-    for (const auto& [key, value] : spec.params) {
-      if (key.rfind("net.", 0) == 0 || key == "seeds.message_stream") {
-        return invalid("'" + key +
-                       "' configures the async driver's network model and "
-                       "does not apply to driver = " +
-                       spec.driver + " (use driver = async)");
-      }
-    }
-    for (const std::string& key : {spec.sweep_key, spec.sweep2_key}) {
-      if (key.rfind("net.", 0) == 0) {
-        return invalid("sweep key '" + key +
-                       "' configures the async driver's network model and "
-                       "does not apply to driver = " +
-                       spec.driver + " (use driver = async)");
-      }
-    }
   }
   DYNAGG_RETURN_IF_ERROR(ValidateMetricList(spec.metrics));
   DYNAGG_RETURN_IF_ERROR(ValidateAggregateList(spec.aggregates));

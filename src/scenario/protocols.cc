@@ -84,10 +84,9 @@ Result<int> CheckedHosts(const EnvHandle& env) {
 /// its own into the ProtocolDef's validate hook, so `--dry-run` runs
 /// exactly the parse execution would.
 template <typename Parse>
-std::function<Status(const ScenarioSpec&, RecordReader&)> SpecValidator(
-    Parse parse) {
-  return [parse](const ScenarioSpec& spec, RecordReader&) {
-    return parse(spec).status();
+decltype(ProtocolDef::validate) SpecValidator(Parse parse) {
+  return [parse](const TrialContext& ctx, RecordReader&) {
+    return parse(*ctx.spec).status();
   };
 }
 
@@ -847,8 +846,6 @@ struct FmAccuracySpecParams {
 };
 
 Result<FmAccuracySpecParams> ParseFmAccuracySpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {}));
-  DYNAGG_RETURN_IF_ERROR(ParamReader(spec, "failure.").Finish());
   ParamReader r(spec, "protocol.");
   FmAccuracySpecParams out;
   DYNAGG_ASSIGN_OR_RETURN(
@@ -908,11 +905,10 @@ struct TagTreeSpecParams {
   int64_t epochs = 30;
   int64_t root = 0;
   FailureConfig fail;
+  uint64_t fail_stream = 0;
 };
 
 Result<TagTreeSpecParams> ParseTagTreeSpec(const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream",
-                                                     "failure_stream"}));
   ParamReader r(spec, "protocol.");
   TagTreeSpecParams out;
   DYNAGG_ASSIGN_OR_RETURN(
@@ -927,6 +923,7 @@ Result<TagTreeSpecParams> ParseTagTreeSpec(const ScenarioSpec& spec) {
     return Status::InvalidArgument(
         "tag-tree supports failure.kind none or churn");
   }
+  DYNAGG_ASSIGN_OR_RETURN(out.fail_stream, FailureStream(spec, out.fail));
   return out;
 }
 
@@ -937,8 +934,6 @@ Status RunTagTree(const TrialContext& ctx, Recorder& rec) {
   const int64_t epochs = cfg.epochs;
   const int64_t root_id = cfg.root;
   const FailureConfig& fail = cfg.fail;
-  DYNAGG_ASSIGN_OR_RETURN(const uint64_t fail_stream,
-                          FailureStream(spec, fail));
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
   DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
@@ -948,7 +943,7 @@ Status RunTagTree(const TrialContext& ctx, Recorder& rec) {
   }
   const std::vector<double> values = UniformWorkloadValues(n, ctx.trial_seed);
 
-  Rng churn_rng(DeriveSeed(ctx.trial_seed, fail_stream));
+  Rng churn_rng(DeriveSeed(ctx.trial_seed, cfg.fail_stream));
   Population pop(n);
   RunningStat err;
   int failed_epochs = 0;
@@ -995,8 +990,6 @@ struct ExtremeRecoverySpecParams {
 
 Result<ExtremeRecoverySpecParams> ParseExtremeRecoverySpec(
     const ScenarioSpec& spec) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
-  DYNAGG_RETURN_IF_ERROR(ParamReader(spec, "failure.").Finish());
   ParamReader r(spec, "protocol.");
   ExtremeRecoverySpecParams out;
   DYNAGG_ASSIGN_OR_RETURN(
@@ -1117,9 +1110,7 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
     DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
   };
   const auto custom = [&add](const std::string& name, ProtocolRunner run,
-                             std::function<Status(const ScenarioSpec&,
-                                                  RecordReader&)>
-                                 validate,
+                             decltype(ProtocolDef::validate) validate,
                              bool uses_environment = true) {
     ProtocolDef def;
     def.run_custom = std::move(run);
@@ -1129,9 +1120,9 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
   };
   add("push-sum", SwarmProtocol(MakePushSum, SpecValidator(ParsePushSumSpec)));
   add("push-flow",
-      SwarmProtocol(MakePushFlow, [](const ScenarioSpec& spec,
+      SwarmProtocol(MakePushFlow, [](const TrialContext& ctx,
                                      RecordReader&) {
-        return ParsePushFlowSpec(spec);
+        return ParsePushFlowSpec(*ctx.spec);
       }));
   add("push-sum-revert",
       SwarmProtocol(MakePushSumRevert, SpecValidator(ParsePsrSpec)));
@@ -1144,8 +1135,8 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
       SwarmProtocol(MakeCountSketch, SpecValidator(ParseCountSketchSpec)));
   add("count-sketch-reset",
       SwarmProtocol(MakeCountSketchReset,
-                    [](const ScenarioSpec& spec, RecordReader& records) {
-                      return ParseCsrSpec(spec, records).status();
+                    [](const TrialContext& ctx, RecordReader& records) {
+                      return ParseCsrSpec(*ctx.spec, records).status();
                     }));
   add("invert-average",
       SwarmProtocol(MakeInvertAverage, SpecValidator(ParseInvertAverageSpec)));
@@ -1159,7 +1150,11 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
   custom("fm-accuracy", RunFmAccuracy, SpecValidator(ParseFmAccuracySpec),
          /*uses_environment=*/false);
   custom("extreme-recovery", RunExtremeRecovery,
-         SpecValidator(ParseExtremeRecoverySpec));
+         [](const TrialContext& ctx, RecordReader&) -> Status {
+           DYNAGG_RETURN_IF_ERROR(
+               ParseExtremeRecoverySpec(*ctx.spec).status());
+           return RoundStream(*ctx.spec, ctx, ctx.spec->hosts).status();
+         });
 }
 
 }  // namespace internal

@@ -35,7 +35,17 @@ bool Contains(const std::vector<std::string>& list, const std::string& s) {
   return std::find(list.begin(), list.end(), s) != list.end();
 }
 
+thread_local KeyReads* active_reads = nullptr;
+
 }  // namespace
+
+KeyReads::KeyReads() : outer_(active_reads) { active_reads = this; }
+
+KeyReads::~KeyReads() { active_reads = outer_; }
+
+void KeyReads::Mark(const std::string& key) {
+  if (active_reads != nullptr) active_reads->keys_.insert(key);
+}
 
 Result<int64_t> ParseInt64(std::string_view text) {
   const std::string s(Trim(text));
@@ -99,6 +109,7 @@ Status CheckTickSeconds(const std::string& key, double seconds) {
 
 Result<std::string> ScenarioSpec::ParamString(const std::string& key,
                                               std::string def) const {
+  KeyReads::Mark(key);
   const auto it = params.find(key);
   return it == params.end() ? std::move(def) : it->second;
 }
@@ -128,6 +139,7 @@ Result<int64_t> ParseIntIn(const std::string& key, std::string_view text,
 
 Result<double> ScenarioSpec::ParamDouble(const std::string& key, double def,
                                          Bound lo, Bound hi) const {
+  KeyReads::Mark(key);
   const auto it = params.find(key);
   if (it == params.end()) return def;
   Result<double> v = ParseDouble(it->second);
@@ -149,6 +161,7 @@ Result<double> ScenarioSpec::ParamDouble(const std::string& key, double def,
 }
 
 Result<bool> ScenarioSpec::ParamBool(const std::string& key, bool def) const {
+  KeyReads::Mark(key);
   const auto it = params.find(key);
   if (it == params.end()) return def;
   Result<bool> v = ParseBool(it->second);
@@ -230,6 +243,13 @@ Result<double> ParamReader::Double(const std::string& key, double def,
                                    Bound lo, Bound hi) {
   Note(key);
   return spec_.ParamDouble(key, def, lo, hi);
+}
+
+std::string ParamReader::FirstSet() const {
+  for (const std::string& suffix : read_) {
+    if (spec_.HasParam(prefix_ + suffix)) return prefix_ + suffix;
+  }
+  return "";
 }
 
 void ParamReader::Note(const std::string& key) {

@@ -36,7 +36,8 @@
 // rejects any key under the parse's prefix that no read touched. The
 // `record = ...` selectors and the record.* keys go through a RecordReader
 // in the same way: the driver's and the protocol's record parses share one
-// per sweep cell.
+// per sweep cell. Every typed read also marks its key in the thread's
+// KeyReads, so a key no parse of a cell reads fails validation.
 
 #ifndef DYNAGG_SCENARIO_SPEC_H_
 #define DYNAGG_SCENARIO_SPEC_H_
@@ -44,6 +45,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -92,6 +94,27 @@ Result<int64_t> ParseIntIn(const std::string& key, std::string_view text,
 /// not a positive value below 1 µs (which FromSeconds would turn into 0).
 /// The diagnostic names the key.
 Status CheckTickSeconds(const std::string& key, double seconds);
+
+struct ScenarioSpec;
+
+/// The keys the parses of one sweep cell read: while one is alive, every
+/// typed ScenarioSpec read on its thread (so every ParamReader and seeds.*
+/// resolver) marks its key in the innermost one; HasParam marks nothing.
+class KeyReads {
+ public:
+  KeyReads();
+  ~KeyReads();
+  KeyReads(const KeyReads&) = delete;
+  KeyReads& operator=(const KeyReads&) = delete;
+
+  /// Marks `key` in the thread's innermost live KeyReads, if any.
+  static void Mark(const std::string& key);
+  bool Read(const std::string& key) const { return keys_.count(key) != 0; }
+
+ private:
+  std::set<std::string> keys_;
+  KeyReads* outer_;
+};
 
 /// One entry of the `record =` metric list: a metric name plus an optional
 /// parenthesised argument — `rms`, `bandwidth`, `cdf(final_error)`. Which
@@ -201,6 +224,7 @@ struct ScenarioSpec {
   template <typename T = int64_t>
   Result<T> ParamInt(const std::string& key, int64_t def, int64_t lo,
                      int64_t hi) const {
+    KeyReads::Mark(key);
     const auto it = params.find(key);
     if (it == params.end()) return static_cast<T>(def);
     Result<int64_t> v = ParseIntIn(key, it->second, def, lo, hi);
@@ -215,9 +239,8 @@ struct ScenarioSpec {
     return ParamInt(key, def, std::numeric_limits<int64_t>::min(), kInt64Max);
   }
 
-  /// Rejects any parameter under `prefix` (e.g. "seeds.") whose suffix is
-  /// not in `allowed`. For seeds.*, which the drivers and custom runners
-  /// list by hand; every other prefix is checked by a reader's Finish.
+  /// Rejects any parameter under `prefix` (e.g. "protocol.") whose suffix
+  /// is not in `allowed`: a ParamReader's Finish, against the keys read.
   Status CheckParams(const std::string& prefix,
                      const std::vector<std::string>& allowed) const;
 };
@@ -249,6 +272,8 @@ class ParamReader {
   /// (allowed: <the keys read>)" for the first unread key under the
   /// prefix.
   Status Finish() const { return spec_.CheckParams(prefix_, read_); }
+  /// The first key read under the prefix that the spec sets, "" if none.
+  std::string FirstSet() const;
 
  private:
   void Note(const std::string& key);

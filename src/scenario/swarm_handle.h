@@ -200,7 +200,7 @@ SwarmHandle MakeSwarmHandle(std::shared_ptr<Box> box) {
 template <typename Box>
 ProtocolDef SwarmProtocol(
     BoxResult<Box> (*build)(const TrialContext&, EnvHandle&),
-    std::function<Status(const ScenarioSpec&, RecordReader&)> validate) {
+    decltype(ProtocolDef::validate) validate) {
   ProtocolDef def;
   def.make_swarm = [build](const TrialContext& ctx,
                            EnvHandle& env) -> Result<SwarmHandle> {

@@ -382,25 +382,18 @@ struct ProtocolDef {
   Capabilities capabilities;
   /// Whether the protocol instantiates the spec's environment. False only
   /// for whole-trial runners with no gossip topology (fm-accuracy), whose
-  /// specs skip the environment's spec-only validation — they never build
-  /// one, so env knob checks would reject specs that execute clean.
+  /// specs skip the environment's parse; their env.* keys are then read by
+  /// nothing and fail validation.
   bool uses_environment = true;
-  /// Whether the protocol consumes the keyed stream workload (the
-  /// workload.* keys and seeds.workload_stream; src/stream/). Static so
-  /// `--dry-run` can reject workload keys on protocols that would silently
-  /// ignore them — and, symmetrically, consuming protocols validate that a
-  /// workload.kind is declared.
-  bool consumes_workload = false;
-  /// Spec-only validation of the protocol's knobs: the status of the one
-  /// parse its factory also runs (protocol.* keys read with their ranges,
-  /// the keys read being the allowlist; custom runners' seed allowlists)
-  /// — everything checkable without an environment or a swarm. So
-  /// `--dry-run` rejects exactly the knob/protocol mismatches execution
-  /// would. The parse reads the selectors and record.* keys its `finish`
-  /// hook records (count-sketch-reset's cdf(counter), the stream sketches'
-  /// hh_*) into `records`; ValidateExperiment counts those reads only
-  /// under `driver = rounds`, the one driver that runs the hook.
-  std::function<Status(const ScenarioSpec&, RecordReader& records)> validate;
+  /// Spec-only validation: on the cell's context, the one parse the
+  /// factory or runner also runs (protocol.* keys with their ranges, the
+  /// workload.* and seeds.* streams it derives), so `--dry-run` rejects
+  /// exactly what execution would. It reads the selectors and record.*
+  /// keys its `finish` hook records (count-sketch-reset's cdf(counter), the
+  /// stream sketches' hh_*) into `records`; the driver's validate decides
+  /// whether those reads count.
+  std::function<Status(const TrialContext&, RecordReader& records)> validate =
+      [](const TrialContext&, RecordReader&) { return Status::OK(); };
 };
 
 /// Advances simulated time for one trial: builds the environment, obtains
@@ -410,25 +403,22 @@ struct ProtocolDef {
 using TrialDriver =
     std::function<Status(const TrialContext&, const ProtocolDef&, Recorder&)>;
 
-/// How a driver advances simulated time. The kind decides which spec keys
-/// the driver consumes and which environments and protocols it accepts.
-enum class DriverKind {
-  /// Synchronous rounds: failure/churn plans and the round-indexed
-  /// record.* knobs; rejects gossip_period / sample_period.
-  kRounds,
-  /// Contact-trace playback on gossip_period / sample_period; requires a
-  /// trace-providing environment.
-  kTrace,
-  /// Message-level gossip on gossip_period: the only kind that consumes
-  /// the net.* keys and seeds.message_stream; requires async-capable
-  /// protocols.
-  kMessages,
-};
+struct EnvironmentDef;
 
 /// A registered trial driver (`driver = ...` in the spec).
 struct DriverDef {
   TrialDriver run;
-  DriverKind kind = DriverKind::kRounds;
+  /// Spec-only validation of one sweep cell: on the cell's context,
+  /// exactly the parses `run` runs (the record parse into `records`, the
+  /// plan, network and seeds.* parses, and the protocol's validate, into
+  /// `records` only if `run` runs the finish hook) plus the capability and
+  /// environment checks. `env_hosts` is the size the environment's parse
+  /// reports (spec.hosts when only building it tells). A key no parse of
+  /// the cell reads fails CheckKeysRead (scenario/config.h) after it.
+  std::function<Status(const TrialContext&, const ProtocolDef&,
+                       const EnvironmentDef&, int env_hosts,
+                       RecordReader& records)>
+      validate;
 };
 
 /// A registered environment.

@@ -160,13 +160,8 @@ Result<HhRecords> ParseHhRecords(RecordReader& r) {
 /// The hh_* records average over every host id, so they only score the
 /// population when no host ever dies or is unborn.
 Status CheckStaticMembership(const ScenarioSpec& spec) {
-  std::string key;
-  for (const auto& [name, value] : spec.params) {
-    if (name.rfind("churn.", 0) == 0) {
-      key = name;
-      break;
-    }
-  }
+  DYNAGG_ASSIGN_OR_RETURN(const ChurnConfig churn, ParseChurnConfig(spec));
+  std::string key = churn.first_key;
   DYNAGG_ASSIGN_OR_RETURN(const std::string failure,
                           spec.ParamString("failure.kind", "none"));
   if (failure != "none") key = "failure.kind = " + failure;
@@ -448,13 +443,13 @@ BoxResult<StreamBox> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env) {
 
 template <SketchKind kKind>
 ProtocolDef FreqSketchProtocol() {
-  ProtocolDef def = SwarmProtocol(
+  return SwarmProtocol(
       MakeFreqSketch<kKind>,
-      [](const ScenarioSpec& spec, RecordReader& records) {
-        return ParseFreqSketchSpec(spec, kKind, records).status();
+      [](const TrialContext& ctx, RecordReader& records) -> Status {
+        DYNAGG_RETURN_IF_ERROR(
+            ParseFreqSketchSpec(*ctx.spec, kKind, records).status());
+        return WorkloadStream(*ctx.spec, ctx, ctx.spec->hosts).status();
       });
-  def.consumes_workload = true;
-  return def;
 }
 
 }  // namespace

@@ -58,8 +58,8 @@ TEST(ChurnSpecTest, ValidChurnSpecPassesDryRun) {
 
 TEST(ChurnSpecTest, RejectsChurnUnderAsyncDriver) {
   ExpectDryRunError(
-      "protocol = push-sum\nhosts = 32\ndriver = async\n"
-      "record = final_rms\nchurn.death_prob = 0.02\n",
+      "protocol = push-sum\nprotocol.mode = push\nhosts = 32\n"
+      "driver = async\nrecord = final_rms\nchurn.death_prob = 0.02\n",
       "round-indexed");
 }
 

@@ -245,6 +245,14 @@ TEST(RelativeSurvivorTest, DryRunRejectsPlansThatKillEveryHost) {
       "name = churn\nprotocol = push-sum\nhosts = 50\nrounds = 6\n"
       "record = rms\nrecord.relative = true\nfailure.kind = churn\n"
       "failure.death_prob = 1\nfailure.start = 2\n");
+  // Judged against the size the environment derives (hosts = 0): 0.996 of
+  // the 100-host grid rounds to all 100 hosts.
+  ExpectNoSurvivorRejected(
+      "name = grid\nprotocol = push-sum\nenvironment = spatial\n"
+      "env.width = 10\nenv.height = 10\nhosts = 0\nrounds = 8\n"
+      "record = rms\nrecord.relative = true\n"
+      "failure.kind = kill_random_fraction\nfailure.fraction = 0.996\n"
+      "failure.round = 3\n");
   // Applied per swept variant: the base fraction is harmless.
   ExpectNoSurvivorRejected(std::string(kKillAllSpec) +
                            "failure.fraction = 0.5\n"

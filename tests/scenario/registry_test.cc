@@ -83,6 +83,18 @@ TEST(BuiltinRegistryTest, UnknownEnvironmentFailsExperimentCleanly) {
             std::string::npos);
 }
 
+// Whether the protocol's parse reads `spec`'s workload.kind: the stream
+// sketch protocols, which consume a keyed stream workload.
+bool ReadsWorkload(const ProtocolDef& def, ScenarioSpec spec) {
+  spec.params["workload.kind"] = "zipf";
+  TrialContext ctx;
+  ctx.spec = &spec;
+  RecordReader records(spec);
+  const KeyReads reads;
+  const Status parsed = def.validate(ctx, records);
+  return parsed.ok() && reads.Read("workload.kind");
+}
+
 // The 16-host spec the handle tests build each swarm protocol from.
 ScenarioSpec SmallSwarmSpec(const std::string& name, const ProtocolDef& def) {
   ScenarioSpec spec;
@@ -90,7 +102,7 @@ ScenarioSpec SmallSwarmSpec(const std::string& name, const ProtocolDef& def) {
   spec.protocol = name;
   spec.hosts = 16;
   spec.rounds = 2;
-  if (def.consumes_workload) spec.params["workload.kind"] = "zipf";
+  if (ReadsWorkload(def, spec)) spec.params["workload.kind"] = "zipf";
   // push-sum plans async messages in push mode only.
   if (name == "push-sum") spec.params["protocol.mode"] = "push";
   return spec;

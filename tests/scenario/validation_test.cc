@@ -443,6 +443,12 @@ TEST(DryRunValidationTest, ResolvesSeedStreamsPerCell) {
                     "sweep = record.threshold: 0.1, -0.1\n"
                     "seeds.round_stream = sweepval*10\n",
                     "negative for sweep value");
+  // A scaled value at or above 2^64 has no uint64_t term to cast to.
+  ExpectDryRunError("protocol = push-sum-revert\nhosts = 16\n"
+                    "sweep = record.threshold: 1e300, 2e300\n"
+                    "seeds.round_stream = sweepval\n",
+                    "seeds.round_stream = sweepval: 'sweepval' term is at or "
+                    "above 2^64 for sweep value 1e+300");
 }
 
 TEST(DryRunValidationTest, BoundsChurnArrivalRate) {

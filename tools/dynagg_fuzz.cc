@@ -10,7 +10,7 @@
 // key combinations, unknown namespaced knobs, capability probes that ask
 // any protocol for bandwidth, gossip_bytes, kill_top_fraction, threads or
 // churn, seeds.* stream terms, a selector or record.* key from every
-// family). Valid specs include two-axis sweep grids
+// family, foreign-key probes). Valid specs include two-axis sweep grids
 // whose second axis is checked against the first (hosts x churn.initial /
 // churn.max_alive / env.degree, rounds x record.from), so a cell that
 // combines two valid axis values can still be invalid. Every generated
@@ -18,6 +18,11 @@
 //
 //   it either fails `--dry-run` (parse or ValidateExperiment) with an
 //   actionable message, or it executes clean.
+//
+// A foreign-key probe appends one key that no parse of the spec's cells
+// reads (net.loss under driver = rounds, workload.skew on a protocol that
+// is no stream sketch, ...) to a spec that passes `--dry-run`; the result
+// must fail `--dry-run` naming that key.
 //
 // A spec that passes validation but fails at execution is exactly the bug
 // class `--dry-run` promises cannot exist, so each one is dumped as a
@@ -151,17 +156,38 @@ std::string SweepAxis(const std::string& key, int64_t lo, int64_t hi,
          std::to_string(rng.UniformRange(lo, hi));
 }
 
+/// A registered protocol as the generator sees it.
+struct FuzzProtocol {
+  std::string name;
+  ProtocolDef def;
+  /// Whether its parse reads workload.kind: the stream sketch protocols,
+  /// which consume a keyed stream workload and require one declared.
+  bool workload = false;
+};
+
+bool ReadsWorkload(const ProtocolDef& def) {
+  ScenarioSpec spec;
+  spec.hosts = 16;
+  spec.params["workload.kind"] = "zipf";
+  scenario::TrialContext ctx;
+  ctx.spec = &spec;
+  scenario::RecordReader records(spec);
+  const scenario::KeyReads reads;
+  return def.validate(ctx, records).ok() && reads.Read("workload.kind");
+}
+
 /// Builds one structurally valid spec: bounded sizes, knobs inside the
 /// validated ranges, stream workloads for the protocols that require one,
 /// churn plans only on join-capable swarm protocols, sometimes a two-axis
-/// sweep grid, and sometimes a short contact-trace replay (driver = trace)
-/// for trace-capable ones.
-std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
-                                        const ProtocolDef& def, int index,
-                                        Rng& rng) {
+/// sweep grid, sometimes a short contact-trace replay (driver = trace) for
+/// trace-capable ones and sometimes message-level gossip over a lossy
+/// network (driver = async) for async-capable ones.
+std::vector<SpecLine> GenerateValidSpec(const FuzzProtocol& protocol,
+                                        int index, Rng& rng) {
+  const ProtocolDef& def = protocol.def;
   std::vector<SpecLine> lines;
   lines.push_back({"name", "fuzz_" + std::to_string(index)});
-  lines.push_back({"protocol", protocol});
+  lines.push_back({"protocol", protocol.name});
   const bool custom = def.make_swarm == nullptr;
   // The trace driver replays the haggle environment's synthetic trace for
   // 1-3 hours. Its horizon sets the run length and its timeline has no
@@ -169,6 +195,12 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
   // record.* lines.
   const bool trace = !custom &&
                      def.capabilities.Has(scenario::Capability::kTrace) &&
+                     rng.Bernoulli(0.2);
+  // The async driver ticks `rounds` times and reads no failure.* or
+  // churn.* key; pairwise exchanges cannot be split into messages, so
+  // push-sum runs it in push mode.
+  const bool async = !custom && !trace &&
+                     def.capabilities.Has(scenario::Capability::kAsync) &&
                      rng.Bernoulli(0.2);
   int hosts = 0;
   int rounds = 0;
@@ -195,7 +227,7 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
         {"env.degree", std::to_string(rng.UniformRange(2, 8))});
   }
 
-  if (def.consumes_workload) {
+  if (protocol.workload) {
     const bool zipf = rng.Bernoulli(0.7);
     lines.push_back({"workload.kind", zipf ? "zipf" : "uniform"});
     lines.push_back(
@@ -208,9 +240,25 @@ std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
     }
   }
 
-  AppendProtocolKnobs(protocol, rng, &lines);
+  AppendProtocolKnobs(protocol.name, rng, &lines);
   if (trace) {
     if (rng.Bernoulli(0.3)) lines.push_back({"record", "rms, avg_group_size"});
+    return lines;
+  }
+  if (async) {
+    lines.push_back({"driver", "async"});
+    if (protocol.name == "push-sum") lines.push_back({"protocol.mode", "push"});
+    if (rng.Bernoulli(0.5)) {
+      lines.push_back({"net.latency", "exponential"});
+      lines.push_back(
+          {"net.latency_s", FormatDouble(rng.UniformDouble(0.0, 60.0))});
+    }
+    if (rng.Bernoulli(0.5)) {
+      lines.push_back({"net.loss", FormatDouble(rng.UniformDouble(0.0, 0.3))});
+    }
+    if (rng.Bernoulli(0.3)) {
+      lines.push_back({"record", "rms, final_rms, delivery_rate"});
+    }
     return lines;
   }
 
@@ -289,6 +337,50 @@ const char* const kJunkValues[] = {"",     "banana", "-3",   "1e99",
                                    "  ",   "inf",    "-inf",
                                    "2147483648", "4294967297"};
 
+/// The value of the last `key` line of `lines`, or `def` without one.
+std::string LastValue(const std::vector<SpecLine>& lines,
+                      const std::string& key, const std::string& def) {
+  std::string value = def;
+  for (const SpecLine& line : lines) {
+    if (line.key == key) value = line.value;
+  }
+  return value;
+}
+
+/// Appends one key that no parse of the spec's cells reads, given its
+/// driver and protocol, and returns that key ("" when none applies). The
+/// sweep-value probe resolves seeds.round_stream = sweepval on a value
+/// above 2^64, so it needs a rounds swarm spec without a sweep of its own.
+std::string AppendForeignKey(std::vector<SpecLine>* lines,
+                             const FuzzProtocol& protocol, Rng& rng) {
+  const std::string driver = LastValue(*lines, "driver", "rounds");
+  const bool custom = protocol.def.make_swarm == nullptr;
+  std::vector<SpecLine> probes;
+  if (driver != "async") {
+    probes.push_back({"net.loss", "0.1"});
+    probes.push_back({"seeds.message_stream", "7"});
+  }
+  if (!protocol.workload) probes.push_back({"workload.skew", "1.5"});
+  if (driver != "rounds" || custom) {
+    probes.push_back({"churn.death_prob", "0.05"});
+  }
+  if (driver == "async" || (custom && protocol.name != "tag-tree")) {
+    probes.push_back({"failure.kind", "churn"});
+  }
+  if (!protocol.def.uses_environment) probes.push_back({"env.degree", "4"});
+  const bool swept = LastValue(*lines, "sweep", "") != "";
+  if (driver == "rounds" && !custom && !swept) {
+    probes.push_back({"seeds.round_stream", "sweepval"});
+  }
+  if (probes.empty()) return "";
+  const SpecLine probe = probes[rng.UniformInt(probes.size())];
+  if (probe.value == "sweepval") {
+    lines->push_back({"sweep", "record.threshold: 1e300, 2e300"});
+  }
+  lines->push_back(probe);
+  return probe.key;
+}
+
 /// Applies one random near-valid mutation to `lines`. Mutants must stay
 /// CHEAP when they survive validation: mutations corrupt or add keys and
 /// draw junk values, and even the boundary draws (inf, 2^31, 2^32 + 1)
@@ -296,13 +388,14 @@ const char* const kJunkValues[] = {"",     "banana", "-3",   "1e99",
 /// its parse reads it, so a value that survives is one the range admits.
 /// The top-level sizes are int-checked by the parser, and
 /// intra_round_threads stays capped by the visible CPUs in the worker
-/// pool.
-void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
+/// pool. Returns the key a foreign-key probe appended, "" otherwise.
+std::string Mutate(std::vector<SpecLine>* lines, const FuzzProtocol& protocol,
+                   Rng& rng) {
   const auto pick_line = [&rng, lines]() -> SpecLine* {
     if (lines->empty()) return nullptr;
     return &(*lines)[rng.UniformInt(lines->size())];
   };
-  switch (rng.UniformInt(15)) {
+  switch (rng.UniformInt(16)) {
     case 0: {  // typo a key: drop one character
       SpecLine* line = pick_line();
       if (line != nullptr && !line->key.empty()) {
@@ -417,7 +510,10 @@ void Mutate(std::vector<SpecLine>* lines, Rng& rng) {
       }
       break;
     }
+    case 15:  // foreign-key probe: a key no parse of the cell reads
+      return AppendForeignKey(lines, protocol, rng);
   }
+  return "";
 }
 
 // --------------------------------------------------------------- oracle ---
@@ -480,32 +576,73 @@ void DumpRepro(const std::string& out_dir, uint64_t seed, int index,
   }
 }
 
+/// Whether every experiment of `text` parses and passes ValidateExperiment.
+bool DryRunPasses(const std::string& text) {
+  const Result<std::vector<ScenarioSpec>> specs =
+      scenario::ParseScenarioFile(text, "fuzz");
+  if (!specs.ok()) return false;
+  for (const ScenarioSpec& spec : *specs) {
+    if (!scenario::ValidateExperiment(spec).ok()) return false;
+  }
+  return true;
+}
+
+/// The violation of a foreign-key probe: "" when `text` fails --dry-run
+/// naming `key`.
+std::string ForeignKeyMissed(const std::string& text, const std::string& key) {
+  const Result<std::vector<ScenarioSpec>> specs =
+      scenario::ParseScenarioFile(text, "fuzz");
+  Status st = specs.status();
+  for (size_t e = 0; st.ok() && e < specs->size(); ++e) {
+    st = scenario::ValidateExperiment((*specs)[e]);
+  }
+  if (st.ok()) return "foreign key " + key + " passed --dry-run";
+  if (st.message().find(key) == std::string::npos) {
+    return "foreign key " + key + " rejected without naming it: " +
+           st.ToString();
+  }
+  return "";
+}
+
 /// Generates and checks `count` specs from one seed. Returns stats;
 /// contract violations have already been dumped.
 FuzzStats FuzzBatch(uint64_t seed, int count, const std::string& out_dir,
                     bool verbose) {
   FuzzStats stats;
   Rng rng(seed ^ 0x5fca5fca5fca5fcaull);
-  std::vector<std::string> protocols;
-  std::vector<ProtocolDef> defs;
+  std::vector<FuzzProtocol> protocols;
   for (const std::string& name : scenario::ProtocolRegistry().Names()) {
     Result<ProtocolDef> def = scenario::ProtocolRegistry().Find(name);
     if (!def.ok()) continue;
-    protocols.push_back(name);
-    defs.push_back(*def);
+    protocols.push_back({name, *def, ReadsWorkload(*def)});
   }
 
   for (int i = 0; i < count; ++i) {
     ++stats.generated;
-    const size_t which = rng.UniformInt(protocols.size());
-    std::vector<SpecLine> lines =
-        GenerateValidSpec(protocols[which], defs[which], i, rng);
-    // Half the batch is mutated away from validity, up to two edits.
+    const FuzzProtocol& protocol =
+        protocols[rng.UniformInt(protocols.size())];
+    std::vector<SpecLine> lines = GenerateValidSpec(protocol, i, rng);
+    // Half the batch is mutated away from validity, up to two edits. A
+    // foreign-key probe is checked only as the one edit of a spec that
+    // passes --dry-run without it.
+    const std::vector<SpecLine> unmutated = lines;
+    std::string foreign;
     if (rng.Bernoulli(0.5)) {
-      Mutate(&lines, rng);
-      if (rng.Bernoulli(0.3)) Mutate(&lines, rng);
+      foreign = Mutate(&lines, protocol, rng);
+      if (rng.Bernoulli(0.3)) {
+        Mutate(&lines, protocol, rng);
+        foreign.clear();
+      }
     }
     const std::string text = RenderLines(lines);
+    if (!foreign.empty() && DryRunPasses(RenderLines(unmutated))) {
+      const std::string missed = ForeignKeyMissed(text, foreign);
+      if (!missed.empty()) {
+        ++stats.violations;
+        DumpRepro(out_dir, seed, i, text, missed);
+        continue;
+      }
+    }
 
     const Result<std::vector<ScenarioSpec>> specs =
         scenario::ParseScenarioFile(text, "fuzz");
